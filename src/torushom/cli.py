@@ -12,15 +12,14 @@ import json
 import sys
 from pathlib import Path
 
-from .field import field_from_name
+from .field import PrimeField, field_from_name
 from .poset import PosetError, preset as poset_preset, validate, face_counts
 from .complexes import classify
-from .sheaves import standard_sheaf, sheaf_cohomology, constancy_check
+from .sheaves import standard_sheaf, sheaf_cohomology
 from .facevec import face_vectors, ft_consistency_check, dehn_sommerville_check
-from .torusalg import (TorusSheafKit, validate_charmap, keylemma_check,
-                       duality_check, les_duality_check)
-from .specseq import (cone_profile, validate_profile, pages, bigraded_betti,
-                      theorem_checks, e2_border_sheaf_crosscheck)
+from .torusalg import keylemma_check, duality_check, les_duality_check
+from .specseq import (validate_profile, bigraded_betti, theorem_checks,
+                      e2_border_sheaf_crosscheck)
 from .facering import relation_system, graded_quotient_rank, kernel_generators
 from .formats import (FormatError, parse_cover_table, parse_facet_list,
                       parse_charmap, parse_profile)
@@ -84,7 +83,7 @@ def load_profile(args, S, field):
         if not diag.ok:
             raise InputProblem("invalid profile: " + "; ".join(diag.messages))
         return P
-    return cone_profile(S, field)
+    return S.job(field).cone_profile
 
 
 def selected(args, name):
@@ -96,6 +95,7 @@ def selected(args, name):
 def run(args) -> tuple[dict, int]:
     field = field_from_name(args.field)
     S = load_poset(args)
+    job = S.job(field)     # every invariant of (S, field), computed once
     report = {"command": args.command, "poset": S.name or "(file)",
               "field": field.name, "results": {}}
     results = report["results"]
@@ -129,12 +129,11 @@ def run(args) -> tuple[dict, int]:
         if diag.ok and diag.pure:
             cls = {field.name: classify(S, field).as_dict()}
             if field.name == "Q":
-                from .field import PrimeField
                 for p in _parse_primes(args.primes):
                     cls[f"F{p}"] = classify(S, PrimeField(p)).as_dict()
             payload["classification"] = cls
             if cls[field.name]["buchsbaum"]:
-                cons = constancy_check(standard_sheaf(S, field, "structure"))
+                cons = job.constancy
                 payload["homology_manifold"] = cons.is_constant
                 if not cons.is_constant:
                     payload["constancy_witness"] = cons.witness
@@ -147,7 +146,7 @@ def run(args) -> tuple[dict, int]:
         ft = ft_consistency_check(S, field)
         payload = {"vectors": fv.as_dict(), "generating_identity": ft.as_dict()}
         ok = ft.passed
-        if classify(S, field).buchsbaum:
+        if job.classify.buchsbaum:
             ds = dehn_sommerville_check(S, field)
             payload["symmetry"] = ds.as_dict()
             if ds.details.get("applicable", False):
@@ -155,24 +154,11 @@ def run(args) -> tuple[dict, int]:
         record("vectors", payload, ok)
 
     cmap = None
-    kit = None
     if args.charmap:
         cmap = load_charmap(args)
     if want_charmap:
-        rep = validate_charmap(S, cmap, field)
+        rep = job.charmap_report(cmap)
         record("charmap", rep.as_dict(), rep.ok_field)
-
-    def need_kit():
-        nonlocal kit
-        if cmap is None:
-            raise InputProblem("this command needs --charmap")
-        if kit is None:
-            rep = validate_charmap(S, cmap, field)
-            if not rep.ok_field:
-                raise InputProblem(f"characteristic map invalid over {field.name} "
-                                   f"on faces {rep.field_failures}")
-            kit = TorusSheafKit(S, cmap, field)
-        return kit
 
     if want_sheaf:
         tables = {}
@@ -180,28 +166,28 @@ def run(args) -> tuple[dict, int]:
             coh = sheaf_cohomology(standard_sheaf(S, field, "constant", dim=1))
             tables["constant"] = {str(k): v for k, v in sorted(coh.dims.items())}
         if S.is_pure() and selected(args, "structure"):
-            st = standard_sheaf(S, field, "structure", include_empty=True)
+            st = job.structure_sheaf(include_empty=True)
             tables["structure_stalk_dims"] = list(st.stalk_dims)
             coh = sheaf_cohomology(st, truncated=True)
             tables["structure"] = {str(k): v for k, v in sorted(coh.dims.items())}
         record("sheaf", tables, True)
 
     if want_verify:
-        k = need_kit()
+        job.kit(cmap)       # rejects an invalid map before any check runs
         if selected(args, "keylemma"):
-            rep = keylemma_check(S, cmap, field, kit=k)
+            rep = keylemma_check(S, cmap, field)
             record("keylemma", rep.as_dict(), rep.passed)
         if selected(args, "duality"):
-            rep = duality_check(S, cmap, field, kit=k)
+            rep = duality_check(S, cmap, field)
             record("duality", rep.as_dict(), rep.passed)
         if selected(args, "les_duality"):
-            rep = les_duality_check(S, cmap, field, kit=k)
+            rep = les_duality_check(S, cmap, field)
             record("les_duality", rep.as_dict(), rep.passed)
 
     if want_specseq:
         P = load_profile(args, S, field)
-        e1p, e2, einf = pages(S, P, field)
-        table = bigraded_betti(S, P, field, computed_pages=(e1p, e2, einf))
+        e1p, e2, einf = job.pages(P)
+        table = bigraded_betti(S, P, field)
         payload = {"profile": P.as_dict(), "pages": [e1p.as_dict(), e2.as_dict(),
                                                      einf.as_dict()],
                    "bigraded": table.as_dict()}
@@ -212,7 +198,7 @@ def run(args) -> tuple[dict, int]:
             ok = ok and rep.passed
         if cmap is not None and P.source == "cone" and selected(args, "crosscheck") \
                 and cmap.n == S.n:
-            rep = e2_border_sheaf_crosscheck(S, cmap, field, kit=kit)
+            rep = e2_border_sheaf_crosscheck(S, cmap, field)
             payload["sheaf_crosscheck"] = rep.as_dict()
             ok = ok and rep.passed
         record("specseq", payload, ok)
@@ -231,8 +217,7 @@ def run(args) -> tuple[dict, int]:
             kg = kernel_generators(R)
             payload["kernel_generators"] = kg.as_dict()
             ok = kg.independent and kg.representative_stable
-            fv = face_vectors(S, field)
-            agree = all(ranks2[q] == fv.h_double_prime[q] for q in ranks2)
+            agree = all(ranks2[q] == job.face_vectors.h_double_prime[q] for q in ranks2)
             payload["matches_corrected_vector"] = agree
             ok = ok and agree
         else:

@@ -197,14 +197,18 @@ def induced_map(f: dict, src_h: HomologyProfile, dst_h: HomologyProfile) -> dict
 
 def reduced_betti(S: SimplicialPoset, field) -> dict:
     """Reduced Betti numbers of |S| from the poset's own cellular complex."""
-    prof = homology(cellular_chain_complex(S, field, reduced=True))
-    return {d: prof.dims.get(d, 0) for d in range(-1, S.n)}
+    return dict(S.job(field).reduced_betti)
 
 
 def betti(S: SimplicialPoset, field) -> dict:
     """Unreduced Betti numbers of |S|."""
-    prof = homology(cellular_chain_complex(S, field, reduced=False))
-    return {d: prof.dims.get(d, 0) for d in range(0, S.n)}
+    return dict(S.job(field).betti)
+
+
+def cellular_betti(S: SimplicialPoset, field, reduced: bool) -> dict:
+    """Betti numbers of |S| from one cellular complex, from degree -1 if reduced."""
+    prof = homology(cellular_chain_complex(S, field, reduced=reduced))
+    return {d: prof.dims.get(d, 0) for d in range(-1 if reduced else 0, S.n)}
 
 
 def relative_link_homology(S: SimplicialPoset, field, j: int) -> HomologyProfile:
@@ -234,20 +238,24 @@ def classify(S: SimplicialPoset, field) -> ClassifyReport:
     face (the poset itself).  Link homology is read off the relative
     complexes H_*(S, S \\ lk I), which carry the same ranks shifted by |I|.
     """
+    return S.job(field).classify
+
+
+def classify_of(job) -> ClassifyReport:
+    """The uncached work of `classify`."""
+    S = job.S
     if not S.is_pure():
         return ClassifyReport(False, False, False, [(-1, -1, -1)])
     n = S.n
     failures = []
     for j in range(1, S.size):
-        prof = relative_link_homology(S, field, j)
-        for d, dim in prof.dims.items():
+        for d, dim in job.link_dims[j].items():
             # H_d(S, S \ lk j) = reduced H_{d - |j|}(lk j)
             if dim and d != n - 1:
                 failures.append((j, d - S.ranks[j], dim))
     buchsbaum = not failures
     global_failures = []
-    rb = reduced_betti(S, field)
-    for d, dim in rb.items():
+    for d, dim in job.reduced_betti.items():
         if dim and d != n - 1:
             global_failures.append((0, d, dim))
     return ClassifyReport(buchsbaum, buchsbaum and not global_failures, True,

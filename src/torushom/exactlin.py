@@ -57,9 +57,6 @@ class Matrix:
                 m.rows[i][j] = c[i]
         return m
 
-    def copy(self):
-        return Matrix(self.field, [list(r) for r in self.rows], self.ncols)
-
     def column(self, j):
         return [r[j] for r in self.rows]
 
@@ -254,10 +251,6 @@ class IncrementalSpan:
         self.vectors.append([F.mul(inv, a) for a in v])
         return True
 
-    def contains(self, vec) -> bool:
-        F = self.field
-        return all(F.is_zero(a) for a in self.reduce(vec))
-
 
 @dataclass
 class SubspaceBasis:
@@ -288,16 +281,6 @@ def rank_kernel_image(M: Matrix):
     kernel = SubspaceBasis(M.ncols, M.kernel_basis())
     image = SubspaceBasis(M.nrows, [M.column(j) for j in pivots])
     return len(pivots), kernel, image
-
-
-def column_space_basis(field, vectors, ambient_dim):
-    """Greedy pivot basis of span(vectors), keeping earliest spanning vectors."""
-    span = IncrementalSpan(field, ambient_dim)
-    basis = []
-    for v in vectors:
-        if span.add(v):
-            basis.append(list(v))
-    return basis
 
 
 def smith_invariants(rows) -> list:

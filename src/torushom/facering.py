@@ -15,10 +15,9 @@ from itertools import combinations
 
 from .exactlin import Matrix, IncrementalSpan
 from .poset import SimplicialPoset, PosetError, incidence_number
-from .complexes import classify
-from .sheaves import standard_sheaf, constancy_check, cochain_complex
-from .specseq import ManifoldProfile, cone_profile
-from .torusalg import CharacteristicMap, validate_charmap, coefficient_CAI
+from .sheaves import standard_sheaf, cochain_complex
+from .specseq import ManifoldProfile
+from .torusalg import CharacteristicMap, coefficient_CAI
 
 
 class _TrivializedComplex:
@@ -135,20 +134,21 @@ def relation_system(S: SimplicialPoset, cmap: CharacteristicMap, field,
     n = S.n
     if cmap.n != n:
         raise PosetError("face ring needs torus rank equal to the poset rank")
-    if not classify(S, field).buchsbaum:
+    job = S.job(field)
+    if not job.classify.buchsbaum:
         raise PosetError("poset is not Buchsbaum over the active field")
-    rep = validate_charmap(S, cmap, field)
+    rep = job.charmap_report(cmap)
     if not rep.ok_field:
         raise PosetError(f"characteristic map invalid on faces {rep.field_failures}")
-    structure = standard_sheaf(S, field, "structure", include_empty=True)
-    cons = constancy_check(structure)
+    structure = job.structure_sheaf(include_empty=True)
+    cons = job.constancy
     if not cons.is_constant:
         raise PosetError("structure sheaf is not constant: " + (cons.witness or ""))
     orientation = dict(cons.orientation)
     if flip_orientation:
         orientation = {k: field.neg(v) for k, v in orientation.items()}
     if profile is None:
-        profile = cone_profile(S, field)
+        profile = job.cone_profile
     sgn_flips = frozenset(tuple(sorted(a)) for a in sgn_flips)
 
     subsets = {q: [tuple(c) for c in combinations(range(1, n + 1), q)]

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .poset import SimplicialPoset, PosetError, face_counts
-from .complexes import reduced_betti, relative_link_homology
 
 
 def binom(n: int, k: int) -> int:
@@ -101,26 +100,36 @@ class FaceVectors:
 
 def f_tilde_vector(S: SimplicialPoset, field):
     """Per-dimension count of faces weighted by top reduced link homology."""
+    return _f_tilde(S.job(field))
+
+
+def _f_tilde(job):
+    S = job.S
     n = S.n
     out = [0] * n
     for j in range(1, S.size):
-        prof = relative_link_homology(S, field, j)
-        out[S.ranks[j] - 1] += prof.dims.get(n - 1, 0)
+        out[S.ranks[j] - 1] += job.link_dims[j].get(n - 1, 0)
     return tuple(out)
 
 
 def face_vectors(S: SimplicialPoset, field) -> FaceVectors:
     """All combinatorial vectors of a pure poset over the active field.
 
-    Reduced Betti numbers are always recomputed here so every consumer
-    sees one source of truth.
+    Computed once per (poset, field), so every consumer sees one source
+    of truth.
     """
+    return S.job(field).face_vectors
+
+
+def face_vectors_of(job) -> FaceVectors:
+    """The uncached work of `face_vectors`."""
+    S = job.S
     if not S.is_pure():
         raise PosetError("face vectors need a pure poset")
     n = S.n
     f = face_counts(S)
     h = h_from_f(f, n)
-    rb = reduced_betti(S, field)
+    rb = job.reduced_betti
     b_tilde = tuple(rb.get(d, 0) for d in range(n))
     chi = sum((-1) ** i * f[i + 1] for i in range(n))
     chi_tilde = chi - 1
@@ -132,7 +141,7 @@ def face_vectors(S: SimplicialPoset, field) -> FaceVectors:
     for i in range(n):
         h_pp.append(h_prime[i] - binom(n, i) * (b_tilde[i - 1] if i >= 1 else 0))
     h_pp.append(h_prime[n])
-    f_tilde = f_tilde_vector(S, field)
+    f_tilde = _f_tilde(job)
     return FaceVectors(n, f, h, tuple(h_prime), tuple(h_pp), f_tilde, b_tilde,
                        chi, chi_tilde)
 
@@ -152,7 +161,7 @@ def ft_consistency_check(S: SimplicialPoset, field) -> IdentityReport:
     f_S(t) = (1 - chi) + (-1)^n * sum_k f~_k (-t-1)^(k+1), and the
     equivalent h-coefficient relation.
     """
-    fv = face_vectors(S, field)
+    fv = S.job(field).face_vectors
     n = fv.n
     lhs = [fv.f[i] for i in range(n + 1)]          # f_S(t) = sum f_{i-1} t^i
     rhs = [1 - fv.chi]
@@ -179,8 +188,8 @@ def dehn_sommerville_check(S: SimplicialPoset, field) -> IdentityReport:
     the structure sheaf is constant (orientable homology manifold) also
     checks the symmetry of the corrected vector.
     """
-    from .sheaves import standard_sheaf, constancy_check
-    fv = face_vectors(S, field)
+    job = S.job(field)
+    fv = job.face_vectors
     n = fv.n
     if any(ft != f for ft, f in zip(fv.f_tilde, fv.f[1:])):
         return IdentityReport(False, {"applicable": False,
@@ -193,7 +202,7 @@ def dehn_sommerville_check(S: SimplicialPoset, field) -> IdentityReport:
         per_i[str(i)] = [lhs, rhs]
         ok = ok and lhs == rhs
     details = {"applicable": True, "h_relation": per_i}
-    manifold = constancy_check(standard_sheaf(S, field, "structure")).is_constant
+    manifold = job.constancy.is_constant
     connected = fv.b_tilde[0] == 0
     # the corrected-vector symmetry needs a connected orientable homology
     # manifold: two disjoint circles have h'' = (1, 0, 2)

@@ -8,7 +8,7 @@ over Z either.
 """
 from __future__ import annotations
 
-from .poset import SimplicialPoset, preset as poset_preset, PosetError
+from .poset import PosetError
 from .torusalg import CharacteristicMap
 from .specseq import ManifoldProfile
 
@@ -32,10 +32,6 @@ def preset_charmap(name: str) -> CharacteristicMap:
         raise PosetError(f"no canonical characteristic map for preset {name!r}") from None
     n = len(next(iter(rows.values())))
     return CharacteristicMap(n, dict(rows))
-
-
-def preset_poset(name: str) -> SimplicialPoset:
-    return poset_preset(name)
 
 
 def origami_annulus_profile() -> ManifoldProfile:

@@ -1,0 +1,108 @@
+"""One job: the invariants of a (poset, field) pair, each computed once.
+
+Reports compare independent routes to the same quantities, so many of
+them need the same inputs: Betti numbers, link homology, face vectors,
+the structure sheaf, the sheaf kit of a characteristic map.  A `Job`
+computes each of these on first use and keeps it.  It is reached from
+the poset (`SimplicialPoset.job(field)`), so no layer takes a cache
+argument and the cache lives exactly as long as the poset.
+
+Only small results are kept: dimension tables, reports, profiles, the
+pages and the two structure sheaves.  The local homology complexes are
+released as soon as the dimensions and the structure sheaves are read
+off them, and the kits keep cohomology as dimensions only.
+"""
+from __future__ import annotations
+
+from functools import cached_property
+
+from .complexes import cellular_betti, classify_of
+from .facevec import face_vectors_of
+from .poset import PosetError
+from .sheaves import LocalHomologyData, constancy_check
+from .specseq import cone_profile_of, pages_of
+from .torusalg import TorusSheafKit, charmap_report_of
+
+
+class Job:
+    """Lazily computed invariants of one (poset, field) pair.
+
+    Use `S.job(field)` to get the poset's shared job; a `Job` built
+    directly caches only for its own holder.
+    """
+
+    def __init__(self, S, field):
+        self.S = S
+        self.field = field
+        self._link_dims = None
+        self._structure = None       # (without, with) the empty-face stalk
+        self._pages = {}
+        self._charmap_reports = {}
+        self._kits = {}
+
+    @cached_property
+    def reduced_betti(self) -> dict:
+        return cellular_betti(self.S, self.field, reduced=True)
+
+    @cached_property
+    def betti(self) -> dict:
+        return cellular_betti(self.S, self.field, reduced=False)
+
+    @property
+    def link_dims(self) -> tuple:
+        """Dimensions of H_*(S, S minus lk j) per element j (index 0: S itself)."""
+        if self._link_dims is None:
+            self._read_local_homology()
+        return self._link_dims
+
+    def structure_sheaf(self, include_empty: bool = False):
+        """The structure sheaf; with include_empty, with its empty-face stalk."""
+        if not self.S.is_pure():
+            raise PosetError("structure sheaf needs a pure poset")
+        if self._structure is None:
+            self._read_local_homology()
+        return self._structure[include_empty]
+
+    def _read_local_homology(self):
+        data = LocalHomologyData(self.S, self.field)
+        if self.S.is_pure():
+            self._structure = data.structure_sheaves()
+        self._link_dims = tuple(dict(data.profiles[j].dims) for j in range(self.S.size))
+
+    @cached_property
+    def classify(self):
+        return classify_of(self)
+
+    @cached_property
+    def face_vectors(self):
+        return face_vectors_of(self)
+
+    @cached_property
+    def cone_profile(self):
+        return cone_profile_of(self)
+
+    @cached_property
+    def constancy(self):
+        """Constancy (orientability) of the structure sheaf."""
+        return constancy_check(self.structure_sheaf())
+
+    def pages(self, P):
+        """The first, second and limit pages for the profile P."""
+        key = (P.n, tuple(P.bQ), tuple(P.bQrel), tuple(P.rank_delta))
+        if key not in self._pages:
+            self._pages[key] = pages_of(self, P)
+        return self._pages[key]
+
+    def charmap_report(self, cmap):
+        """`validate_charmap` of the characteristic map on this pair."""
+        key = cmap.key()
+        if key not in self._charmap_reports:
+            self._charmap_reports[key] = charmap_report_of(self.S, cmap, self.field)
+        return self._charmap_reports[key]
+
+    def kit(self, cmap) -> TorusSheafKit:
+        """The sheaf kit of the characteristic map; raises if it is invalid."""
+        key = cmap.key()
+        if key not in self._kits:
+            self._kits[key] = TorusSheafKit(self.S, cmap, self.field)
+        return self._kits[key]

@@ -17,30 +17,54 @@ class PosetError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SimplicialPoset:
-    ranks: list
-    vertex_sets: list          # sorted tuples of vertex labels
-    covers: list               # ids one rank down, per element
+    """An immutable simplicial poset.
+
+    The tables are tuples, and equality and hashing are by identity, so a
+    poset keys caches in O(1).  The invariants derived from it are cached
+    per field in its jobs (`job`) and live as long as the poset does.
+    """
+
+    ranks: tuple
+    vertex_sets: tuple         # sorted tuples of vertex labels
+    covers: tuple              # ids one rank down, per element
     name: str = ""
     source_ids: tuple | None = None   # set for links: new id -> id in the parent poset
 
-    covered_by: list = dfield(default_factory=list, repr=False)
-    below: list = dfield(default_factory=list, repr=False)
+    covered_by: tuple = dfield(init=False, repr=False)
+    below: tuple = dfield(init=False, repr=False)
+    _jobs: dict = dfield(init=False, repr=False)
 
     def __post_init__(self):
-        m = len(self.ranks)
-        self.covered_by = [[] for _ in range(m)]
-        for j, cs in enumerate(self.covers):
+        ranks = tuple(self.ranks)
+        covers = tuple(tuple(c) for c in self.covers)
+        m = len(ranks)
+        covered_by = [[] for _ in range(m)]
+        for j, cs in enumerate(covers):
             for i in cs:
-                self.covered_by[i].append(j)
-        self.covered_by = [tuple(sorted(v)) for v in self.covered_by]
+                covered_by[i].append(j)
         below = [set() for _ in range(m)]
-        for i in sorted(range(m), key=lambda k: self.ranks[k]):
+        for i in sorted(range(m), key=lambda k: ranks[k]):
             below[i].add(i)
-            for c in self.covers[i]:
+            for c in covers[i]:
                 below[i] |= below[c]
-        self.below = [frozenset(b) for b in below]
+        tables = {"ranks": ranks,
+                  "vertex_sets": tuple(tuple(v) for v in self.vertex_sets),
+                  "covers": covers,
+                  "covered_by": tuple(tuple(sorted(v)) for v in covered_by),
+                  "below": tuple(frozenset(b) for b in below),
+                  "_jobs": {}}
+        for attr, value in tables.items():
+            object.__setattr__(self, attr, value)
+
+    def job(self, field):
+        """The `Job` holding this poset's invariants over `field`."""
+        from .job import Job      # job.py builds on every layer above this one
+        job = self._jobs.get(field)
+        if job is None:
+            job = self._jobs.setdefault(field, Job(self, field))
+        return job
 
     @property
     def size(self):
@@ -117,7 +141,7 @@ def build_from_facets(facets, name="") -> SimplicialPoset:
     covers = []
     for s in ordered:
         covers.append(tuple(sorted(index[t] for t in combinations(s, len(s) - 1))) if s else ())
-    S = SimplicialPoset(ranks, list(ordered), covers, name=name)
+    S = SimplicialPoset(ranks, ordered, covers, name=name)
     _validate_or_raise(S)
     return S
 

@@ -256,12 +256,48 @@ class LocalHomologyData:
         cols = [dst.coords(i, proj[i].apply(z)) for z in src.representatives.get(i, [])]
         return Matrix.from_columns(self.field, cols, dst.dims.get(i, 0))
 
+    def sheaf(self, degree, name, include_empty=False) -> CellularSheaf:
+        """Local homology sheaf in `degree`, functoriality checked.
+
+        With include_empty the empty face carries H_degree of the reduced
+        complex of S, restricted by the chain-level projections.
+        """
+        S = self.poset
+        dims = [self.stalk_dim(j, degree) for j in range(S.size)]
+        rest = {}
+        for i in range(1, S.size):
+            for j in S.covered_by[i]:
+                if dims[i] and dims[j]:
+                    rest[(i, j)] = self.restriction(i, j, degree)
+        if include_empty:
+            dims[0] = self.profiles[0].dims.get(degree, 0)
+            for v in S.covered_by[0]:
+                if dims[0] and dims[v]:
+                    rest[(0, v)] = self.restriction(0, v, degree)
+        sheaf = CellularSheaf(S, self.field, dims, rest, include_empty=include_empty,
+                              name=name)
+        check_sheaf_functoriality(sheaf)
+        return sheaf
+
+    def structure_sheaves(self) -> tuple:
+        """The structure sheaf of a pure poset, without and with the
+        empty-face stalk.
+
+        Both share the restriction matrices of the nonempty faces, which
+        are computed once.
+        """
+        S = self.poset
+        full = self.sheaf(S.n - 1, "structure", include_empty=True)
+        rest = {(i, j): m for (i, j), m in full.rest.items() if i != 0}
+        plain = CellularSheaf(S, self.field, [0] + full.stalk_dims[1:], rest,
+                              name="structure")
+        check_sheaf_functoriality(plain)
+        return plain, full
+
 
 def standard_sheaf(S: SimplicialPoset, field, kind: str, *, dim: int = 1,
                    element: int | None = None, degree: int | None = None,
-                   include_empty: bool = False,
-                   local_data: LocalHomologyData | None = None,
-                   check: bool = True) -> CellularSheaf:
+                   include_empty: bool = False, check: bool = True) -> CellularSheaf:
     """Build one of the standard sheaves.
 
     kind = "constant":        value `dim` on every nonempty face.
@@ -270,7 +306,11 @@ def standard_sheaf(S: SimplicialPoset, field, kind: str, *, dim: int = 1,
     kind = "structure":       local homology in top degree; with
                               include_empty the empty face carries the top
                               reduced homology of S, restricted by the
-                              chain-level projections.
+                              chain-level projections.  Built once per
+                              (S, field) and shared.
+
+    Local homology and structure sheaves are always checked for
+    functoriality; `check` applies to the other kinds.
     """
     F = field
     if kind == "constant":
@@ -296,29 +336,12 @@ def standard_sheaf(S: SimplicialPoset, field, kind: str, *, dim: int = 1,
                     rest[(i, j)] = ident
         sheaf = CellularSheaf(S, F, dims, rest, include_empty=(element == 0),
                               name=f"ups({element},{dim})")
-    elif kind in ("local_homology", "structure"):
-        if kind == "structure":
-            if not S.is_pure():
-                raise PosetError("structure sheaf needs a pure poset")
-            degree = S.n - 1
+    elif kind == "local_homology":
         if degree is None:
             raise ValueError("local_homology needs degree")
-        data = local_data or LocalHomologyData(S, F)
-        dims = [data.stalk_dim(j, degree) for j in range(S.size)]
-        rest = {}
-        for i in range(1, S.size):
-            for j in S.covered_by[i]:
-                if dims[i] and dims[j]:
-                    rest[(i, j)] = data.restriction(i, j, degree)
-        empty = False
-        if kind == "structure" and include_empty:
-            empty = True
-            dims[0] = data.profiles[0].dims.get(S.n - 1, 0)
-            for v in S.covered_by[0]:
-                if dims[0] and dims[v]:
-                    rest[(0, v)] = data.restriction(0, v, degree)
-        sheaf = CellularSheaf(S, F, dims, rest, include_empty=empty,
-                              name="structure" if kind == "structure" else f"loc({degree})")
+        return LocalHomologyData(S, F).sheaf(degree, f"loc({degree})")
+    elif kind == "structure":
+        return S.job(F).structure_sheaf(include_empty)
     else:
         raise ValueError(f"unknown standard sheaf kind {kind!r}")
     if check:

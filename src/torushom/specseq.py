@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .poset import SimplicialPoset, PosetError
-from .complexes import betti, reduced_betti
-from .facevec import face_vectors, binom
+from .facevec import binom
 
 
 @dataclass
@@ -43,8 +42,13 @@ class ManifoldProfile:
 def cone_profile(S: SimplicialPoset, field) -> ManifoldProfile:
     """Profile of the cone over the poset: the orbit space is acyclic and
     every connecting map is an isomorphism onto reduced homology."""
-    n = S.n
-    rb = reduced_betti(S, field)
+    return S.job(field).cone_profile
+
+
+def cone_profile_of(job) -> ManifoldProfile:
+    """The uncached work of `cone_profile`."""
+    n = job.S.n
+    rb = job.reduced_betti
     bQ = tuple([1] + [0] * n)
     bQrel = tuple(rb.get(i - 1, 0) for i in range(n + 1))
     rank_delta = tuple(rb.get(i - 1, 0) for i in range(1, n + 1))
@@ -73,7 +77,7 @@ def validate_profile(S: SimplicialPoset, P: ManifoldProfile, field) -> ProfileDi
     if any(v < 0 for v in P.bQ + P.bQrel + P.rank_delta):
         msgs.append("negative entries")
         return ProfileDiagnostics(False, msgs)
-    b = betti(S, field)
+    b = S.job(field).betti
     bS = [b.get(i, 0) for i in range(n)] + [0]
 
     def rd(i):
@@ -127,13 +131,20 @@ def pages(S: SimplicialPoset, P: ManifoldProfile, field):
     n carry boundary Betti numbers times binomial weights; the diagonal
     follows the h-vector with alternating Betti corrections; column n is a
     sum of labeled components, each hit by one full-rank differential.
+    Computed once per (poset, field, profile).
     """
-    diag = validate_profile(S, P, field)
+    return S.job(field).pages(P)
+
+
+def pages_of(job, P: ManifoldProfile):
+    """The uncached work of `pages`."""
+    S = job.S
+    diag = validate_profile(S, P, job.field)
     if not diag.ok:
         raise PosetError("invalid profile: " + "; ".join(diag.messages))
     n = S.n
-    fv = face_vectors(S, field)
-    b = betti(S, field)
+    fv = job.face_vectors
+    b = job.betti
     bt = fv.b_tilde
 
     entries = {}
@@ -215,8 +226,7 @@ class BigradedTable:
                 "totals": self.totals(), "note": self.note}
 
 
-def bigraded_betti(S: SimplicialPoset, P: ManifoldProfile, field,
-                   computed_pages=None) -> BigradedTable:
+def bigraded_betti(S: SimplicialPoset, P: ManifoldProfile, field) -> BigradedTable:
     """The double grading on the homology of the torus space.
 
     Above the diagonal the orbit space's relative homology appears, below
@@ -224,9 +234,7 @@ def bigraded_betti(S: SimplicialPoset, P: ManifoldProfile, field,
     relative correction, and at the far corner the top relative group.
     """
     n = S.n
-    if computed_pages is None:
-        computed_pages = pages(S, P, field)
-    e1plus, _, einf = computed_pages
+    e1plus, _, einf = S.job(field).pages(P)
     entries = {}
     for i in range(n + 1):
         for j in range(n + 1):
@@ -254,7 +262,7 @@ def euler_characteristic_from_e1(S: SimplicialPoset, P: ManifoldProfile, field) 
     """Alternating sum over the full first page (column n from the profile,
     lower columns from the tilde-f weighted stalk counts)."""
     n = S.n
-    fv = face_vectors(S, field)
+    fv = S.job(field).face_vectors
     total = 0
     for p in range(n):
         for q in range(p + 1):
@@ -283,8 +291,7 @@ class CrosscheckReport:
                                in sorted(self.sheaf_full.items()) if d}}
 
 
-def e2_border_sheaf_crosscheck(S: SimplicialPoset, cmap, field,
-                               kit=None) -> CrosscheckReport:
+def e2_border_sheaf_crosscheck(S: SimplicialPoset, cmap, field) -> CrosscheckReport:
     """Independent sheaf-cochain route to the low columns of the pages.
 
     Cone case.  The truncated cochain cohomology of structure (x) quotient
@@ -292,20 +299,17 @@ def e2_border_sheaf_crosscheck(S: SimplicialPoset, cmap, field,
     with the empty-face stalk included must reproduce the second page for
     p < n.  Entries with q > p must vanish along the way.
     """
-    from .torusalg import TorusSheafKit
-    from .sheaves import sheaf_cohomology
     if cmap.n != S.n:
         raise PosetError("page cross-check needs torus rank equal to the poset rank")
-    kit = kit or TorusSheafKit(S, cmap, field)
+    job = S.job(field)
+    kit = job.kit(cmap)
     n = S.n
-    P = cone_profile(S, field)
-    e1plus, e2, _ = pages(S, P, field)
+    e1plus, e2, _ = job.pages(job.cone_profile)
     sheaf_trunc = {}
     sheaf_full = {}
     for q in range(kit.n + 1):
-        sheaf = kit.structure_tensor_quotient(q)
-        trunc = sheaf_cohomology(sheaf, truncated=True).dims
-        full = sheaf_cohomology(sheaf, truncated=False).dims
+        trunc = kit.sheaf_dims("quotient", q, truncated=True)
+        full = kit.sheaf_dims("quotient", q, truncated=False)
         for p in range(n):
             sheaf_trunc[(p, q)] = trunc.get(n - 1 - p, 0)
             sheaf_full[(p, q)] = full.get(n - 1 - p, 0)
@@ -337,12 +341,12 @@ def theorem_checks(S: SimplicialPoset, P: ManifoldProfile, field,
     `manifold` tells whether the structure sheaf is constant (orientable
     homology manifold); when None it is computed.
     """
-    from .sheaves import standard_sheaf, constancy_check
+    job = S.job(field)
     n = S.n
-    fv = face_vectors(S, field)
-    e1plus, e2, einf = pages(S, P, field)
+    fv = job.face_vectors
+    e1plus, e2, einf = job.pages(P)
     if manifold is None:
-        manifold = constancy_check(standard_sheaf(S, field, "structure")).is_constant
+        manifold = job.constancy.is_constant
     checks = {}
 
     border = {}
@@ -384,7 +388,7 @@ def theorem_checks(S: SimplicialPoset, P: ManifoldProfile, field,
     checks["border_limit_nonnegative"] = {"applicable": True, "passed": nonneg,
                                           "values": einf.border()}
 
-    table = bigraded_betti(S, P, field, computed_pages=(e1plus, e2, einf))
+    table = bigraded_betti(S, P, field)
     symmetric_profile = all(P.bQ[i] == P.bQrel[n - i] for i in range(n + 1))
     ok = True
     for i in range(n + 1):

@@ -16,9 +16,9 @@ from .exactlin import Matrix, IncrementalSpan, smith_invariants
 from .poset import SimplicialPoset, PosetError
 from .sheaves import (
     CellularSheaf, CellularCosheaf, standard_sheaf, sheaf_cohomology,
-    cosheaf_homology, tensor, LocalHomologyData, check_sheaf_functoriality,
-    check_cosheaf_functoriality,
+    cosheaf_homology, tensor, check_sheaf_functoriality, check_cosheaf_functoriality,
 )
+from .facevec import binom
 
 
 class ExteriorAlgebra:
@@ -101,9 +101,9 @@ class CharacteristicMap:
     def field_rows(self, field):
         return {lab: [field(v) for v in row] for lab, row in self.rows.items()}
 
-    def submatrix_for(self, S: SimplicialPoset, elem: int):
-        """Integer rows for the vertices of a face, in ascending label order."""
-        return [self.row(lab) for lab in S.vertex_sets[elem]]
+    def key(self):
+        """Hashable content of the map: equal maps give equal keys."""
+        return self.n, tuple(sorted((lab, tuple(row)) for lab, row in self.rows.items()))
 
 
 @dataclass
@@ -121,6 +121,11 @@ class CharmapReport:
 
 def validate_charmap(S: SimplicialPoset, cmap: CharacteristicMap, field) -> CharmapReport:
     """Independence over the field and unimodularity over Z, face by face."""
+    return S.job(field).charmap_report(cmap)
+
+
+def charmap_report_of(S: SimplicialPoset, cmap: CharacteristicMap, field) -> CharmapReport:
+    """The uncached work of `validate_charmap`."""
     if cmap.n < S.n:
         raise PosetError(f"torus rank {cmap.n} smaller than poset rank {S.n}")
     missing = [lab for lab in S.vertex_labels() if lab not in cmap.rows]
@@ -185,12 +190,13 @@ class TorusSheafKit:
 
     Everything is lazy and cached: exterior ideal bases per face, the
     ideal and quotient sheaves per degree, the principal-ideal cosheaf,
-    the structure sheaf and its tensor products.
+    and the (co)homology dimensions of the tensor products with the
+    structure sheaf.  The structure sheaf itself is the poset's, shared
+    through its job; `Job.kit` keeps one kit per characteristic map.
     """
 
-    def __init__(self, S: SimplicialPoset, cmap: CharacteristicMap, field,
-                 local_data: LocalHomologyData | None = None):
-        rep = validate_charmap(S, cmap, field)
+    def __init__(self, S: SimplicialPoset, cmap: CharacteristicMap, field):
+        rep = S.job(field).charmap_report(cmap)
         if not rep.ok_field:
             raise PosetError(f"characteristic map invalid over {field!r} "
                              f"on faces {rep.field_failures}")
@@ -204,11 +210,11 @@ class TorusSheafKit:
         self._pi_bases = {}
         self._ideal_sheaf = {}
         self._quotient_sheaf = {}
+        self._quotient_free_cols = {}
         self._pi_cosheaf = {}
         self._lambda_cosheaf = {}
         self._lambda_quot_cosheaf = {}
-        self._structure = None
-        self._local_data = local_data
+        self._dims = {}
 
     # -- exterior data per face ------------------------------------------
 
@@ -234,7 +240,7 @@ class TorusSheafKit:
                             basis.append(vec)
             self._ideal_bases[key] = (basis, span)
             k = len(self.S.vertex_sets[elem])
-            expect = ext.dim(q) - _binom(ext.n - k, q)
+            expect = ext.dim(q) - binom(ext.n - k, q)
             if len(basis) != expect:
                 raise ValueError(f"ideal dimension off at face {elem}, degree {q}")
         return self._ideal_bases[key]
@@ -269,7 +275,7 @@ class TorusSheafKit:
                     vec = ext.wedge(k, pi, q - k, vb)
                     if span.add(vec):
                         basis.append(vec)
-                if len(basis) != _binom(ext.n - k, q - k):
+                if len(basis) != binom(ext.n - k, q - k):
                     raise ValueError(f"principal ideal dimension off at face {elem}")
             self._pi_bases[key] = (basis, span)
         return self._pi_bases[key]
@@ -337,16 +343,16 @@ class TorusSheafKit:
             sheaf = CellularSheaf(S, F, dims, rest, include_empty=dims[0] > 0,
                                   name=f"lambda/ideal^({q})")
             check_sheaf_functoriality(sheaf)
-            sheaf.free_columns = free_cols
             self._quotient_sheaf[q] = sheaf
+            self._quotient_free_cols[q] = free_cols
         return self._quotient_sheaf[q]
 
     def quotient_class(self, elem: int, q: int, vec):
         """Coordinates of a degree-q form in the quotient basis at a face."""
-        sheaf = self.quotient_sheaf(q)
+        self.quotient_sheaf(q)          # records the free columns of degree q
         _, span = self.ideal_basis(elem, q)
         red = span.reduce(vec)
-        return [red[c] for c in sheaf.free_columns[elem]]
+        return [red[c] for c in self._quotient_free_cols[q][elem]]
 
     def pi_cosheaf(self, q: int) -> CellularCosheaf:
         """Degree-q principal-ideal cosheaf; corestrictions are the
@@ -427,20 +433,10 @@ class TorusSheafKit:
             self._lambda_quot_cosheaf[q] = cosheaf
         return self._lambda_quot_cosheaf[q]
 
-    # -- structure sheaf and tensors ---------------------------------------
-
-    @property
-    def local_data(self) -> LocalHomologyData:
-        if self._local_data is None:
-            self._local_data = LocalHomologyData(self.S, self.field)
-        return self._local_data
+    # -- structure sheaf, tensors and their (co)homology -------------------
 
     def structure_sheaf(self, include_empty: bool = True) -> CellularSheaf:
-        if self._structure is None or (include_empty and not self._structure.include_empty):
-            self._structure = standard_sheaf(self.S, self.field, "structure",
-                                             include_empty=include_empty,
-                                             local_data=self.local_data)
-        return self._structure
+        return self.S.job(self.field).structure_sheaf(include_empty)
 
     def structure_tensor_ideal(self, q: int) -> CellularSheaf:
         return tensor(self.structure_sheaf(), self.ideal_sheaf(q))
@@ -453,26 +449,43 @@ class TorusSheafKit:
     def structure_tensor_quotient(self, q: int) -> CellularSheaf:
         return tensor(self.structure_sheaf(), self.quotient_sheaf(q))
 
+    def sheaf_dims(self, kind: str, q: int, truncated: bool = True) -> dict:
+        """Cohomology dimensions of structure (x) `kind`^(q), computed once.
 
-def _binom(n, k):
-    if k < 0 or k > n:
-        return 0
-    r = 1
-    for i in range(k):
-        r = r * (n - i) // (i + 1)
-    return r
+        `kind` is "ideal", "lambda" or "quotient"; `truncated` is as in
+        `sheaf_cohomology`.
+        """
+        key = ("sheaf", kind, q, truncated)
+        if key not in self._dims:
+            tensors = {"ideal": self.structure_tensor_ideal,
+                       "lambda": self.structure_tensor_lambda,
+                       "quotient": self.structure_tensor_quotient}
+            self._dims[key] = sheaf_cohomology(tensors[kind](q), truncated=truncated).dims
+        return self._dims[key]
+
+    def cosheaf_dims(self, kind: str, q: int) -> dict:
+        """Homology dimensions of the cosheaf `kind`^(q), computed once.
+
+        `kind` is "pi", "lambda" or "lambda/pi".
+        """
+        key = ("cosheaf", kind, q)
+        if key not in self._dims:
+            cosheaves = {"pi": self.pi_cosheaf, "lambda": self.lambda_cosheaf,
+                         "lambda/pi": self.lambda_mod_pi_cosheaf}
+            self._dims[key] = cosheaf_homology(cosheaves[kind](q)).dims
+        return self._dims[key]
 
 
 def ideal_sheaf(S: SimplicialPoset, cmap: CharacteristicMap, field):
     """Graded ideal sheaf and graded quotient sheaf, one component per degree."""
-    kit = TorusSheafKit(S, cmap, field)
+    kit = S.job(field).kit(cmap)
     ideal = {q: kit.ideal_sheaf(q) for q in range(kit.n + 1)}
     quotient = {q: kit.quotient_sheaf(q) for q in range(kit.n + 1)}
     return ideal, quotient
 
 
 def pi_cosheaf(S: SimplicialPoset, cmap: CharacteristicMap, field):
-    kit = TorusSheafKit(S, cmap, field)
+    kit = S.job(field).kit(cmap)
     return {q: kit.pi_cosheaf(q) for q in range(kit.n + 1)}
 
 
@@ -492,21 +505,20 @@ class KeyLemmaReport:
                 "violations": [list(v) for v in self.violations]}
 
 
-def keylemma_check(S: SimplicialPoset, cmap: CharacteristicMap, field,
-                   kit: TorusSheafKit | None = None) -> KeyLemmaReport:
+def keylemma_check(S: SimplicialPoset, cmap: CharacteristicMap, field) -> KeyLemmaReport:
     """Cohomology of structure (x) ideal in every bidegree.
 
     The vanishing range is i <= n - 1 - q with n the poset rank (the
     orbit-space dimension), whatever the torus rank is.
     """
-    kit = kit or TorusSheafKit(S, cmap, field)
+    kit = S.job(field).kit(cmap)
     n = S.n
     table = {}
     violations = []
     for q in range(kit.n + 1):
-        coh = sheaf_cohomology(kit.structure_tensor_ideal(q), truncated=True)
+        dims = kit.sheaf_dims("ideal", q)
         for i in range(S.n):
-            d = coh.dims.get(i, 0)
+            d = dims.get(i, 0)
             table[(i, q)] = d
             if i <= n - 1 - q and d != 0:
                 violations.append((i, q, d))
@@ -526,21 +538,20 @@ class DualityReport:
                 "cosheaf": {f"{k},{q}": d for (k, q), d in sorted(self.cosheaf_side.items())}}
 
 
-def duality_check(S: SimplicialPoset, cmap: CharacteristicMap, field,
-                  kit: TorusSheafKit | None = None) -> DualityReport:
+def duality_check(S: SimplicialPoset, cmap: CharacteristicMap, field) -> DualityReport:
     """Graded comparison of ideal-sheaf cohomology with principal-ideal
     cosheaf homology in complementary degree."""
-    kit = kit or TorusSheafKit(S, cmap, field)
+    kit = S.job(field).kit(cmap)
     n = kit.n
     top = S.n - 1
     sheaf_side = {}
     cosheaf_side = {}
     for q in range(n + 1):
-        coh = sheaf_cohomology(kit.structure_tensor_ideal(q), truncated=True)
-        hom = cosheaf_homology(kit.pi_cosheaf(q))
+        coh = kit.sheaf_dims("ideal", q)
+        hom = kit.cosheaf_dims("pi", q)
         for k in range(S.n):
-            sheaf_side[(k, q)] = coh.dims.get(k, 0)
-            cosheaf_side[(k, q)] = hom.dims.get(top - k, 0)
+            sheaf_side[(k, q)] = coh.get(k, 0)
+            cosheaf_side[(k, q)] = hom.get(top - k, 0)
     passed = sheaf_side == cosheaf_side
     return DualityReport(n, sheaf_side, cosheaf_side, passed)
 
@@ -560,8 +571,7 @@ class LesDualityReport:
                 "connecting": {str(q): v for q, v in sorted(self.connecting.items())}}
 
 
-def les_duality_check(S: SimplicialPoset, cmap: CharacteristicMap, field,
-                      kit: TorusSheafKit | None = None) -> LesDualityReport:
+def les_duality_check(S: SimplicialPoset, cmap: CharacteristicMap, field) -> LesDualityReport:
     """Compare the two long exact sequences degreewise.
 
     Sheaf side: ideal -> full -> quotient in structure-sheaf cohomology.
@@ -570,7 +580,7 @@ def les_duality_check(S: SimplicialPoset, cmap: CharacteristicMap, field,
     exactness once all dimensions are known, so equal dimension rows give
     isomorphic sequences.
     """
-    kit = kit or TorusSheafKit(S, cmap, field)
+    kit = S.job(field).kit(cmap)
     n = kit.n
     top = S.n - 1
     sheaf_rows = {}
@@ -578,12 +588,12 @@ def les_duality_check(S: SimplicialPoset, cmap: CharacteristicMap, field,
     connecting = {}
     passed = True
     for q in range(n + 1):
-        a = sheaf_cohomology(kit.structure_tensor_ideal(q), truncated=True).dims
-        b = sheaf_cohomology(kit.structure_tensor_lambda(q), truncated=True).dims
-        c = sheaf_cohomology(kit.structure_tensor_quotient(q), truncated=True).dims
-        ah = cosheaf_homology(kit.pi_cosheaf(q)).dims
-        bh = cosheaf_homology(kit.lambda_cosheaf(q)).dims
-        ch = cosheaf_homology(kit.lambda_mod_pi_cosheaf(q)).dims
+        a = kit.sheaf_dims("ideal", q)
+        b = kit.sheaf_dims("lambda", q)
+        c = kit.sheaf_dims("quotient", q)
+        ah = kit.cosheaf_dims("pi", q)
+        bh = kit.cosheaf_dims("lambda", q)
+        ch = kit.cosheaf_dims("lambda/pi", q)
         srow = []
         crow = []
         for k in range(S.n):

@@ -1,0 +1,52 @@
+import time
+
+import pytest
+
+from torushom.field import PrimeField, field_from_name, _is_prime
+
+
+def _trial_division(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_agrees_with_trial_division_below_10k():
+    assert [n for n in range(-3, 10_000) if _is_prime(n) != _trial_division(n)] == []
+
+
+def test_mersenne_61_accepted_quickly():
+    start = time.perf_counter()
+    F = field_from_name(f"Fp:{2**61 - 1}")
+    assert time.perf_counter() - start < 1.0
+    assert F.p == 2**61 - 1
+    assert F.mul(F.inv(12345), 12345) == 1
+
+
+@pytest.mark.parametrize("n", [561, 3215031751])
+def test_pseudoprimes_rejected(n):
+    # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to
+    # the bases 2, 3, 5 and 7
+    assert not _is_prime(n)
+    with pytest.raises(ValueError, match="not prime"):
+        PrimeField(n)
+
+
+@pytest.mark.parametrize("n", [318665857834031151167461, 3317044064679887385961981])
+def test_strong_pseudoprimes_to_every_witness_rejected(n):
+    # both pass Miller-Rabin for all twelve witnesses; only the strong
+    # Lucas test used above 2^64 can reject them
+    assert n > 2**64
+    assert not _is_prime(n)
+
+
+def test_beyond_64_bits():
+    assert _is_prime(2**89 - 1) and _is_prime(2**127 - 1)
+    assert not _is_prime(2**67 - 1)                  # 193707721 * 761838257287
+    assert not _is_prime((2**61 - 1) * (2**89 - 1))
+    assert not _is_prime((2**61 - 1) ** 2)

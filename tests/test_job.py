@@ -1,0 +1,149 @@
+"""The per-job cache: each invariant of a (poset, field) pair is built once."""
+import contextlib
+import dataclasses
+import gc
+import hashlib
+import io
+import weakref
+from collections import Counter
+
+import pytest
+
+from torushom import job as job_module
+from torushom import torusalg
+from torushom.cli import main
+from torushom.field import QQ, PrimeField
+from torushom.fixtures import preset_charmap
+from torushom.formats import write_charmap
+from torushom.complexes import reduced_betti, classify
+from torushom.facevec import face_vectors
+from torushom.poset import preset
+from torushom.sheaves import LocalHomologyData
+
+# sha256 of the `all` report, recorded before the job cache existed
+GOLDEN = {
+    ("torus_7", "Q"):
+        "f6ce2e7f7be9ea7572c8a15f191a62b96235281e0f2457c80fbe9f82f190e3dc",
+    ("cross_polytope_boundary(3)", "Fp:3"):
+        "79dd069a572db562e2f3003838bf5c32cfc751b2c10d9a6311f3e0721d10812d",
+}
+
+
+class _Counts:
+    """Counts the uncached work done during one `all` job."""
+
+    def __init__(self, mp):
+        self.local_data = Counter()       # field name
+        self.work = Counter()             # (what, poset, field name)
+        self.cohomology = Counter()       # (sheaf name, truncated)
+        self.sheaf_calls = self.cosheaf_calls = 0
+
+        init = LocalHomologyData.__init__
+
+        def counting_init(data, S, field):
+            self.local_data[field.name] += 1
+            init(data, S, field)
+
+        mp.setattr(LocalHomologyData, "__init__", counting_init)
+        for name in ("classify_of", "face_vectors_of", "cone_profile_of"):
+            self._count_work(mp, name)
+
+        sheaf_cohomology = torusalg.sheaf_cohomology
+        cosheaf_homology = torusalg.cosheaf_homology
+
+        def counting_sheaf(sheaf, truncated=True):
+            self.sheaf_calls += 1
+            self.cohomology[(sheaf.name, truncated)] += 1
+            return sheaf_cohomology(sheaf, truncated)
+
+        def counting_cosheaf(cosheaf):
+            self.cosheaf_calls += 1
+            self.cohomology[(cosheaf.name, True)] += 1
+            return cosheaf_homology(cosheaf)
+
+        mp.setattr(torusalg, "sheaf_cohomology", counting_sheaf)
+        mp.setattr(torusalg, "cosheaf_homology", counting_cosheaf)
+
+    def _count_work(self, mp, name):
+        fn = getattr(job_module, name)
+
+        def counting(job):
+            self.work[(name, job.S, job.field.name)] += 1
+            return fn(job)
+
+        mp.setattr(job_module, name, counting)
+
+
+@pytest.fixture(scope="module", params=sorted(GOLDEN), ids=lambda k: f"{k[0]}-{k[1]}")
+def all_job(request, tmp_path_factory):
+    name, field = request.param
+    path = tmp_path_factory.mktemp("job") / "map.lam"
+    path.write_text(write_charmap(preset_charmap(name)))
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        counts = _Counts(mp)
+        status = main(["all", "--preset", name, "--charmap", str(path), "--field", field])
+    return request.param, status, out.getvalue(), counts
+
+
+def test_all_report_matches_golden(all_job):
+    key, status, stdout, _ = all_job
+    assert status == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN[key]
+
+
+def test_all_job_computes_each_invariant_once(all_job):
+    (name, field), _, _, counts = all_job
+    main_field = "Q" if field == "Q" else "F" + field.split(":")[1]
+    extra = ["F2", "F3", "F5"] if field == "Q" else []
+    assert counts.local_data == Counter({f: 1 for f in [main_field] + extra})
+    assert counts.work and set(counts.work.values()) == {1}
+    classified = sorted(f for (what, _, f) in counts.work if what == "classify_of")
+    assert classified == sorted([main_field] + extra)
+    # every kit (co)homology group is computed once: ideal, lambda, quotient
+    # truncated plus quotient untruncated per degree, and three cosheaves
+    n = preset(name).n
+    assert counts.sheaf_calls == 4 * (n + 1)
+    assert counts.cosheaf_calls == 3 * (n + 1)
+    named = {k: v for k, v in counts.cohomology.items() if "constant" not in k[0]}
+    assert set(named.values()) == {1}
+
+
+def test_job_is_shared_per_poset_and_field():
+    S = preset("boundary_of_simplex(2)")
+    T = preset("boundary_of_simplex(2)")
+    assert S.job(QQ) is S.job(QQ)
+    assert S.job(PrimeField(3)) is S.job(PrimeField(3))
+    assert S.job(QQ) is not S.job(PrimeField(3))
+    assert S.job(QQ) is not T.job(QQ)          # equal content, distinct posets
+    assert face_vectors(S, QQ) is face_vectors(S, QQ)
+    assert classify(S, QQ) is classify(S, QQ)
+
+
+def test_public_results_are_copies():
+    S = preset("boundary_of_simplex(2)")
+    rb = reduced_betti(S, QQ)
+    rb[0] = 99
+    assert reduced_betti(S, QQ)[0] == 0
+
+
+def test_poset_is_frozen_with_identity_hash():
+    S = preset("torus_7")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        S.name = "other"
+    for table in (S.ranks, S.vertex_sets, S.covers, S.covered_by, S.below):
+        assert isinstance(table, tuple)
+    assert all(isinstance(c, tuple) for c in S.covers)
+    assert hash(S) == object.__hash__(S)
+    assert S != preset("torus_7")
+
+
+def test_job_cache_dies_with_poset():
+    S = preset("boundary_of_simplex(3)")
+    cm = preset_charmap("boundary_of_simplex(3)")
+    face_vectors(S, QQ)
+    torusalg.keylemma_check(S, cm, QQ)
+    refs = [weakref.ref(S), weakref.ref(S.job(QQ)), weakref.ref(S.job(QQ).kit(cm))]
+    del S
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]

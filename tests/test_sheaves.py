@@ -36,8 +36,7 @@ def test_constant_sheaf_tensor_dims():
 
 def test_tensor_with_unit_is_identity_dims():
     S = preset("torus_7")
-    data = LocalHomologyData(S, QQ)
-    A = standard_sheaf(S, QQ, "structure", local_data=data)
+    A = standard_sheaf(S, QQ, "structure")
     U = standard_sheaf(S, QQ, "constant", dim=1)
     T = tensor(A, U)
     assert T.stalk_dims == A.stalk_dims
