@@ -60,9 +60,6 @@ class Matrix:
     def column(self, j):
         return [r[j] for r in self.rows]
 
-    def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
-
     def transpose(self):
         return Matrix(self.field, [self.column(j) for j in range(self.ncols)], self.nrows)
 
@@ -97,20 +94,6 @@ class Matrix:
             out.append(s)
         return out
 
-    def add(self, other):
-        F = self.field
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch in add")
-        return Matrix(F, [[F.add(a, b) for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.rows, other.rows)], self.ncols)
-
-    def scale(self, c):
-        F = self.field
-        return Matrix(F, [[F.mul(c, a) for a in r] for r in self.rows], self.ncols)
-
-    def neg(self):
-        return self.scale(self.field.neg(self.field.one))
-
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product, row-major block layout."""
         F = self.field
@@ -125,12 +108,6 @@ class Matrix:
                         out.rows[i * other.nrows + k][j * other.ncols + l] = \
                             F.mul(a, other.rows[k][l])
         return out
-
-    def vstack(self, other):
-        if self.ncols != other.ncols:
-            raise ValueError("vstack width mismatch")
-        return Matrix(self.field, [list(r) for r in self.rows] + [list(r) for r in other.rows],
-                      self.ncols)
 
     def equal(self, other):
         F = self.field

@@ -17,6 +17,12 @@ class PosetError(ValueError):
     pass
 
 
+# Largest poset built from a preset or a facet list.  Both can name far
+# larger posets in a few characters (boundary_of_simplex(30) has 2^31 - 1
+# elements), so they are refused before their faces are enumerated.
+MAX_ELEMENTS = 1000
+
+
 @dataclass(frozen=True, eq=False)
 class SimplicialPoset:
     """An immutable simplicial poset.
@@ -132,9 +138,14 @@ def build_from_facets(facets, name="") -> SimplicialPoset:
             raise PosetError("empty facet")
         cleaned.append(vs)
     faces = set()
-    for f in cleaned:
+    for f in dict.fromkeys(cleaned):
+        if 2 ** len(f) > MAX_ELEMENTS:
+            raise PosetError(f"facet {list(f)} has {2 ** len(f)} faces, more than the "
+                             f"limit of {MAX_ELEMENTS} elements")
         for k in range(len(f) + 1):
             faces.update(combinations(f, k))
+        if len(faces) > MAX_ELEMENTS:
+            raise PosetError(f"facet list has more than {MAX_ELEMENTS} faces")
     ordered = sorted(faces, key=lambda s: (len(s), s))
     index = {s: i for i, s in enumerate(ordered)}
     ranks = [len(s) for s in ordered]
@@ -307,6 +318,14 @@ def preset(name: str) -> SimplicialPoset:
     """Named example posets: boundary_of_simplex(n), cross_polytope_boundary(n),
     digon_cycle(c), torus_7."""
     key, arg = _parse_preset(name)
+    # every family has more than `arg` elements, so the size is formed
+    # only for a moderate argument
+    size = {"boundary_of_simplex": lambda n: 2 ** (n + 1) - 1,
+            "cross_polytope_boundary": lambda n: 3 ** n,
+            "digon_cycle": lambda c: 1 + 4 * c}.get(key)
+    if size is not None and arg is not None and (arg > MAX_ELEMENTS
+                                                 or size(arg) > MAX_ELEMENTS):
+        raise PosetError(f"preset {name!r} has more than {MAX_ELEMENTS} elements")
     if key == "boundary_of_simplex":
         if arg is None or arg < 1:
             raise PosetError("boundary_of_simplex needs n >= 1")

@@ -23,18 +23,28 @@ from .complexes import (
 
 @dataclass
 class CellularSheaf:
+    """Stalk dimensions and one matrix per cover relation.
+
+    `rest` is keyed (source, target); a cover missing from it carries the
+    zero map.  A sheaf's maps run up, from a face to each face covering it;
+    `CellularCosheaf` is the same data with the maps running down, and
+    `_step` is the degree change of the (co)chain differential.
+    """
     poset: SimplicialPoset
     field: object
     stalk_dims: list
-    rest: dict                    # (i, j) for covers i <1 j -> Matrix
+    rest: dict                    # (source, target) over covers -> Matrix
     include_empty: bool = False
     name: str = ""
+
+    _step = +1
 
     def stalk_dim(self, i):
         return self.stalk_dims[i]
 
     def restriction(self, i, j) -> Matrix:
-        """Restriction along i <= j, composed along one saturated chain."""
+        """The map between the stalks of i <= j (from i to j for a sheaf,
+        from j to i for a cosheaf), composed along one saturated chain."""
         S = self.poset
         if i == j:
             return Matrix.identity(self.field, self.stalk_dims[i])
@@ -45,36 +55,46 @@ class CellularSheaf:
         while cur != i:
             cur = next(c for c in S.covers[cur] if S.leq(i, c))
             chain.append(cur)
-        chain.reverse()
+        if self._step > 0:
+            chain.reverse()
         mat = self._cover_matrix(chain[0], chain[1])
         for a, b in zip(chain[1:], chain[2:]):
             mat = self._cover_matrix(a, b).mul(mat)
         return mat
 
-    def _cover_matrix(self, i, j) -> Matrix:
-        m = self.rest.get((i, j))
+    def _cover_matrix(self, src, dst) -> Matrix:
+        m = self.rest.get((src, dst))
         if m is None:
-            return Matrix.zero(self.field, self.stalk_dims[j], self.stalk_dims[i])
+            return Matrix.zero(self.field, self.stalk_dims[dst], self.stalk_dims[src])
         return m
 
 
-@dataclass
-class CellularCosheaf:
-    poset: SimplicialPoset
-    field: object
-    stalk_dims: list
-    corest: dict                  # (j, i) for covers i <1 j -> Matrix (stalk j -> stalk i)
-    name: str = ""
+class CellularCosheaf(CellularSheaf):
+    """A cosheaf: `rest[(j, i)]` maps stalk j to stalk i for covers i <1 j."""
 
-    def _cover_matrix(self, j, i) -> Matrix:
-        m = self.corest.get((j, i))
-        if m is None:
-            return Matrix.zero(self.field, self.stalk_dims[i], self.stalk_dims[j])
-        return m
+    _step = -1
+
+
+def _covers(S, kind):
+    """Cover pairs (source, target) of S in the direction of the maps of
+    `kind`, a sheaf or cosheaf class or instance."""
+    return [(i, j) if kind._step > 0 else (j, i) for i in range(S.size) for j in S.covered_by[i]]
+
+
+def _constant(cls, S, field, dim, name):
+    """The constant sheaf or cosheaf `cls` of value field^dim on the nonempty faces."""
+    dims = [dim] * S.size
+    dims[0] = 0
+    ident = Matrix.identity(field, dim)
+    rest = {(a, b): ident for a, b in _covers(S, cls) if a != 0 and b != 0}
+    return cls(S, field, dims, rest, name=name)
 
 
 def check_sheaf_functoriality(sheaf: CellularSheaf):
-    """Two-path equality through every length-two interval; raises on failure."""
+    """Two-path equality through every length-two interval; raises on failure.
+
+    Serves cosheaves too, composing the maps downward.
+    """
     S = sheaf.poset
     for j in range(S.size):
         if S.ranks[j] < 2:
@@ -86,26 +106,12 @@ def check_sheaf_functoriality(sheaf: CellularSheaf):
                 continue
             mids = [t for t in S.below[j] if S.ranks[t] == S.ranks[j] - 1 and S.leq(i, t)]
             m1, m2 = mids
-            a = sheaf._cover_matrix(m1, j).mul(sheaf._cover_matrix(i, m1))
-            b = sheaf._cover_matrix(m2, j).mul(sheaf._cover_matrix(i, m2))
+            src, dst = (i, j) if sheaf._step > 0 else (j, i)
+            a = sheaf._cover_matrix(m1, dst).mul(sheaf._cover_matrix(src, m1))
+            b = sheaf._cover_matrix(m2, dst).mul(sheaf._cover_matrix(src, m2))
             if not a.equal(b):
-                raise ValueError(f"sheaf functoriality fails on {i} < {m1},{m2} < {j}")
-
-
-def check_cosheaf_functoriality(cosheaf: CellularCosheaf):
-    S = cosheaf.poset
-    for j in range(S.size):
-        if S.ranks[j] < 2:
-            continue
-        for i in S.below[j]:
-            if S.ranks[i] != S.ranks[j] - 2 or i == 0:
-                continue
-            mids = [t for t in S.below[j] if S.ranks[t] == S.ranks[j] - 1 and S.leq(i, t)]
-            m1, m2 = mids
-            a = cosheaf._cover_matrix(m1, i).mul(cosheaf._cover_matrix(j, m1))
-            b = cosheaf._cover_matrix(m2, i).mul(cosheaf._cover_matrix(j, m2))
-            if not a.equal(b):
-                raise ValueError(f"cosheaf functoriality fails on {i} < {m1},{m2} < {j}")
+                kind = "sheaf" if sheaf._step > 0 else "cosheaf"
+                raise ValueError(f"{kind} functoriality fails on {i} < {m1},{m2} < {j}")
 
 
 def _blocks(S, stalk_dims, degree, include_empty):
@@ -121,25 +127,35 @@ def _blocks(S, stalk_dims, degree, include_empty):
     return ids, offsets, total
 
 
-def cochain_complex(sheaf: CellularSheaf, truncated: bool = True) -> GradedComplex:
-    """Incidence-signed cochain complex of a sheaf; degree of the empty face is -1."""
+def _block_complex(sheaf: CellularSheaf, truncated: bool) -> GradedComplex:
+    """Incidence-signed complex of a sheaf (cochains) or cosheaf (chains).
+
+    The block of the differential from the stalk of a face to the stalk of
+    a face it maps to is the cover matrix times the incidence number of
+    the cover.
+    """
     S = sheaf.poset
     F = sheaf.field
+    step = sheaf._step
     lowest = -1 if (sheaf.include_empty and not truncated) else 0
     info = {d: _blocks(S, sheaf.stalk_dims, d, lowest == -1) for d in range(lowest, S.n)}
     dims = {d: info[d][2] for d in info}
+    targets = S.covered_by if step > 0 else S.covers
     diff = {}
-    for d in range(lowest, S.n - 1):
+    for d in info:
+        if d + step not in info:
+            continue
         ids_d, off_d, tot_d = info[d]
-        ids_e, off_e, tot_e = info[d + 1]
+        _, off_e, tot_e = info[d + step]
         mat = Matrix.zero(F, tot_e, tot_d)
-        for i in ids_d:
-            for j in S.covered_by[i]:
-                if sheaf.stalk_dims[j] == 0:
+        for src in ids_d:
+            for dst in targets[src]:
+                if dst not in off_e:
                     continue
-                sign = F(incidence_number(S, j, i))
-                block = sheaf._cover_matrix(i, j)
-                r0, c0 = off_e[j], off_d[i]
+                upper, lower = (dst, src) if step > 0 else (src, dst)
+                sign = F(incidence_number(S, upper, lower))
+                block = sheaf._cover_matrix(src, dst)
+                r0, c0 = off_e[dst], off_d[src]
                 for r in range(block.nrows):
                     for c in range(block.ncols):
                         v = block.rows[r][c]
@@ -147,9 +163,14 @@ def cochain_complex(sheaf: CellularSheaf, truncated: bool = True) -> GradedCompl
                             mat.rows[r0 + r][c0 + c] = F.mul(sign, v)
         diff[d] = mat
     labels = {d: info[d][0] for d in info}
-    cx = GradedComplex(F, dims, diff, shift=+1, labels=labels)
+    cx = GradedComplex(F, dims, diff, shift=step, labels=labels)
     cx.check_square_zero()
     return cx
+
+
+def cochain_complex(sheaf: CellularSheaf, truncated: bool = True) -> GradedComplex:
+    """Incidence-signed cochain complex of a sheaf; degree of the empty face is -1."""
+    return _block_complex(sheaf, truncated)
 
 
 @dataclass
@@ -170,32 +191,8 @@ def sheaf_cohomology(sheaf: CellularSheaf, truncated: bool = True) -> SheafCohom
 
 
 def chain_complex_of_cosheaf(cosheaf: CellularCosheaf) -> GradedComplex:
-    S = cosheaf.poset
-    F = cosheaf.field
-    info = {d: _blocks(S, cosheaf.stalk_dims, d, False) for d in range(0, S.n)}
-    dims = {d: info[d][2] for d in info}
-    diff = {}
-    for d in range(1, S.n):
-        ids_d, off_d, tot_d = info[d]
-        ids_e, off_e, tot_e = info[d - 1]
-        mat = Matrix.zero(F, tot_e, tot_d)
-        for j in ids_d:
-            for i in S.covers[j]:
-                if i == 0 or cosheaf.stalk_dims[i] == 0:
-                    continue
-                sign = F(incidence_number(S, j, i))
-                block = cosheaf._cover_matrix(j, i)
-                r0, c0 = off_e[i], off_d[j]
-                for r in range(block.nrows):
-                    for c in range(block.ncols):
-                        v = block.rows[r][c]
-                        if not F.is_zero(v):
-                            mat.rows[r0 + r][c0 + c] = F.mul(sign, v)
-        diff[d] = mat
-    labels = {d: info[d][0] for d in info}
-    cx = GradedComplex(F, dims, diff, shift=-1, labels=labels)
-    cx.check_square_zero()
-    return cx
+    """Incidence-signed chain complex of a cosheaf."""
+    return _block_complex(cosheaf, True)
 
 
 def cosheaf_homology(cosheaf: CellularCosheaf) -> SheafCohomology:
@@ -204,21 +201,20 @@ def cosheaf_homology(cosheaf: CellularCosheaf) -> SheafCohomology:
 
 
 def tensor(A: CellularSheaf, B: CellularSheaf) -> CellularSheaf:
-    """Stalkwise tensor product with Kronecker restriction maps."""
+    """Stalkwise tensor product of two sheaves, or of two cosheaves, with
+    Kronecker cover maps."""
     if A.poset is not B.poset and A.poset.vertex_sets != B.poset.vertex_sets:
         raise ValueError("tensor of sheaves on different posets")
     if A.field != B.field:
         raise ValueError("tensor of sheaves over different fields")
+    if A._step != B._step:
+        raise ValueError("tensor of a sheaf with a cosheaf")
     dims = [a * b for a, b in zip(A.stalk_dims, B.stalk_dims)]
-    rest = {}
-    S = A.poset
-    for i in range(S.size):
-        for j in S.covered_by[i]:
-            if dims[i] and dims[j]:
-                rest[(i, j)] = A._cover_matrix(i, j).kron(B._cover_matrix(i, j))
-    return CellularSheaf(S, A.field, dims, rest,
-                         include_empty=A.include_empty and B.include_empty,
-                         name=f"{A.name}(x){B.name}")
+    rest = {(a, b): A._cover_matrix(a, b).kron(B._cover_matrix(a, b))
+            for a, b in _covers(A.poset, A) if dims[a] and dims[b]}
+    return type(A)(A.poset, A.field, dims, rest,
+                   include_empty=A.include_empty and B.include_empty,
+                   name=f"{A.name}(x){B.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -314,15 +310,7 @@ def standard_sheaf(S: SimplicialPoset, field, kind: str, *, dim: int = 1,
     """
     F = field
     if kind == "constant":
-        dims = [dim] * S.size
-        dims[0] = 0
-        ident = Matrix.identity(F, dim)
-        rest = {}
-        for i in range(1, S.size):
-            for j in S.covered_by[i]:
-                rest[(i, j)] = ident
-        sheaf = CellularSheaf(S, F, dims, rest, include_empty=False,
-                              name=f"constant({dim})")
+        sheaf = _constant(CellularSheaf, S, F, dim, f"constant({dim})")
     elif kind == "upper_set":
         if element is None:
             raise ValueError("upper_set needs element")

@@ -139,6 +139,11 @@ def pages(S: SimplicialPoset, P: ManifoldProfile, field):
 def pages_of(job, P: ManifoldProfile):
     """The uncached work of `pages`."""
     S = job.S
+    verdict = job.classify
+    if not verdict.buchsbaum:
+        raise PosetError(f"the spectral-sequence pages need a Buchsbaum poset; this one is "
+                         f"not Buchsbaum over {job.field.name} (failures as element, "
+                         f"degree, dim: {[list(f) for f in verdict.failures]})")
     diag = validate_profile(S, P, job.field)
     if not diag.ok:
         raise PosetError("invalid profile: " + "; ".join(diag.messages))

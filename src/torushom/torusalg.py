@@ -9,14 +9,16 @@ runs the vanishing and duality checks that tie them together.
 """
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass
 from itertools import combinations
 
-from .exactlin import Matrix, IncrementalSpan, smith_invariants
+from .exactlin import Matrix, IncrementalSpan, int_det, smith_invariants
 from .poset import SimplicialPoset, PosetError
 from .sheaves import (
     CellularSheaf, CellularCosheaf, standard_sheaf, sheaf_cohomology,
-    cosheaf_homology, tensor, check_sheaf_functoriality, check_cosheaf_functoriality,
+    cosheaf_homology, tensor, check_sheaf_functoriality, _constant, _covers,
 )
 from .facevec import binom
 
@@ -158,41 +160,58 @@ def coefficient_CAI(cmap: CharacteristicMap, field, vertices, A):
     if len(vertices) + q != n:
         raise ValueError("need |A| + |I| = n")
     cols = [j for j in range(1, n + 1) if j not in set(A)]
-    rows = [[field(cmap.row(lab)[j - 1]) for j in cols] for lab in sorted(vertices)]
-    det = _field_det(field, rows)
+    det = field(int_det([[cmap.row(lab)[j - 1] for j in cols] for lab in sorted(vertices)]))
     exp = sum(range(1, n - q + 1)) + sum(j for j in range(1, n + 1) if j not in set(A))
     sgn = field(-1 if exp % 2 else 1)
     return field.mul(sgn, det)
 
 
-def _field_det(field, rows):
-    m = [list(r) for r in rows]
-    k = len(m)
-    det = field.one
-    for c in range(k):
-        piv = next((i for i in range(c, k) if not field.is_zero(m[i][c])), None)
-        if piv is None:
-            return field.zero
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = field.neg(det)
-        det = field.mul(det, m[c][c])
-        inv = field.inv(m[c][c])
-        for i in range(c + 1, k):
-            f = field.mul(inv, m[i][c])
-            if not field.is_zero(f):
-                m[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(m[i], m[c])]
-    return det
+def _memoized(method):
+    """Keep a kit method's results in the kit's own memo, keyed by the
+    method name and its arguments with defaults filled in.
+
+    The memo lives on the instance, so a kit dies with its job;
+    `functools.cache` on the method would keep every kit alive.
+    """
+    sig = inspect.signature(method)
+    arity = len(sig.parameters) - 1
+
+    @functools.wraps(method)
+    def memoized(self, *args, **kwargs):
+        if kwargs or len(args) != arity:      # the rare call that needs binding
+            bound = sig.bind(self, *args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args[1:]
+        key = (method.__name__,) + args
+        if key not in self._memo:
+            self._memo[key] = method(self, *args)
+        return self._memo[key]
+
+    return memoized
+
+
+def _free_columns(span):
+    """Coordinates left free by an echelonized span: a basis of the quotient."""
+    pivots = set(span.pivots)
+    return [c for c in range(span.ambient_dim) if c not in pivots]
+
+
+def _class(span, free, vec):
+    """Coordinates of vec modulo the span, in the basis of its free columns."""
+    red = span.reduce(vec)
+    return [red[c] for c in free]
 
 
 class TorusSheafKit:
     """All graded sheaves and cosheaves attached to (S, characteristic map).
 
-    Everything is lazy and cached: exterior ideal bases per face, the
-    ideal and quotient sheaves per degree, the principal-ideal cosheaf,
+    Everything is lazy and kept in one memo: exterior ideal bases per face,
+    the ideal and quotient sheaves per degree, the principal-ideal cosheaf,
     and the (co)homology dimensions of the tensor products with the
-    structure sheaf.  The structure sheaf itself is the poset's, shared
-    through its job; `Job.kit` keeps one kit per characteristic map.
+    structure sheaf.  The sheaf and cosheaf sides share one builder per
+    construction: spans of forms, inclusions of spans, quotients by spans.
+    The structure sheaf itself is the poset's, shared through its job;
+    `Job.kit` keeps one kit per characteristic map.
     """
 
     def __init__(self, S: SimplicialPoset, cmap: CharacteristicMap, field):
@@ -206,44 +225,38 @@ class TorusSheafKit:
         self.n = cmap.n
         self.ext = ExteriorAlgebra(cmap.n, field)
         self.frows = cmap.field_rows(field)
-        self._ideal_bases = {}
-        self._pi_bases = {}
-        self._ideal_sheaf = {}
-        self._quotient_sheaf = {}
-        self._quotient_free_cols = {}
-        self._pi_cosheaf = {}
-        self._lambda_cosheaf = {}
-        self._lambda_quot_cosheaf = {}
-        self._dims = {}
+        self._memo = {}
 
     # -- exterior data per face ------------------------------------------
 
     def omega(self, label):
         return self.ext.one_form(self.frows[label])
 
+    def _span(self, forms, deg: int, q: int):
+        """Echelonized span of form ^ e_B over the degree-`deg` forms and
+        the (q - deg)-subsets B, in that order; returns (basis, span)."""
+        F = self.field
+        ext = self.ext
+        span = IncrementalSpan(F, ext.dim(q))
+        basis = []
+        for w in forms:
+            for B in ext.subsets(q - deg):
+                vb = [F.zero] * ext.dim(q - deg)
+                vb[ext.index(B)] = F.one
+                vec = ext.wedge(deg, w, q - deg, vb)
+                if span.add(vec):
+                    basis.append(vec)
+        return basis, span
+
+    @_memoized
     def ideal_basis(self, elem: int, q: int):
         """Echelonized basis of the degree-q part of the face's exterior ideal."""
-        key = (elem, q)
-        if key not in self._ideal_bases:
-            F = self.field
-            ext = self.ext
-            span = IncrementalSpan(F, ext.dim(q))
-            basis = []
-            if elem != 0 and 0 < q <= ext.n:
-                for lab in self.S.vertex_sets[elem]:
-                    w = self.omega(lab)
-                    for B in ext.subsets(q - 1):
-                        vb = [F.zero] * ext.dim(q - 1)
-                        vb[ext.index(B)] = F.one
-                        vec = ext.wedge(1, w, q - 1, vb)
-                        if span.add(vec):
-                            basis.append(vec)
-            self._ideal_bases[key] = (basis, span)
-            k = len(self.S.vertex_sets[elem])
-            expect = ext.dim(q) - binom(ext.n - k, q)
-            if len(basis) != expect:
-                raise ValueError(f"ideal dimension off at face {elem}, degree {q}")
-        return self._ideal_bases[key]
+        labels = self.S.vertex_sets[elem]
+        forms = [self.omega(lab) for lab in labels] if elem != 0 and 0 < q <= self.n else []
+        basis, span = self._span(forms, 1, q)
+        if len(basis) != self.ext.dim(q) - binom(self.n - len(labels), q):
+            raise ValueError(f"ideal dimension off at face {elem}, degree {q}")
+        return basis, span
 
     def pi_form(self, elem: int):
         """Top wedge of the face's direction vectors; nonzero by validity."""
@@ -258,180 +271,94 @@ class TorusSheafKit:
             raise ValueError(f"zero top form at face {elem}")
         return vec
 
+    @_memoized
     def pi_basis(self, elem: int, q: int):
         """Echelonized basis of the degree-q part of the principal ideal."""
-        key = (elem, q)
-        if key not in self._pi_bases:
-            F = self.field
-            ext = self.ext
-            k = len(self.S.vertex_sets[elem])
-            span = IncrementalSpan(F, ext.dim(q))
-            basis = []
-            if elem != 0 and k <= q <= ext.n:
-                pi = self.pi_form(elem)
-                for B in ext.subsets(q - k):
-                    vb = [F.zero] * ext.dim(q - k)
-                    vb[ext.index(B)] = F.one
-                    vec = ext.wedge(k, pi, q - k, vb)
-                    if span.add(vec):
-                        basis.append(vec)
-                if len(basis) != binom(ext.n - k, q - k):
-                    raise ValueError(f"principal ideal dimension off at face {elem}")
-            self._pi_bases[key] = (basis, span)
-        return self._pi_bases[key]
+        k = len(self.S.vertex_sets[elem])
+        if elem == 0 or not k <= q <= self.n:
+            return self._span([], k, q)
+        basis, span = self._span([self.pi_form(elem)], k, q)
+        if len(basis) != binom(self.n - k, q - k):
+            raise ValueError(f"principal ideal dimension off at face {elem}")
+        return basis, span
 
-    # -- sheaves per exterior degree --------------------------------------
+    # -- sheaves and cosheaves per exterior degree --------------------------
 
+    def _inclusions(self, cls, basis, q: int, name: str):
+        """The sheaf or cosheaf (`cls`) of the spans `basis(e, q)`; its maps
+        are the coordinate forms of the inclusions along the covers,
+        checked injective."""
+        S, F, amb = self.S, self.field, self.ext.dim(q)
+        dims = [len(basis(e, q)[0]) for e in range(S.size)]
+        rest = {}
+        for src, dst in _covers(S, cls):
+            if dims[src] and dims[dst]:
+                target = Matrix.from_columns(F, basis(dst, q)[0], amb)
+                X = target.solve_matrix(Matrix.from_columns(F, basis(src, q)[0], amb))
+                if X is None:
+                    raise ValueError(f"{name} not nested along a cover")
+                if X.rank() != dims[src]:
+                    raise ValueError(f"{name}: inclusion not injective")
+                rest[(src, dst)] = X
+        result = cls(S, F, dims, rest, name=name)
+        check_sheaf_functoriality(result)
+        return result
+
+    def _quotients(self, cls, basis, q: int, name: str):
+        """The sheaf or cosheaf (`cls`) of the degree-q exterior component
+        modulo the spans `basis(e, q)`, in free-column coordinates.  Only
+        the sheaf keeps the empty face, carrying the whole component."""
+        S, F, amb = self.S, self.field, self.ext.dim(q)
+        spans = [basis(e, q)[1] for e in range(S.size)]
+        free = [_free_columns(span) for span in spans]
+        dims = [len(cols) for cols in free]
+        if cls is CellularCosheaf:
+            dims[0] = 0
+        rest = {}
+        for src, dst in _covers(S, cls):
+            if dims[src] and dims[dst]:
+                cols = []
+                for c in free[src]:
+                    unit = [F.zero] * amb
+                    unit[c] = F.one
+                    cols.append(_class(spans[dst], free[dst], unit))
+                rest[(src, dst)] = Matrix.from_columns(F, cols, dims[dst])
+        result = cls(S, F, dims, rest, include_empty=dims[0] > 0, name=name)
+        check_sheaf_functoriality(result)
+        return result
+
+    @_memoized
     def ideal_sheaf(self, q: int) -> CellularSheaf:
         """Degree-q ideal sheaf: stalk the ideal part, restrictions the
         coordinate form of the inclusions."""
-        if q not in self._ideal_sheaf:
-            S, F = self.S, self.field
-            dims = [len(self.ideal_basis(e, q)[0]) for e in range(S.size)]
-            rest = {}
-            for i in range(1, S.size):
-                if dims[i] == 0:
-                    continue
-                bi = self.ideal_basis(i, q)[0]
-                for j in S.covered_by[i]:
-                    if dims[j] == 0:
-                        continue
-                    bj = Matrix.from_columns(F, self.ideal_basis(j, q)[0], self.ext.dim(q))
-                    X = bj.solve_matrix(Matrix.from_columns(F, bi, self.ext.dim(q)))
-                    if X is None:
-                        raise ValueError("ideal not nested along a cover")
-                    rest[(i, j)] = X
-            sheaf = CellularSheaf(S, F, dims, rest, include_empty=False,
-                                  name=f"ideal^({q})")
-            check_sheaf_functoriality(sheaf)
-            self._ideal_sheaf[q] = sheaf
-        return self._ideal_sheaf[q]
+        return self._inclusions(CellularSheaf, self.ideal_basis, q, f"ideal^({q})")
 
+    @_memoized
     def quotient_sheaf(self, q: int) -> CellularSheaf:
         """Degree-q part of the quotient of the full exterior algebra by the
         ideal sheaf; the empty face carries the whole degree-q component."""
-        if q not in self._quotient_sheaf:
-            S, F = self.S, self.field
-            ext = self.ext
-            pivots = {}
-            free_cols = {}
-            for e in range(S.size):
-                _, span = self.ideal_basis(e, q)
-                piv = set(span.pivots)
-                free_cols[e] = [c for c in range(ext.dim(q)) if c not in piv]
-                pivots[e] = piv
-            dims = [len(free_cols[e]) for e in range(S.size)]
-
-            def reduce_class(e, vec):
-                _, span = self.ideal_basis(e, q)
-                red = span.reduce(vec)
-                return [red[c] for c in free_cols[e]]
-
-            rest = {}
-            for i in range(S.size):
-                if dims[i] == 0:
-                    continue
-                for j in S.covered_by[i]:
-                    if dims[j] == 0:
-                        continue
-                    cols = []
-                    for c in free_cols[i]:
-                        unit = [F.zero] * ext.dim(q)
-                        unit[c] = F.one
-                        cols.append(reduce_class(j, unit))
-                    rest[(i, j)] = Matrix.from_columns(F, cols, dims[j])
-            sheaf = CellularSheaf(S, F, dims, rest, include_empty=dims[0] > 0,
-                                  name=f"lambda/ideal^({q})")
-            check_sheaf_functoriality(sheaf)
-            self._quotient_sheaf[q] = sheaf
-            self._quotient_free_cols[q] = free_cols
-        return self._quotient_sheaf[q]
+        return self._quotients(CellularSheaf, self.ideal_basis, q, f"lambda/ideal^({q})")
 
     def quotient_class(self, elem: int, q: int, vec):
         """Coordinates of a degree-q form in the quotient basis at a face."""
-        self.quotient_sheaf(q)          # records the free columns of degree q
         _, span = self.ideal_basis(elem, q)
-        red = span.reduce(vec)
-        return [red[c] for c in self._quotient_free_cols[q][elem]]
+        return _class(span, _free_columns(span), vec)
 
+    @_memoized
     def pi_cosheaf(self, q: int) -> CellularCosheaf:
         """Degree-q principal-ideal cosheaf; corestrictions are the
         coordinate forms of the inclusions, checked injective."""
-        if q not in self._pi_cosheaf:
-            S, F = self.S, self.field
-            dims = [len(self.pi_basis(e, q)[0]) for e in range(S.size)]
-            corest = {}
-            for j in range(1, S.size):
-                if dims[j] == 0:
-                    continue
-                bj = self.pi_basis(j, q)[0]
-                for i in S.covers[j]:
-                    if i == 0 or dims[i] == 0:
-                        continue
-                    bi = Matrix.from_columns(F, self.pi_basis(i, q)[0], self.ext.dim(q))
-                    X = bi.solve_matrix(Matrix.from_columns(F, bj, self.ext.dim(q)))
-                    if X is None:
-                        raise ValueError("principal ideal not nested along a cover")
-                    if X.rank() != dims[j]:
-                        raise ValueError("corestriction not injective")
-                    corest[(j, i)] = X
-            cosheaf = CellularCosheaf(S, F, dims, corest, name=f"pi^({q})")
-            check_cosheaf_functoriality(cosheaf)
-            self._pi_cosheaf[q] = cosheaf
-        return self._pi_cosheaf[q]
+        return self._inclusions(CellularCosheaf, self.pi_basis, q, f"pi^({q})")
 
+    @_memoized
     def lambda_cosheaf(self, q: int) -> CellularCosheaf:
         """Constant cosheaf valued by the degree-q exterior component."""
-        if q not in self._lambda_cosheaf:
-            S, F = self.S, self.field
-            d = self.ext.dim(q)
-            dims = [d] * S.size
-            dims[0] = 0
-            ident = Matrix.identity(F, d)
-            corest = {}
-            for j in range(1, S.size):
-                for i in S.covers[j]:
-                    if i != 0 and d:
-                        corest[(j, i)] = ident
-            self._lambda_cosheaf[q] = CellularCosheaf(S, F, dims, corest,
-                                                      name=f"lambda^({q})")
-        return self._lambda_cosheaf[q]
+        return _constant(CellularCosheaf, self.S, self.field, self.ext.dim(q), f"lambda^({q})")
 
+    @_memoized
     def lambda_mod_pi_cosheaf(self, q: int) -> CellularCosheaf:
         """Quotient cosheaf of the constant cosheaf by the principal ideals."""
-        if q not in self._lambda_quot_cosheaf:
-            S, F = self.S, self.field
-            ext = self.ext
-            free_cols = {}
-            for e in range(S.size):
-                _, span = self.pi_basis(e, q)
-                piv = set(span.pivots)
-                free_cols[e] = [c for c in range(ext.dim(q)) if c not in piv]
-            dims = [len(free_cols[e]) for e in range(S.size)]
-            dims[0] = 0
-
-            def reduce_class(e, vec):
-                _, span = self.pi_basis(e, q)
-                red = span.reduce(vec)
-                return [red[c] for c in free_cols[e]]
-
-            corest = {}
-            for j in range(1, S.size):
-                if dims[j] == 0:
-                    continue
-                for i in S.covers[j]:
-                    if i == 0 or dims[i] == 0:
-                        continue
-                    cols = []
-                    for c in free_cols[j]:
-                        unit = [F.zero] * ext.dim(q)
-                        unit[c] = F.one
-                        cols.append(reduce_class(i, unit))
-                    corest[(j, i)] = Matrix.from_columns(F, cols, dims[i])
-            cosheaf = CellularCosheaf(S, F, dims, corest, name=f"lambda/pi^({q})")
-            check_cosheaf_functoriality(cosheaf)
-            self._lambda_quot_cosheaf[q] = cosheaf
-        return self._lambda_quot_cosheaf[q]
+        return self._quotients(CellularCosheaf, self.pi_basis, q, f"lambda/pi^({q})")
 
     # -- structure sheaf, tensors and their (co)homology -------------------
 
@@ -449,31 +376,27 @@ class TorusSheafKit:
     def structure_tensor_quotient(self, q: int) -> CellularSheaf:
         return tensor(self.structure_sheaf(), self.quotient_sheaf(q))
 
+    @_memoized
     def sheaf_dims(self, kind: str, q: int, truncated: bool = True) -> dict:
         """Cohomology dimensions of structure (x) `kind`^(q), computed once.
 
         `kind` is "ideal", "lambda" or "quotient"; `truncated` is as in
         `sheaf_cohomology`.
         """
-        key = ("sheaf", kind, q, truncated)
-        if key not in self._dims:
-            tensors = {"ideal": self.structure_tensor_ideal,
-                       "lambda": self.structure_tensor_lambda,
-                       "quotient": self.structure_tensor_quotient}
-            self._dims[key] = sheaf_cohomology(tensors[kind](q), truncated=truncated).dims
-        return self._dims[key]
+        tensors = {"ideal": self.structure_tensor_ideal,
+                   "lambda": self.structure_tensor_lambda,
+                   "quotient": self.structure_tensor_quotient}
+        return sheaf_cohomology(tensors[kind](q), truncated=truncated).dims
 
+    @_memoized
     def cosheaf_dims(self, kind: str, q: int) -> dict:
         """Homology dimensions of the cosheaf `kind`^(q), computed once.
 
         `kind` is "pi", "lambda" or "lambda/pi".
         """
-        key = ("cosheaf", kind, q)
-        if key not in self._dims:
-            cosheaves = {"pi": self.pi_cosheaf, "lambda": self.lambda_cosheaf,
-                         "lambda/pi": self.lambda_mod_pi_cosheaf}
-            self._dims[key] = cosheaf_homology(cosheaves[kind](q)).dims
-        return self._dims[key]
+        cosheaves = {"pi": self.pi_cosheaf, "lambda": self.lambda_cosheaf,
+                     "lambda/pi": self.lambda_mod_pi_cosheaf}
+        return cosheaf_homology(cosheaves[kind](q)).dims
 
 
 def ideal_sheaf(S: SimplicialPoset, cmap: CharacteristicMap, field):

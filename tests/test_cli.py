@@ -146,6 +146,27 @@ def test_exit_2_on_invalid_profile(files, tmp_path, capsys):
     assert main(["specseq", "--preset", "digon_cycle(2)", "--profile", str(prof)]) == 2
 
 
+def test_specseq_refuses_non_buchsbaum_bowtie(tmp_path, capsys):
+    # two triangles sharing a vertex: the link of vertex 1 is two disjoint
+    # edges, so the closed-form pages do not apply
+    path = tmp_path / "bowtie.txt"
+    path.write_text("facets v1\n1 2 3\n1 4 5\n")
+    for command in ("specseq", "all"):
+        assert main([command, "--facets", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "Buchsbaum" in err and "over Q" in err and "[[1, 0, 1]]" in err
+    assert main(["validate", "--facets", str(path)]) == 0
+
+
+def test_exit_2_on_oversized_input(tmp_path, capsys):
+    assert main(["validate", "--preset", "boundary_of_simplex(30)"]) == 2
+    assert "more than 1000 elements" in capsys.readouterr().err
+    path = tmp_path / "big.txt"
+    path.write_text("facets v1\n" + " ".join(str(v) for v in range(1, 41)) + "\n")
+    assert main(["validate", "--facets", str(path)]) == 2
+    assert "1000" in capsys.readouterr().err
+
+
 def test_exit_1_on_failed_math_check(tmp_path, capsys):
     # a charmap valid over Q on every edge of the triangle boundary cannot
     # exist with a zero row; use a rank-deficient map to force failure

@@ -3,6 +3,7 @@ import pytest
 from torushom.poset import (
     PosetError, build_from_facets, build_from_cover_table, preset, validate,
     incidence_number, link, complement_of_link, face_counts, mask_is_closed_downward,
+    MAX_ELEMENTS,
 )
 
 
@@ -20,6 +21,23 @@ def test_presets_basic_counts():
     assert face_counts(preset("cross_polytope_boundary(3)")) == (1, 6, 12, 8)
     assert face_counts(preset("torus_7")) == (1, 7, 21, 14)
     assert face_counts(preset("digon_cycle(2)")) == (1, 4, 4)
+
+
+def test_size_bound_before_faces_are_built():
+    # each of these would enumerate far more faces than fit in memory
+    for name in ["boundary_of_simplex(30)", "cross_polytope_boundary(30)",
+                 "digon_cycle(1000000000)", "boundary_of_simplex(9)"]:
+        with pytest.raises(PosetError, match="more than"):
+            preset(name)
+    with pytest.raises(PosetError, match="more than"):
+        build_from_facets([tuple(range(1, 41))])
+    # the count is of distinct faces: shared faces count once
+    big = preset("cross_polytope_boundary(5)")
+    assert big.size == 243 <= MAX_ELEMENTS
+    assert build_from_facets([big.vertex_sets[e] for e in big.maximal_elements()]).size == 243
+    assert preset("cross_polytope_boundary(6)").size == 729
+    with pytest.raises(PosetError, match="more than"):
+        build_from_facets([(v, v + 1) for v in range(1, 400)] + [tuple(range(1, 10))])
 
 
 def test_digon_cycle_structure():

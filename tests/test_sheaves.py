@@ -213,6 +213,12 @@ def test_constant_cosheaf_is_cellular_homology():
     c = CellularCosheaf(S, QQ, [0] + [1] * (S.size - 1), corest, name="k")
     hom = cosheaf_homology(c)
     assert {d: v for d, v in hom.dims.items()} == {0: 1, 1: 1}
+    # the tensor square keeps the direction of the maps
+    square = tensor(c, c)
+    assert isinstance(square, CellularCosheaf) and square.rest.keys() == corest.keys()
+    assert cosheaf_homology(square).dims == hom.dims
+    with pytest.raises(ValueError, match="sheaf with a cosheaf"):
+        tensor(standard_sheaf(S, QQ, "constant", dim=1), c)
 
 
 def test_sheaf_dump_roundtrip_golden():
@@ -223,3 +229,26 @@ def test_sheaf_dump_roundtrip_golden():
     assert all(rows == [["1"]] for rows in dump["covers"].values())
     import json
     assert json.dumps(dump, sort_keys=True) == json.dumps(dump, sort_keys=True)
+
+
+def test_functoriality_check_fails_on_a_broken_square():
+    # one cover map of the constant sheaf and of the constant cosheaf is
+    # doubled; the square through it no longer commutes in either direction
+    from torushom.exactlin import Matrix
+    from torushom.sheaves import CellularCosheaf
+    S = preset("boundary_of_simplex(3)")
+    edge = S.elements_of_rank(2)[0]
+    vertex = S.covers[edge][0]
+    sheaf = standard_sheaf(S, QQ, "constant", dim=1)
+    cosheaf = CellularCosheaf(S, QQ, sheaf.stalk_dims,
+                              {(j, i): m for (i, j), m in sheaf.rest.items()})
+    check_sheaf_functoriality(cosheaf)
+    facet = S.covered_by[edge][0]
+    assert cosheaf.restriction(vertex, facet).equal(Matrix.identity(QQ, 1))
+    two = Matrix(QQ, [[QQ(2)]])
+    sheaf.rest[(vertex, edge)] = two
+    cosheaf.rest[(edge, vertex)] = two
+    with pytest.raises(ValueError, match="^sheaf functoriality fails"):
+        check_sheaf_functoriality(sheaf)
+    with pytest.raises(ValueError, match="^cosheaf functoriality fails"):
+        check_sheaf_functoriality(cosheaf)

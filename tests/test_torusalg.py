@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -255,3 +256,55 @@ def test_les_duality_all_fixtures():
             rep = les_duality_check(S, cm, F)
             assert rep.passed, (name, F)
             assert rep.sheaf_rows == rep.cosheaf_rows
+
+
+# sha256 of (1) the stalk dimensions and cover matrices of the ideal and
+# quotient sheaves and of the pi, lambda and lambda/pi cosheaves in every
+# degree, and (2) the differentials of their (co)chain complexes, recorded
+# before the sheaf and cosheaf builders were merged
+KIT_GOLDEN = {
+    ("torus_7", "Q"):
+        ("79642acfd004802e6eec01f0804992f1b1e3fd06a96fe404c09b6d6aaa64b040",
+         "b08d7be8e2d45a14ee0110d0eb02da81560d32cd20f17aca1232b6acdb08c4b6"),
+    ("cross_polytope_boundary(3)", "F3"):
+        ("77061106a87c4947f8d485c9146a3307179db1e728f0452d6120c24d8a9e7675",
+         "5fd43e0b0eb86e0b590c6ac5bd5459a878aa0abde2e3bab17f9a06d85d1180da"),
+}
+
+
+def _hash_matrix(h, m):
+    h.update(repr((m.nrows, m.ncols, [[str(v) for v in r] for r in m.rows])).encode())
+
+
+def _kit_digests(name, field):
+    S = preset(name)
+    kit = TorusSheafKit(S, preset_charmap(name), field)
+    maps, diffs = hashlib.sha256(), hashlib.sha256()
+    covers = [(i, j) for i in range(S.size) for j in S.covered_by[i]]
+    for q in range(kit.n + 1):
+        for sheaf in (kit.ideal_sheaf(q), kit.quotient_sheaf(q)):
+            maps.update(repr(list(sheaf.stalk_dims)).encode())
+            for i, j in covers:
+                _hash_matrix(maps, sheaf._cover_matrix(i, j))
+        cosheaves = (kit.pi_cosheaf(q), kit.lambda_cosheaf(q), kit.lambda_mod_pi_cosheaf(q))
+        for cosheaf in cosheaves:
+            maps.update(repr(list(cosheaf.stalk_dims)).encode())
+            for i, j in covers:
+                _hash_matrix(maps, cosheaf._cover_matrix(j, i))
+        tensors = (kit.structure_tensor_ideal(q), kit.structure_tensor_lambda(q),
+                   kit.structure_tensor_quotient(q))
+        complexes = [sheaf_cohomology(t, truncated).complex
+                     for t in tensors for truncated in (True, False)]
+        complexes += [cosheaf_homology(c).complex for c in cosheaves]
+        for cx in complexes:
+            diffs.update(repr(sorted(cx.labels.items())).encode())
+            for d in sorted(cx.diff):
+                diffs.update(repr(d).encode())
+                _hash_matrix(diffs, cx.diff[d])
+    return maps.hexdigest(), diffs.hexdigest()
+
+
+@pytest.mark.parametrize("key", sorted(KIT_GOLDEN), ids=lambda k: f"{k[0]}-{k[1]}")
+def test_kit_matrices_match_golden(key):
+    name, field = key
+    assert _kit_digests(name, {"Q": QQ, "F3": PrimeField(3)}[field]) == KIT_GOLDEN[key]
