@@ -5,12 +5,43 @@ ranks) reduces to the operations here: row reduction with exact pivots,
 kernel/image bases, linear solves, and integer Smith invariants.  Matrices
 are dense lists of rows; pivoting is first-nonzero so all derived bases are
 deterministic functions of the input ordering.
+
+The kernels read the field once per call (`p = field.char`) and then run
+plain operators: `% p` on ints over F_p, `Fraction` operators over Q (p = 0).
+A row update touches only the nonzero support of the row it subtracts.
+Over F_p the working copies are reduced into [0, p) first, so a zero test
+is a truth test even on entries given as p, -1 or 2p + 1.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
 from itertools import combinations
+
+
+def _eliminate(v, c, w, support, p):
+    """v -= c * w on the support of w, over F_p (p > 0) or Q (p = 0)."""
+    if p:
+        for j in support:
+            v[j] = (v[j] - c * w[j]) % p
+    else:
+        for j in support:
+            v[j] -= c * w[j]
+
+
+def _scale(v, support, inv, p):
+    """v *= inv on the support of v."""
+    if p:
+        for j in support:
+            v[j] = v[j] * inv % p
+    else:
+        for j in support:
+            v[j] *= inv
+
+
+def _reduced(row, p):
+    """A working copy of row, with entries in [0, p) over F_p."""
+    return [a % p for a in row] if p else list(row)
 
 
 class Matrix:
@@ -34,13 +65,21 @@ class Matrix:
             self.ncols = ncols
 
     @classmethod
+    def _adopt(cls, field, rows, ncols):
+        """A matrix that takes ownership of `rows`, fresh lists of equal
+        length `ncols`, without copying or checking them."""
+        m = cls.__new__(cls)
+        m.field, m.rows, m.nrows, m.ncols = field, rows, len(rows), ncols
+        return m
+
+    @classmethod
     def from_int_rows(cls, field, rows, ncols=None):
         return cls(field, [[field(v) for v in r] for r in rows], ncols)
 
     @classmethod
     def zero(cls, field, nrows, ncols):
         z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)], ncols)
+        return cls._adopt(field, [[z] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, field, n):
@@ -49,13 +88,11 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, field, cols, nrows):
-        m = cls.zero(field, nrows, len(cols))
-        for j, c in enumerate(cols):
-            if len(c) != nrows:
-                raise ValueError("column length mismatch")
-            for i in range(nrows):
-                m.rows[i][j] = c[i]
-        return m
+        if any(len(c) != nrows for c in cols):
+            raise ValueError("column length mismatch")
+        if not cols:
+            return cls.zero(field, nrows, 0)
+        return cls._adopt(field, [list(r) for r in zip(*cols)], len(cols))
 
     def column(self, j):
         return [r[j] for r in self.rows]
@@ -67,85 +104,89 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in mul")
         F = self.field
-        out = Matrix.zero(F, self.nrows, other.ncols)
-        for i in range(self.nrows):
-            ri = self.rows[i]
-            oi = out.rows[i]
-            for k in range(self.ncols):
-                a = ri[k]
-                if F.is_zero(a):
-                    continue
-                rk = other.rows[k]
-                for j in range(other.ncols):
-                    oi[j] = F.add(oi[j], F.mul(a, rk[j]))
-        return out
+        p, z, n = F.char, F.zero, other.ncols
+        right = [(r, [j for j, b in enumerate(r) if b]) for r in other.rows]
+        out = []
+        for ri in self.rows:
+            acc = [z] * n
+            for a, (rk, support) in zip(ri, right):
+                if a:
+                    for j in support:
+                        acc[j] += a * rk[j]
+            out.append([x % p for x in acc] if p else acc)
+        return Matrix._adopt(F, out, n)
 
     def apply(self, vec):
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
         F = self.field
+        p, z = F.char, F.zero
+        support = [j for j, v in enumerate(vec) if v]
         out = []
-        for i in range(self.nrows):
-            s = F.zero
-            ri = self.rows[i]
-            for j, v in enumerate(vec):
-                if not F.is_zero(v):
-                    s = F.add(s, F.mul(ri[j], v))
-            out.append(s)
+        for ri in self.rows:
+            s = z
+            for j in support:
+                a = ri[j]
+                if a:
+                    s += a * vec[j]
+            out.append(s % p if p else s)
         return out
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product, row-major block layout."""
         F = self.field
-        out = Matrix.zero(F, self.nrows * other.nrows, self.ncols * other.ncols)
-        for i in range(self.nrows):
-            for j in range(self.ncols):
-                a = self.rows[i][j]
-                if F.is_zero(a):
+        p, w = F.char, other.ncols
+        out = Matrix.zero(F, self.nrows * other.nrows, self.ncols * w)
+        for i, ri in enumerate(self.rows):
+            for j, a in enumerate(ri):
+                if not a:
                     continue
-                for k in range(other.nrows):
-                    for l in range(other.ncols):
-                        out.rows[i * other.nrows + k][j * other.ncols + l] = \
-                            F.mul(a, other.rows[k][l])
+                for k, rk in enumerate(other.rows):
+                    out.rows[i * other.nrows + k][j * w:(j + 1) * w] = \
+                        [a * b % p for b in rk] if p else [a * b for b in rk]
         return out
 
     def equal(self, other):
-        F = self.field
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             return False
-        return all(F.eq(a, b) for r1, r2 in zip(self.rows, other.rows)
-                   for a, b in zip(r1, r2))
+        if self.rows == other.rows:
+            return True
+        p = self.field.char
+        return bool(p) and all((a - b) % p == 0
+                               for r1, r2 in zip(self.rows, other.rows)
+                               for a, b in zip(r1, r2))
 
     def is_zero_matrix(self):
-        F = self.field
-        return all(F.is_zero(a) for r in self.rows for a in r)
+        p = self.field.char
+        if not any(map(any, self.rows)):
+            return True
+        return bool(p) and not any(a % p for r in self.rows for a in r)
 
     def rref(self):
         """Reduced row echelon form.  Returns (rref matrix, pivot column list)."""
         F = self.field
-        m = [list(r) for r in self.rows]
+        p, nrows, ncols = F.char, self.nrows, self.ncols
+        m = [_reduced(r, p) for r in self.rows]
         pivots = []
         pr = 0
-        for pc in range(self.ncols):
-            pivot_row = None
-            for i in range(pr, self.nrows):
-                if not F.is_zero(m[i][pc]):
-                    pivot_row = i
-                    break
+        for pc in range(ncols):
+            if pr == nrows:
+                break
+            pivot_row = next((i for i in range(pr, nrows) if m[i][pc]), None)
             if pivot_row is None:
                 continue
-            m[pr], m[pivot_row] = m[pivot_row], m[pr]
-            inv = F.inv(m[pr][pc])
-            m[pr] = [F.mul(inv, a) for a in m[pr]]
-            for i in range(self.nrows):
-                if i != pr and not F.is_zero(m[i][pc]):
-                    c = m[i][pc]
-                    m[i] = [F.sub(a, F.mul(c, b)) for a, b in zip(m[i], m[pr])]
+            row = m[pivot_row]
+            m[pr], m[pivot_row] = row, m[pr]
+            support = [j for j in range(pc, ncols) if row[j]]
+            if row[pc] != 1:
+                _scale(row, support, F.inv(row[pc]), p)
+            for i in range(nrows):
+                c = m[i][pc]
+                if c and i != pr:
+                    _eliminate(m[i], c, row, support, p)
             pivots.append(pc)
             pr += 1
-            if pr == self.nrows:
-                break
-        return Matrix(F, m, self.ncols), pivots
+        return Matrix._adopt(F, m, ncols), pivots
 
     def rank(self):
         return len(self.rref()[1])
@@ -153,6 +194,7 @@ class Matrix:
     def kernel_basis(self):
         """Basis of the right kernel, one vector per free column."""
         F = self.field
+        p = F.char
         R, pivots = self.rref()
         pivset = set(pivots)
         free = [j for j in range(self.ncols) if j not in pivset]
@@ -161,14 +203,15 @@ class Matrix:
             v = [F.zero] * self.ncols
             v[fj] = F.one
             for r, pc in enumerate(pivots):
-                v[pc] = F.neg(R.rows[r][fj])
+                a = R.rows[r][fj]
+                v[pc] = -a % p if p else -a
             basis.append(v)
         return basis
 
     def solve(self, b):
         """One solution of self * x = b, or None if inconsistent."""
         F = self.field
-        aug = Matrix(F, [list(r) + [bv] for r, bv in zip(self.rows, b)], self.ncols + 1)
+        aug = Matrix._adopt(F, [r + [bv] for r, bv in zip(self.rows, b)], self.ncols + 1)
         R, pivots = aug.rref()
         if self.ncols in pivots:
             return None
@@ -182,8 +225,8 @@ class Matrix:
         F = self.field
         if B.nrows != self.nrows:
             raise ValueError("shape mismatch in solve_matrix")
-        aug = Matrix(F, [list(r) + list(br) for r, br in zip(self.rows, B.rows)],
-                     self.ncols + B.ncols)
+        aug = Matrix._adopt(F, [r + br for r, br in zip(self.rows, B.rows)],
+                            self.ncols + B.ncols)
         R, pivots = aug.rref()
         if any(p >= self.ncols for p in pivots):
             return None
@@ -195,37 +238,41 @@ class Matrix:
 
 
 class IncrementalSpan:
-    """Growing echelonized span of column vectors; O(dim^2) per insertion."""
+    """Growing echelonized span of column vectors; each stored vector keeps
+    its nonzero support, which is all that a reduction by it touches."""
 
     def __init__(self, field, ambient_dim):
         self.field = field
         self.ambient_dim = ambient_dim
         self.pivots = []       # pivot row index per stored vector
         self.vectors = []      # echelonized vectors, pivot entry normalized to 1
+        self._supports = []    # nonzero positions per stored vector
 
     @property
     def dim(self):
         return len(self.vectors)
 
     def reduce(self, vec):
-        F = self.field
-        v = list(vec)
-        for p, w in zip(self.pivots, self.vectors):
-            c = v[p]
-            if not F.is_zero(c):
-                v = [F.sub(a, F.mul(c, b)) for a, b in zip(v, w)]
+        p = self.field.char
+        v = _reduced(vec, p)
+        for piv, w, support in zip(self.pivots, self.vectors, self._supports):
+            c = v[piv]
+            if c:
+                _eliminate(v, c, w, support, p)
         return v
 
     def add(self, vec) -> bool:
         """Insert vec; returns True when it enlarges the span."""
-        F = self.field
         v = self.reduce(vec)
-        p = next((i for i, a in enumerate(v) if not F.is_zero(a)), None)
-        if p is None:
+        support = [j for j, a in enumerate(v) if a]
+        if not support:
             return False
-        inv = F.inv(v[p])
-        self.pivots.append(p)
-        self.vectors.append([F.mul(inv, a) for a in v])
+        piv = support[0]
+        if v[piv] != 1:
+            _scale(v, support, self.field.inv(v[piv]), self.field.char)
+        self.pivots.append(piv)
+        self.vectors.append(v)
+        self._supports.append(support)
         return True
 
 

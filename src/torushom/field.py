@@ -2,9 +2,13 @@
 
 Every computation in this package runs over one of these fields; there is
 no floating point anywhere.  Rational elements are `fractions.Fraction`,
-prime-field elements are plain ints in ``[0, p)``.  Matrix code never does
-arithmetic directly on elements; it goes through the field object, so the
-two representations coexist behind one interface.
+prime-field elements are plain ints in ``[0, p)``.  Code outside the matrix
+kernels does arithmetic through the field object, so the two
+representations coexist behind one interface.  The kernels of
+`torushom.exactlin` (row reduction, `IncrementalSpan`, products, equality
+and zero tests) specialise instead: they read ``field.char`` once per call
+and then run ``% p`` on ints over F_p and `Fraction` operators over Q
+(char 0), reducing their working copies into ``[0, p)`` first.
 """
 from __future__ import annotations
 

@@ -348,6 +348,12 @@ class ConstancyResult:
                 "witness": self.witness or ""}
 
 
+def _require_sheaf(sheaf, what):
+    """Refuse a cosheaf where the maps are read as running up."""
+    if sheaf._step < 0:
+        raise TypeError(f"{what} takes a sheaf, not the cosheaf {sheaf.name!r}")
+
+
 def constancy_check(sheaf: CellularSheaf) -> ConstancyResult:
     """Try to trivialize a sheaf with one-dimensional stalks.
 
@@ -355,6 +361,7 @@ def constancy_check(sheaf: CellularSheaf) -> ConstancyResult:
     rescaling the stalk bases by o the sheaf is the constant sheaf.  A
     failure returns the inconsistent cover or the offending stalk.
     """
+    _require_sheaf(sheaf, "constancy_check")
     S = sheaf.poset
     F = sheaf.field
     for i in range(1, S.size):
@@ -397,6 +404,7 @@ def restrict_to_link(sheaf: CellularSheaf, i: int) -> CellularSheaf:
     This is the structure sheaf of the dual face when applied to the
     structure sheaf of the whole poset.
     """
+    _require_sheaf(sheaf, "restrict_to_link")
     from .poset import link as _link
     S = sheaf.poset
     L = _link(S, i)

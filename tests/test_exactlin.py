@@ -1,12 +1,20 @@
+import contextlib
+import hashlib
+import io
 import random
-
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from torushom.cli import main
 from torushom.field import QQ, PrimeField, field_from_name
 from torushom.exactlin import (
-    Matrix, SubspaceBasis, rank_kernel_image, smith_invariants, minors_gcd,
-    induced_quotient_map, int_det,
+    Matrix, IncrementalSpan, SubspaceBasis, rank_kernel_image, smith_invariants,
+    minors_gcd, induced_quotient_map, int_det,
 )
+from torushom.fixtures import preset_charmap
+from torushom.formats import write_charmap
 
 
 def test_field_parsing():
@@ -167,3 +175,204 @@ def test_induced_quotient_functorial():
         qh = induced_quotient_map(QQ, h, (space, sub), (space, sub))
         qhgf = induced_quotient_map(QQ, h.mul(g).mul(f), (space, sub), (space, sub))
         assert qh.mul(qg).mul(qf).equal(qhgf)
+
+
+# ---------------------------------------------------------------------------
+# the field-specialised kernels against per-element Gauss-Jordan
+
+F2, F3, F_BIG = PrimeField(2), PrimeField(3), PrimeField(1000003)
+FIELDS = [QQ, F2, F3, F_BIG]
+
+
+def ref_rref(F, rows, ncols):
+    """Gauss-Jordan through the field's methods, one call per entry."""
+    m = [list(r) for r in rows]
+    pivots = []
+    pr = 0
+    for pc in range(ncols):
+        pivot_row = next((i for i in range(pr, len(m)) if not F.is_zero(m[i][pc])), None)
+        if pivot_row is None:
+            continue
+        m[pr], m[pivot_row] = m[pivot_row], m[pr]
+        inv = F.inv(m[pr][pc])
+        m[pr] = [F.mul(inv, a) for a in m[pr]]
+        for i in range(len(m)):
+            if i != pr and not F.is_zero(m[i][pc]):
+                c = m[i][pc]
+                m[i] = [F.sub(a, F.mul(c, b)) for a, b in zip(m[i], m[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == len(m):
+            break
+    return m, pivots
+
+
+def ref_kernel(F, rows, ncols):
+    R, pivots = ref_rref(F, rows, ncols)
+    basis = []
+    for fj in (j for j in range(ncols) if j not in pivots):
+        v = [F.zero] * ncols
+        v[fj] = F.one
+        for r, pc in enumerate(pivots):
+            v[pc] = F.neg(R[r][fj])
+        basis.append(v)
+    return basis
+
+
+def ref_solve_matrix(F, A, B, ncols):
+    R, pivots = ref_rref(F, [a + b for a, b in zip(A, B)], ncols + len(B[0]))
+    if any(p >= ncols for p in pivots):
+        return None
+    X = [[F.zero] * len(B[0]) for _ in range(ncols)]
+    for r, pc in enumerate(pivots):
+        X[pc] = R[r][ncols:]
+    return X
+
+
+def ref_mul(F, A, B, ncols):
+    return [[sum_(F, [F.mul(a[k], B[k][j]) for k in range(len(B))]) for j in range(ncols)]
+            for a in A]
+
+
+def sum_(F, terms):
+    total = F.zero
+    for t in terms:
+        total = F.add(total, t)
+    return total
+
+
+class RefSpan:
+    def __init__(self, F):
+        self.F, self.pivots, self.vectors = F, [], []
+
+    def reduce(self, vec):
+        F, v = self.F, list(vec)
+        for p, w in zip(self.pivots, self.vectors):
+            if not F.is_zero(v[p]):
+                c = v[p]
+                v = [F.sub(a, F.mul(c, b)) for a, b in zip(v, w)]
+        return v
+
+    def add(self, vec):
+        F, v = self.F, self.reduce(vec)
+        p = next((i for i, a in enumerate(v) if not F.is_zero(a)), None)
+        if p is None:
+            return False
+        inv = F.inv(v[p])
+        self.pivots.append(p)
+        self.vectors.append([F.mul(inv, a) for a in v])
+        return True
+
+
+def canon(F, rows):
+    """Entries as canonical field elements: the kernels return these, while
+    the reference keeps the representatives it was given where it does
+    not compute."""
+    return [[F(a) for a in r] for r in rows]
+
+
+def _entry(F):
+    if F is QQ:
+        return st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3]))
+    p = F.p
+    return st.one_of(st.integers(-3, 3), st.integers(-3, 3),
+                     st.sampled_from([p, -1, 2 * p + 1, -p, p - 1, 3 * p + 2]))
+
+
+@st.composite
+def matrices(draw, field=None, nrows=None, ncols=None):
+    F = draw(st.sampled_from(FIELDS)) if field is None else field
+    m = draw(st.integers(0, 5)) if nrows is None else nrows
+    n = draw(st.integers(1, 6)) if ncols is None else ncols
+    rows = draw(st.lists(st.lists(_entry(F), min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    return F, rows, n
+
+
+ORACLE = settings(max_examples=150, deadline=None)
+
+
+@ORACLE
+@given(matrices())
+def test_rref_and_kernel_match_reference(case):
+    F, rows, n = case
+    M = Matrix(F, rows, n)
+    R, pivots = M.rref()
+    ref, ref_pivots = ref_rref(F, rows, n)
+    assert pivots == ref_pivots and M.rank() == len(ref_pivots)
+    assert R.rows == canon(F, ref)
+    assert M.kernel_basis() == canon(F, ref_kernel(F, rows, n))
+
+
+@ORACLE
+@given(st.data())
+def test_solve_matrix_matches_reference(data):
+    F, A, n = data.draw(matrices(nrows=data.draw(st.integers(1, 5))))
+    _, B, k = data.draw(matrices(field=F, nrows=len(A)))
+    X = Matrix(F, A, n).solve_matrix(Matrix(F, B, k))
+    ref = ref_solve_matrix(F, A, B, n)
+    assert (X is None) == (ref is None)
+    if X is not None:
+        assert X.rows == canon(F, ref)
+
+
+@ORACLE
+@given(st.data())
+def test_incremental_span_matches_reference(data):
+    F, vecs, n = data.draw(matrices())
+    _, probes, _ = data.draw(matrices(field=F, ncols=n))
+    span, ref = IncrementalSpan(F, n), RefSpan(F)
+    for v in vecs:
+        assert span.add(v) == ref.add(v)
+    assert span.pivots == ref.pivots
+    assert span.vectors == canon(F, ref.vectors)
+    for v in probes + vecs:
+        assert [span.reduce(v)] == canon(F, [ref.reduce(v)])
+
+
+@ORACLE
+@given(st.data())
+def test_mul_equal_and_zero_test_match_reference(data):
+    F, A, n = data.draw(matrices())
+    _, B, k = data.draw(matrices(field=F, nrows=n))
+    AB = Matrix(F, A, n).mul(Matrix(F, B, k))
+    assert AB.rows == canon(F, ref_mul(F, A, B, k))
+    ref_zero = all(F.is_zero(a) for r in AB.rows for a in r)
+    assert AB.is_zero_matrix() == ref_zero
+    # a second representative of the same matrix, and a matrix one entry off
+    shifted = [[a + F.char for a in r] for r in B]
+    assert Matrix(F, B, k).equal(Matrix(F, shifted, k))
+    if B:
+        off = [list(r) for r in B]
+        off[0][0] += 1
+        assert not Matrix(F, B, k).equal(Matrix(F, off, k))
+    multiples = Matrix(F, [[F.char * a for a in r] for r in A], n)     # zero over F_p
+    assert multiples.is_zero_matrix() == all(F.is_zero(a) for r in multiples.rows for a in r)
+
+
+@pytest.mark.parametrize("F", [F2, F3, F_BIG], ids=str)
+def test_unnormalised_prime_field_entries(F):
+    p = F.p
+    # rows (0, 1, -1), (-1, 0, 1) and their sum, written with other representatives
+    rows = [[p, 2 * p + 1, -1], [-1, 0, 2 * p + 1], [-1, 2 * p + 1, p]]
+    M = Matrix(F, rows)
+    R, pivots = M.rref()
+    ref, ref_pivots = ref_rref(F, rows, 3)
+    assert M.rank() == len(ref_pivots) == 2 and pivots == ref_pivots
+    assert R.rows == canon(F, ref)
+    assert M.kernel_basis() == canon(F, ref_kernel(F, rows, 3))
+    assert Matrix(PrimeField(3), [[3, 0], [0, -1]]).rank() == 1
+
+
+def test_all_report_over_large_prime_matches_golden(tmp_path):
+    # recorded before the kernels were specialised to the field; the
+    # other report goldens use F3 only
+    path = tmp_path / "map.lam"
+    path.write_text(write_charmap(preset_charmap("cross_polytope_boundary(3)")))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = main(["all", "--preset", "cross_polytope_boundary(3)", "--charmap", str(path),
+                       "--field", "Fp:1000003", "--out", "json"])
+    assert status == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == \
+        "16894fe13bbfdef85dd45828cab3eb81cbc95a0abea2cc39b56bcb58eb65970d"

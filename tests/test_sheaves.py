@@ -252,3 +252,15 @@ def test_functoriality_check_fails_on_a_broken_square():
         check_sheaf_functoriality(sheaf)
     with pytest.raises(ValueError, match="^cosheaf functoriality fails"):
         check_sheaf_functoriality(cosheaf)
+
+
+@pytest.mark.parametrize("check", [constancy_check, lambda c: restrict_to_link(c, 1)],
+                         ids=["constancy_check", "restrict_to_link"])
+def test_sheaf_only_operations_refuse_a_cosheaf(check):
+    # both read every cover map as running up; on the constant cosheaf that
+    # reads as zero maps, so they refuse it instead of answering
+    from torushom.sheaves import CellularCosheaf, _constant
+    S = preset("boundary_of_simplex(2)")
+    cosheaf = _constant(CellularCosheaf, S, QQ, 1, "k")
+    with pytest.raises(TypeError, match="takes a sheaf, not the cosheaf 'k'"):
+        check(cosheaf)

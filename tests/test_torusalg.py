@@ -10,7 +10,9 @@ from torushom.torusalg import (
     ExteriorAlgebra, CharacteristicMap, validate_charmap, coefficient_CAI,
     TorusSheafKit, keylemma_check, duality_check, les_duality_check,
 )
-from torushom.sheaves import sheaf_cohomology, cosheaf_homology
+from torushom.sheaves import (
+    CellularSheaf, CellularCosheaf, sheaf_cohomology, cosheaf_homology,
+)
 
 FIXTURES = ["boundary_of_simplex(2)", "boundary_of_simplex(3)",
             "cross_polytope_boundary(3)", "torus_7", "digon_cycle(2)"]
@@ -139,6 +141,22 @@ def test_pi_cosheaf_dimensions():
                 # vanishing at and below the face dimension
                 if q <= k - 1:
                     assert pi.stalk_dims[e] == 0
+
+
+@pytest.mark.parametrize("cls", [CellularSheaf, CellularCosheaf], ids=["sheaf", "cosheaf"])
+def test_inclusions_refuse_spans_that_are_not_nested(cls):
+    # vertices span e1 and edges span e2 in degree 1, so no cover map exists
+    S = preset("boundary_of_simplex(2)")
+    kit = TorusSheafKit(S, preset_charmap("boundary_of_simplex(2)"), QQ)
+    spans = {0: [], 1: [[QQ(1), QQ(0)]], 2: [[QQ(0), QQ(1)]]}
+
+    def basis(e, q):
+        return spans[S.ranks[e]], None
+
+    with pytest.raises(ValueError, match="not nested along a cover"):
+        kit._inclusions(cls, basis, 1, "crossed")
+    nested = kit._inclusions(cls, lambda e, q: (spans[min(S.ranks[e], 1)], None), 1, "same")
+    assert all(m.rows == [[1]] for m in nested.rest.values()) and nested.rest
 
 
 def test_pi_form_nonzero_everywhere():
