@@ -1,10 +1,12 @@
 """Chain complexes of simplicial posets and exact homology with induced maps.
 
 One graded-complex engine serves both chain complexes (differential lowers
-degree) and sheaf cochain complexes (raises degree).  Homology comes with
-deterministic representative cycles and enough lift data to express any
-cycle in the representative basis, which is what restriction maps of the
-local homology sheaf need.
+degree) and sheaf cochain complexes (raises degree).  Every builder checks
+d∘d = 0, so homology dimensions are read off one rank per differential.
+Deterministic representative cycles, and the lift data that expresses any
+cycle in the representative basis, are built per degree only when asked
+for; the restriction maps of the local homology sheaf and induced maps are
+what ask.
 """
 from __future__ import annotations
 
@@ -43,16 +45,34 @@ class GradedComplex:
 
 
 class HomologyProfile:
-    """Per-degree homology dimensions, representatives, and class coordinates."""
+    """Homology of a complex: dimensions at once, representatives on demand.
+
+    The complex must satisfy d∘d = 0, which every builder checks
+    (`cellular_chain_complex`, `order_complex_homology`, the sheaf complex
+    builder).  Then dim H_k = n_k - rank d_k - rank d_{k-shift}, so the
+    dimensions cost one rank per differential.  Representative cycles and
+    the solver for class coordinates are built for a degree the first time
+    `representatives(k)` or `coords(k, vec)` asks for it: the kernel basis
+    of d_k, kept in order where it enlarges the span of the pivot columns
+    of d_{k-shift}.
+    """
 
     def __init__(self, cx: GradedComplex):
         self.complex = cx
-        F = cx.field
-        self.dims = {}
-        self.representatives = {}
-        self._solvers = {}
-        self._boundary_count = {}
-        for k in cx.degrees():
+        ranks = {k: dk.rank() for k, dk in cx.diff.items()}
+        self.dims = {k: cx.dim(k) - ranks.get(k, 0) - ranks.get(k - cx.shift, 0)
+                     for k in cx.degrees()}
+        self._bases = {}      # degree -> (representatives, solver or None)
+
+    def betti(self):
+        return dict(self.dims)
+
+    def _basis(self, k):
+        if k not in self._bases:
+            if k not in self.dims:
+                return [], None
+            cx = self.complex
+            F = cx.field
             nk = cx.dim(k)
             dk = cx.d(k)
             if dk is None:
@@ -64,21 +84,17 @@ class HomologyProfile:
             if dprev is not None:
                 _, pivots = dprev.rref()
                 boundaries = [dprev.column(j) for j in pivots]
-            reps = []
             span = IncrementalSpan(F, nk)
             for b in boundaries:
                 span.add(b)
-            for z in cycles:
-                if span.add(z):
-                    reps.append(z)
-            self.dims[k] = len(reps)
-            self.representatives[k] = reps
+            reps = [z for z in cycles if span.add(z)]
             cols = reps + boundaries
-            self._boundary_count[k] = len(boundaries)
-            self._solvers[k] = Matrix.from_columns(F, cols, nk) if cols else None
+            self._bases[k] = reps, Matrix.from_columns(F, cols, nk) if cols else None
+        return self._bases[k]
 
-    def betti(self):
-        return dict(self.dims)
+    def representatives(self, k):
+        """Representative cycles of a basis of H_k, built on first use."""
+        return self._basis(k)[0]
 
     def coords(self, k, vec):
         """Coordinates of a cycle's class in the representative basis.
@@ -86,8 +102,7 @@ class HomologyProfile:
         Raises ValueError when `vec` is not a cycle (not in the span of
         representatives and boundaries).
         """
-        nreps = self.dims.get(k, 0)
-        solver = self._solvers.get(k)
+        reps, solver = self._basis(k)
         if solver is None:
             F = self.complex.field
             if any(not F.is_zero(v) for v in vec):
@@ -96,7 +111,7 @@ class HomologyProfile:
         x = solver.solve(vec)
         if x is None:
             raise ValueError("vector is not a cycle of this complex")
-        return x[:nreps]
+        return x[:len(reps)]
 
 
 def _unit(F, n, i):
@@ -184,7 +199,7 @@ def induced_map(f: dict, src_h: HomologyProfile, dst_h: HomologyProfile) -> dict
         raise ValueError("not a chain map (does not commute with differentials)")
     out = {}
     for k in src_h.complex.degrees():
-        reps = src_h.representatives.get(k, [])
+        reps = src_h.representatives(k)
         fk = f.get(k)
         cols = []
         for z in reps:

@@ -162,8 +162,14 @@ class Matrix:
             return True
         return bool(p) and not any(a % p for r in self.rows for a in r)
 
-    def rref(self):
-        """Reduced row echelon form.  Returns (rref matrix, pivot column list)."""
+    def _echelon(self, full):
+        """First-nonzero pivoting on a working copy; returns (rows, pivots).
+
+        With `full` each pivot column is cleared in every other row and the
+        rows come back in reduced row echelon form; otherwise only the rows
+        below the pivot are cleared (forward elimination), which finds the
+        same pivot columns with less work.
+        """
         F = self.field
         p, nrows, ncols = F.char, self.nrows, self.ncols
         m = [_reduced(r, p) for r in self.rows]
@@ -180,16 +186,22 @@ class Matrix:
             support = [j for j in range(pc, ncols) if row[j]]
             if row[pc] != 1:
                 _scale(row, support, F.inv(row[pc]), p)
-            for i in range(nrows):
+            for i in range(0 if full else pr + 1, nrows):
                 c = m[i][pc]
                 if c and i != pr:
                     _eliminate(m[i], c, row, support, p)
             pivots.append(pc)
             pr += 1
-        return Matrix._adopt(F, m, ncols), pivots
+        return m, pivots
+
+    def rref(self):
+        """Reduced row echelon form.  Returns (rref matrix, pivot column list)."""
+        m, pivots = self._echelon(full=True)
+        return Matrix._adopt(self.field, m, self.ncols), pivots
 
     def rank(self):
-        return len(self.rref()[1])
+        """Rank by forward elimination."""
+        return len(self._echelon(full=False)[1])
 
     def kernel_basis(self):
         """Basis of the right kernel, one vector per free column."""

@@ -8,7 +8,10 @@ representations coexist behind one interface.  The kernels of
 `torushom.exactlin` (row reduction, `IncrementalSpan`, products, equality
 and zero tests) specialise instead: they read ``field.char`` once per call
 and then run ``% p`` on ints over F_p and `Fraction` operators over Q
-(char 0), reducing their working copies into ``[0, p)`` first.
+(char 0), reducing their working copies into ``[0, p)`` first.  So do the
+two per-entry loops outside them, the sheaf complex builder
+(`torushom.sheaves`) and the exterior product (`torushom.torusalg`), which
+multiply by integer signs.
 """
 from __future__ import annotations
 

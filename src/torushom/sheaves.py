@@ -136,6 +136,7 @@ def _block_complex(sheaf: CellularSheaf, truncated: bool) -> GradedComplex:
     """
     S = sheaf.poset
     F = sheaf.field
+    p = F.char
     step = sheaf._step
     lowest = -1 if (sheaf.include_empty and not truncated) else 0
     info = {d: _blocks(S, sheaf.stalk_dims, d, lowest == -1) for d in range(lowest, S.n)}
@@ -153,14 +154,13 @@ def _block_complex(sheaf: CellularSheaf, truncated: bool) -> GradedComplex:
                 if dst not in off_e:
                     continue
                 upper, lower = (dst, src) if step > 0 else (src, dst)
-                sign = F(incidence_number(S, upper, lower))
-                block = sheaf._cover_matrix(src, dst)
+                sign = incidence_number(S, upper, lower)
                 r0, c0 = off_e[dst], off_d[src]
-                for r in range(block.nrows):
-                    for c in range(block.ncols):
-                        v = block.rows[r][c]
-                        if not F.is_zero(v):
-                            mat.rows[r0 + r][c0 + c] = F.mul(sign, v)
+                for r, row in enumerate(sheaf._cover_matrix(src, dst).rows):
+                    out = mat.rows[r0 + r]
+                    for c, v in enumerate(row):
+                        if v:
+                            out[c0 + c] = sign * v % p if p else sign * v
         diff[d] = mat
     labels = {d: info[d][0] for d in info}
     cx = GradedComplex(F, dims, diff, shift=step, labels=labels)
@@ -249,7 +249,7 @@ class LocalHomologyData:
                                 self.complexes[j2])
         src = self.profiles[j1]
         dst = self.profiles[j2]
-        cols = [dst.coords(i, proj[i].apply(z)) for z in src.representatives.get(i, [])]
+        cols = [dst.coords(i, proj[i].apply(z)) for z in src.representatives(i)]
         return Matrix.from_columns(self.field, cols, dst.dims.get(i, 0))
 
     def sheaf(self, degree, name, include_empty=False) -> CellularSheaf:

@@ -64,21 +64,22 @@ class ExteriorAlgebra:
     def wedge(self, qa, va, qb, vb):
         """Wedge of coordinate vectors in degrees qa, qb."""
         F = self.field
+        p = F.char
         out = [F.zero] * self.dim(qa + qb)
         for ia, A in enumerate(self.subsets(qa)):
             a = va[ia]
-            if F.is_zero(a):
+            if not a:
                 continue
             for ib, B in enumerate(self.subsets(qb)):
                 b = vb[ib]
-                if F.is_zero(b):
+                if not b:
                     continue
                 s, C = self.wedge_basis(A, B)
                 if s == 0:
                     continue
                 k = self.index(C)
-                out[k] = F.add(out[k], F.mul(F(s), F.mul(a, b)))
-        return out
+                out[k] += s * a * b
+        return [x % p for x in out] if p else out
 
     def one_form(self, coeffs):
         """Degree-1 vector from n coefficients."""

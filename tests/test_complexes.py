@@ -1,7 +1,8 @@
 import pytest
 
 from torushom.field import QQ, PrimeField
-from torushom.exactlin import Matrix
+from torushom.exactlin import Matrix, IncrementalSpan
+from torushom.fixtures import CHARMAPS
 from torushom.poset import preset, build_from_facets, complement_of_link, PosetError, \
     SubposetMask
 from torushom.complexes import (
@@ -144,3 +145,98 @@ def test_induced_map_rejects_non_chain_map():
     bad[1] = Matrix.identity(QQ, cx.dim(1))
     with pytest.raises(ValueError):
         induced_map(bad, prof, prof)
+
+
+# ---------------------------------------------------------------------------
+# the lazy profile against the eager construction it replaced
+
+class EagerProfile:
+    """Every degree at once: kernel basis of d_k, pivot columns of
+    d_{k-shift} as boundaries, and the cycles that enlarge their span as
+    representatives; the dimension is the number of representatives."""
+
+    def __init__(self, cx):
+        F = cx.field
+        self.dims, self.representatives, self._solvers = {}, {}, {}
+        for k in cx.degrees():
+            nk = cx.dim(k)
+            dk = cx.d(k)
+            if dk is None:
+                cycles = [[F.one if i == j else F.zero for j in range(nk)] for i in range(nk)]
+            else:
+                cycles = dk.kernel_basis()
+            dprev = cx.d(k - cx.shift)
+            boundaries = []
+            if dprev is not None:
+                _, pivots = dprev.rref()
+                boundaries = [dprev.column(j) for j in pivots]
+            reps = []
+            span = IncrementalSpan(F, nk)
+            for b in boundaries:
+                span.add(b)
+            for z in cycles:
+                if span.add(z):
+                    reps.append(z)
+            self.dims[k] = len(reps)
+            self.representatives[k] = reps
+            cols = reps + boundaries
+            self._solvers[k] = Matrix.from_columns(F, cols, nk) if cols else None
+
+    def coords(self, k, vec):
+        solver = self._solvers[k]
+        return [] if solver is None else solver.solve(vec)[:self.dims[k]]
+
+
+def _fixture_complexes(field):
+    for name in sorted(CHARMAPS):
+        S = preset(name)
+        yield name, "absolute", cellular_chain_complex(S, field)
+        yield name, "reduced", cellular_chain_complex(S, field, reduced=True)
+        for j in range(1, S.size):
+            yield name, f"link {j}", cellular_chain_complex(
+                S, field, relative_to=complement_of_link(S, j), reduced=True)
+
+
+def _differences(field):
+    """(fixture, complex, degree, what) wherever the lazy profile and the
+    eager construction disagree on a fixture complex."""
+    out = []
+    for name, which, cx in _fixture_complexes(field):
+        lazy, eager = homology(cx), EagerProfile(cx)
+        for k in cx.degrees():
+            if lazy.dims[k] != eager.dims[k]:
+                out.append((name, which, k, "dims"))
+                continue
+            if lazy.representatives(k) != eager.representatives[k]:
+                out.append((name, which, k, "representatives"))
+            # every cycle of the kernel basis, boundaries included
+            cycles = cx.d(k).kernel_basis() if cx.d(k) is not None else \
+                Matrix.identity(field, cx.dim(k)).rows
+            if any(lazy.coords(k, z) != eager.coords(k, z) for z in cycles):
+                out.append((name, which, k, "coords"))
+    return out
+
+
+def test_lazy_profile_matches_eager_construction(any_field):
+    assert _differences(any_field) == []
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_eager_comparison_catches_a_wrong_rank(monkeypatch, delta):
+    rank = Matrix.rank
+    monkeypatch.setattr(Matrix, "rank", lambda self: rank(self) + delta)
+    assert any(what == "dims" for *_, what in _differences(PrimeField(3)))
+
+
+def test_profile_builds_no_representatives_until_asked(monkeypatch):
+    S = preset("torus_7")
+    cx = cellular_chain_complex(S, QQ, reduced=True)
+    calls = []
+    kernel = Matrix.kernel_basis
+    monkeypatch.setattr(Matrix, "kernel_basis", lambda self: calls.append(self) or kernel(self))
+    prof = homology(cx)
+    assert prof.dims == {-1: 0, 0: 0, 1: 2, 2: 1} and calls == []
+    assert len(prof.representatives(1)) == 2 and calls == [cx.d(1)]
+    prof.coords(1, prof.representatives(1)[0])
+    assert calls == [cx.d(1)]
+    assert prof.representatives(5) == [] and prof.coords(5, []) == []

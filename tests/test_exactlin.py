@@ -350,6 +350,25 @@ def test_mul_equal_and_zero_test_match_reference(data):
     assert multiples.is_zero_matrix() == all(F.is_zero(a) for r in multiples.rows for a in r)
 
 
+@ORACLE
+@given(matrices())
+def test_rank_matches_rref_pivots(case):
+    F, rows, n = case
+    M = Matrix(F, rows, n)
+    assert M.rank() == len(M.rref()[1])
+
+
+@ORACLE
+@given(st.data())
+def test_rank_of_a_product_matches_rref_pivots(data):
+    # B C has rank at most the inner dimension, so most of these are deficient
+    F, B, r = data.draw(matrices(nrows=data.draw(st.integers(1, 7))))
+    _, C, n = data.draw(matrices(field=F, nrows=r))
+    M = Matrix(F, B, r).mul(Matrix(F, C, n))
+    assert M.rank() == len(M.rref()[1]) <= r
+    assert M.transpose().rank() == M.rank()
+
+
 @pytest.mark.parametrize("F", [F2, F3, F_BIG], ids=str)
 def test_unnormalised_prime_field_entries(F):
     p = F.p

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -42,6 +43,33 @@ def test_exterior_wedge_anticommutes():
     w21 = ext.wedge(1, e2, 1, e1)
     assert w12 == [QQ.neg(v) for v in w21]
     assert all(QQ.is_zero(v) for v in ext.wedge(1, e1, 1, e1))
+
+
+def _ref_wedge(ext, qa, va, qb, vb):
+    """Wedge through the field's methods, one call per term."""
+    F = ext.field
+    out = [F.zero] * ext.dim(qa + qb)
+    for ia, A in enumerate(ext.subsets(qa)):
+        for ib, B in enumerate(ext.subsets(qb)):
+            s, C = ext.wedge_basis(A, B)
+            if s:
+                k = ext.index(C)
+                out[k] = F.add(out[k], F.mul(F(s), F.mul(F(va[ia]), F(vb[ib]))))
+    return out
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(2), PrimeField(3), PrimeField(1000003)], ids=str)
+def test_wedge_matches_per_element_reference(F):
+    rng = random.Random(5)
+    ext = ExteriorAlgebra(4, F)
+    p = F.char
+    # over F_p also entries given as p, -1 or 2p + 1
+    pool = [-2, -1, 0, 0, 1, 3] + ([p, 2 * p + 1, -p] if p else [])
+    for _ in range(40):
+        qa, qb = rng.randint(0, 4), rng.randint(0, 4)
+        va = [F(rng.choice(pool)) if not p else rng.choice(pool) for _ in range(ext.dim(qa))]
+        vb = [F(rng.choice(pool)) if not p else rng.choice(pool) for _ in range(ext.dim(qb))]
+        assert ext.wedge(qa, va, qb, vb) == _ref_wedge(ext, qa, va, qb, vb)
 
 
 def test_validate_charmap_triangle():
