@@ -15,7 +15,6 @@ from pathlib import Path
 from .field import PrimeField, field_from_name
 from .poset import PosetError, preset as poset_preset, validate, face_counts
 from .complexes import classify
-from .sheaves import standard_sheaf, sheaf_cohomology
 from .facevec import face_vectors, ft_consistency_check, dehn_sommerville_check
 from .torusalg import keylemma_check, duality_check, les_duality_check
 from .specseq import (validate_profile, bigraded_betti, theorem_checks,
@@ -163,13 +162,13 @@ def run(args) -> tuple[dict, int]:
     if want_sheaf:
         tables = {}
         if selected(args, "constant"):
-            coh = sheaf_cohomology(standard_sheaf(S, field, "constant", dim=1))
-            tables["constant"] = {str(k): v for k, v in sorted(coh.dims.items())}
+            # constant-sheaf cohomology: the Betti numbers of S
+            tables["constant"] = {str(k): v for k, v in sorted(job.betti.items())}
         if S.is_pure() and selected(args, "structure"):
             st = job.structure_sheaf(include_empty=True)
             tables["structure_stalk_dims"] = list(st.stalk_dims)
-            coh = sheaf_cohomology(st, truncated=True)
-            tables["structure"] = {str(k): v for k, v in sorted(coh.dims.items())}
+            tables["structure"] = {str(k): v
+                                   for k, v in sorted(job.structure_cohomology.items())}
         record("sheaf", tables, True)
 
     if want_verify:

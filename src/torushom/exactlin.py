@@ -14,7 +14,6 @@ is a truth test even on entries given as p, -1 or 2p + 1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from itertools import combinations
 
@@ -288,37 +287,6 @@ class IncrementalSpan:
         return True
 
 
-@dataclass
-class SubspaceBasis:
-    """A list of linearly independent vectors inside k^ambient_dim."""
-
-    ambient_dim: int
-    vectors: list
-
-    def __post_init__(self):
-        if any(len(v) != self.ambient_dim for v in self.vectors):
-            raise ValueError("vector length != ambient_dim")
-
-    @property
-    def dim(self):
-        return len(self.vectors)
-
-    def matrix(self, field) -> Matrix:
-        return Matrix.from_columns(field, self.vectors, self.ambient_dim)
-
-
-def rank_kernel_image(M: Matrix):
-    """Rank, kernel basis and image basis of a matrix over a field.
-
-    The image basis is the set of original columns at the pivot positions,
-    so it is a deterministic function of the column order.
-    """
-    R, pivots = M.rref()
-    kernel = SubspaceBasis(M.ncols, M.kernel_basis())
-    image = SubspaceBasis(M.nrows, [M.column(j) for j in pivots])
-    return len(pivots), kernel, image
-
-
 def smith_invariants(rows) -> list:
     """Invariant factors d_1 | d_2 | ... of an integer matrix.
 
@@ -423,50 +391,3 @@ def _int_det(a) -> int:
 
 def int_det(a) -> int:
     return _int_det([[int(v) for v in r] for r in a])
-
-
-def complement_in_span(field, space: SubspaceBasis, sub: SubspaceBasis):
-    """Vectors of `space` extending `sub` to a basis of span(space).
-
-    The complement is picked greedily in the order the space basis is given,
-    so quotient bases are deterministic.
-    """
-    amb = space.ambient_dim
-    if sub.ambient_dim != amb:
-        raise ValueError("ambient mismatch")
-    span = IncrementalSpan(field, amb)
-    for v in sub.vectors:
-        if not span.add(v):
-            raise ValueError("subspace basis is dependent")
-    comp = []
-    for v in space.vectors:
-        if span.add(v):
-            comp.append(list(v))
-    return comp
-
-
-def induced_quotient_map(field, f: Matrix, src_pair, dst_pair) -> Matrix:
-    """Matrix induced by f on quotients (space/subspace) -> (space/subspace).
-
-    `src_pair` and `dst_pair` are (space, subspace) SubspaceBasis pairs.
-    Raises ValueError when f does not map the source subspace into the
-    destination subspace, or some image leaves the destination space.
-    """
-    src_space, src_sub = src_pair
-    dst_space, dst_sub = dst_pair
-    dst_comp = complement_in_span(field, dst_space, dst_sub)
-    solver = Matrix.from_columns(field, dst_sub.vectors + dst_comp, dst_space.ambient_dim)
-    for v in src_sub.vectors:
-        coords = solver.solve(f.apply(v))
-        if coords is None:
-            raise ValueError("image of subspace leaves the destination space")
-        if any(not field.is_zero(c) for c in coords[len(dst_sub.vectors):]):
-            raise ValueError("f does not map subspace into subspace")
-    src_comp = complement_in_span(field, src_space, src_sub)
-    cols = []
-    for v in src_comp:
-        coords = solver.solve(f.apply(v))
-        if coords is None:
-            raise ValueError("image leaves the destination space")
-        cols.append(coords[len(dst_sub.vectors):])
-    return Matrix.from_columns(field, cols, len(dst_comp))

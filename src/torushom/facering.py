@@ -28,7 +28,7 @@ class _TrivializedComplex:
         self.S = S
         self.field = field
         self.orientation = orientation
-        sheaf = standard_sheaf(S, field, "constant", dim=1, check=False)
+        sheaf = standard_sheaf(S, field, "constant", dim=1)
         self.cx = cochain_complex(sheaf, truncated=True)
 
     def elements(self, degree):

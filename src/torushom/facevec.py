@@ -98,12 +98,8 @@ class FaceVectors:
                 "chi": self.chi, "chi_tilde": self.chi_tilde}
 
 
-def f_tilde_vector(S: SimplicialPoset, field):
-    """Per-dimension count of faces weighted by top reduced link homology."""
-    return _f_tilde(S.job(field))
-
-
 def _f_tilde(job):
+    """Per-dimension count of faces weighted by top reduced link homology."""
     S = job.S
     n = S.n
     out = [0] * n

@@ -10,7 +10,9 @@ argument and the cache lives exactly as long as the poset.
 Only small results are kept: dimension tables, reports, profiles, the
 pages and the two structure sheaves.  The local homology complexes are
 released as soon as the dimensions and the structure sheaves are read
-off them, and the kits keep cohomology as dimensions only.
+off them, the structure sheaf's cohomology is kept as dimensions
+(`structure_cohomology`), and the kits keep cohomology as dimensions
+only.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from functools import cached_property
 from .complexes import cellular_betti, classify_of
 from .facevec import face_vectors_of
 from .poset import PosetError
-from .sheaves import LocalHomologyData, constancy_check
+from .sheaves import LocalHomologyData, constancy_check, sheaf_cohomology
 from .specseq import cone_profile_of, pages_of
 from .torusalg import TorusSheafKit, charmap_report_of
 
@@ -62,6 +64,11 @@ class Job:
         if self._structure is None:
             self._read_local_homology()
         return self._structure[include_empty]
+
+    @cached_property
+    def structure_cohomology(self) -> dict:
+        """Truncated cohomology dimensions of the structure sheaf, degrees 0..n-1."""
+        return sheaf_cohomology(self.structure_sheaf(), truncated=True).dims
 
     def _read_local_homology(self):
         data = LocalHomologyData(self.S, self.field)

@@ -293,7 +293,7 @@ class LocalHomologyData:
 
 def standard_sheaf(S: SimplicialPoset, field, kind: str, *, dim: int = 1,
                    element: int | None = None, degree: int | None = None,
-                   include_empty: bool = False, check: bool = True) -> CellularSheaf:
+                   include_empty: bool = False) -> CellularSheaf:
     """Build one of the standard sheaves.
 
     kind = "constant":        value `dim` on every nonempty face.
@@ -305,13 +305,15 @@ def standard_sheaf(S: SimplicialPoset, field, kind: str, *, dim: int = 1,
                               chain-level projections.  Built once per
                               (S, field) and shared.
 
-    Local homology and structure sheaves are always checked for
-    functoriality; `check` applies to the other kinds.
+    Local homology and structure sheaves are checked for functoriality.
+    The constant and upper-set sheaves are not: every cover map between
+    nonzero stalks is the identity, so the two composites through any
+    interval agree and the check cannot fail.
     """
     F = field
     if kind == "constant":
-        sheaf = _constant(CellularSheaf, S, F, dim, f"constant({dim})")
-    elif kind == "upper_set":
+        return _constant(CellularSheaf, S, F, dim, f"constant({dim})")
+    if kind == "upper_set":
         if element is None:
             raise ValueError("upper_set needs element")
         up = set(S.upper_set(element))
@@ -322,19 +324,15 @@ def standard_sheaf(S: SimplicialPoset, field, kind: str, *, dim: int = 1,
             for j in S.covered_by[i]:
                 if i in up and j in up:
                     rest[(i, j)] = ident
-        sheaf = CellularSheaf(S, F, dims, rest, include_empty=(element == 0),
-                              name=f"ups({element},{dim})")
-    elif kind == "local_homology":
+        return CellularSheaf(S, F, dims, rest, include_empty=(element == 0),
+                             name=f"ups({element},{dim})")
+    if kind == "local_homology":
         if degree is None:
             raise ValueError("local_homology needs degree")
         return LocalHomologyData(S, F).sheaf(degree, f"loc({degree})")
-    elif kind == "structure":
+    if kind == "structure":
         return S.job(F).structure_sheaf(include_empty)
-    else:
-        raise ValueError(f"unknown standard sheaf kind {kind!r}")
-    if check:
-        check_sheaf_functoriality(sheaf)
-    return sheaf
+    raise ValueError(f"unknown standard sheaf kind {kind!r}")
 
 
 @dataclass

@@ -17,8 +17,8 @@ from itertools import combinations
 from .exactlin import Matrix, IncrementalSpan, int_det, smith_invariants
 from .poset import SimplicialPoset, PosetError
 from .sheaves import (
-    CellularSheaf, CellularCosheaf, standard_sheaf, sheaf_cohomology,
-    cosheaf_homology, tensor, check_sheaf_functoriality, _constant, _covers,
+    CellularSheaf, CellularCosheaf, sheaf_cohomology, cosheaf_homology, tensor,
+    check_sheaf_functoriality, _covers,
 )
 from .facevec import binom
 
@@ -207,12 +207,17 @@ class TorusSheafKit:
     """All graded sheaves and cosheaves attached to (S, characteristic map).
 
     Everything is lazy and kept in one memo: exterior ideal bases per face,
-    the ideal and quotient sheaves per degree, the principal-ideal cosheaf,
-    and the (co)homology dimensions of the tensor products with the
-    structure sheaf.  The sheaf and cosheaf sides share one builder per
-    construction: spans of forms, inclusions of spans, quotients by spans.
-    The structure sheaf itself is the poset's, shared through its job;
-    `Job.kit` keeps one kit per characteristic map.
+    the ideal and quotient sheaves per degree, the principal-ideal cosheaf
+    and its quotient of the constant cosheaf, and the (co)homology
+    dimensions of the ideal and quotient sheaves tensored with the
+    structure sheaf and of the two cosheaves.  The sheaf and cosheaf sides
+    share one builder per construction: spans of forms, inclusions of
+    spans, quotients by spans.  The constant terms Λ^q need no complex of
+    their own: structure (x) Λ^q is C(n, q) copies of the structure sheaf
+    and the constant cosheaf Λ^q is C(n, q) copies of the cellular chains,
+    so `les_duality_check` scales the job's structure-sheaf cohomology and
+    Betti numbers instead.  The structure sheaf itself is the poset's,
+    shared through its job; `Job.kit` keeps one kit per characteristic map.
     """
 
     def __init__(self, S: SimplicialPoset, cmap: CharacteristicMap, field):
@@ -352,11 +357,6 @@ class TorusSheafKit:
         return self._inclusions(CellularCosheaf, self.pi_basis, q, f"pi^({q})")
 
     @_memoized
-    def lambda_cosheaf(self, q: int) -> CellularCosheaf:
-        """Constant cosheaf valued by the degree-q exterior component."""
-        return _constant(CellularCosheaf, self.S, self.field, self.ext.dim(q), f"lambda^({q})")
-
-    @_memoized
     def lambda_mod_pi_cosheaf(self, q: int) -> CellularCosheaf:
         """Quotient cosheaf of the constant cosheaf by the principal ideals."""
         return self._quotients(CellularCosheaf, self.pi_basis, q, f"lambda/pi^({q})")
@@ -369,11 +369,6 @@ class TorusSheafKit:
     def structure_tensor_ideal(self, q: int) -> CellularSheaf:
         return tensor(self.structure_sheaf(), self.ideal_sheaf(q))
 
-    def structure_tensor_lambda(self, q: int) -> CellularSheaf:
-        return tensor(self.structure_sheaf(),
-                      standard_sheaf(self.S, self.field, "constant", dim=self.ext.dim(q),
-                                     check=False))
-
     def structure_tensor_quotient(self, q: int) -> CellularSheaf:
         return tensor(self.structure_sheaf(), self.quotient_sheaf(q))
 
@@ -381,11 +376,10 @@ class TorusSheafKit:
     def sheaf_dims(self, kind: str, q: int, truncated: bool = True) -> dict:
         """Cohomology dimensions of structure (x) `kind`^(q), computed once.
 
-        `kind` is "ideal", "lambda" or "quotient"; `truncated` is as in
+        `kind` is "ideal" or "quotient"; `truncated` is as in
         `sheaf_cohomology`.
         """
         tensors = {"ideal": self.structure_tensor_ideal,
-                   "lambda": self.structure_tensor_lambda,
                    "quotient": self.structure_tensor_quotient}
         return sheaf_cohomology(tensors[kind](q), truncated=truncated).dims
 
@@ -393,10 +387,9 @@ class TorusSheafKit:
     def cosheaf_dims(self, kind: str, q: int) -> dict:
         """Homology dimensions of the cosheaf `kind`^(q), computed once.
 
-        `kind` is "pi", "lambda" or "lambda/pi".
+        `kind` is "pi" or "lambda/pi".
         """
-        cosheaves = {"pi": self.pi_cosheaf, "lambda": self.lambda_cosheaf,
-                     "lambda/pi": self.lambda_mod_pi_cosheaf}
+        cosheaves = {"pi": self.pi_cosheaf, "lambda/pi": self.lambda_mod_pi_cosheaf}
         return cosheaf_homology(cosheaves[kind](q)).dims
 
 
@@ -503,8 +496,16 @@ def les_duality_check(S: SimplicialPoset, cmap: CharacteristicMap, field) -> Les
     read in complementary degree.  Connecting ranks are forced by
     exactness once all dimensions are known, so equal dimension rows give
     isomorphic sequences.
+
+    The full terms are constant: structure (x) Λ^q is C(n, q) copies of
+    the structure sheaf, and the constant cosheaf Λ^q is C(n, q) copies of
+    the cellular chains of S.  So the middle column compares C(n, q) times
+    the job's structure-sheaf cohomology (local-homology cochains) with
+    C(n, q) times its Betti numbers in complementary degree (cellular
+    chains): two independent routes, so the comparison can fail.
     """
-    kit = S.job(field).kit(cmap)
+    job = S.job(field)
+    kit = job.kit(cmap)
     n = kit.n
     top = S.n - 1
     sheaf_rows = {}
@@ -513,16 +514,16 @@ def les_duality_check(S: SimplicialPoset, cmap: CharacteristicMap, field) -> Les
     passed = True
     for q in range(n + 1):
         a = kit.sheaf_dims("ideal", q)
-        b = kit.sheaf_dims("lambda", q)
         c = kit.sheaf_dims("quotient", q)
         ah = kit.cosheaf_dims("pi", q)
-        bh = kit.cosheaf_dims("lambda", q)
         ch = kit.cosheaf_dims("lambda/pi", q)
+        copies = binom(n, q)
         srow = []
         crow = []
         for k in range(S.n):
-            srow += [a.get(k, 0), b.get(k, 0), c.get(k, 0)]
-            crow += [ah.get(top - k, 0), bh.get(top - k, 0), ch.get(top - k, 0)]
+            srow += [a.get(k, 0), copies * job.structure_cohomology.get(k, 0), c.get(k, 0)]
+            crow += [ah.get(top - k, 0), copies * job.betti.get(top - k, 0),
+                     ch.get(top - k, 0)]
         sheaf_rows[q] = srow
         cosheaf_rows[q] = crow
         if srow != crow:

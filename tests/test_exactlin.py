@@ -9,10 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from torushom.cli import main
 from torushom.field import QQ, PrimeField, field_from_name
-from torushom.exactlin import (
-    Matrix, IncrementalSpan, SubspaceBasis, rank_kernel_image, smith_invariants,
-    minors_gcd, induced_quotient_map, int_det,
-)
+from torushom.exactlin import Matrix, IncrementalSpan, smith_invariants, minors_gcd, int_det
 from torushom.fixtures import preset_charmap
 from torushom.formats import write_charmap
 
@@ -33,21 +30,20 @@ def test_prime_field_arithmetic():
 
 def test_rank_identity_and_zero():
     M = Matrix.from_int_rows(QQ, [[1, 0], [0, 1]])
-    rank, ker, im = rank_kernel_image(M)
-    assert rank == 2 and ker.dim == 0 and im.dim == 2
+    assert M.rank() == 2 and M.kernel_basis() == [] and M.rref()[1] == [0, 1]
 
     Z = Matrix.zero(QQ, 3, 4)
-    rank, ker, im = rank_kernel_image(Z)
-    assert rank == 0 and ker.dim == 4 and im.dim == 0
+    assert Z.rank() == 0 and len(Z.kernel_basis()) == 4 and Z.rref()[1] == []
 
 
 def test_rank_kernel_example():
     # [[1,2],[2,4]] has rank 1; kernel spanned by (2,-1)
     M = Matrix.from_int_rows(QQ, [[1, 2], [2, 4]])
-    rank, ker, im = rank_kernel_image(M)
-    assert rank == 1
-    assert ker.dim == 1
-    v = ker.vectors[0]
+    assert M.rank() == 1
+    assert M.rref()[1] == [0]
+    ker = M.kernel_basis()
+    assert len(ker) == 1
+    v = ker[0]
     # proportional to (2,-1): 1*v0 + 2*v1 == 0
     assert v[0] + 2 * v[1] == 0 and any(x != 0 for x in v)
     assert all(x == 0 for x in M.apply(v))
@@ -61,8 +57,8 @@ def test_rank_equals_transpose_rank(any_field):
         rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
         M = Matrix.from_int_rows(any_field, rows, ncols=n)
         assert M.rank() == M.transpose().rank()
-        rank, ker, _ = rank_kernel_image(M)
-        assert rank + ker.dim == n
+        assert len(M.rref()[1]) == M.rank()
+        assert M.rank() + len(M.kernel_basis()) == n
 
 
 def test_solve_and_solve_matrix():
@@ -114,67 +110,6 @@ def test_int_det():
     assert int_det([[2, 0], [0, 3]]) == 6
     assert int_det([[0, 1], [1, 0]]) == -1
     assert int_det([[1, 2], [2, 4]]) == 0
-
-
-def _std_basis(n):
-    return SubspaceBasis(n, [[QQ(1 if i == j else 0) for j in range(n)] for i in range(n)])
-
-
-def test_induced_quotient_identity_and_zero():
-    space = _std_basis(2)
-    sub = SubspaceBasis(2, [[QQ(1), QQ(1)]])
-    ident = Matrix.identity(QQ, 2)
-    q = induced_quotient_map(QQ, ident, (space, sub), (space, sub))
-    assert q.nrows == q.ncols == 1 and q.rows[0][0] == 1
-    zero = Matrix.zero(QQ, 2, 2)
-    qz = induced_quotient_map(QQ, zero, (space, sub), (space, sub))
-    assert qz.rows[0][0] == 0
-
-
-def test_induced_quotient_swap_is_minus_one():
-    # swap on Q^2, quotient by the diagonal: induced map is -1
-    space = _std_basis(2)
-    sub = SubspaceBasis(2, [[QQ(1), QQ(1)]])
-    swap = Matrix.from_int_rows(QQ, [[0, 1], [1, 0]])
-    q = induced_quotient_map(QQ, swap, (space, sub), (space, sub))
-    assert q.rows[0][0] == -1
-
-
-def test_induced_quotient_rejects_bad_map():
-    space = _std_basis(2)
-    sub = SubspaceBasis(2, [[QQ(1), QQ(0)]])
-    # this map sends the subspace e1 out of the subspace e1
-    rot = Matrix.from_int_rows(QQ, [[0, 1], [1, 0]])
-    try:
-        induced_quotient_map(QQ, rot, (space, sub), (space, sub))
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("expected precondition failure")
-
-
-def test_induced_quotient_functorial():
-    # composing quotient maps along a chain of three compatible maps
-    rng = random.Random(3)
-    space = _std_basis(3)
-    sub = SubspaceBasis(3, [[QQ(1), QQ(0), QQ(0)]])
-
-    def rand_fixing():
-        # random map preserving span(e1): first column proportional to e1
-        m = [[QQ(rng.randint(-2, 2)) for _ in range(3)] for _ in range(3)]
-        m[1][0] = QQ(0)
-        m[2][0] = QQ(0)
-        return Matrix(QQ, m)
-
-    for _ in range(10):
-        f = rand_fixing()
-        g = rand_fixing()
-        h = rand_fixing()
-        qf = induced_quotient_map(QQ, f, (space, sub), (space, sub))
-        qg = induced_quotient_map(QQ, g, (space, sub), (space, sub))
-        qh = induced_quotient_map(QQ, h, (space, sub), (space, sub))
-        qhgf = induced_quotient_map(QQ, h.mul(g).mul(f), (space, sub), (space, sub))
-        assert qh.mul(qg).mul(qf).equal(qhgf)
 
 
 # ---------------------------------------------------------------------------

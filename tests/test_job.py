@@ -36,7 +36,7 @@ class _Counts:
         self.local_data = Counter()       # field name
         self.work = Counter()             # (what, poset, field name)
         self.cohomology = Counter()       # (sheaf name, truncated)
-        self.sheaf_calls = self.cosheaf_calls = 0
+        self.sheaf_calls = self.cosheaf_calls = self.structure_calls = 0
 
         init = LocalHomologyData.__init__
 
@@ -63,6 +63,14 @@ class _Counts:
 
         mp.setattr(torusalg, "sheaf_cohomology", counting_sheaf)
         mp.setattr(torusalg, "cosheaf_homology", counting_cosheaf)
+
+        job_sheaf_cohomology = job_module.sheaf_cohomology
+
+        def counting_structure(sheaf, truncated=True):
+            self.structure_calls += 1
+            return job_sheaf_cohomology(sheaf, truncated)
+
+        mp.setattr(job_module, "sheaf_cohomology", counting_structure)
 
     def _count_work(self, mp, name):
         fn = getattr(job_module, name)
@@ -100,13 +108,15 @@ def test_all_job_computes_each_invariant_once(all_job):
     assert counts.work and set(counts.work.values()) == {1}
     classified = sorted(f for (what, _, f) in counts.work if what == "classify_of")
     assert classified == sorted([main_field] + extra)
-    # every kit (co)homology group is computed once: ideal, lambda, quotient
-    # truncated plus quotient untruncated per degree, and three cosheaves
+    # every kit (co)homology group is computed once: ideal and quotient
+    # truncated plus quotient untruncated per degree, and two cosheaves; the
+    # constant terms are scaled from the job's structure-sheaf cohomology,
+    # which the job computes once
     n = preset(name).n
-    assert counts.sheaf_calls == 4 * (n + 1)
-    assert counts.cosheaf_calls == 3 * (n + 1)
-    named = {k: v for k, v in counts.cohomology.items() if "constant" not in k[0]}
-    assert set(named.values()) == {1}
+    assert counts.sheaf_calls == 3 * (n + 1)
+    assert counts.cosheaf_calls == 2 * (n + 1)
+    assert set(counts.cohomology.values()) == {1}
+    assert counts.structure_calls == 1
 
 
 def test_job_is_shared_per_poset_and_field():

@@ -1,6 +1,7 @@
 import pytest
 
 from torushom.field import QQ, PrimeField
+from torushom.fixtures import CHARMAPS
 from torushom.poset import preset, build_from_facets, link
 from torushom.complexes import classify, link_reduced_betti, reduced_betti, betti
 from torushom.sheaves import (
@@ -264,3 +265,17 @@ def test_sheaf_only_operations_refuse_a_cosheaf(check):
     cosheaf = _constant(CellularCosheaf, S, QQ, 1, "k")
     with pytest.raises(TypeError, match="takes a sheaf, not the cosheaf 'k'"):
         check(cosheaf)
+
+
+@pytest.mark.parametrize("name", sorted(CHARMAPS))
+def test_identity_kinds_are_functorial(name):
+    # `standard_sheaf` does not check the constant and upper-set kinds, whose
+    # cover maps are identities; the check passes on them everywhere
+    S = preset(name)
+    for F in (QQ, PrimeField(2)):
+        for dim in (1, 3):
+            check_sheaf_functoriality(standard_sheaf(S, F, "constant", dim=dim))
+        for i in range(S.size):
+            sheaf = standard_sheaf(S, F, "upper_set", element=i, dim=2)
+            assert sheaf.include_empty == (i == 0)
+            check_sheaf_functoriality(sheaf)

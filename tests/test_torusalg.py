@@ -12,8 +12,10 @@ from torushom.torusalg import (
     TorusSheafKit, keylemma_check, duality_check, les_duality_check,
 )
 from torushom.sheaves import (
-    CellularSheaf, CellularCosheaf, sheaf_cohomology, cosheaf_homology,
+    CellularSheaf, CellularCosheaf, sheaf_cohomology, cosheaf_homology, tensor,
+    standard_sheaf, _constant,
 )
+from torushom.facevec import binom
 
 FIXTURES = ["boundary_of_simplex(2)", "boundary_of_simplex(3)",
             "cross_polytope_boundary(3)", "torus_7", "digon_cycle(2)"]
@@ -304,6 +306,52 @@ def test_les_duality_all_fixtures():
             assert rep.sheaf_rows == rep.cosheaf_rows
 
 
+def _lambda_sheaf(S, F, dim):
+    """structure (x) Λ^q, dim = C(n, q), as a tensor complex of its own."""
+    return tensor(S.job(F).structure_sheaf(include_empty=True),
+                  standard_sheaf(S, F, "constant", dim=dim))
+
+
+def _lambda_cosheaf(S, F, dim):
+    """The constant cosheaf Λ^q, dim = C(n, q), as a complex of its own."""
+    return _constant(CellularCosheaf, S, F, dim, "lambda")
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+@pytest.mark.parametrize("F", [QQ, PrimeField(2), PrimeField(3)], ids=str)
+def test_constant_terms_match_tensor_route(name, F):
+    # oracle: the tensor complexes give the same dimensions as C(n, q)
+    # times the job's structure-sheaf cohomology and Betti numbers
+    S = preset(name)
+    job = S.job(F)
+    cm = preset_charmap(name)
+    rep = les_duality_check(S, cm, F) if F in fields_for(name) else None
+    for q in range(cm.n + 1):
+        copies = binom(cm.n, q)
+        coh = sheaf_cohomology(_lambda_sheaf(S, F, copies), truncated=True).dims
+        hom = cosheaf_homology(_lambda_cosheaf(S, F, copies)).dims
+        assert coh == {k: copies * d for k, d in job.structure_cohomology.items()}, q
+        assert hom == {k: copies * d for k, d in job.betti.items()}, q
+        if rep is not None:
+            # and so does the duality check's middle column
+            assert rep.sheaf_rows[q][1::3] == [coh[k] for k in range(S.n)]
+            assert rep.cosheaf_rows[q][1::3] == [hom[S.n - 1 - k] for k in range(S.n)]
+
+
+@pytest.mark.parametrize("invariant", ["betti", "structure_cohomology"])
+def test_les_duality_fails_when_a_constant_term_is_off(invariant):
+    # the middle column compares two independent routes, so one wrong
+    # Betti number or structure-sheaf dimension makes the check fail
+    name = "boundary_of_simplex(3)"
+    for degree in range(preset(name).n):
+        S = preset(name)
+        job = S.job(QQ)
+        wrong = dict(getattr(job, invariant))
+        wrong[degree] += 1
+        setattr(job, invariant, wrong)
+        assert not les_duality_check(S, preset_charmap(name), QQ).passed, degree
+
+
 # sha256 of (1) the stalk dimensions and cover matrices of the ideal and
 # quotient sheaves and of the pi, lambda and lambda/pi cosheaves in every
 # degree, and (2) the differentials of their (co)chain complexes, recorded
@@ -332,12 +380,13 @@ def _kit_digests(name, field):
             maps.update(repr(list(sheaf.stalk_dims)).encode())
             for i, j in covers:
                 _hash_matrix(maps, sheaf._cover_matrix(i, j))
-        cosheaves = (kit.pi_cosheaf(q), kit.lambda_cosheaf(q), kit.lambda_mod_pi_cosheaf(q))
+        cosheaves = (kit.pi_cosheaf(q), _lambda_cosheaf(S, field, kit.ext.dim(q)),
+                     kit.lambda_mod_pi_cosheaf(q))
         for cosheaf in cosheaves:
             maps.update(repr(list(cosheaf.stalk_dims)).encode())
             for i, j in covers:
                 _hash_matrix(maps, cosheaf._cover_matrix(j, i))
-        tensors = (kit.structure_tensor_ideal(q), kit.structure_tensor_lambda(q),
+        tensors = (kit.structure_tensor_ideal(q), _lambda_sheaf(S, field, kit.ext.dim(q)),
                    kit.structure_tensor_quotient(q))
         complexes = [sheaf_cohomology(t, truncated).complex
                      for t in tensors for truncated in (True, False)]
