@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dfield
 
 from .exactlin import Matrix, IncrementalSpan
 from .poset import SimplicialPoset, SubposetMask, PosetError, incidence_number, \
-    link, complement_of_link, mask_is_closed_downward
+    link, mask_is_closed_downward
 
 
 @dataclass
@@ -104,8 +104,7 @@ class HomologyProfile:
         """
         reps, solver = self._basis(k)
         if solver is None:
-            F = self.complex.field
-            if any(not F.is_zero(v) for v in vec):
+            if any(vec):
                 raise ValueError("nonzero vector in a zero homology degree")
             return []
         x = solver.solve(vec)
@@ -224,12 +223,6 @@ def cellular_betti(S: SimplicialPoset, field, reduced: bool) -> dict:
     """Betti numbers of |S| from one cellular complex, from degree -1 if reduced."""
     prof = homology(cellular_chain_complex(S, field, reduced=reduced))
     return {d: prof.dims.get(d, 0) for d in range(-1 if reduced else 0, S.n)}
-
-
-def relative_link_homology(S: SimplicialPoset, field, j: int) -> HomologyProfile:
-    """Homology of (S, S minus lk j); stalk data of the local homology sheaf."""
-    mask = complement_of_link(S, j)
-    return homology(cellular_chain_complex(S, field, relative_to=mask, reduced=True))
 
 
 @dataclass

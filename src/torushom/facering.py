@@ -51,11 +51,8 @@ class _TrivializedComplex:
 
     def point_pairing(self, vec):
         """Augmentation of a top cochain: orientation-weighted coefficient sum."""
-        F = self.field
-        total = F.zero
-        for k, e in enumerate(self.elements(self.S.n - 1)):
-            total = F.add(total, F.mul(self.orientation[e], vec[k]))
-        return total
+        elems = self.elements(self.S.n - 1)
+        return self.field(sum(self.orientation[e] * vec[k] for k, e in enumerate(elems)))
 
 
 @dataclass
@@ -68,6 +65,7 @@ class RelationSystem:
     type1: dict                 # q -> list of rows (vectors over the generators)
     type2: dict | None          # q -> list of (class_index, A, row); None if unavailable
     type2_cocycles: dict = dfield(default_factory=dict)   # q -> representative cocycles
+    trivialized: _TrivializedComplex | None = None        # built with the second kind
     type2_reason: str = ""
     orientation: dict | None = None
     sgn_flips: frozenset = frozenset()
@@ -89,7 +87,7 @@ class RelationSystem:
     def cai(self, vertex_labels, A):
         c = coefficient_CAI(self.cmap, self.field, vertex_labels, A)
         if tuple(A) in self.sgn_flips:
-            c = self.field.neg(c)
+            c = self.field(-c)
         return c
 
     def row_from_cocycle(self, q, z, A, elems):
@@ -98,9 +96,8 @@ class RelationSystem:
         gi = self.generator_index(q)
         row = [field.zero] * self.generator_count(q)
         for k, e in enumerate(elems):
-            if field.is_zero(z[k]):
-                continue
-            row[gi[("f", e)]] = field.mul(z[k], self.cai(self.poset.vertex_sets[e], A))
+            if z[k]:
+                row[gi[("f", e)]] = field(z[k] * self.cai(self.poset.vertex_sets[e], A))
         return row
 
     def as_dict(self):
@@ -146,7 +143,7 @@ def relation_system(S: SimplicialPoset, cmap: CharacteristicMap, field,
         raise PosetError("structure sheaf is not constant: " + (cons.witness or ""))
     orientation = dict(cons.orientation)
     if flip_orientation:
-        orientation = {k: field.neg(v) for k, v in orientation.items()}
+        orientation = {k: field(-v) for k, v in orientation.items()}
     if profile is None:
         profile = job.cone_profile
     sgn_flips = frozenset(tuple(sorted(a)) for a in sgn_flips)
@@ -174,17 +171,16 @@ def relation_system(S: SimplicialPoset, cmap: CharacteristicMap, field,
                         row = [field.zero] * width
                         for v in S.covered_by[0]:
                             c = structure.rest[(0, v)].rows[0][m]
-                            g = field.div(c, orientation[v])
-                            row[gi[("f", v)]] = field.mul(
-                                g, system.cai(S.vertex_sets[v], A))
+                            row[gi[("f", v)]] = field(c * field.inv(orientation[v])
+                                                      * system.cai(S.vertex_sets[v], A))
                         type1[q].append(row)
             else:
                 for A in subsets[q]:
                     row = [field.zero] * width
                     for i in S.covered_by[j]:
-                        sign = field(incidence_number(S, i, j))
-                        row[gi[("f", i)]] = field.mul(
-                            sign, system.cai(S.vertex_sets[i], A))
+                        sign = incidence_number(S, i, j)
+                        row[gi[("f", i)]] = field(
+                            sign * system.cai(S.vertex_sets[i], A))
                     type1[q].append(row)
     system.type1 = type1
 
@@ -193,7 +189,7 @@ def relation_system(S: SimplicialPoset, cmap: CharacteristicMap, field,
                                "profile only")
         return system
 
-    triv = _TrivializedComplex(S, field, orientation)
+    triv = system.trivialized = _TrivializedComplex(S, field, orientation)
     type2 = {}
     cocycles_kept = {}
     for q in range(max(n - 1, 0)):
@@ -237,9 +233,8 @@ def _pairing_kernel(field, triv, cocycles):
     for coeffs in kernel:
         vec = [field.zero] * width
         for c, z in zip(coeffs, cocycles):
-            if field.is_zero(c):
-                continue
-            vec = [field.add(a, field.mul(c, b)) for a, b in zip(vec, z)]
+            if c:
+                vec = [field(a + c * b) for a, b in zip(vec, z)]
         out.append(vec)
     return out
 
@@ -288,8 +283,7 @@ def kernel_generators(R: RelationSystem) -> KernelGenerators:
     if R.type2 is None:
         raise PosetError("second-kind relations unavailable: " + R.type2_reason)
     field = R.field
-    S = R.poset
-    triv = _TrivializedComplex(S, field, R.orientation)
+    triv = R.trivialized
     per_degree = {}
     independent = True
     stable = True
@@ -314,7 +308,7 @@ def kernel_generators(R: RelationSystem) -> KernelGenerators:
         subsets = sorted({A for (_, A, _) in rows})
         for ci, z in enumerate(R.type2_cocycles.get(q, [])):
             for cb in cbs:
-                zp = [field.add(a, b) for a, b in zip(z, cb)]
+                zp = [field(a + b) for a, b in zip(z, cb)]
                 for A in subsets:
                     rowp = R.row_from_cocycle(q, zp, A, elems)
                     base = next(r for (c2, A2, r) in reduced

@@ -2,16 +2,15 @@
 
 Every computation in this package runs over one of these fields; there is
 no floating point anywhere.  Rational elements are `fractions.Fraction`,
-prime-field elements are plain ints in ``[0, p)``.  Code outside the matrix
-kernels does arithmetic through the field object, so the two
-representations coexist behind one interface.  The kernels of
-`torushom.exactlin` (row reduction, `IncrementalSpan`, products, equality
-and zero tests) specialise instead: they read ``field.char`` once per call
-and then run ``% p`` on ints over F_p and `Fraction` operators over Q
-(char 0), reducing their working copies into ``[0, p)`` first.  So do the
-two per-entry loops outside them, the sheaf complex builder
-(`torushom.sheaves`) and the exterior product (`torushom.torusalg`), which
-multiply by integer signs.
+prime-field elements are plain ints in ``[0, p)``.  A field object is a
+scalar type, not an arithmetic interface: it knows its characteristic
+(``char``, 0 for Q), its ``zero``, ``one`` and ``inv``, and calling it
+converts a value into an element.  Code computes with Python operators
+and then normalises, either with ``field(...)``, which maps an int or a
+`Fraction` into the field, or, in the matrix kernels of
+`torushom.exactlin` and the other per-entry loops, by reading
+``field.char`` once and applying ``% p`` when it is nonzero.  Since every
+element is normalised, an element is zero exactly when it is falsy.
 """
 from __future__ import annotations
 
@@ -36,29 +35,8 @@ class Rationals:
     def one(self):
         return Fraction(1)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         return 1 / Fraction(a)
-
-    def div(self, a, b):
-        return Fraction(a) / b
-
-    def is_zero(self, a):
-        return a == 0
-
-    def eq(self, a, b):
-        return a == b
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -189,31 +167,10 @@ class PrimeField:
     def one(self):
         return 1
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of 0")
         return pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return (a * self.inv(b)) % self.p
-
-    def is_zero(self, a):
-        return a % self.p == 0
-
-    def eq(self, a, b):
-        return (a - b) % self.p == 0
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

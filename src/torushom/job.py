@@ -7,10 +7,16 @@ computes each of these on first use and keeps it.  It is reached from
 the poset (`SimplicialPoset.job(field)`), so no layer takes a cache
 argument and the cache lives exactly as long as the poset.
 
-Only small results are kept: dimension tables, reports, profiles, the
-pages and the two structure sheaves.  The local homology complexes are
-released as soon as the dimensions and the structure sheaves are read
-off them, the structure sheaf's cohomology is kept as dimensions
+The job owns the poset's local homology: one `LocalHomologyData` build,
+made when first read.  `link_dims` reads its dimensions, which is all
+that `classify` needs, so a classification-only job (such as the F2, F3
+and F5 jobs of a report over Q) builds no restriction matrix and keeps
+its link complexes.  The first `structure_sheaf` request builds both
+structure sheaves from the same build and then releases the complexes;
+`link_dims` is read before, so neither order of the two requests builds
+twice.  Otherwise only small results are kept: dimension tables,
+reports, profiles, the pages and the two structure sheaves.  The
+structure sheaf's cohomology is kept as dimensions
 (`structure_cohomology`), and the kits keep cohomology as dimensions
 only.
 """
@@ -36,8 +42,6 @@ class Job:
     def __init__(self, S, field):
         self.S = S
         self.field = field
-        self._link_dims = None
-        self._structure = None       # (without, with) the empty-face stalk
         self._pages = {}
         self._charmap_reports = {}
         self._kits = {}
@@ -50,31 +54,39 @@ class Job:
     def betti(self) -> dict:
         return cellular_betti(self.S, self.field, reduced=False)
 
-    @property
+    @cached_property
+    def local_homology(self) -> LocalHomologyData:
+        """The relative complexes H_*(S, S minus lk j), built once.
+
+        Released once the structure sheaves are built; a later read builds
+        them again.
+        """
+        return LocalHomologyData(self.S, self.field)
+
+    @cached_property
     def link_dims(self) -> tuple:
         """Dimensions of H_*(S, S minus lk j) per element j (index 0: S itself)."""
-        if self._link_dims is None:
-            self._read_local_homology()
-        return self._link_dims
+        profiles = self.local_homology.profiles
+        return tuple(dict(profiles[j].dims) for j in range(self.S.size))
+
+    @cached_property
+    def _structure_sheaves(self) -> tuple:
+        """(without, with) the empty-face stalk; releases `local_homology`."""
+        self.link_dims                  # read before the complexes go
+        sheaves = self.local_homology.structure_sheaves()
+        vars(self).pop("local_homology", None)
+        return sheaves
 
     def structure_sheaf(self, include_empty: bool = False):
         """The structure sheaf; with include_empty, with its empty-face stalk."""
         if not self.S.is_pure():
             raise PosetError("structure sheaf needs a pure poset")
-        if self._structure is None:
-            self._read_local_homology()
-        return self._structure[include_empty]
+        return self._structure_sheaves[include_empty]
 
     @cached_property
     def structure_cohomology(self) -> dict:
         """Truncated cohomology dimensions of the structure sheaf, degrees 0..n-1."""
         return sheaf_cohomology(self.structure_sheaf(), truncated=True).dims
-
-    def _read_local_homology(self):
-        data = LocalHomologyData(self.S, self.field)
-        if self.S.is_pure():
-            self._structure = data.structure_sheaves()
-        self._link_dims = tuple(dict(data.profiles[j].dims) for j in range(self.S.size))
 
     @cached_property
     def classify(self):

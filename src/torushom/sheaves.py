@@ -298,7 +298,8 @@ def standard_sheaf(S: SimplicialPoset, field, kind: str, *, dim: int = 1,
 
     kind = "constant":        value `dim` on every nonempty face.
     kind = "upper_set":       value `dim` on faces above `element`.
-    kind = "local_homology":  stalks H_degree(S, S minus lk J).
+    kind = "local_homology":  stalks H_degree(S, S minus lk J), read off
+                              the job's local homology complexes.
     kind = "structure":       local homology in top degree; with
                               include_empty the empty face carries the top
                               reduced homology of S, restricted by the
@@ -329,7 +330,7 @@ def standard_sheaf(S: SimplicialPoset, field, kind: str, *, dim: int = 1,
     if kind == "local_homology":
         if degree is None:
             raise ValueError("local_homology needs degree")
-        return LocalHomologyData(S, F).sheaf(degree, f"loc({degree})")
+        return S.job(F).local_homology.sheaf(degree, f"loc({degree})")
     if kind == "structure":
         return S.job(F).structure_sheaf(include_empty)
     raise ValueError(f"unknown standard sheaf kind {kind!r}")
@@ -378,20 +379,20 @@ def constancy_check(sheaf: CellularSheaf) -> ConstancyResult:
                         [(i, cur) for i in S.covers[cur] if i != 0]
             for (i, j) in neighbors:
                 a = sheaf._cover_matrix(i, j).rows[0][0]
-                if F.is_zero(a):
+                if not a:
                     return ConstancyResult(False, None,
                                            f"zero restriction on cover {i} < {j}")
                 known_i = i in orient
                 known_j = j in orient
                 if known_i and known_j:
-                    if not F.eq(F.mul(orient[i], a), orient[j]):
+                    if F(orient[i] * a) != orient[j]:
                         return ConstancyResult(False, None,
                                                f"inconsistent cycle through cover {i} < {j}")
                 elif known_i:
-                    orient[j] = F.mul(orient[i], a)
+                    orient[j] = F(orient[i] * a)
                     queue.append(j)
                 elif known_j:
-                    orient[i] = F.div(orient[j], a)
+                    orient[i] = F(orient[j] * F.inv(a))
                     queue.append(i)
     return ConstancyResult(True, orient, None)
 

@@ -161,10 +161,9 @@ def coefficient_CAI(cmap: CharacteristicMap, field, vertices, A):
     if len(vertices) + q != n:
         raise ValueError("need |A| + |I| = n")
     cols = [j for j in range(1, n + 1) if j not in set(A)]
-    det = field(int_det([[cmap.row(lab)[j - 1] for j in cols] for lab in sorted(vertices)]))
+    det = int_det([[cmap.row(lab)[j - 1] for j in cols] for lab in sorted(vertices)])
     exp = sum(range(1, n - q + 1)) + sum(j for j in range(1, n + 1) if j not in set(A))
-    sgn = field(-1 if exp % 2 else 1)
-    return field.mul(sgn, det)
+    return field(-det if exp % 2 else det)
 
 
 def _memoized(method):
@@ -273,7 +272,7 @@ class TorusSheafKit:
         for lab in self.S.vertex_sets[elem]:
             vec = ext.wedge(deg, vec, 1, self.omega(lab))
             deg += 1
-        if all(F.is_zero(v) for v in vec):
+        if not any(vec):
             raise ValueError(f"zero top form at face {elem}")
         return vec
 

@@ -7,7 +7,7 @@ from torushom.poset import preset, build_from_facets, complement_of_link, PosetE
     SubposetMask
 from torushom.complexes import (
     cellular_chain_complex, homology, reduced_betti, betti, classify,
-    order_complex_homology, link_reduced_betti, relative_link_homology,
+    order_complex_homology, link_reduced_betti,
     chain_projection, induced_map, is_chain_map,
 )
 
@@ -80,19 +80,19 @@ def test_relative_complex_matches_link_homology():
     for name in ["boundary_of_simplex(3)", "torus_7", "digon_cycle(2)"]:
         S = preset(name)
         for j in list(S.vertices())[:3] + list(S.maximal_elements())[:2]:
-            rel = relative_link_homology(S, QQ, j)
+            rel = S.job(QQ).link_dims[j]
             lk_betti = link_reduced_betti(S, QQ, j)
             for d in range(-1, S.n):
-                assert rel.dims.get(d + S.ranks[j], 0) == lk_betti.get(d, 0), (name, j, d)
+                assert rel.get(d + S.ranks[j], 0) == lk_betti.get(d, 0), (name, j, d)
 
 
 def test_relative_example_triangle_edge():
     # H_*(S, S \ lk e) for an edge of the triangle boundary: k in degree 1
     S = preset("boundary_of_simplex(2)")
     e = S.elements_of_rank(2)[0]
-    prof = relative_link_homology(S, QQ, e)
-    assert prof.dims.get(1, 0) == 1
-    assert all(v == 0 for d, v in prof.dims.items() if d != 1)
+    dims = S.job(QQ).link_dims[e]
+    assert dims.get(1, 0) == 1
+    assert all(v == 0 for d, v in dims.items() if d != 1)
 
 
 def test_rejects_non_closed_mask():

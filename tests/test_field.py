@@ -25,7 +25,7 @@ def test_mersenne_61_accepted_quickly():
     F = field_from_name(f"Fp:{2**61 - 1}")
     assert time.perf_counter() - start < 1.0
     assert F.p == 2**61 - 1
-    assert F.mul(F.inv(12345), 12345) == 1
+    assert F(F.inv(12345) * 12345) == 1
 
 
 @pytest.mark.parametrize("n", [561, 3215031751])

@@ -18,7 +18,7 @@ from torushom.formats import write_charmap
 from torushom.complexes import reduced_betti, classify
 from torushom.facevec import face_vectors
 from torushom.poset import preset
-from torushom.sheaves import LocalHomologyData
+from torushom.sheaves import LocalHomologyData, sheaf_dump, standard_sheaf
 
 # sha256 of the `all` report, recorded before the job cache existed
 GOLDEN = {
@@ -34,6 +34,7 @@ class _Counts:
 
     def __init__(self, mp):
         self.local_data = Counter()       # field name
+        self.structure_builds = Counter()  # field name
         self.work = Counter()             # (what, poset, field name)
         self.cohomology = Counter()       # (sheaf name, truncated)
         self.sheaf_calls = self.cosheaf_calls = self.structure_calls = 0
@@ -45,6 +46,13 @@ class _Counts:
             init(data, S, field)
 
         mp.setattr(LocalHomologyData, "__init__", counting_init)
+        structure_sheaves = LocalHomologyData.structure_sheaves
+
+        def counting_structure_sheaves(data):
+            self.structure_builds[data.field.name] += 1
+            return structure_sheaves(data)
+
+        mp.setattr(LocalHomologyData, "structure_sheaves", counting_structure_sheaves)
         for name in ("classify_of", "face_vectors_of", "cone_profile_of"):
             self._count_work(mp, name)
 
@@ -105,6 +113,9 @@ def test_all_job_computes_each_invariant_once(all_job):
     main_field = "Q" if field == "Q" else "F" + field.split(":")[1]
     extra = ["F2", "F3", "F5"] if field == "Q" else []
     assert counts.local_data == Counter({f: 1 for f in [main_field] + extra})
+    # only the active field builds structure sheaves; the classification
+    # fields read link dimensions alone
+    assert counts.structure_builds == Counter({main_field: 1})
     assert counts.work and set(counts.work.values()) == {1}
     classified = sorted(f for (what, _, f) in counts.work if what == "classify_of")
     assert classified == sorted([main_field] + extra)
@@ -117,6 +128,61 @@ def test_all_job_computes_each_invariant_once(all_job):
     assert counts.cosheaf_calls == 2 * (n + 1)
     assert set(counts.cohomology.values()) == {1}
     assert counts.structure_calls == 1
+
+
+@contextlib.contextmanager
+def _local_homology_calls():
+    """Counts `LocalHomologyData` builds and restriction matrices by field name."""
+    calls = {"builds": Counter(), "restrictions": Counter()}
+    init, restriction = LocalHomologyData.__init__, LocalHomologyData.restriction
+
+    def counting_init(data, S, field):
+        calls["builds"][field.name] += 1
+        init(data, S, field)
+
+    def counting_restriction(data, j1, j2, i):
+        calls["restrictions"][data.field.name] += 1
+        return restriction(data, j1, j2, i)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LocalHomologyData, "__init__", counting_init)
+        mp.setattr(LocalHomologyData, "restriction", counting_restriction)
+        yield calls
+
+
+def test_classify_builds_no_structure_sheaf():
+    S = preset("torus_7")
+    F3 = PrimeField(3)
+    with _local_homology_calls() as calls:
+        assert classify(S, F3).buchsbaum
+        assert calls["builds"] == Counter({"F3": 1})
+        assert calls["restrictions"] == Counter()
+        job = S.job(F3)
+        assert job.structure_sheaf(include_empty=True).stalk_dims[0] == 1
+        assert calls["builds"] == Counter({"F3": 1})
+        assert calls["restrictions"]["F3"] > 0
+    assert "local_homology" not in vars(job)     # released with the sheaves
+
+
+def test_structure_sheaf_first_then_link_dims_builds_once():
+    S = preset("boundary_of_simplex(3)")
+    with _local_homology_calls() as calls:
+        job = S.job(QQ)
+        job.structure_sheaf()
+        assert {d: v for d, v in job.link_dims[1].items() if v} == {S.n - 1: 1}
+        assert classify(S, QQ).cohen_macaulay
+        assert calls["builds"] == Counter({"Q": 1})
+
+
+def test_standard_local_homology_sheaf_reads_the_job():
+    S = preset("torus_7")
+    direct = LocalHomologyData(S, QQ)
+    S.job(QQ).link_dims
+    with _local_homology_calls() as calls:
+        for d in range(S.n):
+            sheaf = standard_sheaf(S, QQ, "local_homology", degree=d)
+            assert sheaf_dump(sheaf) == sheaf_dump(direct.sheaf(d, f"loc({d})"))
+        assert calls["builds"] == Counter()
 
 
 def test_job_is_shared_per_poset_and_field():
