@@ -5,7 +5,8 @@ from .poset import (SimplicialPoset, SubposetMask, PosetError, build_from_facets
                     build_from_cover_table, preset, validate, incidence_number,
                     link, complement_of_link, face_counts)
 from .complexes import (cellular_chain_complex, homology, induced_map, classify,
-                        order_complex_homology, reduced_betti, betti)
+                        order_complex_homology, reduced_betti, betti,
+                        InvariantViolation)
 from .sheaves import (CellularSheaf, CellularCosheaf, standard_sheaf, tensor,
                       sheaf_cohomology, cosheaf_homology, constancy_check,
                       sheaf_dump)
@@ -23,7 +24,7 @@ __all__ = [
     "build_from_cover_table", "preset", "validate", "incidence_number", "link",
     "complement_of_link", "face_counts",
     "cellular_chain_complex", "homology", "induced_map", "classify",
-    "order_complex_homology", "reduced_betti", "betti",
+    "order_complex_homology", "reduced_betti", "betti", "InvariantViolation",
     "CellularSheaf", "CellularCosheaf", "standard_sheaf", "tensor",
     "sheaf_cohomology", "cosheaf_homology", "constancy_check", "sheaf_dump",
     "ExteriorAlgebra", "CharacteristicMap", "validate_charmap", "coefficient_CAI",

@@ -3,7 +3,10 @@
 One process runs one job: parse the poset and optional characteristic map
 and profile, run the selected checks, and emit one deterministic JSON or
 markdown report.  Exit status 0 means every selected check passed, 1 means
-some mathematical check failed, 2 means the input was unusable.
+some mathematical check failed, 2 means the input was unusable, and 3
+means an internal failure: an invariant of the computation was violated
+(`InvariantViolation`) or an unexpected exception was raised.  Failures
+print one line on stderr, `error: ...` or `internal error: ...`.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from pathlib import Path
 
 from .field import PrimeField, field_from_name
 from .poset import PosetError, preset as poset_preset, validate, face_counts
-from .complexes import classify
+from .complexes import InvariantViolation, classify
 from .facevec import face_vectors, ft_consistency_check, dehn_sommerville_check
 from .torusalg import keylemma_check, duality_check, les_duality_check
 from .specseq import (validate_profile, bigraded_betti, theorem_checks,
@@ -253,14 +256,24 @@ def render_markdown(report: dict) -> str:
     return "\n".join(lines)
 
 
+def _one_line(e):
+    return " ".join(str(e).split())
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         report, status = run(args)
+    except InvariantViolation as e:
+        print(f"error: invariant violated: {_one_line(e)}", file=sys.stderr)
+        return 3
     except (InputProblem, FormatError, PosetError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {_one_line(e)}", file=sys.stderr)
+        return 3
     if args.out == "json":
         print(json.dumps(report, sort_keys=True, indent=2))
     else:

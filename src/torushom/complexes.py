@@ -17,6 +17,11 @@ from .poset import SimplicialPoset, SubposetMask, PosetError, incidence_number, 
     link, mask_is_closed_downward
 
 
+class InvariantViolation(ValueError):
+    """An internal invariant failed (d∘d != 0, a non-functorial sheaf):
+    a fault of the computation, not of its input."""
+
+
 @dataclass
 class GradedComplex:
     """Graded vector space with differentials d[k]: C_k -> C_{k+shift}."""
@@ -38,7 +43,7 @@ class GradedComplex:
             dn = self.diff.get(k + self.shift)
             if dn is not None:
                 if not dn.mul(dk).is_zero_matrix():
-                    raise ValueError(f"d^2 != 0 at degree {k}")
+                    raise InvariantViolation(f"d^2 != 0 at degree {k}")
 
     def degrees(self):
         return sorted(self.dims)

@@ -7,10 +7,13 @@ are dense lists of rows; pivoting is first-nonzero so all derived bases are
 deterministic functions of the input ordering.
 
 The kernels read the field once per call (`p = field.char`) and then run
-plain operators: `% p` on ints over F_p, `Fraction` operators over Q (p = 0).
-A row update touches only the nonzero support of the row it subtracts.
-Over F_p the working copies are reduced into [0, p) first, so a zero test
-is a truth test even on entries given as p, -1 or 2p + 1.
+plain operators: `% p` on ints over F_p, `int`/`Fraction` operators over Q
+(p = 0), where an integral element is an int (see `torushom.field`), so
+integral matrices stay in int arithmetic until a pivot other than ±1 is
+inverted.  Division goes only through `field.inv`: `/` on two ints is a
+float.  A row update touches only the nonzero support of the row it
+subtracts.  Over F_p the working copies are reduced into [0, p) first, so
+a zero test is a truth test even on entries given as p, -1 or 2p + 1.
 """
 from __future__ import annotations
 

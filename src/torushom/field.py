@@ -1,7 +1,8 @@
 """Exact scalar fields: the rationals and prime fields F_p.
 
 Every computation in this package runs over one of these fields; there is
-no floating point anywhere.  Rational elements are `fractions.Fraction`,
+no floating point anywhere.  A rational element is a plain `int` when it
+is integral and a `fractions.Fraction` only when its denominator is not 1;
 prime-field elements are plain ints in ``[0, p)``.  A field object is a
 scalar type, not an arithmetic interface: it knows its characteristic
 (``char``, 0 for Q), its ``zero``, ``one`` and ``inv``, and calling it
@@ -11,6 +12,14 @@ and then normalises, either with ``field(...)``, which maps an int or a
 `torushom.exactlin` and the other per-entry loops, by reading
 ``field.char`` once and applying ``% p`` when it is nonzero.  Since every
 element is normalised, an element is zero exactly when it is falsy.
+
+Over Q, ``int`` and `Fraction` operands mix exactly under ``+``, ``-`` and
+``*``, so the integral matrices the invariants start from (boundaries,
+incidence signs, characteristic maps and their wedges) are eliminated in
+int arithmetic until a pivot other than ±1 appears.  An operator result
+may be an integral `Fraction`; it equals, hashes and prints as the int.
+The one operator that is not exact is ``/``: two int elements divide into
+a float.  So divide only through ``field.inv``, never with ``/``.
 """
 from __future__ import annotations
 
@@ -19,24 +28,23 @@ from math import isqrt
 
 
 class Rationals:
-    """The field Q.  Elements are Fraction instances."""
+    """The field Q.  An element is an int when integral, else a Fraction."""
 
     char = 0
     name = "Q"
+    zero = 0
+    one = 1
 
     def __call__(self, v):
-        return Fraction(v)
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+        if type(v) is int:
+            return v
+        v = Fraction(v)
+        return v.numerator if v.denominator == 1 else v
 
     def inv(self, a):
-        return 1 / Fraction(a)
+        if a == 1 or a == -1:
+            return int(a)
+        return self(1 / Fraction(a))
 
     def __eq__(self, other):
         return isinstance(other, Rationals)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from .exactlin import Matrix
 from .poset import SimplicialPoset, PosetError, incidence_number, complement_of_link
 from .complexes import (
-    GradedComplex, HomologyProfile, homology, cellular_chain_complex,
-    chain_projection,
+    GradedComplex, HomologyProfile, InvariantViolation, homology,
+    cellular_chain_complex, chain_projection,
 )
 
 
@@ -111,7 +111,7 @@ def check_sheaf_functoriality(sheaf: CellularSheaf):
             b = sheaf._cover_matrix(m2, dst).mul(sheaf._cover_matrix(src, m2))
             if not a.equal(b):
                 kind = "sheaf" if sheaf._step > 0 else "cosheaf"
-                raise ValueError(f"{kind} functoriality fails on {i} < {m1},{m2} < {j}")
+                raise InvariantViolation(f"{kind} functoriality fails on {i} < {m1},{m2} < {j}")
 
 
 def _blocks(S, stalk_dims, degree, include_empty):

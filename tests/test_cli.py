@@ -3,13 +3,16 @@ import json
 
 import pytest
 
+from torushom import complexes, job as job_module
 from torushom.cli import main, build_parser, run, InputProblem
+from torushom.exactlin import Matrix
 from torushom.fixtures import preset_charmap, origami_annulus_profile
 from torushom.formats import (
     write_charmap, write_profile, write_cover_table, parse_cover_table,
     parse_facet_list, parse_charmap, parse_profile, FormatError,
 )
 from torushom.poset import preset
+from torushom.sheaves import LocalHomologyData
 
 
 @pytest.fixture
@@ -216,3 +219,47 @@ def test_profile_parsing_errors():
         parse_profile(json.dumps({"n": 2, "bQ": [1, 0, 0]}))
     P = parse_profile(write_profile(origami_annulus_profile()))
     assert P == origami_annulus_profile()
+
+
+def test_exit_3_when_d_squared_is_not_zero(monkeypatch, capsys):
+    # every incidence number +1: the cellular boundary of a triangle no
+    # longer squares to zero, which is a fault of the computation
+    monkeypatch.setattr(complexes, "incidence_number", lambda S, j, i: 1)
+    assert main(["validate", "--preset", "boundary_of_simplex(2)"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invariant violated: d^2 != 0 at degree ")
+    assert captured.err.count("\n") == 1
+
+
+def test_exit_3_when_a_sheaf_is_not_functorial(monkeypatch, capsys):
+    # double one restriction of the local homology sheaves: the two paths
+    # through a vertex < edge < triangle interval then disagree
+    S = preset("boundary_of_simplex(3)")
+    vertex = S.elements_of_rank(1)[0]
+    broken = (vertex, S.covered_by[vertex][0])
+    restriction = LocalHomologyData.restriction
+
+    def doubled(data, j1, j2, i):
+        m = restriction(data, j1, j2, i)
+        if (j1, j2) == broken:
+            m = Matrix(m.field, [[2 * v for v in row] for row in m.rows], m.ncols)
+        return m
+
+    monkeypatch.setattr(LocalHomologyData, "restriction", doubled)
+    assert main(["all", "--preset", "boundary_of_simplex(3)"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invariant violated: sheaf functoriality fails on ")
+    assert captured.err.count("\n") == 1
+
+
+def test_exit_3_on_an_unexpected_exception(monkeypatch, capsys):
+    def crash(job):
+        raise RuntimeError("boom\n  at the face vectors")
+
+    monkeypatch.setattr(job_module, "face_vectors_of", crash)
+    assert main(["vectors", "--preset", "boundary_of_simplex(2)"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: boom at the face vectors\n"

@@ -190,7 +190,7 @@ def test_cofactor_witness_type1_rows():
                     if lhs[i] == 0 and rhs[i] == 0:
                         continue
                     assert lhs[i] != 0 and rhs[i] != 0, (name, j, A, i)
-                    signs.add(lhs[i] / rhs[i])
+                    signs.add(lhs[i] * QQ.inv(rhs[i]))
                 assert len(signs) <= 1, (name, j, A, signs)
                 assert signs <= {QQ(1), QQ(-1)}, (name, j, A, signs)
 

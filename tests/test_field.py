@@ -1,8 +1,9 @@
 import time
+from fractions import Fraction
 
 import pytest
 
-from torushom.field import PrimeField, field_from_name, _is_prime
+from torushom.field import QQ, PrimeField, field_from_name, _is_prime
 
 
 def _trial_division(n):
@@ -50,3 +51,28 @@ def test_beyond_64_bits():
     assert not _is_prime(2**67 - 1)                  # 193707721 * 761838257287
     assert not _is_prime((2**61 - 1) * (2**89 - 1))
     assert not _is_prime((2**61 - 1) ** 2)
+
+
+def _exact(v, value):
+    """v is the Q element `value`: an int when integral, else a Fraction."""
+    integral = Fraction(value).denominator == 1
+    return type(v) is (int if integral else Fraction) and v == value
+
+
+def test_rationals_hold_integral_elements_as_ints():
+    assert _exact(QQ(Fraction(4, 2)), 2)
+    assert _exact(QQ(Fraction(-6, 4)), Fraction(-3, 2))
+    assert _exact(QQ(True), 1) and _exact(QQ(False), 0)
+    assert _exact(QQ(7), 7) and _exact(QQ("5/10"), Fraction(1, 2))
+    assert _exact(QQ.zero, 0) and _exact(QQ.one, 1)
+    assert bool(QQ(0)) is False and bool(QQ(Fraction(0, 3))) is False
+
+
+def test_rationals_invert_without_floats():
+    assert _exact(QQ.inv(2), Fraction(1, 2))
+    assert _exact(QQ.inv(-1), -1) and _exact(QQ.inv(1), 1)
+    assert _exact(QQ.inv(Fraction(-1)), -1)
+    assert _exact(QQ.inv(Fraction(1, 3)), 3)
+    assert _exact(QQ.inv(Fraction(-2, 5)), Fraction(-5, 2))
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)

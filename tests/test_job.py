@@ -6,6 +6,7 @@ import hashlib
 import io
 import weakref
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -13,12 +14,13 @@ from torushom import job as job_module
 from torushom import torusalg
 from torushom.cli import main
 from torushom.field import QQ, PrimeField
-from torushom.fixtures import preset_charmap
+from torushom.fixtures import CHARMAPS, preset_charmap
 from torushom.formats import write_charmap
 from torushom.complexes import reduced_betti, classify
 from torushom.facevec import face_vectors
 from torushom.poset import preset
-from torushom.sheaves import LocalHomologyData, sheaf_dump, standard_sheaf
+from torushom.sheaves import (LocalHomologyData, cosheaf_homology, sheaf_cohomology,
+                              sheaf_dump, standard_sheaf)
 
 # sha256 of the `all` report, recorded before the job cache existed
 GOLDEN = {
@@ -223,3 +225,41 @@ def test_job_cache_dies_with_poset():
     del S
     gc.collect()
     assert [r() for r in refs] == [None, None, None]
+
+
+@pytest.mark.parametrize("name", sorted(CHARMAPS))
+def test_rational_job_holds_only_ints_and_fractions(name):
+    """Over Q every element is an int or a Fraction.  A float would mean
+    that two int elements met in a `/` instead of going through
+    `field.inv`; a bool, that a comparison was stored as an entry."""
+    S = preset(name)
+    job = S.job(QQ)
+    kit = job.kit(preset_charmap(name))
+    matrices, vectors = [], []
+
+    def take(result):
+        matrices.extend(result.complex.diff.values())
+        for k in result.complex.degrees():
+            vectors.extend(result.profile.representatives(k))
+
+    sheaves = [job.structure_sheaf(False), job.structure_sheaf(True)]
+    cosheaves = []
+    for q in range(kit.n + 1):
+        sheaves += [kit.ideal_sheaf(q), kit.quotient_sheaf(q),
+                    kit.structure_tensor_ideal(q), kit.structure_tensor_quotient(q)]
+        cosheaves += [kit.pi_cosheaf(q), kit.lambda_mod_pi_cosheaf(q)]
+    for sheaf in sheaves:
+        matrices.extend(sheaf.rest.values())
+        for truncated in (True, False):
+            take(sheaf_cohomology(sheaf, truncated))
+    for cosheaf in cosheaves:
+        matrices.extend(cosheaf.rest.values())
+        take(cosheaf_homology(cosheaf))
+    local = LocalHomologyData(S, QQ)
+    for j, cx in local.complexes.items():
+        matrices.extend(cx.diff.values())
+        for k in cx.degrees():
+            vectors.extend(local.profiles[j].representatives(k))
+    entries = [v for m in matrices for row in m.rows for v in row]
+    entries += [v for vec in vectors for v in vec]
+    assert entries and {type(v) for v in entries} <= {int, Fraction}

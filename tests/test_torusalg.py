@@ -228,7 +228,7 @@ def test_cai_matches_quotient_class_up_to_unit():
                 if cai == 0:
                     assert cls == 0
                     continue
-                ratio = cls / cai
+                ratio = cls * QQ.inv(cai)
                 if unit is None:
                     unit = ratio
                 assert ratio == unit, (name, e, A)
