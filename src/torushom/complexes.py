@@ -55,11 +55,11 @@ class HomologyProfile:
     The complex must satisfy d∘d = 0, which every builder checks
     (`cellular_chain_complex`, `order_complex_homology`, the sheaf complex
     builder).  Then dim H_k = n_k - rank d_k - rank d_{k-shift}, so the
-    dimensions cost one rank per differential.  Representative cycles and
-    the solver for class coordinates are built for a degree the first time
-    `representatives(k)` or `coords(k, vec)` asks for it: the kernel basis
-    of d_k, kept in order where it enlarges the span of the pivot columns
-    of d_{k-shift}.
+    dimensions cost one rank per differential.  The cycles, boundaries and
+    representative cycles of a degree are built the first time one of them
+    or `coords(k, vec)` asks for it: the kernel basis of d_k, the pivot
+    columns of d_{k-shift}, and the cycles, kept in order, that enlarge the
+    span of the boundaries.  That span also reads class coordinates.
     """
 
     def __init__(self, cx: GradedComplex):
@@ -67,15 +67,13 @@ class HomologyProfile:
         ranks = {k: dk.rank() for k, dk in cx.diff.items()}
         self.dims = {k: cx.dim(k) - ranks.get(k, 0) - ranks.get(k - cx.shift, 0)
                      for k in cx.degrees()}
-        self._bases = {}      # degree -> (representatives, solver or None)
+        self._bases = {}      # degree -> (cycles, boundaries, representatives, span)
 
     def betti(self):
         return dict(self.dims)
 
     def _basis(self, k):
         if k not in self._bases:
-            if k not in self.dims:
-                return [], None
             cx = self.complex
             F = cx.field
             nk = cx.dim(k)
@@ -93,29 +91,32 @@ class HomologyProfile:
             for b in boundaries:
                 span.add(b)
             reps = [z for z in cycles if span.add(z)]
-            cols = reps + boundaries
-            self._bases[k] = reps, Matrix.from_columns(F, cols, nk) if cols else None
+            self._bases[k] = cycles, boundaries, reps, span
         return self._bases[k]
+
+    def cycles(self, k):
+        """A basis of the cycles in degree k, one vector per free column of d_k."""
+        return self._basis(k)[0]
+
+    def boundaries(self, k):
+        """A basis of the boundaries in degree k: the pivot columns of d_{k-shift}."""
+        return self._basis(k)[1]
 
     def representatives(self, k):
         """Representative cycles of a basis of H_k, built on first use."""
-        return self._basis(k)[0]
+        return self._basis(k)[2]
 
     def coords(self, k, vec):
         """Coordinates of a cycle's class in the representative basis.
 
         Raises ValueError when `vec` is not a cycle (not in the span of
-        representatives and boundaries).
+        boundaries and representatives).
         """
-        reps, solver = self._basis(k)
-        if solver is None:
-            if any(vec):
-                raise ValueError("nonzero vector in a zero homology degree")
-            return []
-        x = solver.solve(vec)
+        _, boundaries, _, span = self._basis(k)
+        x = span.coords(vec)
         if x is None:
             raise ValueError("vector is not a cycle of this complex")
-        return x[:len(reps)]
+        return x[len(boundaries):]
 
 
 def _unit(F, n, i):

@@ -2,9 +2,9 @@
 
 Everything downstream (homology, sheaf cohomology, spectral pages, relation
 ranks) reduces to the operations here: row reduction with exact pivots,
-kernel/image bases, linear solves, and integer Smith invariants.  Matrices
-are dense lists of rows; pivoting is first-nonzero so all derived bases are
-deterministic functions of the input ordering.
+kernel/image bases, coordinates in an echelonized span, and integer Smith
+invariants.  Matrices are dense lists of rows; pivoting is first-nonzero so
+all derived bases are deterministic functions of the input ordering.
 
 The kernels read the field once per call (`p = field.char`) and then run
 plain operators: `% p` on ints over F_p, `int`/`Fraction` operators over Q
@@ -222,54 +222,43 @@ class Matrix:
             basis.append(v)
         return basis
 
-    def solve(self, b):
-        """One solution of self * x = b, or None if inconsistent."""
-        F = self.field
-        aug = Matrix._adopt(F, [r + [bv] for r, bv in zip(self.rows, b)], self.ncols + 1)
-        R, pivots = aug.rref()
-        if self.ncols in pivots:
-            return None
-        x = [F.zero] * self.ncols
-        for r, pc in enumerate(pivots):
-            x[pc] = R.rows[r][self.ncols]
-        return x
-
-    def solve_matrix(self, B: "Matrix"):
-        """X with self * X = B, or None.  Solves all columns on one reduction."""
-        F = self.field
-        if B.nrows != self.nrows:
-            raise ValueError("shape mismatch in solve_matrix")
-        aug = Matrix._adopt(F, [r + br for r, br in zip(self.rows, B.rows)],
-                            self.ncols + B.ncols)
-        R, pivots = aug.rref()
-        if any(p >= self.ncols for p in pivots):
-            return None
-        X = Matrix.zero(F, self.ncols, B.ncols)
-        for r, pc in enumerate(pivots):
-            for j in range(B.ncols):
-                X.rows[pc][j] = R.rows[r][self.ncols + j]
-        return X
-
 
 class IncrementalSpan:
-    """Growing echelonized span of column vectors; each stored vector keeps
-    its nonzero support, which is all that a reduction by it touches."""
+    """Growing echelonized span of column vectors, and the one reader of
+    coordinates: over the vectors that enlarged it (`coords`) and modulo it
+    (`quotient_coords`).
+
+    Each stored vector keeps its nonzero support, which is all that a
+    reduction by it touches, and the combination of the enlarging inputs
+    that it equals.  A reduction carries those combinations along when it
+    is given a vector extended past the ambient dimension, one entry per
+    enlarging input; `add` and `coords` pass such vectors.
+    """
 
     def __init__(self, field, ambient_dim):
         self.field = field
         self.ambient_dim = ambient_dim
         self.pivots = []       # pivot row index per stored vector
-        self.vectors = []      # echelonized vectors, pivot entry normalized to 1
-        self._supports = []    # nonzero positions per stored vector
+        self._rows = []        # echelonized vector, pivot entry 1, then its combination
+        self._supports = []    # nonzero positions of the vector part
+        self._tracked = []     # nonzero positions of the whole row
 
     @property
     def dim(self):
-        return len(self.vectors)
+        return len(self._rows)
+
+    @property
+    def vectors(self):
+        """The echelonized vectors, in the order they were stored."""
+        return [row[:self.ambient_dim] for row in self._rows]
 
     def reduce(self, vec):
+        """vec minus its components along the stored vectors: zero at every
+        pivot.  Entries past the ambient dimension follow the combinations."""
         p = self.field.char
         v = _reduced(vec, p)
-        for piv, w, support in zip(self.pivots, self.vectors, self._supports):
+        supports = self._supports if len(v) == self.ambient_dim else self._tracked
+        for piv, w, support in zip(self.pivots, self._rows, supports):
             c = v[piv]
             if c:
                 _eliminate(v, c, w, support, p)
@@ -277,17 +266,39 @@ class IncrementalSpan:
 
     def add(self, vec) -> bool:
         """Insert vec; returns True when it enlarges the span."""
-        v = self.reduce(vec)
-        support = [j for j, a in enumerate(v) if a]
-        if not support:
+        F, amb = self.field, self.ambient_dim
+        v = self.reduce(list(vec) + [F.zero] * self.dim + [F.one])
+        support = [j for j, a in enumerate(v) if a]     # its last entry stays 1
+        if support[0] >= amb:
             return False
         piv = support[0]
         if v[piv] != 1:
-            _scale(v, support, self.field.inv(v[piv]), self.field.char)
+            _scale(v, support, F.inv(v[piv]), F.char)
         self.pivots.append(piv)
-        self.vectors.append(v)
-        self._supports.append(support)
+        self._rows.append(v)
+        self._supports.append([j for j in support if j < amb])
+        self._tracked.append(support)
         return True
+
+    def coords(self, vec):
+        """Coefficients of vec over the vectors that enlarged the span, in
+        the order they were added, or None when vec lies outside the span."""
+        F, amb = self.field, self.ambient_dim
+        v = self.reduce(list(vec) + [F.zero] * self.dim)
+        if any(v[:amb]):
+            return None
+        p = F.char
+        return [-a % p if p else -a for a in v[amb:]]
+
+    def free_columns(self):
+        """The positions that are no pivot: a basis of the quotient."""
+        pivots = set(self.pivots)
+        return [c for c in range(self.ambient_dim) if c not in pivots]
+
+    def quotient_coords(self, vec):
+        """Coordinates of vec modulo the span, over `free_columns`."""
+        red = self.reduce(vec)
+        return [red[c] for c in self.free_columns()]
 
 
 def smith_invariants(rows) -> list:

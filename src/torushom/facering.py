@@ -15,6 +15,7 @@ from itertools import combinations
 
 from .exactlin import Matrix, IncrementalSpan
 from .poset import SimplicialPoset, PosetError, incidence_number
+from .complexes import homology
 from .sheaves import standard_sheaf, cochain_complex
 from .specseq import ManifoldProfile
 from .torusalg import CharacteristicMap, coefficient_CAI
@@ -22,7 +23,9 @@ from .torusalg import CharacteristicMap, coefficient_CAI
 
 class _TrivializedComplex:
     """Cochain complex of the trivialized structure sheaf (constant values),
-    plus the pairing evaluating top cochains against point classes."""
+    its cohomology profile, which gives the cocycles, coboundaries and
+    representatives, and the pairing evaluating top cochains against point
+    classes."""
 
     def __init__(self, S: SimplicialPoset, field, orientation):
         self.S = S
@@ -30,24 +33,10 @@ class _TrivializedComplex:
         self.orientation = orientation
         sheaf = standard_sheaf(S, field, "constant", dim=1)
         self.cx = cochain_complex(sheaf, truncated=True)
+        self.profile = homology(self.cx)
 
     def elements(self, degree):
         return self.cx.labels[degree]
-
-    def cocycles(self, degree):
-        d = self.cx.d(degree)
-        if d is None:
-            n = self.cx.dim(degree)
-            return [[self.field.one if i == j else self.field.zero for j in range(n)]
-                    for i in range(n)]
-        return d.kernel_basis()
-
-    def coboundaries(self, degree):
-        d = self.cx.d(degree - 1)
-        if d is None:
-            return []
-        _, piv = d.rref()
-        return [d.column(j) for j in piv]
 
     def point_pairing(self, vec):
         """Augmentation of a top cochain: orientation-weighted coefficient sum."""
@@ -190,19 +179,21 @@ def relation_system(S: SimplicialPoset, cmap: CharacteristicMap, field,
         return system
 
     triv = system.trivialized = _TrivializedComplex(S, field, orientation)
+    cohomology = triv.profile
     type2 = {}
     cocycles_kept = {}
     for q in range(max(n - 1, 0)):
         degree = n - 1 - q
-        cocycles = triv.cocycles(degree)
         if q == 0:
-            kept = _pairing_kernel(field, triv, cocycles)
+            # the cocycles that pair to zero with the point classes, kept
+            # where they enlarge the span of the coboundaries
+            span = IncrementalSpan(field, triv.cx.dim(degree))
+            for b in cohomology.boundaries(degree):
+                span.add(b)
+            kept = _pairing_kernel(field, triv, cohomology.cycles(degree))
+            reps = [z for z in kept if span.add(z)]
         else:
-            kept = cocycles
-        span = IncrementalSpan(field, triv.cx.dim(degree))
-        for b in triv.coboundaries(degree):
-            span.add(b)
-        reps = [z for z in kept if span.add(z)]
+            reps = cohomology.representatives(degree)
         expected = profile.rank_delta[q]
         if len(reps) != expected:
             raise PosetError(f"degree {q}: found {len(reps)} connecting classes, "
@@ -304,7 +295,7 @@ def kernel_generators(R: RelationSystem) -> KernelGenerators:
             independent = False
         degree = R.n - 1 - q
         elems = triv.elements(degree)
-        cbs = triv.coboundaries(degree)
+        cbs = triv.profile.boundaries(degree)
         subsets = sorted({A for (_, A, _) in rows})
         for ci, z in enumerate(R.type2_cocycles.get(q, [])):
             for cb in cbs:

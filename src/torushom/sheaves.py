@@ -280,14 +280,14 @@ class LocalHomologyData:
         empty-face stalk.
 
         Both share the restriction matrices of the nonempty faces, which
-        are computed once.
+        are computed once.  Only `full` is checked for functoriality: every
+        interval and matrix of `plain` is also one of `full`.
         """
         S = self.poset
         full = self.sheaf(S.n - 1, "structure", include_empty=True)
         rest = {(i, j): m for (i, j), m in full.rest.items() if i != 0}
         plain = CellularSheaf(S, self.field, [0] + full.stalk_dims[1:], rest,
                               name="structure")
-        check_sheaf_functoriality(plain)
         return plain, full
 
 

@@ -313,8 +313,8 @@ def e2_border_sheaf_crosscheck(S: SimplicialPoset, cmap, field) -> CrosscheckRep
     sheaf_trunc = {}
     sheaf_full = {}
     for q in range(kit.n + 1):
-        trunc = kit.sheaf_dims("quotient", q, truncated=True)
-        full = kit.sheaf_dims("quotient", q, truncated=False)
+        trunc = kit.sheaf_dims("quotient", q, True)
+        full = kit.sheaf_dims("quotient", q, False)
         for p in range(n):
             sheaf_trunc[(p, q)] = trunc.get(n - 1 - p, 0)
             sheaf_full[(p, q)] = full.get(n - 1 - p, 0)

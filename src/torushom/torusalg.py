@@ -10,10 +10,10 @@ runs the vanishing and duality checks that tie them together.
 from __future__ import annotations
 
 import functools
-import inspect
 from dataclasses import dataclass
 from itertools import combinations
 
+from .complexes import InvariantViolation
 from .exactlin import Matrix, IncrementalSpan, int_det, smith_invariants
 from .poset import SimplicialPoset, PosetError
 from .sheaves import (
@@ -168,38 +168,19 @@ def coefficient_CAI(cmap: CharacteristicMap, field, vertices, A):
 
 def _memoized(method):
     """Keep a kit method's results in the kit's own memo, keyed by the
-    method name and its arguments with defaults filled in.
+    method name and its positional arguments.
 
     The memo lives on the instance, so a kit dies with its job;
     `functools.cache` on the method would keep every kit alive.
     """
-    sig = inspect.signature(method)
-    arity = len(sig.parameters) - 1
-
     @functools.wraps(method)
-    def memoized(self, *args, **kwargs):
-        if kwargs or len(args) != arity:      # the rare call that needs binding
-            bound = sig.bind(self, *args, **kwargs)
-            bound.apply_defaults()
-            args = bound.args[1:]
+    def memoized(self, *args):
         key = (method.__name__,) + args
         if key not in self._memo:
             self._memo[key] = method(self, *args)
         return self._memo[key]
 
     return memoized
-
-
-def _free_columns(span):
-    """Coordinates left free by an echelonized span: a basis of the quotient."""
-    pivots = set(span.pivots)
-    return [c for c in range(span.ambient_dim) if c not in pivots]
-
-
-def _class(span, free, vec):
-    """Coordinates of vec modulo the span, in the basis of its free columns."""
-    red = span.reduce(vec)
-    return [red[c] for c in free]
 
 
 class TorusSheafKit:
@@ -260,7 +241,7 @@ class TorusSheafKit:
         forms = [self.omega(lab) for lab in labels] if elem != 0 and 0 < q <= self.n else []
         basis, span = self._span(forms, 1, q)
         if len(basis) != self.ext.dim(q) - binom(self.n - len(labels), q):
-            raise ValueError(f"ideal dimension off at face {elem}, degree {q}")
+            raise InvariantViolation(f"ideal dimension off at face {elem}, degree {q}")
         return basis, span
 
     def pi_form(self, elem: int):
@@ -273,7 +254,7 @@ class TorusSheafKit:
             vec = ext.wedge(deg, vec, 1, self.omega(lab))
             deg += 1
         if not any(vec):
-            raise ValueError(f"zero top form at face {elem}")
+            raise InvariantViolation(f"zero top form at face {elem}")
         return vec
 
     @_memoized
@@ -284,7 +265,7 @@ class TorusSheafKit:
             return self._span([], k, q)
         basis, span = self._span([self.pi_form(elem)], k, q)
         if len(basis) != binom(self.n - k, q - k):
-            raise ValueError(f"principal ideal dimension off at face {elem}")
+            raise InvariantViolation(f"principal ideal dimension off at face {elem}")
         return basis, span
 
     # -- sheaves and cosheaves per exterior degree --------------------------
@@ -293,18 +274,20 @@ class TorusSheafKit:
         """The sheaf or cosheaf (`cls`) of the spans `basis(e, q)`; its maps
         are the coordinate forms of the inclusions along the covers.
 
-        Each map X solves B_dst X = B_src, so it is injective with no check:
-        X v = 0 gives B_src v = 0, and B_src is a basis, hence v = 0."""
-        S, F, amb = self.S, self.field, self.ext.dim(q)
+        Column i of a map X holds the coordinates of the source's i-th basis
+        vector in the target's basis, read off the target's span, so
+        B_dst X = B_src.  Hence X is injective with no check: X v = 0 gives
+        B_src v = 0, and B_src is a basis, so v = 0."""
+        S, F = self.S, self.field
         dims = [len(basis(e, q)[0]) for e in range(S.size)]
         rest = {}
         for src, dst in _covers(S, cls):
             if dims[src] and dims[dst]:
-                target = Matrix.from_columns(F, basis(dst, q)[0], amb)
-                X = target.solve_matrix(Matrix.from_columns(F, basis(src, q)[0], amb))
-                if X is None:
-                    raise ValueError(f"{name} not nested along a cover")
-                rest[(src, dst)] = X
+                span = basis(dst, q)[1]
+                cols = [span.coords(v) for v in basis(src, q)[0]]
+                if any(c is None for c in cols):
+                    raise InvariantViolation(f"{name} not nested along a cover")
+                rest[(src, dst)] = Matrix.from_columns(F, cols, dims[dst])
         result = cls(S, F, dims, rest, name=name)
         check_sheaf_functoriality(result)
         return result
@@ -315,7 +298,7 @@ class TorusSheafKit:
         the sheaf keeps the empty face, carrying the whole component."""
         S, F, amb = self.S, self.field, self.ext.dim(q)
         spans = [basis(e, q)[1] for e in range(S.size)]
-        free = [_free_columns(span) for span in spans]
+        free = [span.free_columns() for span in spans]
         dims = [len(cols) for cols in free]
         if cls is CellularCosheaf:
             dims[0] = 0
@@ -326,7 +309,7 @@ class TorusSheafKit:
                 for c in free[src]:
                     unit = [F.zero] * amb
                     unit[c] = F.one
-                    cols.append(_class(spans[dst], free[dst], unit))
+                    cols.append(spans[dst].quotient_coords(unit))
                 rest[(src, dst)] = Matrix.from_columns(F, cols, dims[dst])
         result = cls(S, F, dims, rest, include_empty=dims[0] > 0, name=name)
         check_sheaf_functoriality(result)
@@ -346,8 +329,7 @@ class TorusSheafKit:
 
     def quotient_class(self, elem: int, q: int, vec):
         """Coordinates of a degree-q form in the quotient basis at a face."""
-        _, span = self.ideal_basis(elem, q)
-        return _class(span, _free_columns(span), vec)
+        return self.ideal_basis(elem, q)[1].quotient_coords(vec)
 
     @_memoized
     def pi_cosheaf(self, q: int) -> CellularCosheaf:
@@ -372,7 +354,7 @@ class TorusSheafKit:
         return tensor(self.structure_sheaf(), self.quotient_sheaf(q))
 
     @_memoized
-    def sheaf_dims(self, kind: str, q: int, truncated: bool = True) -> dict:
+    def sheaf_dims(self, kind: str, q: int, truncated: bool) -> dict:
         """Cohomology dimensions of structure (x) `kind`^(q), computed once.
 
         `kind` is "ideal" or "quotient"; `truncated` is as in
@@ -432,7 +414,7 @@ def keylemma_check(S: SimplicialPoset, cmap: CharacteristicMap, field) -> KeyLem
     table = {}
     violations = []
     for q in range(kit.n + 1):
-        dims = kit.sheaf_dims("ideal", q)
+        dims = kit.sheaf_dims("ideal", q, True)
         for i in range(S.n):
             d = dims.get(i, 0)
             table[(i, q)] = d
@@ -463,7 +445,7 @@ def duality_check(S: SimplicialPoset, cmap: CharacteristicMap, field) -> Duality
     sheaf_side = {}
     cosheaf_side = {}
     for q in range(n + 1):
-        coh = kit.sheaf_dims("ideal", q)
+        coh = kit.sheaf_dims("ideal", q, True)
         hom = kit.cosheaf_dims("pi", q)
         for k in range(S.n):
             sheaf_side[(k, q)] = coh.get(k, 0)
@@ -512,8 +494,8 @@ def les_duality_check(S: SimplicialPoset, cmap: CharacteristicMap, field) -> Les
     connecting = {}
     passed = True
     for q in range(n + 1):
-        a = kit.sheaf_dims("ideal", q)
-        c = kit.sheaf_dims("quotient", q)
+        a = kit.sheaf_dims("ideal", q, True)
+        c = kit.sheaf_dims("quotient", q, True)
         ah = kit.cosheaf_dims("pi", q)
         ch = kit.cosheaf_dims("lambda/pi", q)
         copies = binom(n, q)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from torushom import complexes, job as job_module
+from torushom import complexes, job as job_module, torusalg
 from torushom.cli import main, build_parser, run, InputProblem
 from torushom.exactlin import Matrix
 from torushom.fixtures import preset_charmap, origami_annulus_profile
@@ -251,6 +251,18 @@ def test_exit_3_when_a_sheaf_is_not_functorial(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: invariant violated: sheaf functoriality fails on ")
+    assert captured.err.count("\n") == 1
+
+
+def test_exit_3_when_a_kit_invariant_fails(monkeypatch, capsys, files):
+    # the charmap is valid, so a wrong ideal dimension is a fault of the
+    # computation, not of the input
+    binom = torusalg.binom
+    monkeypatch.setattr(torusalg, "binom", lambda n, k: binom(n, k) + 1)
+    assert main(["verify", "--preset", "torus_7", "--charmap", files["t7"]]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invariant violated: ideal dimension off")
     assert captured.err.count("\n") == 1
 
 

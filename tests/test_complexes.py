@@ -11,6 +11,8 @@ from torushom.complexes import (
     chain_projection, induced_map, is_chain_map,
 )
 
+from test_exactlin import ref_solve_matrix
+
 
 def test_point_homology():
     S = build_from_facets([(1,)])
@@ -153,10 +155,13 @@ def test_induced_map_rejects_non_chain_map():
 class EagerProfile:
     """Every degree at once: kernel basis of d_k, pivot columns of
     d_{k-shift} as boundaries, and the cycles that enlarge their span as
-    representatives; the dimension is the number of representatives."""
+    representatives; the dimension is the number of representatives.
+    Class coordinates solve [representatives | boundaries] x = vec with
+    the reference elimination."""
 
     def __init__(self, cx):
         F = cx.field
+        self.field = F
         self.dims, self.representatives, self._solvers = {}, {}, {}
         for k in cx.degrees():
             nk = cx.dim(k)
@@ -179,12 +184,14 @@ class EagerProfile:
                     reps.append(z)
             self.dims[k] = len(reps)
             self.representatives[k] = reps
-            cols = reps + boundaries
-            self._solvers[k] = Matrix.from_columns(F, cols, nk) if cols else None
+            self._solvers[k] = [list(r) for r in zip(*(reps + boundaries))]
 
     def coords(self, k, vec):
         solver = self._solvers[k]
-        return [] if solver is None else solver.solve(vec)[:self.dims[k]]
+        if not solver:
+            return []
+        x = ref_solve_matrix(self.field, solver, [[a] for a in vec], len(solver[0]))
+        return [self.field(r[0]) for r in x[:self.dims[k]]]
 
 
 def _fixture_complexes(field):

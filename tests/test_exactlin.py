@@ -61,18 +61,6 @@ def test_rank_equals_transpose_rank(any_field):
         assert M.rank() + len(M.kernel_basis()) == n
 
 
-def test_solve_and_solve_matrix():
-    M = Matrix.from_int_rows(QQ, [[1, 2], [3, 4]])
-    x = M.solve([QQ(5), QQ(11)])
-    assert M.apply(x) == [Fraction(5), Fraction(11)]
-    B = Matrix.from_int_rows(QQ, [[1], [0]])
-    X = M.solve_matrix(B)
-    assert M.mul(X).equal(B)
-    # inconsistent system
-    N = Matrix.from_int_rows(QQ, [[1, 1], [1, 1]])
-    assert N.solve([QQ(0), QQ(1)]) is None
-
-
 def test_kron():
     A = Matrix.from_int_rows(QQ, [[1, 2]])
     B = Matrix.from_int_rows(QQ, [[0, 1], [1, 0]])
@@ -244,14 +232,24 @@ def test_rref_and_kernel_match_reference(case):
 
 @ORACLE
 @given(st.data())
-def test_solve_matrix_matches_reference(data):
-    F, A, n = data.draw(matrices(nrows=data.draw(st.integers(1, 5))))
-    _, B, k = data.draw(matrices(field=F, nrows=len(A)))
-    X = Matrix(F, A, n).solve_matrix(Matrix(F, B, k))
-    ref = ref_solve_matrix(F, A, B, n)
-    assert (X is None) == (ref is None)
-    if X is not None:
-        assert X.rows == canon(F, ref)
+def test_span_coords_match_reference(data):
+    # probes: random vectors (mostly outside a small span), the inputs, and
+    # random combinations of the inputs; an empty span comes with no inputs
+    F, vecs, n = data.draw(matrices())
+    _, probes, _ = data.draw(matrices(field=F, ncols=n))
+    weights = data.draw(st.lists(st.lists(_entry(F), min_size=len(vecs), max_size=len(vecs)),
+                                 max_size=3))
+    combos = [[sum_(F, [F(c * v[j]) for c, v in zip(w, vecs)]) for j in range(n)]
+              for w in weights]
+    span = IncrementalSpan(F, n)
+    basis = [v for v in vecs if span.add(v)]
+    columns = [list(r) for r in zip(*basis)] if basis else [[] for _ in range(n)]
+    for v in probes + vecs + combos:
+        x = span.coords(v)
+        ref = ref_solve_matrix(F, columns, [[a] for a in v], len(basis))
+        assert (x is None) == (ref is None)
+        if x is not None:
+            assert x == [F(r[0]) for r in ref]
 
 
 @ORACLE

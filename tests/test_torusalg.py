@@ -16,6 +16,8 @@ from torushom.sheaves import (
     standard_sheaf, _constant,
 )
 from torushom.facevec import binom
+from torushom.complexes import InvariantViolation
+from torushom.exactlin import Matrix, IncrementalSpan
 
 FIXTURES = ["boundary_of_simplex(2)", "boundary_of_simplex(3)",
             "cross_polytope_boundary(3)", "torus_7", "digon_cycle(2)"]
@@ -180,13 +182,30 @@ def test_inclusions_refuse_spans_that_are_not_nested(cls):
     kit = TorusSheafKit(S, preset_charmap("boundary_of_simplex(2)"), QQ)
     spans = {0: [], 1: [[QQ(1), QQ(0)]], 2: [[QQ(0), QQ(1)]]}
 
-    def basis(e, q):
-        return spans[S.ranks[e]], None
+    def spanned(vecs):
+        span = IncrementalSpan(QQ, 2)
+        return [v for v in vecs if span.add(v)], span
 
-    with pytest.raises(ValueError, match="not nested along a cover"):
+    def basis(e, q):
+        return spanned(spans[S.ranks[e]])
+
+    with pytest.raises(InvariantViolation, match="not nested along a cover"):
         kit._inclusions(cls, basis, 1, "crossed")
-    nested = kit._inclusions(cls, lambda e, q: (spans[min(S.ranks[e], 1)], None), 1, "same")
+    nested = kit._inclusions(cls, lambda e, q: spanned(spans[min(S.ranks[e], 1)]), 1, "same")
     assert all(m.rows == [[1]] for m in nested.rest.values()) and nested.rest
+
+
+def test_inclusions_make_no_rref(monkeypatch):
+    # every inclusion is read off the target's span, with no fresh elimination
+    S = preset("torus_7")
+    kit = TorusSheafKit(S, preset_charmap("torus_7"), QQ)
+    calls = []
+    rref = Matrix.rref
+    monkeypatch.setattr(Matrix, "rref", lambda self: calls.append(self) or rref(self))
+    for q in range(kit.n + 1):
+        kit.ideal_sheaf(q)
+        kit.pi_cosheaf(q)
+    assert calls == []
 
 
 def test_pi_form_nonzero_everywhere():
