@@ -1,9 +1,9 @@
 """Exact homology invariants of torus spaces over Buchsbaum simplicial posets."""
 
 from .field import QQ, PrimeField, Rationals, field_from_name
-from .poset import (SimplicialPoset, SubposetMask, PosetError, build_from_facets,
+from .poset import (SimplicialPoset, PosetError, build_from_facets,
                     build_from_cover_table, preset, validate, incidence_number,
-                    link, complement_of_link, face_counts)
+                    link, face_counts)
 from .complexes import (cellular_chain_complex, homology, induced_map, classify,
                         order_complex_homology, reduced_betti, betti,
                         InvariantViolation)
@@ -20,9 +20,9 @@ from .facering import relation_system, graded_quotient_rank, kernel_generators
 
 __all__ = [
     "QQ", "PrimeField", "Rationals", "field_from_name",
-    "SimplicialPoset", "SubposetMask", "PosetError", "build_from_facets",
+    "SimplicialPoset", "PosetError", "build_from_facets",
     "build_from_cover_table", "preset", "validate", "incidence_number", "link",
-    "complement_of_link", "face_counts",
+    "face_counts",
     "cellular_chain_complex", "homology", "induced_map", "classify",
     "order_complex_homology", "reduced_betti", "betti", "InvariantViolation",
     "CellularSheaf", "CellularCosheaf", "standard_sheaf", "tensor",

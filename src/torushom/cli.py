@@ -84,6 +84,10 @@ def load_profile(args, S, field):
         diag = validate_profile(S, P, field)
         if not diag.ok:
             raise InputProblem("invalid profile: " + "; ".join(diag.messages))
+        # the cone-only checks trust the tag, so it must name the cone's numbers
+        if P.source == "cone" and P != S.job(field).cone_profile:
+            raise InputProblem("profile is tagged 'cone' but is not the cone "
+                               "profile of this poset; tag it 'user'")
         return P
     return S.job(field).cone_profile
 

@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 
 from .exactlin import Matrix, IncrementalSpan
-from .poset import SimplicialPoset, SubposetMask, PosetError, incidence_number, \
-    link, mask_is_closed_downward
+from .poset import SimplicialPoset, PosetError, incidence_number, link
 
 
 class InvariantViolation(ValueError):
@@ -132,56 +131,38 @@ def homology(cx: GradedComplex) -> HomologyProfile:
 # ---------------------------------------------------------------------------
 # cellular complexes of simplicial posets
 
-def cellular_chain_complex(S: SimplicialPoset, field, relative_to: SubposetMask | None = None,
-                           reduced: bool = False) -> GradedComplex:
-    """Chain complex with one generator per poset element and d = sum [J:I].
+def cellular_chain_complex(S: SimplicialPoset, field, reduced: bool = False,
+                           star: int = 0) -> GradedComplex:
+    """Chain complex of the star of a face, one generator per face J >= `star`
+    and d = sum [J:I].
 
-    `reduced` includes the empty face in degree -1.  A relative complex
-    drops the generators of a downward-closed mask.
+    The generators of each degree are in id order.  The default star, the
+    empty face, gives every face of S, and `reduced` adds the empty face in
+    degree -1.  The star of a nonempty face I is the relative complex
+    C(S, S minus st I): the faces not above I span a subcomplex, and the
+    quotient by it keeps exactly the faces above I.
     """
-    if relative_to is not None and not mask_is_closed_downward(S, relative_to):
-        raise PosetError("relative mask is not downward closed")
-    masked = relative_to.member if relative_to is not None else [False] * S.size
+    if not 0 <= star < S.size:
+        raise PosetError(f"no element {star} in a poset of {S.size} elements")
     lowest = -1 if reduced else 0
-    labels = {}
-    for d in range(lowest, S.n):
-        ids = [i for i in S.elements_of_dim(d) if not masked[i]]
-        if d == -1:
-            ids = [0] if not masked[0] else []
-        labels[d] = ids
+    labels = {d: [] for d in range(lowest, S.n)}
+    for j in S.upper_set(star):
+        if S.ranks[j] > lowest:
+            labels[S.ranks[j] - 1].append(j)
     dims = {d: len(ids) for d, ids in labels.items()}
     index = {d: {e: k for k, e in enumerate(ids)} for d, ids in labels.items()}
     diff = {}
     for d in range(lowest + 1, S.n):
-        mat = Matrix.zero(field, dims.get(d - 1, 0), dims.get(d, 0))
+        mat = Matrix.zero(field, dims[d - 1], dims[d])
         for col, j in enumerate(labels[d]):
             for i in S.covers[j]:
-                if masked[i]:
-                    continue
-                sign = incidence_number(S, j, i)
-                mat.rows[index[d - 1][i]][col] = field(sign)
+                row = index[d - 1].get(i)
+                if row is not None:
+                    mat.rows[row][col] = field(incidence_number(S, j, i))
         diff[d] = mat
     cx = GradedComplex(field, dims, diff, shift=-1, labels=labels)
     cx.check_square_zero()
     return cx
-
-
-def chain_projection(S: SimplicialPoset, field, src: GradedComplex, dst: GradedComplex) -> dict:
-    """Degreewise projection between two cellular complexes of S.
-
-    The destination's generators must be a subset of the source's (a
-    quotient by a larger mask).  Returns per-degree matrices.
-    """
-    out = {}
-    for d, dst_ids in dst.labels.items():
-        src_ids = src.labels.get(d, [])
-        src_index = {e: k for k, e in enumerate(src_ids)}
-        mat = Matrix.zero(field, len(dst_ids), len(src_ids))
-        for row, e in enumerate(dst_ids):
-            if e in src_index:
-                mat.rows[row][src_index[e]] = field.one
-        out[d] = mat
-    return out
 
 
 def is_chain_map(f: dict, src: GradedComplex, dst: GradedComplex) -> bool:
@@ -249,8 +230,8 @@ def classify(S: SimplicialPoset, field) -> ClassifyReport:
 
     Buchsbaum: reduced link homology of every nonempty face vanishes off
     the top degree; Cohen-Macaulay additionally requires it for the empty
-    face (the poset itself).  Link homology is read off the relative
-    complexes H_*(S, S \\ lk I), which carry the same ranks shifted by |I|.
+    face (the poset itself).  Link homology is read off the star complexes:
+    H_*(S, S \\ st I) has the ranks of the reduced link homology shifted by |I|.
     """
     return S.job(field).classify
 
@@ -264,7 +245,7 @@ def classify_of(job) -> ClassifyReport:
     failures = []
     for j in range(1, S.size):
         for d, dim in job.link_dims[j].items():
-            # H_d(S, S \ lk j) = reduced H_{d - |j|}(lk j)
+            # H_d(S, S \ st j) = reduced H_{d - |j|}(lk j)
             if dim and d != n - 1:
                 failures.append((j, d - S.ranks[j], dim))
     buchsbaum = not failures

@@ -25,7 +25,8 @@ Characteristic map::
     2: 0 1 0
 
 Profile files are JSON objects with keys n, bQ, bQrel, rank_delta and an
-optional source tag.
+optional source tag, "user" (the default) or "cone"; the CLI accepts
+"cone" only on the cone profile of the poset.
 """
 from __future__ import annotations
 

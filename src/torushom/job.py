@@ -11,7 +11,7 @@ The job owns the poset's local homology: one `LocalHomologyData` build,
 made when first read.  `link_dims` reads its dimensions, which is all
 that `classify` needs, so a classification-only job (such as the F2, F3
 and F5 jobs of a report over Q) builds no restriction matrix and keeps
-its link complexes.  The first `structure_sheaf` request builds both
+its star complexes.  The first `structure_sheaf` request builds both
 structure sheaves from the same build and then releases the complexes;
 `link_dims` is read before, so neither order of the two requests builds
 twice.  Otherwise only small results are kept: dimension tables,
@@ -56,7 +56,7 @@ class Job:
 
     @cached_property
     def local_homology(self) -> LocalHomologyData:
-        """The relative complexes H_*(S, S minus lk j), built once.
+        """The star complexes of every face and their homology, built once.
 
         Released once the structure sheaves are built; a later read builds
         them again.
@@ -65,7 +65,7 @@ class Job:
 
     @cached_property
     def link_dims(self) -> tuple:
-        """Dimensions of H_*(S, S minus lk j) per element j (index 0: S itself)."""
+        """Dimensions of H_*(S, S minus st j) per element j (index 0: S itself)."""
         profiles = self.local_homology.profiles
         return tuple(dict(profiles[j].dims) for j in range(self.S.size))
 

@@ -5,7 +5,10 @@ empty face, id 0) in which every lower interval is a boolean lattice.
 Unlike a simplicial complex it may carry several faces with the same
 vertex set, so the general input format is a cover table; a facet list
 covers the complex case.  Element ids are dense integers assigned at
-build time and every downstream table indexes by id.
+build time and every downstream table indexes by id.  The star of a face
+I is its upper set {J >= I} (`upper_set`); the local homology complexes
+are the cellular complexes of stars (`complexes.cellular_chain_complex`),
+and the link is the star regraded with I as its empty face (`link`).
 """
 from __future__ import annotations
 
@@ -108,15 +111,6 @@ class SimplicialPoset:
 
     def upper_set(self, i):
         return [j for j in range(self.size) if self.leq(i, j)]
-
-
-@dataclass
-class SubposetMask:
-    member: list                # bool per element id
-    closed_downward: bool
-
-    def ids(self):
-        return [i for i, m in enumerate(self.member) if m]
 
 
 @dataclass
@@ -285,23 +279,6 @@ def link(S: SimplicialPoset, i: int) -> SimplicialPoset:
     return L
 
 
-def complement_of_link(S: SimplicialPoset, j: int) -> SubposetMask:
-    """Mask of S minus the upper set of j: downward closed, being the
-    complement of an upper set."""
-    if j == 0:
-        raise PosetError("complement of lk(empty face) is empty")
-    member = [not S.leq(j, i) for i in range(S.size)]
-    return SubposetMask(member, True)
-
-
-def mask_is_closed_downward(S: SimplicialPoset, mask: SubposetMask) -> bool:
-    for j in range(S.size):
-        if mask.member[j]:
-            if any(not mask.member[c] for c in S.covers[j]):
-                return False
-    return True
-
-
 def face_counts(S: SimplicialPoset):
     """f-vector (f_-1, f_0, ..., f_{n-1}); rejects non-pure posets."""
     if not S.is_pure():
@@ -343,6 +320,8 @@ def preset(name: str) -> SimplicialPoset:
             raise PosetError("digon_cycle needs c >= 1")
         return _digon_cycle(arg, name=name)
     if key == "torus_7":
+        if arg is not None:
+            raise PosetError(f"preset torus_7 takes no argument, got {name!r}")
         return build_from_facets(torus_7_facets(), name=name)
     raise PosetError(f"unknown preset {name!r}")
 

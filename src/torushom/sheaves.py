@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactlin import Matrix
-from .poset import SimplicialPoset, PosetError, incidence_number, complement_of_link
+from .poset import SimplicialPoset, PosetError, incidence_number
 from .complexes import (
-    GradedComplex, HomologyProfile, InvariantViolation, homology,
-    cellular_chain_complex, chain_projection,
+    GradedComplex, HomologyProfile, InvariantViolation, homology, cellular_chain_complex,
 )
 
 
@@ -221,55 +220,44 @@ def tensor(A: CellularSheaf, B: CellularSheaf) -> CellularSheaf:
 # the standard sheaves
 
 class LocalHomologyData:
-    """Relative complexes H_*(S, S minus lk j) for all j, with the reduced
-    complex of S itself at the empty face.  Shared backing store for the
-    local homology sheaves and the structure sheaf."""
+    """The star complexes C(S, S minus st j) of every face j, with their
+    homology: the local homology H_*(S, S minus st j), and at the empty face
+    the reduced homology of S.  Shared backing store for the local homology
+    sheaves and the structure sheaf.
+
+    A cover j1 < j2 puts the star of j2 inside the star of j1, so the chain
+    map behind each restriction keeps the coordinates of the generators of
+    j2's star and drops the rest.
+    """
 
     def __init__(self, S: SimplicialPoset, field):
         self.poset = S
         self.field = field
-        self.complexes = {}
-        self.profiles = {}
-        self.complexes[0] = cellular_chain_complex(S, field, reduced=True)
-        self.profiles[0] = homology(self.complexes[0])
-        for j in range(1, S.size):
-            cx = cellular_chain_complex(S, field, relative_to=complement_of_link(S, j),
-                                        reduced=True)
-            self.complexes[j] = cx
-            self.profiles[j] = homology(cx)
-
-    def stalk_dim(self, j, i):
-        if j == 0:
-            return 0
-        return self.profiles[j].dims.get(i, 0)
+        self.complexes = {j: cellular_chain_complex(S, field, reduced=True, star=j)
+                          for j in range(S.size)}
+        self.profiles = {j: homology(cx) for j, cx in self.complexes.items()}
 
     def restriction(self, j1, j2, i) -> Matrix:
         """Matrix of loc_i(j1 < j2) in the representative bases."""
-        proj = chain_projection(self.poset, self.field, self.complexes[j1],
-                                self.complexes[j2])
-        src = self.profiles[j1]
+        position = {e: k for k, e in enumerate(self.complexes[j1].labels[i])}
+        keep = [position[e] for e in self.complexes[j2].labels[i]]
         dst = self.profiles[j2]
-        cols = [dst.coords(i, proj[i].apply(z)) for z in src.representatives(i)]
-        return Matrix.from_columns(self.field, cols, dst.dims.get(i, 0))
+        cols = [dst.coords(i, [z[k] for k in keep])
+                for z in self.profiles[j1].representatives(i)]
+        return Matrix.from_columns(self.field, cols, dst.dims[i])
 
     def sheaf(self, degree, name, include_empty=False) -> CellularSheaf:
         """Local homology sheaf in `degree`, functoriality checked.
 
         With include_empty the empty face carries H_degree of the reduced
-        complex of S, restricted by the chain-level projections.
+        complex of S.
         """
         S = self.poset
-        dims = [self.stalk_dim(j, degree) for j in range(S.size)]
-        rest = {}
-        for i in range(1, S.size):
-            for j in S.covered_by[i]:
-                if dims[i] and dims[j]:
-                    rest[(i, j)] = self.restriction(i, j, degree)
-        if include_empty:
-            dims[0] = self.profiles[0].dims.get(degree, 0)
-            for v in S.covered_by[0]:
-                if dims[0] and dims[v]:
-                    rest[(0, v)] = self.restriction(0, v, degree)
+        dims = [self.profiles[j].dims.get(degree, 0) for j in range(S.size)]
+        if not include_empty:
+            dims[0] = 0
+        rest = {(i, j): self.restriction(i, j, degree)
+                for i, j in _covers(S, CellularSheaf) if dims[i] and dims[j]}
         sheaf = CellularSheaf(S, self.field, dims, rest, include_empty=include_empty,
                               name=name)
         check_sheaf_functoriality(sheaf)
@@ -298,12 +286,12 @@ def standard_sheaf(S: SimplicialPoset, field, kind: str, *, dim: int = 1,
 
     kind = "constant":        value `dim` on every nonempty face.
     kind = "upper_set":       value `dim` on faces above `element`.
-    kind = "local_homology":  stalks H_degree(S, S minus lk J), read off
-                              the job's local homology complexes.
+    kind = "local_homology":  stalks H_degree(S, S minus st J), read off
+                              the job's star complexes.
     kind = "structure":       local homology in top degree; with
                               include_empty the empty face carries the top
-                              reduced homology of S, restricted by the
-                              chain-level projections.  Built once per
+                              reduced homology of S, restricted along the
+                              inclusions of stars.  Built once per
                               (S, field) and shared.
 
     Local homology and structure sheaves are checked for functoriality.

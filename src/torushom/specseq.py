@@ -33,10 +33,12 @@ class ManifoldProfile:
 
     @classmethod
     def from_dict(cls, d):
+        source = str(d.get("source", "user"))
+        if source not in ("cone", "user"):
+            raise ValueError(f"profile source must be 'cone' or 'user', not {source!r}")
         return cls(int(d["n"]), tuple(int(x) for x in d["bQ"]),
                    tuple(int(x) for x in d["bQrel"]),
-                   tuple(int(x) for x in d["rank_delta"]),
-                   str(d.get("source", "user")))
+                   tuple(int(x) for x in d["rank_delta"]), source)
 
 
 def cone_profile(S: SimplicialPoset, field) -> ManifoldProfile:

@@ -6,6 +6,7 @@ import pytest
 from torushom import complexes, job as job_module, torusalg
 from torushom.cli import main, build_parser, run, InputProblem
 from torushom.exactlin import Matrix
+from torushom.field import QQ
 from torushom.fixtures import preset_charmap, origami_annulus_profile
 from torushom.formats import (
     write_charmap, write_profile, write_cover_table, parse_cover_table,
@@ -141,6 +142,32 @@ def test_exit_2_on_bad_input(capsys, tmp_path):
     assert main(["validate", "--poset", str(tmp_path / "missing.txt")]) == 2
 
 
+def test_exit_2_on_an_argument_to_a_preset_without_one(capsys):
+    assert main(["all", "--preset", "torus_7(3)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: preset torus_7 takes no argument, got 'torus_7(3)'\n"
+
+
+def test_cone_tag_must_name_the_cone_profile(files, tmp_path, capsys):
+    # the annulus numbers tagged "cone" would turn on the cone-only checks,
+    # which then fail on numbers that are not the cone's
+    prof = tmp_path / "tagged.json"
+    prof.write_text(json.dumps(dict(origami_annulus_profile().as_dict(), source="cone")))
+    assert main(["specseq", "--preset", "digon_cycle(2)", "--profile", str(prof)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not the cone profile" in captured.err
+    # the cone profile itself, written and read back, is accepted
+    cone = tmp_path / "cone.json"
+    cone.write_text(write_profile(preset("digon_cycle(2)").job(QQ).cone_profile))
+    reports = []
+    for argv in (["--profile", str(cone)], []):
+        assert main(["specseq", "--preset", "digon_cycle(2)", "--charmap", files["d2"]]
+                    + argv) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
 def test_exit_2_on_invalid_profile(files, tmp_path, capsys):
     prof = tmp_path / "bad_profile.json"
     data = origami_annulus_profile().as_dict()
@@ -219,6 +246,8 @@ def test_profile_parsing_errors():
         parse_profile(json.dumps({"n": 2, "bQ": [1, 0, 0]}))
     P = parse_profile(write_profile(origami_annulus_profile()))
     assert P == origami_annulus_profile()
+    with pytest.raises(FormatError, match="source must be 'cone' or 'user'"):
+        parse_profile(json.dumps(dict(P.as_dict(), source="orbifold")))
 
 
 def test_exit_3_when_d_squared_is_not_zero(monkeypatch, capsys):

@@ -3,12 +3,10 @@ import pytest
 from torushom.field import QQ, PrimeField
 from torushom.exactlin import Matrix, IncrementalSpan
 from torushom.fixtures import CHARMAPS
-from torushom.poset import preset, build_from_facets, complement_of_link, PosetError, \
-    SubposetMask
+from torushom.poset import preset, build_from_facets, PosetError
 from torushom.complexes import (
     cellular_chain_complex, homology, reduced_betti, betti, classify,
-    order_complex_homology, link_reduced_betti,
-    chain_projection, induced_map, is_chain_map,
+    order_complex_homology, link_reduced_betti, induced_map, is_chain_map,
 )
 
 from test_exactlin import ref_solve_matrix
@@ -97,12 +95,49 @@ def test_relative_example_triangle_edge():
     assert all(v == 0 for d, v in dims.items() if d != 1)
 
 
-def test_rejects_non_closed_mask():
+def _table(cx):
+    return (cx.labels, cx.dims, {d: m.rows for d, m in cx.diff.items()})
+
+
+@pytest.mark.parametrize("name", sorted(CHARMAPS))
+def test_star_of_the_empty_face_is_the_whole_complex(name, any_field):
+    # the star of the empty face is every face: with `reduced` it is the
+    # default complex plus the empty face, mapped to by every vertex
+    S = preset(name)
+    full = cellular_chain_complex(S, any_field)
+    star = cellular_chain_complex(S, any_field, reduced=True, star=0)
+    assert _table(star) == _table(cellular_chain_complex(S, any_field, reduced=True))
+    labels, dims, diff = _table(star)
+    assert labels.pop(-1) == [0] and dims.pop(-1) == 1
+    assert diff.pop(0) == [[any_field.one] * len(S.vertices())]
+    assert (labels, dims, diff) == _table(full)
+
+
+def test_star_of_a_maximal_face_is_one_generator():
+    S = preset("torus_7")
+    for top in S.maximal_elements():
+        cx = cellular_chain_complex(S, QQ, reduced=True, star=top)
+        assert cx.labels[2] == [top]
+        assert {d: cx.dim(d) for d in cx.degrees()} == {-1: 0, 0: 0, 1: 0, 2: 1}
+        assert homology(cx).dims == {-1: 0, 0: 0, 1: 0, 2: 1}
+
+
+def test_star_of_a_parallel_edge_excludes_the_other():
+    S = preset("digon_cycle(1)")
+    e1, e2 = S.elements_of_rank(2)
+    assert S.vertex_sets[e1] == S.vertex_sets[e2]
+    cx = cellular_chain_complex(S, QQ, reduced=True, star=e1)
+    assert cx.labels == {-1: [], 0: [], 1: [e1]}
+    # the star of a vertex holds both parallel edges
+    v = S.vertices()[0]
+    assert cellular_chain_complex(S, QQ, star=v).labels == {0: [v], 1: [e1, e2]}
+
+
+def test_star_outside_the_poset_is_refused():
     S = preset("boundary_of_simplex(2)")
-    bad = SubposetMask([True] * S.size, False)
-    bad.member[1] = False  # drop a vertex but keep the edges above it
-    with pytest.raises(PosetError):
-        cellular_chain_complex(S, QQ, relative_to=bad)
+    for star in (S.size, -1):
+        with pytest.raises(PosetError, match="no element"):
+            cellular_chain_complex(S, QQ, reduced=True, star=star)
 
 
 def test_classification():
@@ -129,10 +164,14 @@ def test_induced_map_identity_and_projection():
     ind = induced_map(ident, prof, prof)
     assert ind[1].rows[0][0] == 1
 
-    # projection onto the relative complex of an edge complement
+    # projection onto the star of an edge: keep the coordinates of its faces
     e = S.elements_of_rank(2)[0]
-    rel = cellular_chain_complex(S, QQ, relative_to=complement_of_link(S, e), reduced=True)
-    proj = chain_projection(S, QQ, cx, rel)
+    rel = cellular_chain_complex(S, QQ, reduced=True, star=e)
+    proj = {}
+    for d, ids in rel.labels.items():
+        proj[d] = Matrix.zero(QQ, len(ids), cx.dim(d))
+        for row, face in enumerate(ids):
+            proj[d].rows[row][cx.labels[d].index(face)] = QQ.one
     relprof = homology(rel)
     ind2 = induced_map(proj, prof, relprof)
     # the circle class maps isomorphically onto the relative degree-1 class
@@ -200,8 +239,7 @@ def _fixture_complexes(field):
         yield name, "absolute", cellular_chain_complex(S, field)
         yield name, "reduced", cellular_chain_complex(S, field, reduced=True)
         for j in range(1, S.size):
-            yield name, f"link {j}", cellular_chain_complex(
-                S, field, relative_to=complement_of_link(S, j), reduced=True)
+            yield name, f"star {j}", cellular_chain_complex(S, field, reduced=True, star=j)
 
 
 def _differences(field):

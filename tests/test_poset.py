@@ -2,8 +2,7 @@ import pytest
 
 from torushom.poset import (
     PosetError, build_from_facets, build_from_cover_table, preset, validate,
-    incidence_number, link, complement_of_link, face_counts, mask_is_closed_downward,
-    MAX_ELEMENTS,
+    incidence_number, link, face_counts, MAX_ELEMENTS,
 )
 
 
@@ -21,6 +20,12 @@ def test_presets_basic_counts():
     assert face_counts(preset("cross_polytope_boundary(3)")) == (1, 6, 12, 8)
     assert face_counts(preset("torus_7")) == (1, 7, 21, 14)
     assert face_counts(preset("digon_cycle(2)")) == (1, 4, 4)
+
+
+def test_preset_without_parameter_refuses_an_argument():
+    for name in ["torus_7(3)", " torus_7 (0) "]:
+        with pytest.raises(PosetError, match="takes no argument"):
+            preset(name)
 
 
 def test_size_bound_before_faces_are_built():
@@ -178,39 +183,6 @@ def test_link_of_link_is_link_of_join():
     join = L.source_ids[w]
     LJ = link(S, join)
     assert _graded_isomorphic(LL, LJ)
-
-
-def test_complement_of_link():
-    S = build_from_facets([(1, 2), (1, 3), (2, 3)])
-    by_vs = {S.vertex_sets[i]: i for i in range(S.size)}
-    e12 = by_vs[(1, 2)]
-    mask = complement_of_link(S, e12)
-    assert mask.closed_downward
-    ids = set(mask.ids())
-    assert ids == {i for i in range(S.size) if i != e12}
-    assert mask_is_closed_downward(S, mask)
-
-    # maximal element: complement misses only that cell
-    T = preset("torus_7")
-    top = T.maximal_elements()[0]
-    m = complement_of_link(T, top)
-    assert set(range(T.size)) - set(m.ids()) == {top}
-
-    # digon: complement of one parallel edge misses exactly that edge
-    D = preset("digon_cycle(1)")
-    e1, e2 = D.elements_of_rank(2)
-    m = complement_of_link(D, e1)
-    assert set(range(D.size)) - set(m.ids()) == {e1}
-
-    with pytest.raises(PosetError):
-        complement_of_link(S, 0)
-
-
-def test_complement_always_closed_downward():
-    for name in ["boundary_of_simplex(3)", "torus_7", "digon_cycle(2)"]:
-        S = preset(name)
-        for j in range(1, S.size):
-            assert complement_of_link(S, j).closed_downward
 
 
 def test_face_counts_rejects_non_pure():

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from torushom.field import QQ, PrimeField
@@ -109,7 +112,7 @@ def test_buchsbaum_iff_local_homology_vanishes():
         S = preset(name)
         rep = classify(S, QQ)
         data = LocalHomologyData(S, QQ)
-        vanish = all(data.stalk_dim(j, i) == 0
+        vanish = all(data.profiles[j].dims[i] == 0
                      for j in range(1, S.size) for i in range(0, S.n - 1))
         assert rep.buchsbaum == vanish == expect
     # a non-Buchsbaum example: two triangles glued along an edge, plus a dangling
@@ -118,7 +121,7 @@ def test_buchsbaum_iff_local_homology_vanishes():
     rep = classify(S, QQ)
     assert not rep.buchsbaum
     data = LocalHomologyData(S, QQ)
-    vanish = all(data.stalk_dim(j, i) == 0
+    vanish = all(data.profiles[j].dims[i] == 0
                  for j in range(1, S.size) for i in range(0, S.n - 1))
     assert not vanish
 
@@ -228,8 +231,59 @@ def test_sheaf_dump_roundtrip_golden():
     dump = sheaf_dump(sheaf)
     assert dump["stalk_dims"] == [0, 1, 1, 1, 1, 1, 1]
     assert all(rows == [["1"]] for rows in dump["covers"].values())
-    import json
     assert json.dumps(dump, sort_keys=True) == json.dumps(dump, sort_keys=True)
+
+
+# sha256 of the JSON dumps of the structure sheaf without and with its
+# empty-face stalk, recorded while the local homology complexes were still
+# built as quotients by subposet masks; pins every restriction matrix
+STRUCTURE_GOLDEN = {
+    ("boundary_of_simplex(2)", "Q"):
+        "e8a27368dbf17bae801590db4cd520530bd779f112fbac1edda089fbf6ec0b57",
+    ("boundary_of_simplex(2)", "F2"):
+        "fbc530756cc1a239ddf4e7291d2d6be1790c4057b8ad4963963abf8ef7fd59ce",
+    ("boundary_of_simplex(2)", "F3"):
+        "d52aac564591e6e5401323d904cb38fd7ac3912172594d72713a9f642adcf27f",
+    ("boundary_of_simplex(3)", "Q"):
+        "d10005e3166ddd4f1f6a44131bf393422592f434b69945692c3e0cc0689a8e63",
+    ("boundary_of_simplex(3)", "F2"):
+        "fa88787dce700284cfd161c0360510f554a072a502a65ccbc90ec8475de20f86",
+    ("boundary_of_simplex(3)", "F3"):
+        "9071474d395269d1141737c2d7216548d22ed265b3e1e90285e3a5d5d4be2494",
+    ("cross_polytope_boundary(3)", "Q"):
+        "f399fcef6f91afe0278ab91877483f6795d2d842294ca1e642bd427b5a16c7d1",
+    ("cross_polytope_boundary(3)", "F2"):
+        "c4fe3a899b36dc6e8e161ac4edb14b892bacaf47ec7cc21dcc790c7cb270a451",
+    ("cross_polytope_boundary(3)", "F3"):
+        "45ddcf1ea5adef5d716f9a75c4717900f064a14734d6d4a8c59212186b26eaa9",
+    ("digon_cycle(1)", "Q"):
+        "f83d779564280221c15081535cb3c255d58b79416539dd1dfe5becca611cf999",
+    ("digon_cycle(1)", "F2"):
+        "c3efa6abed2f515e3847972fc00d05de6d19bab8c82a3b0c3b8942fb6a228c6a",
+    ("digon_cycle(1)", "F3"):
+        "f94b1f6a828e19c8009de3f041ff6aa96c6ed0430a1817314b55fdff9c4d2d11",
+    ("digon_cycle(2)", "Q"):
+        "e46aa4ecbedc884793cee5c60ed3a05f62f1cbca9233fac3c38473a4f76ea6e2",
+    ("digon_cycle(2)", "F2"):
+        "2cf5ffb7483d50cd05c2965bac84c2e24ce2495c3cc9ea3f68052b4f5eeeebbb",
+    ("digon_cycle(2)", "F3"):
+        "2c173b06f57e3ebbbae17bbe952777137fbaae97b63b66d9bb7ecbed03df83bc",
+    ("torus_7", "Q"):
+        "1cd72068417199087581d80ece8ae42651df97eb28b13355d87cb37191216e77",
+    ("torus_7", "F2"):
+        "c2d435fea226469482bce25146ff09d841f6b9c43b9d04c49acd1b7ea2459079",
+    ("torus_7", "F3"):
+        "c61dadfe1588f8be207bd367d9ed8853a00447983eb48e3c9426f99b714e3a41",
+}
+
+
+@pytest.mark.parametrize("key", sorted(STRUCTURE_GOLDEN), ids=lambda k: f"{k[0]}-{k[1]}")
+def test_structure_sheaf_matches_golden(key):
+    name, field = key
+    job = preset(name).job(QQ if field == "Q" else PrimeField(int(field[1:])))
+    dumps = [sheaf_dump(job.structure_sheaf(e)) for e in (False, True)]
+    digest = hashlib.sha256(json.dumps(dumps, sort_keys=True).encode()).hexdigest()
+    assert digest == STRUCTURE_GOLDEN[key]
 
 
 def test_functoriality_check_fails_on_a_broken_square():
