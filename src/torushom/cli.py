@@ -20,8 +20,7 @@ from .poset import PosetError, preset as poset_preset, validate, face_counts
 from .complexes import InvariantViolation, classify
 from .facevec import face_vectors, ft_consistency_check, dehn_sommerville_check
 from .torusalg import keylemma_check, duality_check, les_duality_check
-from .specseq import (validate_profile, bigraded_betti, theorem_checks,
-                      e2_border_sheaf_crosscheck)
+from .specseq import bigraded_betti, theorem_checks, e2_border_sheaf_crosscheck
 from .facering import relation_system, graded_quotient_rank, kernel_generators
 from .formats import (FormatError, parse_cover_table, parse_facet_list,
                       parse_charmap, parse_profile)
@@ -80,15 +79,7 @@ def load_charmap(args):
 
 def load_profile(args, S, field):
     if args.profile:
-        P = parse_profile(_read(args.profile))
-        diag = validate_profile(S, P, field)
-        if not diag.ok:
-            raise InputProblem("invalid profile: " + "; ".join(diag.messages))
-        # the cone-only checks trust the tag, so it must name the cone's numbers
-        if P.source == "cone" and P != S.job(field).cone_profile:
-            raise InputProblem("profile is tagged 'cone' but is not the cone "
-                               "profile of this poset; tag it 'user'")
-        return P
+        return parse_profile(_read(args.profile))     # validated where it is used
     return S.job(field).cone_profile
 
 

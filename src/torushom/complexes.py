@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 
 from .exactlin import Matrix, IncrementalSpan
+from .field import QQ
 from .poset import SimplicialPoset, PosetError, incidence_number, link
 
 
@@ -67,9 +68,6 @@ class HomologyProfile:
         self.dims = {k: cx.dim(k) - ranks.get(k, 0) - ranks.get(k - cx.shift, 0)
                      for k in cx.degrees()}
         self._bases = {}      # degree -> (cycles, boundaries, representatives, span)
-
-    def betti(self):
-        return dict(self.dims)
 
     def _basis(self, k):
         if k not in self._bases:
@@ -131,38 +129,42 @@ def homology(cx: GradedComplex) -> HomologyProfile:
 # ---------------------------------------------------------------------------
 # cellular complexes of simplicial posets
 
-def cellular_chain_complex(S: SimplicialPoset, field, reduced: bool = False,
-                           star: int = 0) -> GradedComplex:
-    """Chain complex of the star of a face, one generator per face J >= `star`
-    and d = sum [J:I].
+def cellular_chain_complex(S: SimplicialPoset, field, star: int = 0) -> GradedComplex:
+    """Reduced chain complex of the star of a face, one generator per face
+    J >= `star` and d = sum [J:I].
 
-    The generators of each degree are in id order.  The default star, the
-    empty face, gives every face of S, and `reduced` adds the empty face in
-    degree -1.  The star of a nonempty face I is the relative complex
-    C(S, S minus st I): the faces not above I span a subcomplex, and the
-    quotient by it keeps exactly the faces above I.
+    The generators of each degree are in id order.  The star of the empty
+    face (the default) is every face: the augmented complex of S.  The star
+    of a nonempty face I is the relative complex C(S, S minus st I): the
+    faces not above I span a subcomplex, and the quotient keeps the rest.
+    The entries are incidence signs, so the complex is built and checked
+    once per poset over Z (`S._stars`); d∘d = 0 over Z holds over every
+    field.  Each call maps its rows into `field` and shares its read-only
+    `dims` and `labels`.
     """
     if not 0 <= star < S.size:
         raise PosetError(f"no element {star} in a poset of {S.size} elements")
-    lowest = -1 if reduced else 0
-    labels = {d: [] for d in range(lowest, S.n)}
-    for j in S.upper_set(star):
-        if S.ranks[j] > lowest:
+    cx = S._stars.get(star)
+    if cx is None:
+        labels = {d: [] for d in range(-1, S.n)}
+        for j in S.upper_set(star):
             labels[S.ranks[j] - 1].append(j)
-    dims = {d: len(ids) for d, ids in labels.items()}
-    index = {d: {e: k for k, e in enumerate(ids)} for d, ids in labels.items()}
-    diff = {}
-    for d in range(lowest + 1, S.n):
-        mat = Matrix.zero(field, dims[d - 1], dims[d])
-        for col, j in enumerate(labels[d]):
-            for i in S.covers[j]:
-                row = index[d - 1].get(i)
-                if row is not None:
-                    mat.rows[row][col] = field(incidence_number(S, j, i))
-        diff[d] = mat
-    cx = GradedComplex(field, dims, diff, shift=-1, labels=labels)
-    cx.check_square_zero()
-    return cx
+        dims = {d: len(ids) for d, ids in labels.items()}
+        index = {d: {e: k for k, e in enumerate(ids)} for d, ids in labels.items()}
+        signs = {}
+        for d in range(S.n):
+            mat = Matrix.zero(QQ, dims[d - 1], dims[d])
+            for col, j in enumerate(labels[d]):
+                for i in S.covers[j]:
+                    row = index[d - 1].get(i)
+                    if row is not None:
+                        mat.rows[row][col] = incidence_number(S, j, i)
+            signs[d] = mat
+        cx = GradedComplex(QQ, dims, signs, shift=-1, labels=labels)
+        cx.check_square_zero()
+        S._stars[star] = cx
+    diff = {d: Matrix.from_int_rows(field, m.rows, m.ncols) for d, m in cx.diff.items()}
+    return GradedComplex(field, cx.dims, diff, shift=-1, labels=cx.labels)
 
 
 def is_chain_map(f: dict, src: GradedComplex, dst: GradedComplex) -> bool:
@@ -206,12 +208,6 @@ def betti(S: SimplicialPoset, field) -> dict:
     return dict(S.job(field).betti)
 
 
-def cellular_betti(S: SimplicialPoset, field, reduced: bool) -> dict:
-    """Betti numbers of |S| from one cellular complex, from degree -1 if reduced."""
-    prof = homology(cellular_chain_complex(S, field, reduced=reduced))
-    return {d: prof.dims.get(d, 0) for d in range(-1 if reduced else 0, S.n)}
-
-
 @dataclass
 class ClassifyReport:
     buchsbaum: bool
@@ -241,20 +237,12 @@ def classify_of(job) -> ClassifyReport:
     S = job.S
     if not S.is_pure():
         return ClassifyReport(False, False, False, [(-1, -1, -1)])
-    n = S.n
-    failures = []
-    for j in range(1, S.size):
-        for d, dim in job.link_dims[j].items():
-            # H_d(S, S \ st j) = reduced H_{d - |j|}(lk j)
-            if dim and d != n - 1:
-                failures.append((j, d - S.ranks[j], dim))
-    buchsbaum = not failures
-    global_failures = []
-    for d, dim in job.reduced_betti.items():
-        if dim and d != n - 1:
-            global_failures.append((0, d, dim))
-    return ClassifyReport(buchsbaum, buchsbaum and not global_failures, True,
-                          failures + global_failures)
+    # H_d(S, S \ st j) = reduced H_{d - |j|}(lk j); the star of the empty
+    # face is S itself, whose failures are the global ones and come last
+    failures = [(j, d - S.ranks[j], dim) for j in [*range(1, S.size), 0]
+                for d, dim in job.link_dims[j].items() if dim and d != S.n - 1]
+    buchsbaum = all(j == 0 for j, _, _ in failures)
+    return ClassifyReport(buchsbaum, not failures, True, failures)
 
 
 def link_reduced_betti(S: SimplicialPoset, field, i: int) -> dict:

@@ -76,7 +76,8 @@ class Matrix:
 
     @classmethod
     def from_int_rows(cls, field, rows, ncols=None):
-        return cls(field, [[field(v) for v in r] for r in rows], ncols)
+        p = field.char
+        return cls(field, [[v % p for v in r] for r in rows] if p else rows, ncols)
 
     @classmethod
     def zero(cls, field, nrows, ncols):

@@ -17,7 +17,7 @@ from .exactlin import Matrix, IncrementalSpan
 from .poset import SimplicialPoset, PosetError, incidence_number
 from .complexes import homology
 from .sheaves import standard_sheaf, cochain_complex
-from .specseq import ManifoldProfile
+from .specseq import ManifoldProfile, validate_profile
 from .torusalg import CharacteristicMap, coefficient_CAI
 
 
@@ -111,16 +111,21 @@ def relation_system(S: SimplicialPoset, cmap: CharacteristicMap, field,
     characteristic map of rank equal to the poset rank.  Second-kind rows
     need the cone profile: a user profile does not determine which classes
     the connecting maps hit, so for user profiles only the first kind is
-    built and the second is marked unavailable.
+    built and the second is marked unavailable.  An invalid profile raises.
 
     `sgn_flips` negates the determinant coefficient of the listed subsets
     and `flip_orientation` negates every trivialization unit; both leave
     all ranks invariant and exist exactly so tests can assert that.
     """
     n = S.n
+    job = S.job(field)
+    if profile is None:
+        profile = job.cone_profile
+    diag = validate_profile(S, profile, field)
+    if not diag.ok:
+        raise PosetError("invalid profile: " + "; ".join(diag.messages))
     if cmap.n != n:
         raise PosetError("face ring needs torus rank equal to the poset rank")
-    job = S.job(field)
     if not job.classify.buchsbaum:
         raise PosetError("poset is not Buchsbaum over the active field")
     rep = job.charmap_report(cmap)
@@ -133,8 +138,6 @@ def relation_system(S: SimplicialPoset, cmap: CharacteristicMap, field,
     orientation = dict(cons.orientation)
     if flip_orientation:
         orientation = {k: field(-v) for k, v in orientation.items()}
-    if profile is None:
-        profile = job.cone_profile
     sgn_flips = frozenset(tuple(sorted(a)) for a in sgn_flips)
 
     subsets = {q: [tuple(c) for c in combinations(range(1, n + 1), q)]

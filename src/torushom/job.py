@@ -7,24 +7,24 @@ computes each of these on first use and keeps it.  It is reached from
 the poset (`SimplicialPoset.job(field)`), so no layer takes a cache
 argument and the cache lives exactly as long as the poset.
 
-The job owns the poset's local homology: one `LocalHomologyData` build,
-made when first read.  `link_dims` reads its dimensions, which is all
-that `classify` needs, so a classification-only job (such as the F2, F3
-and F5 jobs of a report over Q) builds no restriction matrix and keeps
-its star complexes.  The first `structure_sheaf` request builds both
-structure sheaves from the same build and then releases the complexes;
-`link_dims` is read before, so neither order of the two requests builds
-twice.  Otherwise only small results are kept: dimension tables,
-reports, profiles, the pages and the two structure sheaves.  The
-structure sheaf's cohomology is kept as dimensions
-(`structure_cohomology`), and the kits keep cohomology as dimensions
-only.
+The job owns the poset's local homology over its field, made when first
+read: each integer star complex of the poset is mapped into the field and
+ranked on first use.  The Betti numbers are the homology of star 0, so a
+job that reads only them ranks one star.  `link_dims` reads every star's
+dimensions, which is all that `classify` needs, so a classification-only
+job (such as the F2, F3 and F5 jobs of a report over Q) builds no
+restriction matrix.  The first `structure_sheaf` request builds both
+structure sheaves from the same profiles and then releases them, after
+reading `link_dims` and `reduced_betti`, so no order of the requests
+ranks a star twice.  Otherwise only small results are kept: dimension
+tables, reports, profiles, the pages, the two structure sheaves, and the
+cohomology of the structure sheaf and of the kits as dimensions only.
 """
 from __future__ import annotations
 
 from functools import cached_property
 
-from .complexes import cellular_betti, classify_of
+from .complexes import classify_of
 from .facevec import face_vectors_of
 from .poset import PosetError
 from .sheaves import LocalHomologyData, constancy_check, sheaf_cohomology
@@ -48,31 +48,34 @@ class Job:
 
     @cached_property
     def reduced_betti(self) -> dict:
-        return cellular_betti(self.S, self.field, reduced=True)
+        """Reduced Betti numbers of |S|, degrees -1..n-1: the homology of star 0."""
+        return dict(self.local_homology.profile(0).dims)
 
     @cached_property
     def betti(self) -> dict:
-        return cellular_betti(self.S, self.field, reduced=False)
+        """Betti numbers of |S|: the augmentation removes one class in degree 0."""
+        return {d: self.reduced_betti[d] + (d == 0) for d in range(self.S.n)}
 
     @cached_property
     def local_homology(self) -> LocalHomologyData:
-        """The star complexes of every face and their homology, built once.
+        """The homology of every star complex, each ranked on first read.
 
-        Released once the structure sheaves are built; a later read builds
-        them again.
+        Released once the structure sheaves are built; a later read ranks
+        the stars again.
         """
         return LocalHomologyData(self.S, self.field)
 
     @cached_property
     def link_dims(self) -> tuple:
         """Dimensions of H_*(S, S minus st j) per element j (index 0: S itself)."""
-        profiles = self.local_homology.profiles
-        return tuple(dict(profiles[j].dims) for j in range(self.S.size))
+        local = self.local_homology
+        return tuple(dict(local.profile(j).dims) for j in range(self.S.size))
 
     @cached_property
     def _structure_sheaves(self) -> tuple:
         """(without, with) the empty-face stalk; releases `local_homology`."""
-        self.link_dims                  # read before the complexes go
+        self.link_dims                  # read before the profiles go
+        self.reduced_betti
         sheaves = self.local_homology.structure_sheaves()
         vars(self).pop("local_homology", None)
         return sheaves
@@ -107,7 +110,7 @@ class Job:
 
     def pages(self, P):
         """The first, second and limit pages for the profile P."""
-        key = (P.n, tuple(P.bQ), tuple(P.bQrel), tuple(P.rank_delta))
+        key = (P.n, tuple(P.bQ), tuple(P.bQrel), tuple(P.rank_delta), P.source)
         if key not in self._pages:
             self._pages[key] = pages_of(self, P)
         return self._pages[key]

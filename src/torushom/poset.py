@@ -9,6 +9,7 @@ build time and every downstream table indexes by id.  The star of a face
 I is its upper set {J >= I} (`upper_set`); the local homology complexes
 are the cellular complexes of stars (`complexes.cellular_chain_complex`),
 and the link is the star regraded with I as its empty face (`link`).
+The star complexes are cached over the integers in `_stars`.
 """
 from __future__ import annotations
 
@@ -31,8 +32,8 @@ class SimplicialPoset:
     """An immutable simplicial poset.
 
     The tables are tuples, and equality and hashing are by identity, so a
-    poset keys caches in O(1).  The invariants derived from it are cached
-    per field in its jobs (`job`) and live as long as the poset does.
+    poset keys caches in O(1).  Its jobs (`job`) and its integer star
+    complexes (`_stars`) live as long as the poset does.
     """
 
     ranks: tuple
@@ -44,6 +45,7 @@ class SimplicialPoset:
     covered_by: tuple = dfield(init=False, repr=False)
     below: tuple = dfield(init=False, repr=False)
     _jobs: dict = dfield(init=False, repr=False)
+    _stars: dict = dfield(init=False, repr=False)
 
     def __post_init__(self):
         ranks = tuple(self.ranks)
@@ -63,7 +65,8 @@ class SimplicialPoset:
                   "covers": covers,
                   "covered_by": tuple(tuple(sorted(v)) for v in covered_by),
                   "below": tuple(frozenset(b) for b in below),
-                  "_jobs": {}}
+                  "_jobs": {},
+                  "_stars": {}}
         for attr, value in tables.items():
             object.__setattr__(self, attr, value)
 

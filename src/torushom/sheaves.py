@@ -38,9 +38,6 @@ class CellularSheaf:
 
     _step = +1
 
-    def stalk_dim(self, i):
-        return self.stalk_dims[i]
-
     def restriction(self, i, j) -> Matrix:
         """The map between the stalks of i <= j (from i to j for a sheaf,
         from j to i for a cosheaf), composed along one saturated chain."""
@@ -220,10 +217,10 @@ def tensor(A: CellularSheaf, B: CellularSheaf) -> CellularSheaf:
 # the standard sheaves
 
 class LocalHomologyData:
-    """The star complexes C(S, S minus st j) of every face j, with their
-    homology: the local homology H_*(S, S minus st j), and at the empty face
-    the reduced homology of S.  Shared backing store for the local homology
-    sheaves and the structure sheaf.
+    """The homology of the star complex C(S, S minus st j) of every face j,
+    ranked on first read (`profile(j)`): the local homology, and at the
+    empty face the reduced homology of S.  Backs the local homology sheaves
+    and the structure sheaf.
 
     A cover j1 < j2 puts the star of j2 inside the star of j1, so the chain
     map behind each restriction keeps the coordinates of the generators of
@@ -233,17 +230,22 @@ class LocalHomologyData:
     def __init__(self, S: SimplicialPoset, field):
         self.poset = S
         self.field = field
-        self.complexes = {j: cellular_chain_complex(S, field, reduced=True, star=j)
-                          for j in range(S.size)}
-        self.profiles = {j: homology(cx) for j, cx in self.complexes.items()}
+        self._profiles = {}
+
+    def profile(self, j) -> HomologyProfile:
+        """The homology of the star complex of j, which it holds."""
+        prof = self._profiles.get(j)
+        if prof is None:
+            cx = cellular_chain_complex(self.poset, self.field, star=j)
+            prof = self._profiles[j] = homology(cx)
+        return prof
 
     def restriction(self, j1, j2, i) -> Matrix:
         """Matrix of loc_i(j1 < j2) in the representative bases."""
-        position = {e: k for k, e in enumerate(self.complexes[j1].labels[i])}
-        keep = [position[e] for e in self.complexes[j2].labels[i]]
-        dst = self.profiles[j2]
-        cols = [dst.coords(i, [z[k] for k in keep])
-                for z in self.profiles[j1].representatives(i)]
+        src, dst = self.profile(j1), self.profile(j2)
+        position = {e: k for k, e in enumerate(src.complex.labels[i])}
+        keep = [position[e] for e in dst.complex.labels[i]]
+        cols = [dst.coords(i, [z[k] for k in keep]) for z in src.representatives(i)]
         return Matrix.from_columns(self.field, cols, dst.dims[i])
 
     def sheaf(self, degree, name, include_empty=False) -> CellularSheaf:
@@ -253,7 +255,7 @@ class LocalHomologyData:
         complex of S.
         """
         S = self.poset
-        dims = [self.profiles[j].dims.get(degree, 0) for j in range(S.size)]
+        dims = [self.profile(j).dims.get(degree, 0) for j in range(S.size)]
         if not include_empty:
             dims[0] = 0
         rest = {(i, j): self.restriction(i, j, degree)

@@ -67,7 +67,8 @@ class ProfileDiagnostics:
 
 
 def validate_profile(S: SimplicialPoset, P: ManifoldProfile, field) -> ProfileDiagnostics:
-    """Long-exact-sequence consistency of the profile against b(|S|)."""
+    """Long-exact-sequence consistency of the profile against b(|S|); a
+    profile tagged "cone" must be the cone profile."""
     msgs = []
     n = S.n
     if P.n != n:
@@ -100,6 +101,10 @@ def validate_profile(S: SimplicialPoset, P: ManifoldProfile, field) -> ProfileDi
         if P.bQ[i] != incoming + outgoing:
             msgs.append(f"degree {i}: b_i(Q) = {P.bQ[i]} but the exact sequence "
                         f"forces {incoming} + {outgoing}")
+    # the cone-only checks trust the tag, so it must name the cone's numbers
+    if P.source == "cone" and P != S.job(field).cone_profile:
+        msgs.append("profile is tagged 'cone' but is not the cone profile of this "
+                    "poset; tag it 'user'")
     return ProfileDiagnostics(not msgs, msgs)
 
 
@@ -141,14 +146,14 @@ def pages(S: SimplicialPoset, P: ManifoldProfile, field):
 def pages_of(job, P: ManifoldProfile):
     """The uncached work of `pages`."""
     S = job.S
+    diag = validate_profile(S, P, job.field)
+    if not diag.ok:
+        raise PosetError("invalid profile: " + "; ".join(diag.messages))
     verdict = job.classify
     if not verdict.buchsbaum:
         raise PosetError(f"the spectral-sequence pages need a Buchsbaum poset; this one is "
                          f"not Buchsbaum over {job.field.name} (failures as element, "
                          f"degree, dim: {[list(f) for f in verdict.failures]})")
-    diag = validate_profile(S, P, job.field)
-    if not diag.ok:
-        raise PosetError("invalid profile: " + "; ".join(diag.messages))
     n = S.n
     fv = job.face_vectors
     b = job.betti
@@ -341,19 +346,17 @@ class TheoremReport:
         return {"passed": self.passed, "checks": self.checks}
 
 
-def theorem_checks(S: SimplicialPoset, P: ManifoldProfile, field,
-                   manifold: bool | None = None) -> TheoremReport:
+def theorem_checks(S: SimplicialPoset, P: ManifoldProfile, field) -> TheoremReport:
     """Every border and duality statement the pages must satisfy.
 
-    `manifold` tells whether the structure sheaf is constant (orientable
-    homology manifold); when None it is computed.
+    The manifold statements apply when the structure sheaf is constant
+    (an orientable homology manifold over the field).
     """
     job = S.job(field)
     n = S.n
     fv = job.face_vectors
     e1plus, e2, einf = job.pages(P)
-    if manifold is None:
-        manifold = job.constancy.is_constant
+    manifold = job.constancy.is_constant
     checks = {}
 
     border = {}

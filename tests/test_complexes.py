@@ -5,7 +5,7 @@ from torushom.exactlin import Matrix, IncrementalSpan
 from torushom.fixtures import CHARMAPS
 from torushom.poset import preset, build_from_facets, PosetError
 from torushom.complexes import (
-    cellular_chain_complex, homology, reduced_betti, betti, classify,
+    GradedComplex, cellular_chain_complex, homology, reduced_betti, betti, classify,
     order_complex_homology, link_reduced_betti, induced_map, is_chain_map,
 )
 
@@ -14,13 +14,13 @@ from test_exactlin import ref_solve_matrix
 
 def test_point_homology():
     S = build_from_facets([(1,)])
-    prof = homology(cellular_chain_complex(S, QQ, reduced=False))
-    assert prof.dims[0] == 1
+    assert betti(S, QQ) == {0: 1}
+    assert reduced_betti(S, QQ) == {-1: 0, 0: 0}
 
 
 def test_circle_homology_reduced():
     S = preset("boundary_of_simplex(2)")
-    cx = cellular_chain_complex(S, QQ, reduced=True)
+    cx = cellular_chain_complex(S, QQ)
     assert {d: cx.dim(d) for d in cx.degrees()} == {-1: 1, 0: 3, 1: 3}
     prof = homology(cx)
     assert prof.dims.get(0, 0) == 0
@@ -95,28 +95,29 @@ def test_relative_example_triangle_edge():
     assert all(v == 0 for d, v in dims.items() if d != 1)
 
 
-def _table(cx):
-    return (cx.labels, cx.dims, {d: m.rows for d, m in cx.diff.items()})
-
-
 @pytest.mark.parametrize("name", sorted(CHARMAPS))
 def test_star_of_the_empty_face_is_the_whole_complex(name, any_field):
-    # the star of the empty face is every face: with `reduced` it is the
-    # default complex plus the empty face, mapped to by every vertex
+    # the star of the empty face is every face, with the empty face in
+    # degree -1 mapped to by every vertex: the augmented complex of S
     S = preset(name)
-    full = cellular_chain_complex(S, any_field)
-    star = cellular_chain_complex(S, any_field, reduced=True, star=0)
-    assert _table(star) == _table(cellular_chain_complex(S, any_field, reduced=True))
-    labels, dims, diff = _table(star)
-    assert labels.pop(-1) == [0] and dims.pop(-1) == 1
-    assert diff.pop(0) == [[any_field.one] * len(S.vertices())]
-    assert (labels, dims, diff) == _table(full)
+    cx = cellular_chain_complex(S, any_field)
+    assert sorted(j for ids in cx.labels.values() for j in ids) == list(range(S.size))
+    assert cx.labels[-1] == [0] and cx.dims[-1] == 1
+    assert cx.d(0).rows == [[any_field.one] * len(S.vertices())]
+    # without the augmentation it is the cellular complex of S, whose
+    # homology has one class more than the reduced one, in degree 0
+    plain = GradedComplex(any_field, {d: k for d, k in cx.dims.items() if d >= 0},
+                          {d: m for d, m in cx.diff.items() if d >= 1}, shift=-1)
+    rb = reduced_betti(S, any_field)
+    assert rb[-1] == 0
+    assert homology(plain).dims == betti(S, any_field) == {d: rb[d] + (d == 0)
+                                                            for d in range(S.n)}
 
 
 def test_star_of_a_maximal_face_is_one_generator():
     S = preset("torus_7")
     for top in S.maximal_elements():
-        cx = cellular_chain_complex(S, QQ, reduced=True, star=top)
+        cx = cellular_chain_complex(S, QQ, star=top)
         assert cx.labels[2] == [top]
         assert {d: cx.dim(d) for d in cx.degrees()} == {-1: 0, 0: 0, 1: 0, 2: 1}
         assert homology(cx).dims == {-1: 0, 0: 0, 1: 0, 2: 1}
@@ -126,18 +127,18 @@ def test_star_of_a_parallel_edge_excludes_the_other():
     S = preset("digon_cycle(1)")
     e1, e2 = S.elements_of_rank(2)
     assert S.vertex_sets[e1] == S.vertex_sets[e2]
-    cx = cellular_chain_complex(S, QQ, reduced=True, star=e1)
+    cx = cellular_chain_complex(S, QQ, star=e1)
     assert cx.labels == {-1: [], 0: [], 1: [e1]}
     # the star of a vertex holds both parallel edges
     v = S.vertices()[0]
-    assert cellular_chain_complex(S, QQ, star=v).labels == {0: [v], 1: [e1, e2]}
+    assert cellular_chain_complex(S, QQ, star=v).labels == {-1: [], 0: [v], 1: [e1, e2]}
 
 
 def test_star_outside_the_poset_is_refused():
     S = preset("boundary_of_simplex(2)")
     for star in (S.size, -1):
         with pytest.raises(PosetError, match="no element"):
-            cellular_chain_complex(S, QQ, reduced=True, star=star)
+            cellular_chain_complex(S, QQ, star=star)
 
 
 def test_classification():
@@ -157,7 +158,7 @@ def test_classify_torus7_mod_p():
 
 def test_induced_map_identity_and_projection():
     S = preset("boundary_of_simplex(2)")
-    cx = cellular_chain_complex(S, QQ, reduced=True)
+    cx = cellular_chain_complex(S, QQ)
     prof = homology(cx)
     ident = {d: Matrix.identity(QQ, cx.dim(d)) for d in cx.degrees()}
     assert is_chain_map(ident, cx, cx)
@@ -166,7 +167,7 @@ def test_induced_map_identity_and_projection():
 
     # projection onto the star of an edge: keep the coordinates of its faces
     e = S.elements_of_rank(2)[0]
-    rel = cellular_chain_complex(S, QQ, reduced=True, star=e)
+    rel = cellular_chain_complex(S, QQ, star=e)
     proj = {}
     for d, ids in rel.labels.items():
         proj[d] = Matrix.zero(QQ, len(ids), cx.dim(d))
@@ -180,7 +181,7 @@ def test_induced_map_identity_and_projection():
 
 def test_induced_map_rejects_non_chain_map():
     S = preset("boundary_of_simplex(2)")
-    cx = cellular_chain_complex(S, QQ, reduced=True)
+    cx = cellular_chain_complex(S, QQ)
     prof = homology(cx)
     bad = {d: Matrix.zero(QQ, cx.dim(d), cx.dim(d)) for d in cx.degrees()}
     bad[1] = Matrix.identity(QQ, cx.dim(1))
@@ -236,10 +237,9 @@ class EagerProfile:
 def _fixture_complexes(field):
     for name in sorted(CHARMAPS):
         S = preset(name)
-        yield name, "absolute", cellular_chain_complex(S, field)
-        yield name, "reduced", cellular_chain_complex(S, field, reduced=True)
+        yield name, "reduced", cellular_chain_complex(S, field)
         for j in range(1, S.size):
-            yield name, f"star {j}", cellular_chain_complex(S, field, reduced=True, star=j)
+            yield name, f"star {j}", cellular_chain_complex(S, field, star=j)
 
 
 def _differences(field):
@@ -275,7 +275,7 @@ def test_eager_comparison_catches_a_wrong_rank(monkeypatch, delta):
 
 def test_profile_builds_no_representatives_until_asked(monkeypatch):
     S = preset("torus_7")
-    cx = cellular_chain_complex(S, QQ, reduced=True)
+    cx = cellular_chain_complex(S, QQ)
     calls = []
     kernel = Matrix.kernel_basis
     monkeypatch.setattr(Matrix, "kernel_basis", lambda self: calls.append(self) or kernel(self))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from torushom.field import QQ, PrimeField
@@ -5,6 +7,7 @@ from torushom.exactlin import Matrix, int_det
 from torushom.poset import preset, PosetError, incidence_number
 from torushom.facevec import face_vectors, binom
 from torushom.fixtures import preset_charmap, origami_annulus_profile
+from torushom.formats import parse_profile, write_profile
 from torushom.specseq import cone_profile, pages
 from torushom.facering import relation_system, graded_quotient_rank, kernel_generators
 from torushom.torusalg import coefficient_CAI
@@ -132,6 +135,20 @@ def test_user_profile_disables_type2():
         graded_quotient_rank(R, include_type2=True)
     with pytest.raises(PosetError):
         kernel_generators(R)
+
+
+def test_cone_tag_must_name_the_cone_profile():
+    # with the annulus numbers tagged "cone", the second-kind rows would
+    # look for connecting classes the poset does not have
+    S = preset("digon_cycle(2)")
+    cm = preset_charmap("digon_cycle(2)")
+    tagged = dataclasses.replace(origami_annulus_profile(), source="cone")
+    with pytest.raises(PosetError, match="not the cone profile"):
+        relation_system(S, cm, QQ, profile=tagged)
+    # the cone profile, written and read back, is accepted
+    cone = parse_profile(write_profile(cone_profile(S, QQ)))
+    R = relation_system(S, cm, QQ, profile=cone)
+    assert R.type2 is not None
 
 
 RP2_FACETS = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),

@@ -16,7 +16,8 @@ from torushom.cli import main
 from torushom.field import QQ, PrimeField
 from torushom.fixtures import CHARMAPS, preset_charmap
 from torushom.formats import write_charmap
-from torushom.complexes import reduced_betti, classify
+from torushom.complexes import (GradedComplex, HomologyProfile, betti,
+                                cellular_chain_complex, classify, reduced_betti)
 from torushom.facevec import face_vectors
 from torushom.poset import preset
 from torushom.sheaves import (LocalHomologyData, cosheaf_homology, sheaf_cohomology,
@@ -187,6 +188,71 @@ def test_standard_local_homology_sheaf_reads_the_job():
         assert calls["builds"] == Counter()
 
 
+FIELDS = (QQ, PrimeField(2), PrimeField(3), PrimeField(5))
+
+
+def test_each_integer_star_is_built_and_checked_once(monkeypatch):
+    # the star complexes have incidence signs for entries: one build and one
+    # d∘d check per star and poset, over the integers, serve every field
+    S = preset("torus_7")
+    checked = []
+    check = GradedComplex.check_square_zero
+    monkeypatch.setattr(GradedComplex, "check_square_zero",
+                        lambda cx: checked.append(cx) or check(cx))
+    for field in FIELDS:
+        classify(S, field)
+        betti(S, field)
+        reduced_betti(S, field)
+    assert len(checked) == S.size == 43
+    assert sorted(map(id, checked)) == sorted(map(id, S._stars.values()))
+    assert sorted(S._stars) == list(range(S.size))
+    assert all(cx.field == QQ for cx in checked)
+
+
+def _ranked_complexes(monkeypatch):
+    """The complexes `HomologyProfile` ranks from now on, in order."""
+    ranked = []
+    init = HomologyProfile.__init__
+    monkeypatch.setattr(HomologyProfile, "__init__",
+                        lambda prof, cx: ranked.append(cx) or init(prof, cx))
+    return ranked
+
+
+def test_betti_numbers_build_and_rank_only_star_0(monkeypatch):
+    S = preset("torus_7")
+    ranked = _ranked_complexes(monkeypatch)
+    assert betti(S, PrimeField(3)) == {0: 1, 1: 2, 2: 1}
+    assert list(S._stars) == [0]
+    assert len(ranked) == 1 and ranked[0].labels is S._stars[0].labels
+
+
+def _table(cx):
+    return cx.labels, cx.dims, {d: m.rows for d, m in cx.diff.items()}
+
+
+@pytest.mark.parametrize("name", sorted(CHARMAPS))
+def test_integer_stars_are_left_unchanged_by_every_field(name, monkeypatch):
+    S = preset(name)
+    ranked = _ranked_complexes(monkeypatch)
+    for field in FIELDS:
+        S.job(field).structure_sheaf(include_empty=True)
+        classify(S, field)
+    fresh = preset(name)
+    for j in range(fresh.size):
+        cellular_chain_complex(fresh, QQ, star=j)
+    assert {j: _table(cx) for j, cx in S._stars.items()} == \
+        {j: _table(cx) for j, cx in fresh._stars.items()}
+    entries = {v for cx in S._stars.values() for m in cx.diff.values()
+               for row in m.rows for v in row}
+    assert entries <= {-1, 0, 1} and {type(v) for v in entries} == {int}
+    # every star complex a prime field ranked holds its entries in [0, p)
+    assert {cx.field for cx in ranked} == set(FIELDS)
+    for cx in ranked:
+        p = cx.field.char
+        if p:
+            assert all(0 <= v < p for m in cx.diff.values() for row in m.rows for v in row)
+
+
 def test_job_is_shared_per_poset_and_field():
     S = preset("boundary_of_simplex(2)")
     T = preset("boundary_of_simplex(2)")
@@ -256,10 +322,11 @@ def test_rational_job_holds_only_ints_and_fractions(name):
         matrices.extend(cosheaf.rest.values())
         take(cosheaf_homology(cosheaf))
     local = LocalHomologyData(S, QQ)
-    for j, cx in local.complexes.items():
-        matrices.extend(cx.diff.values())
-        for k in cx.degrees():
-            vectors.extend(local.profiles[j].representatives(k))
+    for j in range(S.size):
+        prof = local.profile(j)
+        matrices.extend(prof.complex.diff.values())
+        for k in prof.complex.degrees():
+            vectors.extend(prof.representatives(k))
     entries = [v for m in matrices for row in m.rows for v in row]
     entries += [v for vec in vectors for v in vec]
     assert entries and {type(v) for v in entries} <= {int, Fraction}

@@ -112,7 +112,7 @@ def test_buchsbaum_iff_local_homology_vanishes():
         S = preset(name)
         rep = classify(S, QQ)
         data = LocalHomologyData(S, QQ)
-        vanish = all(data.profiles[j].dims[i] == 0
+        vanish = all(data.profile(j).dims[i] == 0
                      for j in range(1, S.size) for i in range(0, S.n - 1))
         assert rep.buchsbaum == vanish == expect
     # a non-Buchsbaum example: two triangles glued along an edge, plus a dangling
@@ -121,7 +121,7 @@ def test_buchsbaum_iff_local_homology_vanishes():
     rep = classify(S, QQ)
     assert not rep.buchsbaum
     data = LocalHomologyData(S, QQ)
-    vanish = all(data.profiles[j].dims[i] == 0
+    vanish = all(data.profile(j).dims[i] == 0
                  for j in range(1, S.size) for i in range(0, S.n - 1))
     assert not vanish
 

@@ -1,9 +1,12 @@
+import dataclasses
+
 import pytest
 
 from torushom.field import QQ, PrimeField
 from torushom.poset import preset, PosetError
 from torushom.facevec import face_vectors, binom
 from torushom.fixtures import preset_charmap, origami_annulus_profile
+from torushom.formats import parse_profile, write_profile
 from torushom.specseq import (
     ManifoldProfile, cone_profile, validate_profile, pages, bigraded_betti,
     theorem_checks, e2_border_sheaf_crosscheck, euler_characteristic_from_e1,
@@ -183,6 +186,23 @@ def test_theorem_checks_annulus():
     assert rep.passed
     assert rep.checks["bigraded_duality"]["applicable"]
     assert rep.checks["bigraded_duality"]["passed"]
+
+
+def test_cone_tag_must_name_the_cone_profile():
+    # the annulus numbers tagged "cone" would turn on `border_limit_cone`,
+    # which fails on numbers that are not the cone's
+    S = preset("digon_cycle(2)")
+    user = origami_annulus_profile()
+    assert theorem_checks(S, user, QQ).passed      # the same numbers, pages cached
+    tagged = dataclasses.replace(user, source="cone")
+    diag = validate_profile(S, tagged, QQ)
+    assert not diag.ok and "not the cone profile" in diag.messages[-1]
+    for call in (theorem_checks, pages, bigraded_betti):
+        with pytest.raises(PosetError, match="not the cone profile"):
+            call(S, tagged, QQ)
+    # the cone profile, written and read back, is accepted
+    cone = parse_profile(write_profile(cone_profile(S, QQ)))
+    assert cone.source == "cone" and theorem_checks(S, cone, QQ).passed
 
 
 def test_origami_n3_profile_over_torus():
