@@ -3,16 +3,14 @@
 from .field import QQ, PrimeField, Rationals, field_from_name
 from .poset import (SimplicialPoset, PosetError, build_from_facets,
                     build_from_cover_table, preset, validate, incidence_number,
-                    link, face_counts)
-from .complexes import (cellular_chain_complex, homology, induced_map, classify,
-                        order_complex_homology, reduced_betti, betti,
-                        InvariantViolation)
+                    face_counts)
+from .complexes import (cellular_chain_complex, homology, classify, reduced_betti,
+                        betti, InvariantViolation)
 from .sheaves import (CellularSheaf, CellularCosheaf, standard_sheaf, tensor,
-                      sheaf_cohomology, cosheaf_homology, constancy_check,
-                      sheaf_dump)
+                      sheaf_cohomology, cosheaf_homology, constancy_check)
 from .torusalg import (ExteriorAlgebra, CharacteristicMap, validate_charmap,
-                       coefficient_CAI, TorusSheafKit, ideal_sheaf, pi_cosheaf,
-                       keylemma_check, duality_check, les_duality_check)
+                       coefficient_CAI, TorusSheafKit, keylemma_check, duality_check,
+                       les_duality_check)
 from .facevec import face_vectors, ft_consistency_check, dehn_sommerville_check
 from .specseq import (ManifoldProfile, cone_profile, validate_profile, pages,
                       bigraded_betti, theorem_checks, e2_border_sheaf_crosscheck)
@@ -21,15 +19,14 @@ from .facering import relation_system, graded_quotient_rank, kernel_generators
 __all__ = [
     "QQ", "PrimeField", "Rationals", "field_from_name",
     "SimplicialPoset", "PosetError", "build_from_facets",
-    "build_from_cover_table", "preset", "validate", "incidence_number", "link",
+    "build_from_cover_table", "preset", "validate", "incidence_number",
     "face_counts",
-    "cellular_chain_complex", "homology", "induced_map", "classify",
-    "order_complex_homology", "reduced_betti", "betti", "InvariantViolation",
+    "cellular_chain_complex", "homology", "classify", "reduced_betti", "betti",
+    "InvariantViolation",
     "CellularSheaf", "CellularCosheaf", "standard_sheaf", "tensor",
-    "sheaf_cohomology", "cosheaf_homology", "constancy_check", "sheaf_dump",
+    "sheaf_cohomology", "cosheaf_homology", "constancy_check",
     "ExteriorAlgebra", "CharacteristicMap", "validate_charmap", "coefficient_CAI",
-    "TorusSheafKit", "ideal_sheaf", "pi_cosheaf", "keylemma_check",
-    "duality_check", "les_duality_check",
+    "TorusSheafKit", "keylemma_check", "duality_check", "les_duality_check",
     "face_vectors", "ft_consistency_check", "dehn_sommerville_check",
     "ManifoldProfile", "cone_profile", "validate_profile", "pages",
     "bigraded_betti", "theorem_checks", "e2_border_sheaf_crosscheck",

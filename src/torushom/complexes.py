@@ -1,20 +1,20 @@
-"""Chain complexes of simplicial posets and exact homology with induced maps.
+"""Chain complexes of simplicial posets and their exact homology.
 
 One graded-complex engine serves both chain complexes (differential lowers
 degree) and sheaf cochain complexes (raises degree).  Every builder checks
 d∘d = 0, so homology dimensions are read off one rank per differential.
 Deterministic representative cycles, and the lift data that expresses any
 cycle in the representative basis, are built per degree only when asked
-for; the restriction maps of the local homology sheaf and induced maps are
-what ask.
+for; the restriction maps of the local homology sheaf and the face-ring
+relations are what ask.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
 
-from .exactlin import Matrix, IncrementalSpan
+from .exactlin import Matrix, IncrementalSpan, product_nonzeros
 from .field import QQ
-from .poset import SimplicialPoset, PosetError, incidence_number, link
+from .poset import SimplicialPoset, PosetError, incidence_number
 
 
 class InvariantViolation(ValueError):
@@ -39,11 +39,14 @@ class GradedComplex:
         return self.diff.get(k)
 
     def check_square_zero(self):
-        for k, dk in self.diff.items():
-            dn = self.diff.get(k + self.shift)
-            if dn is not None:
-                if not dn.mul(dk).is_zero_matrix():
-                    raise InvariantViolation(f"d^2 != 0 at degree {k}")
+        """Look for a nonzero entry of d∘d, reading each differential's
+        nonzero entries once."""
+        p = self.field.char
+        nonzeros = {k: dk.nonzeros() for k, dk in self.diff.items()}
+        for k, dk in nonzeros.items():
+            dn = nonzeros.get(k + self.shift)
+            if dn is not None and any(product_nonzeros(dn, dk, p)):
+                raise InvariantViolation(f"d^2 != 0 at degree {k}")
 
     def degrees(self):
         return sorted(self.dims)
@@ -53,9 +56,9 @@ class HomologyProfile:
     """Homology of a complex: dimensions at once, representatives on demand.
 
     The complex must satisfy d∘d = 0, which every builder checks
-    (`cellular_chain_complex`, `order_complex_homology`, the sheaf complex
-    builder).  Then dim H_k = n_k - rank d_k - rank d_{k-shift}, so the
-    dimensions cost one rank per differential.  The cycles, boundaries and
+    (`cellular_chain_complex` and the sheaf complex builder).  Then
+    dim H_k = n_k - rank d_k - rank d_{k-shift}, so the dimensions cost
+    one rank per differential.  The cycles, boundaries and
     representative cycles of a degree are built the first time one of them
     or `coords(k, vec)` asks for it: the kernel basis of d_k, the pivot
     columns of d_{k-shift}, and the cycles, kept in order, that enlarge the
@@ -167,37 +170,6 @@ def cellular_chain_complex(S: SimplicialPoset, field, star: int = 0) -> GradedCo
     return GradedComplex(field, cx.dims, diff, shift=-1, labels=cx.labels)
 
 
-def is_chain_map(f: dict, src: GradedComplex, dst: GradedComplex) -> bool:
-    for k, fk in f.items():
-        ds = src.d(k)
-        dd = dst.d(k)
-        if ds is None or dd is None:
-            continue
-        fprev = f.get(k + src.shift)
-        if fprev is None:
-            continue
-        if not dd.mul(fk).equal(fprev.mul(ds)):
-            return False
-    return True
-
-
-def induced_map(f: dict, src_h: HomologyProfile, dst_h: HomologyProfile) -> dict:
-    """Matrices of H(f) in the representative bases; rejects non-chain-maps."""
-    if not is_chain_map(f, src_h.complex, dst_h.complex):
-        raise ValueError("not a chain map (does not commute with differentials)")
-    out = {}
-    for k in src_h.complex.degrees():
-        reps = src_h.representatives(k)
-        fk = f.get(k)
-        cols = []
-        for z in reps:
-            img = fk.apply(z) if fk is not None else []
-            cols.append(dst_h.coords(k, img))
-        out[k] = Matrix.from_columns(src_h.complex.field, cols, dst_h.dims.get(k, 0)) \
-            if cols or dst_h.dims.get(k, 0) else Matrix.zero(src_h.complex.field, 0, 0)
-    return out
-
-
 def reduced_betti(S: SimplicialPoset, field) -> dict:
     """Reduced Betti numbers of |S| from the poset's own cellular complex."""
     return dict(S.job(field).reduced_betti)
@@ -243,54 +215,3 @@ def classify_of(job) -> ClassifyReport:
                 for d, dim in job.link_dims[j].items() if dim and d != S.n - 1]
     buchsbaum = all(j == 0 for j, _, _ in failures)
     return ClassifyReport(buchsbaum, not failures, True, failures)
-
-
-def link_reduced_betti(S: SimplicialPoset, field, i: int) -> dict:
-    """Reduced Betti numbers of lk_S(i) computed on the link poset itself."""
-    L = link(S, i)
-    return reduced_betti(L, field)
-
-
-def order_complex_homology(S: SimplicialPoset, field) -> HomologyProfile:
-    """Reduced homology of the order complex of S minus the empty face.
-
-    Independent oracle for the cellular path: simplices are the chains of
-    poset elements, with the standard alternating-sign boundary.
-    """
-    elems = [i for i in range(S.size) if i != 0]
-    chains = {0: [(e,) for e in elems]}
-    d = 0
-    while chains.get(d):
-        nxt = []
-        for ch in chains[d]:
-            top = ch[-1]
-            for e in elems:
-                if S.ranks[e] > S.ranks[top] and S.leq(top, e):
-                    nxt.append(ch + (e,))
-        d += 1
-        if nxt:
-            chains[d] = nxt
-    dims = {-1: 1}
-    labels = {-1: [()]}
-    for k, cs in chains.items():
-        cs_sorted = sorted(cs)
-        labels[k] = cs_sorted
-        dims[k] = len(cs_sorted)
-    index = {k: {c: p for p, c in enumerate(cs)} for k, cs in labels.items()}
-    diff = {}
-    for k in sorted(chains):
-        mat = Matrix.zero(field, dims.get(k - 1, 0), dims[k])
-        for col, ch in enumerate(labels[k]):
-            if k == 0:
-                mat.rows[0][col] = field.one
-                continue
-            sign = 1
-            for drop in range(len(ch)):
-                face = ch[:drop] + ch[drop + 1:]
-                row = index[k - 1][face]
-                mat.rows[row][col] = field(sign)
-                sign = -sign
-        diff[k] = mat
-    cx = GradedComplex(field, dims, diff, shift=-1, labels=labels)
-    cx.check_square_zero()
-    return homology(cx)

@@ -17,9 +17,6 @@ a zero test is a truth test even on entries given as p, -1 or 2p + 1.
 """
 from __future__ import annotations
 
-from math import gcd
-from itertools import combinations
-
 
 def _eliminate(v, c, w, support, p):
     """v -= c * w on the support of w, over F_p (p > 0) or Q (p = 0)."""
@@ -100,8 +97,9 @@ class Matrix:
     def column(self, j):
         return [r[j] for r in self.rows]
 
-    def transpose(self):
-        return Matrix(self.field, [self.column(j) for j in range(self.ncols)], self.nrows)
+    def nonzeros(self):
+        """The nonzero entries of each row, as (column, entry) pairs."""
+        return [[(j, a) for j, a in enumerate(r) if a] for r in self.rows]
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
@@ -119,22 +117,6 @@ class Matrix:
             out.append([x % p for x in acc] if p else acc)
         return Matrix._adopt(F, out, n)
 
-    def apply(self, vec):
-        if len(vec) != self.ncols:
-            raise ValueError("vector length mismatch")
-        F = self.field
-        p, z = F.char, F.zero
-        support = [j for j, v in enumerate(vec) if v]
-        out = []
-        for ri in self.rows:
-            s = z
-            for j in support:
-                a = ri[j]
-                if a:
-                    s += a * vec[j]
-            out.append(s % p if p else s)
-        return out
-
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product, row-major block layout."""
         F = self.field
@@ -148,22 +130,6 @@ class Matrix:
                     out.rows[i * other.nrows + k][j * w:(j + 1) * w] = \
                         [a * b % p for b in rk] if p else [a * b for b in rk]
         return out
-
-    def equal(self, other):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            return False
-        if self.rows == other.rows:
-            return True
-        p = self.field.char
-        return bool(p) and all((a - b) % p == 0
-                               for r1, r2 in zip(self.rows, other.rows)
-                               for a, b in zip(r1, r2))
-
-    def is_zero_matrix(self):
-        p = self.field.char
-        if not any(map(any, self.rows)):
-            return True
-        return bool(p) and not any(a % p for r in self.rows for a in r)
 
     def _echelon(self, full):
         """First-nonzero pivoting on a working copy; returns (rows, pivots).
@@ -222,6 +188,22 @@ class Matrix:
                 v[pc] = -a % p if p else -a
             basis.append(v)
         return basis
+
+
+def product_nonzeros(left, right, p):
+    """The nonzero entries of each row of a product, as {column: entry},
+    from the `nonzeros` of its two factors; over F_p the entries are
+    reduced into [0, p), so equal matrices give equal rows."""
+    out = []
+    for row in left:
+        acc = {}
+        for k, a in row:
+            for j, b in right[k]:
+                acc[j] = acc.get(j, 0) + a * b
+        if p:
+            acc = {j: v % p for j, v in acc.items()}
+        out.append({j: v for j, v in acc.items() if v})
+    return out
 
 
 class IncrementalSpan:
@@ -367,27 +349,12 @@ def smith_invariants(rows) -> list:
     return invariants
 
 
-def minors_gcd(rows, k: int) -> int:
-    """gcd of all k x k minors of an integer matrix (brute force oracle)."""
-    A = [[int(v) for v in r] for r in rows]
-    m, n = len(A), len(A[0]) if A else 0
-    if k == 0:
-        return 1
-    if k > m or k > n:
-        return 0
-    g = 0
-    for ris in combinations(range(m), k):
-        for cjs in combinations(range(n), k):
-            g = gcd(g, _int_det([[A[i][j] for j in cjs] for i in ris]))
-    return abs(g)
-
-
-def _int_det(a) -> int:
+def int_det(a) -> int:
     """Integer determinant by fraction-free (Bareiss) elimination."""
     n = len(a)
     if n == 0:
         return 1
-    m = [row[:] for row in a]
+    m = [[int(v) for v in row] for row in a]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -402,7 +369,3 @@ def _int_det(a) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def int_det(a) -> int:
-    return _int_det([[int(v) for v in r] for r in a])

@@ -57,7 +57,6 @@ class RelationSystem:
     trivialized: _TrivializedComplex | None = None        # built with the second kind
     type2_reason: str = ""
     orientation: dict | None = None
-    sgn_flips: frozenset = frozenset()
 
     def generator_count(self, q):
         return len(self.generators.get(q, []))
@@ -73,12 +72,6 @@ class RelationSystem:
             raise PosetError("second-kind relations unavailable: " + self.type2_reason)
         return [row for (_, _, row) in self.type2.get(q, [])]
 
-    def cai(self, vertex_labels, A):
-        c = coefficient_CAI(self.cmap, self.field, vertex_labels, A)
-        if tuple(A) in self.sgn_flips:
-            c = self.field(-c)
-        return c
-
     def row_from_cocycle(self, q, z, A, elems):
         """Relation row attached to a degree-q cocycle and a subset A."""
         field = self.field
@@ -86,7 +79,8 @@ class RelationSystem:
         row = [field.zero] * self.generator_count(q)
         for k, e in enumerate(elems):
             if z[k]:
-                row[gi[("f", e)]] = field(z[k] * self.cai(self.poset.vertex_sets[e], A))
+                cai = coefficient_CAI(self.cmap, field, self.poset.vertex_sets[e], A)
+                row[gi[("f", e)]] = field(z[k] * cai)
         return row
 
     def as_dict(self):
@@ -103,8 +97,7 @@ class RelationSystem:
 
 
 def relation_system(S: SimplicialPoset, cmap: CharacteristicMap, field,
-                    profile: ManifoldProfile | None = None,
-                    sgn_flips=frozenset(), flip_orientation: bool = False) -> RelationSystem:
+                    profile: ManifoldProfile | None = None) -> RelationSystem:
     """Assemble generators and both relation matrices.
 
     Requires an orientable homology manifold over the active field and a
@@ -112,10 +105,6 @@ def relation_system(S: SimplicialPoset, cmap: CharacteristicMap, field,
     need the cone profile: a user profile does not determine which classes
     the connecting maps hit, so for user profiles only the first kind is
     built and the second is marked unavailable.  An invalid profile raises.
-
-    `sgn_flips` negates the determinant coefficient of the listed subsets
-    and `flip_orientation` negates every trivialization unit; both leave
-    all ranks invariant and exist exactly so tests can assert that.
     """
     n = S.n
     job = S.job(field)
@@ -136,9 +125,6 @@ def relation_system(S: SimplicialPoset, cmap: CharacteristicMap, field,
     if not cons.is_constant:
         raise PosetError("structure sheaf is not constant: " + (cons.witness or ""))
     orientation = dict(cons.orientation)
-    if flip_orientation:
-        orientation = {k: field(-v) for k, v in orientation.items()}
-    sgn_flips = frozenset(tuple(sorted(a)) for a in sgn_flips)
 
     subsets = {q: [tuple(c) for c in combinations(range(1, n + 1), q)]
                for q in range(n + 1)}
@@ -150,7 +136,7 @@ def relation_system(S: SimplicialPoset, cmap: CharacteristicMap, field,
             generators[q] = [("e", m) for m in range(structure.stalk_dims[0])]
 
     system = RelationSystem(field, n, S, cmap, generators, {}, None,
-                            orientation=orientation, sgn_flips=sgn_flips)
+                            orientation=orientation)
 
     type1 = {q: [] for q in range(n + 1)}
     for q in range(n):
@@ -163,8 +149,8 @@ def relation_system(S: SimplicialPoset, cmap: CharacteristicMap, field,
                         row = [field.zero] * width
                         for v in S.covered_by[0]:
                             c = structure.rest[(0, v)].rows[0][m]
-                            row[gi[("f", v)]] = field(c * field.inv(orientation[v])
-                                                      * system.cai(S.vertex_sets[v], A))
+                            cai = coefficient_CAI(cmap, field, S.vertex_sets[v], A)
+                            row[gi[("f", v)]] = field(c * field.inv(orientation[v]) * cai)
                         type1[q].append(row)
             else:
                 for A in subsets[q]:
@@ -172,7 +158,7 @@ def relation_system(S: SimplicialPoset, cmap: CharacteristicMap, field,
                     for i in S.covered_by[j]:
                         sign = incidence_number(S, i, j)
                         row[gi[("f", i)]] = field(
-                            sign * system.cai(S.vertex_sets[i], A))
+                            sign * coefficient_CAI(cmap, field, S.vertex_sets[i], A))
                     type1[q].append(row)
     system.type1 = type1
 

@@ -68,16 +68,6 @@ def h_from_f(f, n: int):
     return tuple(acc[: n + 1])
 
 
-def f_from_h(h, n: int):
-    """Inverse transform: coefficients of sum_i h_i t^i (1+t)^(n-i)."""
-    acc = [0] * (n + 1)
-    for i in range(n + 1):
-        term = poly_scale(h[i], poly_mul([0] * i + [1], poly_pow([1, 1], n - i)))
-        acc = poly_add(acc, term)
-    acc = acc + [0] * (n + 1 - len(acc))
-    return tuple(acc[: n + 1])
-
-
 @dataclass
 class FaceVectors:
     n: int

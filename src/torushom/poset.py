@@ -1,4 +1,4 @@
-"""Simplicial posets: construction, validation, links, incidence signs.
+"""Simplicial posets: construction, validation, stars, incidence signs.
 
 A simplicial poset is a finite ranked poset with a unique minimum (the
 empty face, id 0) in which every lower interval is a boolean lattice.
@@ -8,8 +8,7 @@ covers the complex case.  Element ids are dense integers assigned at
 build time and every downstream table indexes by id.  The star of a face
 I is its upper set {J >= I} (`upper_set`); the local homology complexes
 are the cellular complexes of stars (`complexes.cellular_chain_complex`),
-and the link is the star regraded with I as its empty face (`link`).
-The star complexes are cached over the integers in `_stars`.
+cached over the integers in `_stars`.
 """
 from __future__ import annotations
 
@@ -40,7 +39,6 @@ class SimplicialPoset:
     vertex_sets: tuple         # sorted tuples of vertex labels
     covers: tuple              # ids one rank down, per element
     name: str = ""
-    source_ids: tuple | None = None   # set for links: new id -> id in the parent poset
 
     covered_by: tuple = dfield(init=False, repr=False)
     below: tuple = dfield(init=False, repr=False)
@@ -254,32 +252,6 @@ def incidence_number(S: SimplicialPoset, j: int, i: int) -> int:
     v = added.pop()
     k = sum(1 for w in S.vertex_sets[j] if w < v)
     return -1 if k % 2 else 1
-
-
-def link(S: SimplicialPoset, i: int) -> SimplicialPoset:
-    """The upper set {J >= I} regraded with I as its empty face.
-
-    Vertices of the link are the atoms (covers of I); each J >= I is
-    relabeled by the set of atoms below it.  `source_ids` maps link ids
-    back to ids of S.
-    """
-    members = sorted(S.upper_set(i), key=lambda j: (S.ranks[j], S.vertex_sets[j], j))
-    newid = {j: k for k, j in enumerate(members)}
-    atoms = [j for j in members if S.ranks[j] == S.ranks[i] + 1]
-    atom_label = {a: t + 1 for t, a in enumerate(atoms)}
-    base = S.ranks[i]
-    ranks = [S.ranks[j] - base for j in members]
-    vsets = []
-    for j in members:
-        labels = sorted(atom_label[a] for a in atoms if S.leq(a, j))
-        vsets.append(tuple(labels))
-    covers = []
-    for j in members:
-        cs = [newid[c] for c in S.covers[j] if S.leq(i, c)]
-        covers.append(tuple(sorted(cs)))
-    L = SimplicialPoset(ranks, vsets, covers, name=f"lk({S.name or 'S'},{i})",
-                        source_ids=tuple(members))
-    return L
 
 
 def face_counts(S: SimplicialPoset):

@@ -327,10 +327,6 @@ class TorusSheafKit:
         ideal sheaf; the empty face carries the whole degree-q component."""
         return self._quotients(CellularSheaf, self.ideal_basis, q, f"lambda/ideal^({q})")
 
-    def quotient_class(self, elem: int, q: int, vec):
-        """Coordinates of a degree-q form in the quotient basis at a face."""
-        return self.ideal_basis(elem, q)[1].quotient_coords(vec)
-
     @_memoized
     def pi_cosheaf(self, q: int) -> CellularCosheaf:
         """Degree-q principal-ideal cosheaf; corestrictions are the
@@ -372,19 +368,6 @@ class TorusSheafKit:
         """
         cosheaves = {"pi": self.pi_cosheaf, "lambda/pi": self.lambda_mod_pi_cosheaf}
         return cosheaf_homology(cosheaves[kind](q)).dims
-
-
-def ideal_sheaf(S: SimplicialPoset, cmap: CharacteristicMap, field):
-    """Graded ideal sheaf and graded quotient sheaf, one component per degree."""
-    kit = S.job(field).kit(cmap)
-    ideal = {q: kit.ideal_sheaf(q) for q in range(kit.n + 1)}
-    quotient = {q: kit.quotient_sheaf(q) for q in range(kit.n + 1)}
-    return ideal, quotient
-
-
-def pi_cosheaf(S: SimplicialPoset, cmap: CharacteristicMap, field):
-    kit = S.job(field).kit(cmap)
-    return {q: kit.pi_cosheaf(q) for q in range(kit.n + 1)}
 
 
 # ---------------------------------------------------------------------------

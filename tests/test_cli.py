@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from torushom import complexes, job as job_module, torusalg
+from torushom import complexes, job as job_module, sheaves, torusalg
 from torushom.cli import main, build_parser, run, InputProblem
 from torushom.exactlin import Matrix
 from torushom.field import QQ
@@ -259,6 +259,17 @@ def test_exit_3_when_d_squared_is_not_zero(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: invariant violated: d^2 != 0 at degree ")
     assert captured.err.count("\n") == 1
+
+
+def test_exit_3_when_a_sheaf_complex_drops_an_incidence_sign(monkeypatch, capsys):
+    # every incidence number of the sheaf (co)chain complexes +1: the
+    # cochains of the structure sheaf of a 2-sphere no longer square to zero,
+    # while the cellular complexes keep their signs
+    monkeypatch.setattr(sheaves, "incidence_number", lambda S, j, i: 1)
+    assert main(["sheaf", "--preset", "boundary_of_simplex(3)"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invariant violated: d^2 != 0 at degree 0\n"
 
 
 def test_exit_3_when_a_sheaf_is_not_functorial(monkeypatch, capsys):

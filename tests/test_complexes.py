@@ -5,9 +5,11 @@ from torushom.exactlin import Matrix, IncrementalSpan
 from torushom.fixtures import CHARMAPS
 from torushom.poset import preset, build_from_facets, PosetError
 from torushom.complexes import (
-    GradedComplex, cellular_chain_complex, homology, reduced_betti, betti, classify,
-    order_complex_homology, link_reduced_betti, induced_map, is_chain_map,
+    GradedComplex, InvariantViolation, cellular_chain_complex, homology, reduced_betti,
+    betti, classify,
 )
+
+from oracles import order_complex_homology, link_reduced_betti, induced_map, is_chain_map
 
 from test_exactlin import ref_solve_matrix
 
@@ -187,6 +189,23 @@ def test_induced_map_rejects_non_chain_map():
     bad[1] = Matrix.identity(QQ, cx.dim(1))
     with pytest.raises(ValueError):
         induced_map(bad, prof, prof)
+
+
+@pytest.mark.parametrize("p", [3, 1000003])
+def test_square_zero_check_reads_entries_mod_p(p):
+    # d_1 holds p, -1 and 2p + 1: d_0 d_1 = 7p is zero over F_p though not
+    # over Z, and each other d_0 leaves a nonzero entry of d∘d
+    F = PrimeField(p)
+    d1 = Matrix(F, [[2 * p + 1], [-1], [p]])
+    for d0, vanishes in [([1, 1, 5], True), ([p - 1, p - 1, 2 * p + 1], True),
+                         ([1, 2, 5], False), ([p, 2 * p + 1, -1], False)]:
+        assert (sum(a * b[0] for a, b in zip(d0, d1.rows)) % p == 0) == vanishes
+        cx = GradedComplex(F, {-1: 1, 0: 3, 1: 1}, {0: Matrix(F, [d0]), 1: d1}, shift=-1)
+        if vanishes:
+            cx.check_square_zero()
+        else:
+            with pytest.raises(InvariantViolation, match="^d\\^2 != 0 at degree 1$"):
+                cx.check_square_zero()
 
 
 # ---------------------------------------------------------------------------

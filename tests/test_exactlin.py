@@ -9,9 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from torushom.cli import main
 from torushom.field import QQ, PrimeField, field_from_name
-from torushom.exactlin import Matrix, IncrementalSpan, smith_invariants, minors_gcd, int_det
+from torushom.exactlin import (Matrix, IncrementalSpan, product_nonzeros,
+                                smith_invariants, int_det)
 from torushom.fixtures import preset_charmap
 from torushom.formats import write_charmap
+
+from oracles import apply, minors_gcd, transpose
 
 
 def test_field_parsing():
@@ -46,7 +49,7 @@ def test_rank_kernel_example():
     v = ker[0]
     # proportional to (2,-1): 1*v0 + 2*v1 == 0
     assert v[0] + 2 * v[1] == 0 and any(x != 0 for x in v)
-    assert all(x == 0 for x in M.apply(v))
+    assert all(x == 0 for x in apply(M, v))
 
 
 def test_rank_equals_transpose_rank(any_field):
@@ -56,7 +59,7 @@ def test_rank_equals_transpose_rank(any_field):
         n = rng.randint(1, 5)
         rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
         M = Matrix.from_int_rows(any_field, rows, ncols=n)
-        assert M.rank() == M.transpose().rank()
+        assert M.rank() == transpose(M).rank()
         assert len(M.rref()[1]) == M.rank()
         assert M.rank() + len(M.kernel_basis()) == n
 
@@ -269,21 +272,29 @@ def test_incremental_span_matches_reference(data):
 @ORACLE
 @given(st.data())
 def test_mul_equal_and_zero_test_match_reference(data):
+    # `mul`, and the nonzero entries of a product, which the invariant
+    # checks compare (an equality test) and look for (a zero test)
     F, A, n = data.draw(matrices())
     _, B, k = data.draw(matrices(field=F, nrows=n))
-    AB = Matrix(F, A, n).mul(Matrix(F, B, k))
-    assert AB.rows == canon(F, ref_mul(F, A, B, k))
-    ref_zero = all(F(a) == 0 for r in AB.rows for a in r)
-    assert AB.is_zero_matrix() == ref_zero
+    p = F.char
+    ref = canon(F, ref_mul(F, A, B, k))
+    assert Matrix(F, A, n).mul(Matrix(F, B, k)).rows == ref
+    assert product_nonzeros(Matrix(F, A, n).nonzeros(), Matrix(F, B, k).nonzeros(), p) == \
+        [{j: a for j, a in enumerate(r) if a} for r in ref]
     # a second representative of the same matrix, and a matrix one entry off
-    shifted = [[a + F.char for a in r] for r in B]
-    assert Matrix(F, B, k).equal(Matrix(F, shifted, k))
+    ident = Matrix.identity(F, n).nonzeros()
+
+    def entries(rows):
+        return product_nonzeros(ident, Matrix(F, rows, k).nonzeros(), p)
+
+    assert entries([[a + p for a in r] for r in B]) == entries(B)
     if B:
         off = [list(r) for r in B]
         off[0][0] += 1
-        assert not Matrix(F, B, k).equal(Matrix(F, off, k))
-    multiples = Matrix(F, [[F.char * a for a in r] for r in A], n)     # zero over F_p
-    assert multiples.is_zero_matrix() == all(F(a) == 0 for r in multiples.rows for a in r)
+        assert entries(off) != entries(B)
+    multiples = Matrix(F, [[p * a for a in r] for r in A], n)     # zero over F_p
+    assert (not any(product_nonzeros(multiples.nonzeros(), ident, p))) == \
+        all(F(a) == 0 for r in multiples.rows for a in r)
 
 
 @ORACLE
@@ -302,7 +313,7 @@ def test_rank_of_a_product_matches_rref_pivots(data):
     _, C, n = data.draw(matrices(field=F, nrows=r))
     M = Matrix(F, B, r).mul(Matrix(F, C, n))
     assert M.rank() == len(M.rref()[1]) <= r
-    assert M.transpose().rank() == M.rank()
+    assert transpose(M).rank() == M.rank()
 
 
 @pytest.mark.parametrize("F", [F2, F3, F_BIG], ids=str)
