@@ -43,9 +43,14 @@ class GradedComplex:
         nonzero entries once."""
         p = self.field.char
         nonzeros = {k: dk.nonzeros() for k, dk in self.diff.items()}
-        for k, dk in nonzeros.items():
-            dn = nonzeros.get(k + self.shift)
-            if dn is not None and any(product_nonzeros(dn, dk, p)):
+        for k, dk in self.diff.items():
+            dn = self.diff.get(k + self.shift)
+            if dn is None:
+                continue
+            if dn.ncols != dk.nrows:
+                raise InvariantViolation(f"d at degree {k + self.shift} does not compose "
+                                         f"with d at degree {k}")
+            if any(product_nonzeros(nonzeros[k + self.shift], nonzeros[k], p)):
                 raise InvariantViolation(f"d^2 != 0 at degree {k}")
 
     def degrees(self):

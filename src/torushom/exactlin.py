@@ -104,17 +104,13 @@ class Matrix:
     def mul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in mul")
-        F = self.field
-        p, z, n = F.char, F.zero, other.ncols
-        right = [(r, [j for j, b in enumerate(r) if b]) for r in other.rows]
+        F, n = self.field, other.ncols
         out = []
-        for ri in self.rows:
-            acc = [z] * n
-            for a, (rk, support) in zip(ri, right):
-                if a:
-                    for j in support:
-                        acc[j] += a * rk[j]
-            out.append([x % p for x in acc] if p else acc)
+        for entries in product_nonzeros(self.nonzeros(), other.nonzeros(), F.char):
+            row = [F.zero] * n
+            for j, v in entries.items():
+                row[j] = v
+            out.append(row)
         return Matrix._adopt(F, out, n)
 
     def kron(self, other: "Matrix") -> "Matrix":
@@ -193,7 +189,9 @@ class Matrix:
 def product_nonzeros(left, right, p):
     """The nonzero entries of each row of a product, as {column: entry},
     from the `nonzeros` of its two factors; over F_p the entries are
-    reduced into [0, p), so equal matrices give equal rows."""
+    reduced into [0, p), so equal matrices give equal rows.  The caller
+    checks that the factors compose: `right` has one row per column of
+    the left factor."""
     out = []
     for row in left:
         acc = {}

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactlin import Matrix, product_nonzeros
-from .poset import SimplicialPoset, PosetError, incidence_number
+from .poset import SimplicialPoset, incidence_number
 from .complexes import (
     GradedComplex, HomologyProfile, InvariantViolation, homology, cellular_chain_complex,
 )
@@ -37,26 +37,6 @@ class CellularSheaf:
     name: str = ""
 
     _step = +1
-
-    def restriction(self, i, j) -> Matrix:
-        """The map between the stalks of i <= j (from i to j for a sheaf,
-        from j to i for a cosheaf), composed along one saturated chain."""
-        S = self.poset
-        if i == j:
-            return Matrix.identity(self.field, self.stalk_dims[i])
-        if not S.leq(i, j):
-            raise PosetError(f"{i} is not below {j}")
-        chain = [j]
-        cur = j
-        while cur != i:
-            cur = next(c for c in S.covers[cur] if S.leq(i, c))
-            chain.append(cur)
-        if self._step > 0:
-            chain.reverse()
-        mat = self._cover_matrix(chain[0], chain[1])
-        for a, b in zip(chain[1:], chain[2:]):
-            mat = self._cover_matrix(a, b).mul(mat)
-        return mat
 
     def _cover_matrix(self, src, dst) -> Matrix:
         m = self.rest.get((src, dst))
@@ -90,16 +70,20 @@ def check_sheaf_functoriality(sheaf: CellularSheaf):
     """Two-path equality through every length-two interval; raises on failure.
 
     Compares the nonzero entries of the two composites; each cover map's
-    nonzero entries are read once per check.  Serves cosheaves too,
-    composing the maps downward.
+    shape is checked against the stalks and its nonzero entries are read
+    once per check.  Serves cosheaves too, composing the maps downward.
     """
     S = sheaf.poset
     p = sheaf.field.char
+    kind = "sheaf" if sheaf._step > 0 else "cosheaf"
     nonzeros = {}
 
     def cover(src, dst):
         if (src, dst) not in nonzeros:
-            nonzeros[(src, dst)] = sheaf._cover_matrix(src, dst).nonzeros()
+            m = sheaf._cover_matrix(src, dst)
+            if (m.nrows, m.ncols) != (sheaf.stalk_dims[dst], sheaf.stalk_dims[src]):
+                raise InvariantViolation(f"{kind} map {src} -> {dst} does not fit its stalks")
+            nonzeros[(src, dst)] = m.nonzeros()
         return nonzeros[(src, dst)]
 
     for j in range(S.size):
@@ -116,7 +100,6 @@ def check_sheaf_functoriality(sheaf: CellularSheaf):
             a = product_nonzeros(cover(m1, dst), cover(src, m1), p)
             b = product_nonzeros(cover(m2, dst), cover(src, m2), p)
             if a != b:
-                kind = "sheaf" if sheaf._step > 0 else "cosheaf"
                 raise InvariantViolation(f"{kind} functoriality fails on {i} < {m1},{m2} < {j}")
 
 

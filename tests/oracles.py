@@ -2,9 +2,9 @@
 
 Each function here recomputes something the library computes another way,
 or reads a library object in a form no report needs: links as posets of
-their own, sheaves restricted to links, induced maps in homology, the
-order-complex homology, minors gcds for the Smith form, and sheaf dumps
-for golden digests.
+their own, sheaves restricted to links, sheaf maps composed along a chain,
+induced maps in homology, the order-complex homology, minors gcds for the
+Smith form, and sheaf dumps for golden digests.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from math import gcd
 from torushom.complexes import GradedComplex, HomologyProfile, homology, reduced_betti
 from torushom.exactlin import Matrix, int_det
 from torushom.facevec import poly_add, poly_mul, poly_pow, poly_scale
-from torushom.poset import SimplicialPoset
+from torushom.poset import PosetError, SimplicialPoset
 from torushom.sheaves import CellularSheaf, _require_sheaf
 
 
@@ -208,6 +208,27 @@ def order_complex_homology(S: SimplicialPoset, field) -> HomologyProfile:
 
 # ---------------------------------------------------------------------------
 # sheaves and the kit
+
+def sheaf_restriction(sheaf: CellularSheaf, i: int, j: int) -> Matrix:
+    """The map between the stalks of i <= j (from i to j for a sheaf,
+    from j to i for a cosheaf), composed along one saturated chain."""
+    S = sheaf.poset
+    if i == j:
+        return Matrix.identity(sheaf.field, sheaf.stalk_dims[i])
+    if not S.leq(i, j):
+        raise PosetError(f"{i} is not below {j}")
+    chain = [j]
+    cur = j
+    while cur != i:
+        cur = next(c for c in S.covers[cur] if S.leq(i, c))
+        chain.append(cur)
+    if sheaf._step > 0:
+        chain.reverse()
+    mat = sheaf._cover_matrix(chain[0], chain[1])
+    for a, b in zip(chain[1:], chain[2:]):
+        mat = sheaf._cover_matrix(a, b).mul(mat)
+    return mat
+
 
 def sheaf_dump(sheaf: CellularSheaf) -> dict:
     """JSON-able dump (stalk dimensions and cover matrices) for golden tests."""

@@ -208,6 +208,17 @@ def test_square_zero_check_reads_entries_mod_p(p):
                 cx.check_square_zero()
 
 
+@pytest.mark.parametrize("d0", [[[1, 1, 0]], [[1]]], ids=["wider", "narrower"])
+def test_square_zero_check_refuses_differentials_that_do_not_compose(d0):
+    # d_0 has one column more or one fewer than d_1 has rows; either way
+    # the composite does not exist, whatever its entries
+    d1 = Matrix(QQ, [[1], [-1]])
+    cx = GradedComplex(QQ, {-1: 1, 0: 2, 1: 1}, {0: Matrix(QQ, d0), 1: d1}, shift=-1)
+    with pytest.raises(InvariantViolation,
+                       match="^d at degree 0 does not compose with d at degree 1$"):
+        cx.check_square_zero()
+
+
 # ---------------------------------------------------------------------------
 # the lazy profile against the eager construction it replaced
 

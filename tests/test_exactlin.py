@@ -297,6 +297,11 @@ def test_mul_equal_and_zero_test_match_reference(data):
         all(F(a) == 0 for r in multiples.rows for a in r)
 
 
+def test_mul_refuses_factors_that_do_not_compose():
+    with pytest.raises(ValueError, match="^shape mismatch in mul$"):
+        Matrix(QQ, [[1, 2]]).mul(Matrix(QQ, [[1]]))
+
+
 @ORACLE
 @given(matrices())
 def test_rank_matches_rref_pivots(case):

@@ -6,13 +6,13 @@ import pytest
 from torushom.field import QQ, PrimeField
 from torushom.fixtures import CHARMAPS
 from torushom.poset import preset, build_from_facets
-from torushom.complexes import classify, reduced_betti, betti
+from torushom.complexes import InvariantViolation, classify, reduced_betti, betti
 from torushom.sheaves import (
     standard_sheaf, sheaf_cohomology, tensor, constancy_check,
     LocalHomologyData, check_sheaf_functoriality,
 )
 
-from oracles import link_reduced_betti, restrict_to_link, sheaf_dump
+from oracles import link_reduced_betti, restrict_to_link, sheaf_dump, sheaf_restriction
 
 RP2_FACETS = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
               (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)]
@@ -185,7 +185,7 @@ def test_constancy_projective_plane_detects_orientability():
 
 def test_restriction_composition_is_chain_independent():
     # composing cover restrictions along any saturated chain gives the same
-    # matrix as restriction(); checked on every vertex-under-facet interval
+    # matrix as sheaf_restriction(); checked on every vertex-under-facet interval
     S = preset("torus_7")
     sheaf = standard_sheaf(S, QQ, "structure", include_empty=True)
     for j in range(S.size):
@@ -194,7 +194,7 @@ def test_restriction_composition_is_chain_independent():
         for i in S.below[j]:
             if S.ranks[i] != 1:
                 continue
-            via = sheaf.restriction(i, j)
+            via = sheaf_restriction(sheaf, i, j)
             mids = [t for t in S.below[j] if S.ranks[t] == 2 and S.leq(i, t)]
             assert len(mids) == 2
             for t in mids:
@@ -301,7 +301,7 @@ def test_functoriality_check_fails_on_a_broken_square():
                               {(j, i): m for (i, j), m in sheaf.rest.items()})
     check_sheaf_functoriality(cosheaf)
     facet = S.covered_by[edge][0]
-    assert cosheaf.restriction(vertex, facet).rows == Matrix.identity(QQ, 1).rows
+    assert sheaf_restriction(cosheaf, vertex, facet).rows == Matrix.identity(QQ, 1).rows
     two = Matrix(QQ, [[QQ(2)]])
     sheaf.rest[(vertex, edge)] = two
     cosheaf.rest[(edge, vertex)] = two
@@ -338,6 +338,25 @@ def test_functoriality_check_reads_entries_mod_p(p):
         check_sheaf_functoriality(sheaf)
     with pytest.raises(ValueError, match="^cosheaf functoriality fails on 1 < 5,6 < 11$"):
         check_sheaf_functoriality(cosheaf)
+
+
+@pytest.mark.parametrize("rows", [[[1, 0]], [[1], [0]]], ids=["wider", "taller"])
+@pytest.mark.parametrize("cover", ["upper", "lower"])
+def test_functoriality_check_refuses_a_map_that_does_not_fit_its_stalks(rows, cover):
+    # one cover map of a constant sheaf with stalks QQ^1 is replaced by a
+    # 1x2 or 2x1 matrix; its composites would be products of factors that do
+    # not compose ("upper", the left factor) or of the wrong shape ("lower")
+    from torushom.exactlin import Matrix
+    S = preset("boundary_of_simplex(3)")
+    edge = S.elements_of_rank(2)[0]
+    vertex, facet = S.covers[edge][0], S.covered_by[edge][0]
+    src, dst = (edge, facet) if cover == "upper" else (vertex, edge)
+    sheaf = standard_sheaf(S, QQ, "constant", dim=1)
+    check_sheaf_functoriality(sheaf)
+    sheaf.rest[(src, dst)] = Matrix(QQ, rows)
+    with pytest.raises(InvariantViolation,
+                       match=f"^sheaf map {src} -> {dst} does not fit its stalks$"):
+        check_sheaf_functoriality(sheaf)
 
 
 @pytest.mark.parametrize("check", [constancy_check, lambda c: restrict_to_link(c, 1)],
