@@ -67,14 +67,18 @@ class HomologyProfile:
     representative cycles of a degree are built the first time one of them
     or `coords(k, vec)` asks for it: the kernel basis of d_k, the pivot
     columns of d_{k-shift}, and the cycles, kept in order, that enlarge the
-    span of the boundaries.  That span also reads class coordinates.
+    span of the boundaries.  That span also reads class coordinates.  A
+    caller that knows the dimensions already passes them (`dims`), and
+    then no differential is ranked.
     """
 
-    def __init__(self, cx: GradedComplex):
+    def __init__(self, cx: GradedComplex, dims: dict | None = None):
         self.complex = cx
-        ranks = {k: dk.rank() for k, dk in cx.diff.items()}
-        self.dims = {k: cx.dim(k) - ranks.get(k, 0) - ranks.get(k - cx.shift, 0)
-                     for k in cx.degrees()}
+        if dims is None:
+            ranks = {k: dk.rank() for k, dk in cx.diff.items()}
+            dims = {k: cx.dim(k) - ranks.get(k, 0) - ranks.get(k - cx.shift, 0)
+                    for k in cx.degrees()}
+        self.dims = dims
         self._bases = {}      # degree -> (cycles, boundaries, representatives, span)
 
     def _basis(self, k):
@@ -147,8 +151,8 @@ def cellular_chain_complex(S: SimplicialPoset, field, star: int = 0) -> GradedCo
     faces not above I span a subcomplex, and the quotient keeps the rest.
     The entries are incidence signs, so the complex is built and checked
     once per poset over Z (`S._stars`); d∘d = 0 over Z holds over every
-    field.  Each call maps its rows into `field` and shares its read-only
-    `dims` and `labels`.
+    field.  Each call maps its rows into `field` (over Q it shares them)
+    and shares its read-only `dims` and `labels`.
     """
     if not 0 <= star < S.size:
         raise PosetError(f"no element {star} in a poset of {S.size} elements")
@@ -161,17 +165,17 @@ def cellular_chain_complex(S: SimplicialPoset, field, star: int = 0) -> GradedCo
         index = {d: {e: k for k, e in enumerate(ids)} for d, ids in labels.items()}
         signs = {}
         for d in range(S.n):
-            mat = Matrix.zero(QQ, dims[d - 1], dims[d])
+            rows = [{} for _ in range(dims[d - 1])]
             for col, j in enumerate(labels[d]):
                 for i in S.covers[j]:
                     row = index[d - 1].get(i)
                     if row is not None:
-                        mat.rows[row][col] = incidence_number(S, j, i)
-            signs[d] = mat
+                        rows[row][col] = incidence_number(S, j, i)
+            signs[d] = Matrix.sparse(QQ, rows, dims[d])
         cx = GradedComplex(QQ, dims, signs, shift=-1, labels=labels)
         cx.check_square_zero()
         S._stars[star] = cx
-    diff = {d: Matrix.from_int_rows(field, m.rows, m.ncols) for d, m in cx.diff.items()}
+    diff = {d: m.in_field(field) for d, m in cx.diff.items()}
     return GradedComplex(field, cx.dims, diff, shift=-1, labels=cx.labels)
 
 

@@ -1,19 +1,25 @@
-"""Exact dense linear algebra over a field, plus Smith normal form over Z.
+"""Exact sparse linear algebra over a field, plus Smith normal form over Z.
 
 Everything downstream (homology, sheaf cohomology, spectral pages, relation
 ranks) reduces to the operations here: row reduction with exact pivots,
 kernel/image bases, coordinates in an echelonized span, and integer Smith
-invariants.  Matrices are dense lists of rows; pivoting is first-nonzero so
-all derived bases are deterministic functions of the input ordering.
+invariants.  A matrix is stored as sparse rows, one `{column: entry}` dict
+per row holding only its nonzero entries; `Matrix.rows` is a dense view
+for tests and small readers.  Elimination runs on the supports of the
+rows, and its results (the reduced row echelon form, its pivot columns and
+the kernel basis read off it) are unique, so all derived bases are
+deterministic functions of the input ordering.
 
 The kernels read the field once per call (`p = field.char`) and then run
 plain operators: `% p` on ints over F_p, `int`/`Fraction` operators over Q
 (p = 0), where an integral element is an int (see `torushom.field`), so
 integral matrices stay in int arithmetic until a pivot other than ±1 is
 inverted.  Division goes only through `field.inv`: `/` on two ints is a
-float.  A row update touches only the nonzero support of the row it
-subtracts.  Over F_p the working copies are reduced into [0, p) first, so
-a zero test is a truth test even on entries given as p, -1 or 2p + 1.
+float.  A matrix built from dense rows reads its entries into the field
+first (over F_p into [0, p)), so an entry is stored exactly when it is
+nonzero, even when given as p, -1 or 2p + 1.  `IncrementalSpan` keeps
+dense vectors, whose rows update only the nonzero support of the row
+they subtract.
 """
 from __future__ import annotations
 
@@ -43,130 +49,165 @@ def _reduced(row, p):
     return [a % p for a in row] if p else list(row)
 
 
-class Matrix:
-    """Dense matrix over a field object (see torushom.field)."""
+def _subtract(v, c, w, p):
+    """v -= c * w on sparse rows, keeping no zero entry in v."""
+    for j, b in w.items():
+        a = v.get(j, 0) - c * b
+        if p:
+            a %= p
+        if a:
+            v[j] = a
+        else:
+            del v[j]
 
-    __slots__ = ("field", "nrows", "ncols", "rows")
+
+class Matrix:
+    """Sparse matrix over a field object (see torushom.field): one dict of
+    nonzero entries per row.  Matrices are not changed once built, so two
+    of them may share a row."""
+
+    __slots__ = ("field", "nrows", "ncols", "_rows")
 
     def __init__(self, field, rows, ncols=None):
-        self.field = field
-        self.rows = [list(r) for r in rows]
-        self.nrows = len(self.rows)
-        if self.nrows:
-            self.ncols = len(self.rows[0])
-            if any(len(r) != self.ncols for r in self.rows):
+        """From dense rows of field elements; over F_p any ints will do."""
+        rows = [list(r) for r in rows]
+        if rows:
+            width = len(rows[0])
+            if any(len(r) != width for r in rows):
                 raise ValueError("ragged rows")
-            if ncols is not None and ncols != self.ncols:
+            if ncols is not None and ncols != width:
                 raise ValueError("ncols mismatch")
+            ncols = width
+        elif ncols is None:
+            raise ValueError("empty matrix needs explicit ncols")
+        p = field.char
+        if p:
+            rows = [{j: a % p for j, a in enumerate(r) if a % p} for r in rows]
         else:
-            if ncols is None:
-                raise ValueError("empty matrix needs explicit ncols")
-            self.ncols = ncols
+            rows = [{j: a for j, a in enumerate(r) if a} for r in rows]
+        self.field, self._rows, self.nrows, self.ncols = field, rows, len(rows), ncols
 
     @classmethod
-    def _adopt(cls, field, rows, ncols):
-        """A matrix that takes ownership of `rows`, fresh lists of equal
-        length `ncols`, without copying or checking them."""
+    def sparse(cls, field, rows, ncols):
+        """A matrix that takes ownership of `rows`, `{column: entry}` dicts
+        of nonzero field elements, without copying or checking them."""
         m = cls.__new__(cls)
-        m.field, m.rows, m.nrows, m.ncols = field, rows, len(rows), ncols
+        m.field, m._rows, m.nrows, m.ncols = field, rows, len(rows), ncols
         return m
 
     @classmethod
-    def from_int_rows(cls, field, rows, ncols=None):
-        p = field.char
-        return cls(field, [[v % p for v in r] for r in rows] if p else rows, ncols)
-
-    @classmethod
     def zero(cls, field, nrows, ncols):
-        z = field.zero
-        return cls._adopt(field, [[z] * ncols for _ in range(nrows)], ncols)
+        return cls.sparse(field, [{} for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, field, n):
-        z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
+        return cls.sparse(field, [{i: field.one} for i in range(n)], n)
 
     @classmethod
     def from_columns(cls, field, cols, nrows):
-        if any(len(c) != nrows for c in cols):
-            raise ValueError("column length mismatch")
-        if not cols:
-            return cls.zero(field, nrows, 0)
-        return cls._adopt(field, [list(r) for r in zip(*cols)], len(cols))
+        """The matrix with the given dense columns of field elements."""
+        rows = [{} for _ in range(nrows)]
+        for j, col in enumerate(cols):
+            if len(col) != nrows:
+                raise ValueError("column length mismatch")
+            for i, a in enumerate(col):
+                if a:
+                    rows[i][j] = a
+        return cls.sparse(field, rows, len(cols))
+
+    def in_field(self, field):
+        """This matrix of ints with its entries read into `field`; over Q
+        the rows are shared."""
+        p = field.char
+        if not p:
+            return Matrix.sparse(field, self._rows, self.ncols)
+        rows = [{j: a % p for j, a in r.items() if a % p} for r in self._rows]
+        return Matrix.sparse(field, rows, self.ncols)
+
+    @property
+    def rows(self):
+        """A dense copy of the rows."""
+        z, n = self.field.zero, self.ncols
+        out = []
+        for r in self._rows:
+            row = [z] * n
+            for j, a in r.items():
+                row[j] = a
+            out.append(row)
+        return out
 
     def column(self, j):
-        return [r[j] for r in self.rows]
+        z = self.field.zero
+        return [r.get(j, z) for r in self._rows]
 
     def nonzeros(self):
-        """The nonzero entries of each row, as (column, entry) pairs."""
-        return [[(j, a) for j, a in enumerate(r) if a] for r in self.rows]
+        """The nonzero entries of each row, as `{column: entry}`; read-only."""
+        return self._rows
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in mul")
-        F, n = self.field, other.ncols
-        out = []
-        for entries in product_nonzeros(self.nonzeros(), other.nonzeros(), F.char):
-            row = [F.zero] * n
-            for j, v in entries.items():
-                row[j] = v
-            out.append(row)
-        return Matrix._adopt(F, out, n)
+        return Matrix.sparse(self.field,
+                             product_nonzeros(self._rows, other._rows, self.field.char),
+                             other.ncols)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product, row-major block layout."""
-        F = self.field
-        p, w = F.char, other.ncols
-        out = Matrix.zero(F, self.nrows * other.nrows, self.ncols * w)
-        for i, ri in enumerate(self.rows):
-            for j, a in enumerate(ri):
-                if not a:
-                    continue
-                for k, rk in enumerate(other.rows):
-                    out.rows[i * other.nrows + k][j * w:(j + 1) * w] = \
-                        [a * b % p for b in rk] if p else [a * b for b in rk]
-        return out
+        p, w = self.field.char, other.ncols
+        out = []
+        for ri in self._rows:
+            for rk in other._rows:
+                row = {}
+                for j, a in ri.items():
+                    base = j * w
+                    for k, b in rk.items():
+                        row[base + k] = a * b % p if p else a * b
+                out.append(row)
+        return Matrix.sparse(self.field, out, self.ncols * w)
 
-    def _echelon(self, full):
-        """First-nonzero pivoting on a working copy; returns (rows, pivots).
+    def _echelon(self):
+        """Forward elimination, one row at a time, on working copies.
 
-        With `full` each pivot column is cleared in every other row and the
-        rows come back in reduced row echelon form; otherwise only the rows
-        below the pivot are cleared (forward elimination), which finds the
-        same pivot columns with less work.
+        Returns {pivot column: row}: each row has entry 1 at its pivot
+        column and no entry to the left of it.  A row is reduced by the
+        stored row of its first column until that column has none.
         """
         F = self.field
-        p, nrows, ncols = F.char, self.nrows, self.ncols
-        m = [_reduced(r, p) for r in self.rows]
-        pivots = []
-        pr = 0
-        for pc in range(ncols):
-            if pr == nrows:
-                break
-            pivot_row = next((i for i in range(pr, nrows) if m[i][pc]), None)
-            if pivot_row is None:
-                continue
-            row = m[pivot_row]
-            m[pr], m[pivot_row] = row, m[pr]
-            support = [j for j in range(pc, ncols) if row[j]]
-            if row[pc] != 1:
-                _scale(row, support, F.inv(row[pc]), p)
-            for i in range(0 if full else pr + 1, nrows):
-                c = m[i][pc]
-                if c and i != pr:
-                    _eliminate(m[i], c, row, support, p)
-            pivots.append(pc)
-            pr += 1
-        return m, pivots
+        p = F.char
+        table = {}
+        for r in self._rows:
+            v = dict(r)
+            while v:
+                c = min(v)
+                w = table.get(c)
+                if w is None:
+                    a = v[c]
+                    if a != 1:
+                        inv = F.inv(a)
+                        v = {j: b * inv % p for j, b in v.items()} if p else \
+                            {j: b * inv for j, b in v.items()}
+                    table[c] = v
+                    break
+                _subtract(v, v[c], w, p)
+        return table
 
     def rref(self):
         """Reduced row echelon form.  Returns (rref matrix, pivot column list)."""
-        m, pivots = self._echelon(full=True)
-        return Matrix._adopt(self.field, m, self.ncols), pivots
+        table = self._echelon()
+        p = self.field.char
+        pivots = sorted(table)
+        # back substitution: the rows of later pivots are already reduced,
+        # and subtracting one brings in no other pivot column
+        for c in reversed(pivots):
+            v = table[c]
+            for d in [d for d in v if d != c and d in table]:
+                _subtract(v, v[d], table[d], p)
+        rows = [table[c] for c in pivots] + [{} for _ in range(self.nrows - len(pivots))]
+        return Matrix.sparse(self.field, rows, self.ncols), pivots
 
     def rank(self):
         """Rank by forward elimination."""
-        return len(self._echelon(full=False)[1])
+        return len(self._echelon())
 
     def kernel_basis(self):
         """Basis of the right kernel, one vector per free column."""
@@ -174,16 +215,16 @@ class Matrix:
         p = F.char
         R, pivots = self.rref()
         pivset = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivset]
-        basis = []
-        for fj in free:
-            v = [F.zero] * self.ncols
-            v[fj] = F.one
-            for r, pc in enumerate(pivots):
-                a = R.rows[r][fj]
-                v[pc] = -a % p if p else -a
-            basis.append(v)
-        return basis
+        basis = {}
+        for fj in range(self.ncols):
+            if fj not in pivset:
+                v = basis[fj] = [F.zero] * self.ncols
+                v[fj] = F.one
+        for pc, row in zip(pivots, R._rows):
+            for j, a in row.items():
+                if j != pc:
+                    basis[j][pc] = -a % p if p else -a
+        return list(basis.values())
 
 
 def product_nonzeros(left, right, p):
@@ -195,12 +236,11 @@ def product_nonzeros(left, right, p):
     out = []
     for row in left:
         acc = {}
-        for k, a in row:
-            for j, b in right[k]:
+        for k, a in row.items():
+            for j, b in right[k].items():
                 acc[j] = acc.get(j, 0) + a * b
-        if p:
-            acc = {j: v % p for j, v in acc.items()}
-        out.append({j: v for j, v in acc.items() if v})
+        out.append({j: r for j, v in acc.items() if (r := v % p)} if p else
+                   {j: v for j, v in acc.items() if v})
     return out
 
 

@@ -13,6 +13,7 @@ cached over the integers in `_stars`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
+from functools import cached_property
 from itertools import combinations
 
 
@@ -32,7 +33,9 @@ class SimplicialPoset:
 
     The tables are tuples, and equality and hashing are by identity, so a
     poset keys caches in O(1).  Its jobs (`job`) and its integer star
-    complexes (`_stars`) live as long as the poset does.
+    complexes (`_stars`) live as long as the poset does, and so do the
+    tables of its rank-2 intervals (`diamonds`) and of its incidence
+    signs (`cover_signs`), each built on first read.
     """
 
     ranks: tuple
@@ -112,6 +115,37 @@ class SimplicialPoset:
 
     def upper_set(self, i):
         return [j for j in range(self.size) if self.leq(i, j)]
+
+    @cached_property
+    def diamonds(self) -> tuple:
+        """Every rank-2 interval i < j as (i, mids, j), with mids the
+        elements strictly between them (two in a simplicial poset), for j
+        in id order; built on first read."""
+        out = []
+        for j in range(self.size):
+            r = self.ranks[j]
+            if r < 2:
+                continue
+            below = self.below[j]
+            upper = [t for t in below if self.ranks[t] == r - 1]
+            for i in below:
+                if self.ranks[i] == r - 2:
+                    out.append((i, tuple(t for t in upper if i in self.below[t]), j))
+        return tuple(out)
+
+    @cached_property
+    def cover_signs(self) -> dict:
+        """The incidence sign [J:I] of every cover I <_1 J that adds one
+        vertex, keyed (J, I); built on first read."""
+        signs = {}
+        for j, cs in enumerate(self.covers):
+            vj = self.vertex_sets[j]
+            for i in cs:
+                added = set(vj) - set(self.vertex_sets[i])
+                if len(added) == 1:
+                    v = added.pop()
+                    signs[(j, i)] = -1 if sum(1 for w in vj if w < v) % 2 else 1
+        return signs
 
 
 @dataclass
@@ -223,15 +257,9 @@ def validate(S: SimplicialPoset) -> PosetDiagnostics:
         if seen != expected:
             msgs.append(f"element {i}: lower interval misses some sub-vertex-sets")
     # square condition: exactly two intermediates for every I <_2 J
-    for j in range(S.size):
-        if S.ranks[j] < 2:
-            continue
-        for i in S.below[j]:
-            if S.ranks[i] != S.ranks[j] - 2:
-                continue
-            mids = [t for t in S.below[j] if S.ranks[t] == S.ranks[j] - 1 and S.leq(i, t)]
-            if len(mids) != 2:
-                msgs.append(f"pair {i} <2 {j} has {len(mids)} intermediates, expected 2")
+    for i, mids, j in S.diamonds:
+        if len(mids) != 2:
+            msgs.append(f"pair {i} <2 {j} has {len(mids)} intermediates, expected 2")
     ok = not msgs
     return PosetDiagnostics(ok, S.is_pure(), S.dim, msgs)
 
@@ -242,16 +270,15 @@ def incidence_number(S: SimplicialPoset, j: int, i: int) -> int:
     Convention: with vertex_set(J) = vertex_set(I) + {v}, the sign is
     (-1)^(number of vertices of J smaller than v).  It depends only on the
     vertex sets, so parallel faces get equal signs, and the square identity
-    holds on every I <_2 J.
+    holds on every I <_2 J.  Read off the poset's table `cover_signs`.
     """
-    if i not in S.covers[j]:
-        raise PosetError(f"{i} is not covered by {j}")
-    added = set(S.vertex_sets[j]) - set(S.vertex_sets[i])
-    if len(added) != 1:
+    sign = S.cover_signs.get((j, i))
+    if sign is None:
+        if i not in S.covers[j]:
+            raise PosetError(f"{i} is not covered by {j}")
+        added = set(S.vertex_sets[j]) - set(S.vertex_sets[i])
         raise PosetError(f"cover {j} -> {i} adds {len(added)} vertices")
-    v = added.pop()
-    k = sum(1 for w in S.vertex_sets[j] if w < v)
-    return -1 if k % 2 else 1
+    return sign
 
 
 def face_counts(S: SimplicialPoset):

@@ -86,21 +86,14 @@ def check_sheaf_functoriality(sheaf: CellularSheaf):
             nonzeros[(src, dst)] = m.nonzeros()
         return nonzeros[(src, dst)]
 
-    for j in range(S.size):
-        if S.ranks[j] < 2:
+    for i, (m1, m2), j in S.diamonds:
+        if i == 0 and not sheaf.include_empty:
             continue
-        for i in S.below[j]:
-            if S.ranks[i] != S.ranks[j] - 2:
-                continue
-            if i == 0 and not sheaf.include_empty:
-                continue
-            mids = [t for t in S.below[j] if S.ranks[t] == S.ranks[j] - 1 and S.leq(i, t)]
-            m1, m2 = mids
-            src, dst = (i, j) if sheaf._step > 0 else (j, i)
-            a = product_nonzeros(cover(m1, dst), cover(src, m1), p)
-            b = product_nonzeros(cover(m2, dst), cover(src, m2), p)
-            if a != b:
-                raise InvariantViolation(f"{kind} functoriality fails on {i} < {m1},{m2} < {j}")
+        src, dst = (i, j) if sheaf._step > 0 else (j, i)
+        a = product_nonzeros(cover(m1, dst), cover(src, m1), p)
+        b = product_nonzeros(cover(m2, dst), cover(src, m2), p)
+        if a != b:
+            raise InvariantViolation(f"{kind} functoriality fails on {i} < {m1},{m2} < {j}")
 
 
 def _blocks(S, stalk_dims, degree, include_empty):
@@ -121,7 +114,7 @@ def _block_complex(sheaf: CellularSheaf, truncated: bool) -> GradedComplex:
 
     The block of the differential from the stalk of a face to the stalk of
     a face it maps to is the cover matrix times the incidence number of
-    the cover.
+    the cover; its nonzero entries are written straight into sparse rows.
     """
     S = sheaf.poset
     F = sheaf.field
@@ -137,20 +130,21 @@ def _block_complex(sheaf: CellularSheaf, truncated: bool) -> GradedComplex:
             continue
         ids_d, off_d, tot_d = info[d]
         _, off_e, tot_e = info[d + step]
-        mat = Matrix.zero(F, tot_e, tot_d)
+        rows = [{} for _ in range(tot_e)]
         for src in ids_d:
+            c0 = off_d[src]
             for dst in targets[src]:
-                if dst not in off_e:
+                m = sheaf.rest.get((src, dst))
+                if m is None or dst not in off_e:
                     continue
                 upper, lower = (dst, src) if step > 0 else (src, dst)
-                sign = incidence_number(S, upper, lower)
-                r0, c0 = off_e[dst], off_d[src]
-                for r, row in enumerate(sheaf._cover_matrix(src, dst).rows):
-                    out = mat.rows[r0 + r]
-                    for c, v in enumerate(row):
-                        if v:
-                            out[c0 + c] = sign * v % p if p else sign * v
-        diff[d] = mat
+                negate = incidence_number(S, upper, lower) < 0
+                r0 = off_e[dst]
+                for r, row in enumerate(m.nonzeros()):
+                    out = rows[r0 + r]
+                    for c, v in row.items():
+                        out[c0 + c] = (-v % p if p else -v) if negate else v
+        diff[d] = Matrix.sparse(F, rows, tot_d)
     labels = {d: info[d][0] for d in info}
     cx = GradedComplex(F, dims, diff, shift=step, labels=labels)
     cx.check_square_zero()
@@ -211,9 +205,14 @@ def tensor(A: CellularSheaf, B: CellularSheaf) -> CellularSheaf:
 
 class LocalHomologyData:
     """The homology of the star complex C(S, S minus st j) of every face j,
-    ranked on first read (`profile(j)`): the local homology, and at the
-    empty face the reduced homology of S.  Backs the local homology sheaves
-    and the structure sheaf.
+    ranked on first read (`dims(j)`, `profile(j)`): the local homology, and
+    at the empty face the reduced homology of S.  Backs the local homology
+    sheaves and the structure sheaf.
+
+    The dimensions of a star are kept once it is ranked.  Its profile,
+    which holds the star's complex over the field and, once asked for, its
+    representatives, is kept until `release_profiles`; a later request
+    maps the star into the field again and does not rank it again.
 
     A cover j1 < j2 puts the star of j2 inside the star of j1, so the chain
     map behind each restriction keeps the coordinates of the generators of
@@ -223,15 +222,27 @@ class LocalHomologyData:
     def __init__(self, S: SimplicialPoset, field):
         self.poset = S
         self.field = field
+        self._dims = {}
         self._profiles = {}
+
+    def dims(self, j) -> dict:
+        """The homology dimensions of the star complex of j."""
+        dims = self._dims.get(j)
+        if dims is None:
+            dims = self._dims[j] = self.profile(j).dims
+        return dims
 
     def profile(self, j) -> HomologyProfile:
         """The homology of the star complex of j, which it holds."""
         prof = self._profiles.get(j)
         if prof is None:
             cx = cellular_chain_complex(self.poset, self.field, star=j)
-            prof = self._profiles[j] = homology(cx)
+            prof = self._profiles[j] = HomologyProfile(cx, self._dims.get(j))
         return prof
+
+    def release_profiles(self):
+        """Drop every profile and its complex; the dimensions stay."""
+        self._profiles.clear()
 
     def restriction(self, j1, j2, i) -> Matrix:
         """Matrix of loc_i(j1 < j2) in the representative bases."""
@@ -248,7 +259,7 @@ class LocalHomologyData:
         complex of S.
         """
         S = self.poset
-        dims = [self.profile(j).dims.get(degree, 0) for j in range(S.size)]
+        dims = [self.dims(j).get(degree, 0) for j in range(S.size)]
         if not include_empty:
             dims[0] = 0
         rest = {(i, j): self.restriction(i, j, degree)

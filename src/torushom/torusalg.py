@@ -9,7 +9,6 @@ runs the vanishing and duality checks that tie them together.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -27,7 +26,8 @@ class ExteriorAlgebra:
     """Exterior algebra on n generators with subset-indexed basis.
 
     Degree-q component has basis e_A over q-subsets A of {1..n}, listed in
-    lexicographic order; wedge uses the shuffle sign.
+    lexicographic order; wedge uses the shuffle sign, read off a product
+    table per pair of degrees that is built on first use.
     """
 
     def __init__(self, n: int, field):
@@ -37,6 +37,7 @@ class ExteriorAlgebra:
                          for q in range(n + 1)}
         self._index = {q: {s: k for k, s in enumerate(subs)}
                        for q, subs in self._subsets.items()}
+        self._tables = {}
 
     def subsets(self, q):
         return self._subsets.get(q, [])
@@ -61,25 +62,45 @@ class ExteriorAlgebra:
             return 0, ()
         return s, tuple(sorted(set(A) | set(B)))
 
+    def _table(self, qa, qb):
+        """For each qb-subset B, in order, the triples (ia, k, s) with
+        e_A ^ e_B = s e_C, over the qa-subsets A (index ia) that miss B;
+        k is the index of C.  Distinct A give distinct C."""
+        table = self._tables.get((qa, qb))
+        if table is None:
+            table = self._tables[(qa, qb)] = [
+                [(ia, self.index(C), s) for ia, A in enumerate(self.subsets(qa))
+                 for s, C in [self.wedge_basis(A, B)] if s]
+                for B in self.subsets(qb)]
+        return table
+
     def wedge(self, qa, va, qb, vb):
         """Wedge of coordinate vectors in degrees qa, qb."""
         F = self.field
         p = F.char
         out = [F.zero] * self.dim(qa + qb)
-        for ia, A in enumerate(self.subsets(qa)):
-            a = va[ia]
-            if not a:
+        for entries, b in zip(self._table(qa, qb), vb):
+            if not b:
                 continue
-            for ib, B in enumerate(self.subsets(qb)):
-                b = vb[ib]
-                if not b:
-                    continue
-                s, C = self.wedge_basis(A, B)
-                if s == 0:
-                    continue
-                k = self.index(C)
-                out[k] += s * a * b
+            for ia, k, s in entries:
+                a = va[ia]
+                if a:
+                    out[k] += s * a * b
         return [x % p for x in out] if p else out
+
+    def times_basis(self, qa, va, qb):
+        """va ^ e_B for every qb-subset B, in order; va holds field elements."""
+        F = self.field
+        p, dim = F.char, self.dim(qa + qb)
+        out = []
+        for entries in self._table(qa, qb):
+            vec = [F.zero] * dim
+            for ia, k, s in entries:
+                a = va[ia]
+                if a:
+                    vec[k] = s * a % p if p else s * a
+            out.append(vec)
+        return out
 
     def one_form(self, coeffs):
         """Degree-1 vector from n coefficients."""
@@ -166,38 +187,27 @@ def coefficient_CAI(cmap: CharacteristicMap, field, vertices, A):
     return field(-det if exp % 2 else det)
 
 
-def _memoized(method):
-    """Keep a kit method's results in the kit's own memo, keyed by the
-    method name and its positional arguments.
-
-    The memo lives on the instance, so a kit dies with its job;
-    `functools.cache` on the method would keep every kit alive.
-    """
-    @functools.wraps(method)
-    def memoized(self, *args):
-        key = (method.__name__,) + args
-        if key not in self._memo:
-            self._memo[key] = method(self, *args)
-        return self._memo[key]
-
-    return memoized
-
-
 class TorusSheafKit:
-    """All graded sheaves and cosheaves attached to (S, characteristic map).
+    """The graded sheaves and cosheaves attached to (S, characteristic map),
+    one exterior degree at a time.
 
-    Everything is lazy and kept in one memo: exterior ideal bases per face,
-    the ideal and quotient sheaves per degree, the principal-ideal cosheaf
-    and its quotient of the constant cosheaf, and the (co)homology
-    dimensions of the ideal and quotient sheaves tensored with the
-    structure sheaf and of the two cosheaves.  The sheaf and cosheaf sides
-    share one builder per construction: spans of forms, inclusions of
-    spans, quotients by spans.  The constant terms Λ^q need no complex of
-    their own: structure (x) Λ^q is C(n, q) copies of the structure sheaf
-    and the constant cosheaf Λ^q is C(n, q) copies of the cellular chains,
-    so `les_duality_check` scales the job's structure-sheaf cohomology and
-    Betti numbers instead.  The structure sheaf itself is the poset's,
-    shared through its job; `Job.kit` keeps one kit per characteristic map.
+    The first request for the (co)homology of degree q (`sheaf_dims`,
+    `cosheaf_dims`) builds that degree's spans (the exterior ideal and the
+    principal ideal of every face), the ideal and quotient sheaves, the
+    principal-ideal cosheaf and its quotient of the constant cosheaf, the
+    tensors of the two sheaves with the structure sheaf and their
+    complexes.  It keeps only the five dimension tables a check reads
+    (structure (x) ideal truncated, structure (x) quotient truncated and
+    untruncated, and the two cosheaves) and drops the rest.  A sheaf or
+    cosheaf asked for by name (`ideal_sheaf(q)`, ...) is built again for
+    that request.  The sheaf and cosheaf sides share one builder per
+    construction: spans of forms, inclusions of spans, quotients by spans.
+    The constant terms Λ^q need no complex of their own: structure (x) Λ^q
+    is C(n, q) copies of the structure sheaf and the constant cosheaf Λ^q
+    is C(n, q) copies of the cellular chains, so `les_duality_check`
+    scales the job's structure-sheaf cohomology and Betti numbers instead.
+    The structure sheaf itself is the poset's, shared through its job;
+    `Job.kit` keeps one kit per characteristic map.
     """
 
     def __init__(self, S: SimplicialPoset, cmap: CharacteristicMap, field):
@@ -211,38 +221,43 @@ class TorusSheafKit:
         self.n = cmap.n
         self.ext = ExteriorAlgebra(cmap.n, field)
         self.frows = cmap.field_rows(field)
-        self._memo = {}
+        self._dims = {}         # exterior degree -> its dimension tables
 
-    # -- exterior data per face ------------------------------------------
+    # -- exterior spans per degree ---------------------------------------
 
     def omega(self, label):
         return self.ext.one_form(self.frows[label])
 
-    def _span(self, forms, deg: int, q: int):
-        """Echelonized span of form ^ e_B over the degree-`deg` forms and
-        the (q - deg)-subsets B, in that order; returns (basis, span)."""
-        F = self.field
-        ext = self.ext
-        span = IncrementalSpan(F, ext.dim(q))
+    def _span(self, vecs, q: int):
+        """Echelonized span of the degree-q vectors `vecs`; returns
+        (basis, span), the basis being the vectors that enlarged it.  Once
+        the span is the whole component no vector can enlarge it."""
+        amb = self.ext.dim(q)
+        span = IncrementalSpan(self.field, amb)
         basis = []
-        for w in forms:
-            for B in ext.subsets(q - deg):
-                vb = [F.zero] * ext.dim(q - deg)
-                vb[ext.index(B)] = F.one
-                vec = ext.wedge(deg, w, q - deg, vb)
-                if span.add(vec):
-                    basis.append(vec)
+        for v in vecs:
+            if span.dim == amb:
+                break
+            if span.add(v):
+                basis.append(v)
         return basis, span
 
-    @_memoized
-    def ideal_basis(self, elem: int, q: int):
-        """Echelonized basis of the degree-q part of the face's exterior ideal."""
-        labels = self.S.vertex_sets[elem]
-        forms = [self.omega(lab) for lab in labels] if elem != 0 and 0 < q <= self.n else []
-        basis, span = self._span(forms, 1, q)
-        if len(basis) != self.ext.dim(q) - binom(self.n - len(labels), q):
-            raise InvariantViolation(f"ideal dimension off at face {elem}, degree {q}")
-        return basis, span
+    def ideal_spans(self, q: int) -> list:
+        """(basis, span) of the degree-q part of every face's exterior
+        ideal, in id order.  The ideal of a face is spanned by omega(v) ^ e_B
+        over its vertices v and the (q - 1)-subsets B, and each of these
+        products is formed once for all faces."""
+        ext = self.ext
+        products = {lab: ext.times_basis(1, self.omega(lab), q - 1)
+                    for lab in self.frows} if 0 < q <= self.n else {}
+        spans = []
+        for elem, labels in enumerate(self.S.vertex_sets):
+            vecs = [v for lab in labels for v in products[lab]] if products else []
+            basis, span = self._span(vecs, q)
+            if len(basis) != ext.dim(q) - binom(self.n - len(labels), q):
+                raise InvariantViolation(f"ideal dimension off at face {elem}, degree {q}")
+            spans.append((basis, span))
+        return spans
 
     def pi_form(self, elem: int):
         """Top wedge of the face's direction vectors; nonzero by validity."""
@@ -257,34 +272,52 @@ class TorusSheafKit:
             raise InvariantViolation(f"zero top form at face {elem}")
         return vec
 
-    @_memoized
-    def pi_basis(self, elem: int, q: int):
-        """Echelonized basis of the degree-q part of the principal ideal."""
-        k = len(self.S.vertex_sets[elem])
-        if elem == 0 or not k <= q <= self.n:
-            return self._span([], k, q)
-        basis, span = self._span([self.pi_form(elem)], k, q)
-        if len(basis) != binom(self.n - k, q - k):
-            raise InvariantViolation(f"principal ideal dimension off at face {elem}")
-        return basis, span
+    def pi_spans(self, q: int) -> list:
+        """(basis, span) of the degree-q part of every face's principal
+        ideal, generated by its top form, in id order."""
+        spans = []
+        for elem, labels in enumerate(self.S.vertex_sets):
+            k = len(labels)
+            if elem == 0 or not k <= q <= self.n:
+                spans.append(self._span([], q))
+                continue
+            basis, span = self._span(self.ext.times_basis(k, self.pi_form(elem), q - k), q)
+            if len(basis) != binom(self.n - k, q - k):
+                raise InvariantViolation(f"principal ideal dimension off at face {elem}")
+            spans.append((basis, span))
+        return spans
 
     # -- sheaves and cosheaves per exterior degree --------------------------
 
-    def _inclusions(self, cls, basis, q: int, name: str):
-        """The sheaf or cosheaf (`cls`) of the spans `basis(e, q)`; its maps
-        are the coordinate forms of the inclusions along the covers.
+    def _inclusions(self, cls, spans, name: str):
+        """The sheaf or cosheaf (`cls`) of the spans, one (basis, span) per
+        face; its maps are the coordinate forms of the inclusions along the
+        covers.
 
         Column i of a map X holds the coordinates of the source's i-th basis
         vector in the target's basis, read off the target's span, so
         B_dst X = B_src.  Hence X is injective with no check: X v = 0 gives
-        B_src v = 0, and B_src is a basis, so v = 0."""
+        B_src v = 0, and B_src is a basis, so v = 0.  A source vector that is
+        itself the k-th target basis vector (the ideals of two faces share
+        the products of their common vertices) has the unit column e_k."""
         S, F = self.S, self.field
-        dims = [len(basis(e, q)[0]) for e in range(S.size)]
+        dims = [len(basis) for basis, _ in spans]
+        positions = {}                  # face -> {basis vector: its index}
+
+        def column(v, dst):
+            if dst not in positions:
+                positions[dst] = {tuple(w): k for k, w in enumerate(spans[dst][0])}
+            k = positions[dst].get(tuple(v))
+            if k is None:
+                return spans[dst][1].coords(v)
+            unit = [F.zero] * dims[dst]
+            unit[k] = F.one
+            return unit
+
         rest = {}
         for src, dst in _covers(S, cls):
             if dims[src] and dims[dst]:
-                span = basis(dst, q)[1]
-                cols = [span.coords(v) for v in basis(src, q)[0]]
+                cols = [column(v, dst) for v in spans[src][0]]
                 if any(c is None for c in cols):
                     raise InvariantViolation(f"{name} not nested along a cover")
                 rest[(src, dst)] = Matrix.from_columns(F, cols, dims[dst])
@@ -292,51 +325,53 @@ class TorusSheafKit:
         check_sheaf_functoriality(result)
         return result
 
-    def _quotients(self, cls, basis, q: int, name: str):
-        """The sheaf or cosheaf (`cls`) of the degree-q exterior component
-        modulo the spans `basis(e, q)`, in free-column coordinates.  Only
+    def _quotients(self, cls, spans, name: str):
+        """The sheaf or cosheaf (`cls`) of the exterior component modulo the
+        spans, one (basis, span) per face, in free-column coordinates.  Only
         the sheaf keeps the empty face, carrying the whole component."""
-        S, F, amb = self.S, self.field, self.ext.dim(q)
-        spans = [basis(e, q)[1] for e in range(S.size)]
+        S, F = self.S, self.field
+        spans = [span for _, span in spans]
+        amb = spans[0].ambient_dim
         free = [span.free_columns() for span in spans]
         dims = [len(cols) for cols in free]
         if cls is CellularCosheaf:
             dims[0] = 0
+        classes = {}                    # (face, position) -> class of the unit vector
+
+        def unit_class(e, c):
+            if (e, c) not in classes:
+                unit = [F.zero] * amb
+                unit[c] = F.one
+                classes[(e, c)] = spans[e].quotient_coords(unit)
+            return classes[(e, c)]
+
         rest = {}
         for src, dst in _covers(S, cls):
             if dims[src] and dims[dst]:
-                cols = []
-                for c in free[src]:
-                    unit = [F.zero] * amb
-                    unit[c] = F.one
-                    cols.append(spans[dst].quotient_coords(unit))
+                cols = [unit_class(dst, c) for c in free[src]]
                 rest[(src, dst)] = Matrix.from_columns(F, cols, dims[dst])
         result = cls(S, F, dims, rest, include_empty=dims[0] > 0, name=name)
         check_sheaf_functoriality(result)
         return result
 
-    @_memoized
     def ideal_sheaf(self, q: int) -> CellularSheaf:
         """Degree-q ideal sheaf: stalk the ideal part, restrictions the
         coordinate form of the inclusions."""
-        return self._inclusions(CellularSheaf, self.ideal_basis, q, f"ideal^({q})")
+        return self._inclusions(CellularSheaf, self.ideal_spans(q), f"ideal^({q})")
 
-    @_memoized
     def quotient_sheaf(self, q: int) -> CellularSheaf:
         """Degree-q part of the quotient of the full exterior algebra by the
         ideal sheaf; the empty face carries the whole degree-q component."""
-        return self._quotients(CellularSheaf, self.ideal_basis, q, f"lambda/ideal^({q})")
+        return self._quotients(CellularSheaf, self.ideal_spans(q), f"lambda/ideal^({q})")
 
-    @_memoized
     def pi_cosheaf(self, q: int) -> CellularCosheaf:
         """Degree-q principal-ideal cosheaf; corestrictions are the
         coordinate forms of the inclusions."""
-        return self._inclusions(CellularCosheaf, self.pi_basis, q, f"pi^({q})")
+        return self._inclusions(CellularCosheaf, self.pi_spans(q), f"pi^({q})")
 
-    @_memoized
     def lambda_mod_pi_cosheaf(self, q: int) -> CellularCosheaf:
         """Quotient cosheaf of the constant cosheaf by the principal ideals."""
-        return self._quotients(CellularCosheaf, self.pi_basis, q, f"lambda/pi^({q})")
+        return self._quotients(CellularCosheaf, self.pi_spans(q), f"lambda/pi^({q})")
 
     # -- structure sheaf, tensors and their (co)homology -------------------
 
@@ -349,25 +384,41 @@ class TorusSheafKit:
     def structure_tensor_quotient(self, q: int) -> CellularSheaf:
         return tensor(self.structure_sheaf(), self.quotient_sheaf(q))
 
-    @_memoized
+    def _degree(self, q: int) -> dict:
+        """The dimension tables of degree q, from one pass over its spans,
+        sheaves and complexes, none of which is kept."""
+        tables = self._dims.get(q)
+        if tables is None:
+            structure = self.structure_sheaf()
+            spans = self.ideal_spans(q)
+            ideal = tensor(structure, self._inclusions(CellularSheaf, spans, f"ideal^({q})"))
+            tables = {("ideal", True): sheaf_cohomology(ideal, truncated=True).dims}
+            quotient = tensor(structure,
+                              self._quotients(CellularSheaf, spans, f"lambda/ideal^({q})"))
+            del ideal, spans
+            for truncated in (True, False):
+                tables[("quotient", truncated)] = \
+                    sheaf_cohomology(quotient, truncated=truncated).dims
+            del quotient
+            spans = self.pi_spans(q)
+            tables["pi"] = cosheaf_homology(
+                self._inclusions(CellularCosheaf, spans, f"pi^({q})")).dims
+            tables["lambda/pi"] = cosheaf_homology(
+                self._quotients(CellularCosheaf, spans, f"lambda/pi^({q})")).dims
+            self._dims[q] = tables
+        return tables
+
     def sheaf_dims(self, kind: str, q: int, truncated: bool) -> dict:
-        """Cohomology dimensions of structure (x) `kind`^(q), computed once.
+        """Cohomology dimensions of structure (x) `kind`^(q).
 
-        `kind` is "ideal" or "quotient"; `truncated` is as in
-        `sheaf_cohomology`.
+        `kind` is "ideal" (truncated only) or "quotient"; `truncated` is as
+        in `sheaf_cohomology`.
         """
-        tensors = {"ideal": self.structure_tensor_ideal,
-                   "quotient": self.structure_tensor_quotient}
-        return sheaf_cohomology(tensors[kind](q), truncated=truncated).dims
+        return self._degree(q)[(kind, truncated)]
 
-    @_memoized
     def cosheaf_dims(self, kind: str, q: int) -> dict:
-        """Homology dimensions of the cosheaf `kind`^(q), computed once.
-
-        `kind` is "pi" or "lambda/pi".
-        """
-        cosheaves = {"pi": self.pi_cosheaf, "lambda/pi": self.lambda_mod_pi_cosheaf}
-        return cosheaf_homology(cosheaves[kind](q)).dims
+        """Homology dimensions of the cosheaf `kind`^(q), "pi" or "lambda/pi"."""
+        return self._degree(q)[kind]
 
 
 # ---------------------------------------------------------------------------

@@ -189,18 +189,18 @@ def order_complex_homology(S: SimplicialPoset, field) -> HomologyProfile:
     index = {k: {c: p for p, c in enumerate(cs)} for k, cs in labels.items()}
     diff = {}
     for k in sorted(chains):
-        mat = Matrix.zero(field, dims.get(k - 1, 0), dims[k])
+        rows = [[field.zero] * dims[k] for _ in range(dims.get(k - 1, 0))]
         for col, ch in enumerate(labels[k]):
             if k == 0:
-                mat.rows[0][col] = field.one
+                rows[0][col] = field.one
                 continue
             sign = 1
             for drop in range(len(ch)):
                 face = ch[:drop] + ch[drop + 1:]
                 row = index[k - 1][face]
-                mat.rows[row][col] = field(sign)
+                rows[row][col] = field(sign)
                 sign = -sign
-        diff[k] = mat
+        diff[k] = Matrix(field, rows, dims[k])
     cx = GradedComplex(field, dims, diff, shift=-1, labels=labels)
     cx.check_square_zero()
     return homology(cx)
@@ -247,4 +247,4 @@ def sheaf_dump(sheaf: CellularSheaf) -> dict:
 
 def quotient_class(kit, elem: int, q: int, vec):
     """Coordinates of a degree-q form in the kit's quotient basis at a face."""
-    return kit.ideal_basis(elem, q)[1].quotient_coords(vec)
+    return kit.ideal_spans(q)[elem][1].quotient_coords(vec)

@@ -172,9 +172,10 @@ def test_induced_map_identity_and_projection():
     rel = cellular_chain_complex(S, QQ, star=e)
     proj = {}
     for d, ids in rel.labels.items():
-        proj[d] = Matrix.zero(QQ, len(ids), cx.dim(d))
+        rows = [[QQ.zero] * cx.dim(d) for _ in ids]
         for row, face in enumerate(ids):
-            proj[d].rows[row][cx.labels[d].index(face)] = QQ.one
+            rows[row][cx.labels[d].index(face)] = QQ.one
+        proj[d] = Matrix(QQ, rows, cx.dim(d))
     relprof = homology(rel)
     ind2 = induced_map(proj, prof, relprof)
     # the circle class maps isomorphically onto the relative degree-1 class

@@ -32,7 +32,7 @@ def test_prime_field_arithmetic():
 
 
 def test_rank_identity_and_zero():
-    M = Matrix.from_int_rows(QQ, [[1, 0], [0, 1]])
+    M = Matrix(QQ, [[1, 0], [0, 1]])
     assert M.rank() == 2 and M.kernel_basis() == [] and M.rref()[1] == [0, 1]
 
     Z = Matrix.zero(QQ, 3, 4)
@@ -41,7 +41,7 @@ def test_rank_identity_and_zero():
 
 def test_rank_kernel_example():
     # [[1,2],[2,4]] has rank 1; kernel spanned by (2,-1)
-    M = Matrix.from_int_rows(QQ, [[1, 2], [2, 4]])
+    M = Matrix(QQ, [[1, 2], [2, 4]])
     assert M.rank() == 1
     assert M.rref()[1] == [0]
     ker = M.kernel_basis()
@@ -58,15 +58,15 @@ def test_rank_equals_transpose_rank(any_field):
         m = rng.randint(0, 5)
         n = rng.randint(1, 5)
         rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
-        M = Matrix.from_int_rows(any_field, rows, ncols=n)
+        M = Matrix(any_field, rows, ncols=n)
         assert M.rank() == transpose(M).rank()
         assert len(M.rref()[1]) == M.rank()
         assert M.rank() + len(M.kernel_basis()) == n
 
 
 def test_kron():
-    A = Matrix.from_int_rows(QQ, [[1, 2]])
-    B = Matrix.from_int_rows(QQ, [[0, 1], [1, 0]])
+    A = Matrix(QQ, [[1, 2]])
+    B = Matrix(QQ, [[0, 1], [1, 0]])
     K = A.kron(B)
     assert K.nrows == 2 and K.ncols == 4
     assert [[int(v) for v in r] for r in K.rows] == [[0, 1, 0, 2], [1, 0, 2, 0]]
@@ -295,6 +295,39 @@ def test_mul_equal_and_zero_test_match_reference(data):
     multiples = Matrix(F, [[p * a for a in r] for r in A], n)     # zero over F_p
     assert (not any(product_nonzeros(multiples.nonzeros(), ident, p))) == \
         all(F(a) == 0 for r in multiples.rows for a in r)
+
+
+def stores_only_nonzero_field_elements(M):
+    p = M.field.char
+    rows = M.nonzeros()
+    return len(rows) == M.nrows and all(
+        0 <= j < M.ncols and a and (not p or 0 < a < p) for r in rows for j, a in r.items())
+
+
+def ref_kron(F, A, B):
+    return [[F(a * b) for a in ra for b in rb] for ra in A for rb in B]
+
+
+@ORACLE
+@given(st.data())
+def test_sparse_rows_hold_the_nonzero_entries_only(data):
+    # every constructor and kernel result stores no zero, and its dense view
+    # holds the canonical elements, for entries given as p, -1 or 2p + 1 too
+    F, A, n = data.draw(matrices())
+    _, B, k = data.draw(matrices(field=F))
+    M = Matrix(F, A, n)
+    assert stores_only_nonzero_field_elements(M) and M.rows == canon(F, A)
+    K = M.kron(Matrix(F, B, k))
+    assert stores_only_nonzero_field_elements(K) and K.rows == ref_kron(F, canon(F, A), B)
+    columns = Matrix.from_columns(F, canon(F, [list(c) for c in zip(*A)]) if A else
+                                  [[] for _ in range(n)], len(A))
+    assert stores_only_nonzero_field_elements(columns) and columns.rows == M.rows
+    R, _ = M.rref()
+    assert stores_only_nonzero_field_elements(R)
+    ints = [[int(a) for a in r] for r in A] if F is not QQ else []
+    if ints:
+        mapped = Matrix(QQ, ints, n).in_field(F)
+        assert stores_only_nonzero_field_elements(mapped) and mapped.rows == M.rows
 
 
 def test_mul_refuses_factors_that_do_not_compose():

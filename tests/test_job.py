@@ -169,6 +169,20 @@ def test_classify_builds_no_structure_sheaf():
     assert "local_homology" not in vars(job)     # released with the sheaves
 
 
+def test_link_dims_release_the_star_profiles_and_rank_no_star_twice(monkeypatch):
+    # a classification-only job keeps dimensions alone; a structure sheaf
+    # asked for afterwards maps the stars into the field again, unranked
+    S = preset("torus_7")
+    F3 = PrimeField(3)
+    ranked = _ranked_complexes(monkeypatch)
+    assert classify(S, F3).buchsbaum
+    local = S.job(F3).local_homology
+    assert local._profiles == {} and sorted(local._dims) == list(range(S.size))
+    assert len(ranked) == S.size
+    S.job(F3).structure_sheaf(include_empty=True)
+    assert len(ranked) == S.size
+
+
 def test_structure_sheaf_first_then_link_dims_builds_once():
     S = preset("boundary_of_simplex(3)")
     with _local_homology_calls() as calls:
@@ -216,7 +230,8 @@ def _ranked_complexes(monkeypatch):
     ranked = []
     init = HomologyProfile.__init__
     monkeypatch.setattr(HomologyProfile, "__init__",
-                        lambda prof, cx: ranked.append(cx) or init(prof, cx))
+                        lambda prof, cx, dims=None:
+                        (dims is None and ranked.append(cx)) or init(prof, cx, dims))
     return ranked
 
 

@@ -111,6 +111,28 @@ def test_incidence_square_identity_everywhere():
                 assert total == 0
 
 
+@pytest.mark.parametrize("name", ["boundary_of_simplex(3)", "torus_7", "digon_cycle(2)",
+                                  "cross_polytope_boundary(3)"])
+def test_poset_tables_match_a_scan(name):
+    # the rank-2 intervals and incidence signs, built once per poset, against
+    # a scan of the lower sets and the vertex-set formula
+    S = preset(name)
+    scan = []
+    for j in range(S.size):
+        for i in S.below[j]:
+            if S.ranks[j] >= 2 and S.ranks[i] == S.ranks[j] - 2:
+                mids = [t for t in S.below[j] if S.ranks[t] == S.ranks[j] - 1 and S.leq(i, t)]
+                scan.append((i, tuple(mids), j))
+    assert list(S.diamonds) == scan
+    signs = {}
+    for j in range(S.size):
+        for i in S.covers[j]:
+            v, = set(S.vertex_sets[j]) - set(S.vertex_sets[i])
+            signs[(j, i)] = (-1) ** sum(1 for w in S.vertex_sets[j] if w < v)
+    assert S.cover_signs == signs
+    assert S.diamonds is S.diamonds and S._stars == {}
+
+
 def test_parallel_edges_same_sign():
     S = preset("digon_cycle(1)")
     v1 = next(i for i in S.vertices() if S.vertex_sets[i] == (1,))

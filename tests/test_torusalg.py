@@ -1,6 +1,10 @@
+import contextlib
+import gc
 import hashlib
+import io
 import itertools
 import random
+import types
 
 import pytest
 
@@ -12,12 +16,14 @@ from torushom.torusalg import (
     TorusSheafKit, keylemma_check, duality_check, les_duality_check,
 )
 from torushom.sheaves import (
-    CellularSheaf, CellularCosheaf, sheaf_cohomology, cosheaf_homology, tensor,
-    standard_sheaf, _constant,
+    CellularSheaf, CellularCosheaf, SheafCohomology, sheaf_cohomology, cosheaf_homology,
+    tensor, standard_sheaf, _constant,
 )
 from torushom.facevec import binom
-from torushom.complexes import InvariantViolation
+from torushom.complexes import GradedComplex, HomologyProfile, InvariantViolation
 from torushom.exactlin import Matrix, IncrementalSpan
+from torushom.cli import main
+from torushom.formats import write_charmap
 
 from oracles import quotient_class
 
@@ -76,6 +82,20 @@ def test_wedge_matches_per_element_reference(F):
         va = [F(rng.choice(pool)) if not p else rng.choice(pool) for _ in range(ext.dim(qa))]
         vb = [F(rng.choice(pool)) if not p else rng.choice(pool) for _ in range(ext.dim(qb))]
         assert ext.wedge(qa, va, qb, vb) == _ref_wedge(ext, qa, va, qb, vb)
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(3)], ids=str)
+def test_times_basis_matches_per_element_reference(F):
+    # the products the ideal and principal-ideal spans are built from
+    rng = random.Random(7)
+    ext = ExteriorAlgebra(4, F)
+    for qa in range(5):
+        for qb in range(5):
+            va = [F(rng.randint(-2, 2)) for _ in range(ext.dim(qa))]
+            units = [[F.one if i == k else F.zero for i in range(ext.dim(qb))]
+                     for k in range(ext.dim(qb))]
+            assert ext.times_basis(qa, va, qb) == \
+                [_ref_wedge(ext, qa, va, qb, u) for u in units]
 
 
 def test_validate_charmap_triangle():
@@ -188,12 +208,9 @@ def test_inclusions_refuse_spans_that_are_not_nested(cls):
         span = IncrementalSpan(QQ, 2)
         return [v for v in vecs if span.add(v)], span
 
-    def basis(e, q):
-        return spanned(spans[S.ranks[e]])
-
     with pytest.raises(InvariantViolation, match="not nested along a cover"):
-        kit._inclusions(cls, basis, 1, "crossed")
-    nested = kit._inclusions(cls, lambda e, q: spanned(spans[min(S.ranks[e], 1)]), 1, "same")
+        kit._inclusions(cls, [spanned(spans[r]) for r in S.ranks], "crossed")
+    nested = kit._inclusions(cls, [spanned(spans[min(r, 1)]) for r in S.ranks], "same")
     assert all(m.rows == [[1]] for m in nested.rest.values()) and nested.rest
 
 
@@ -391,9 +408,8 @@ def _hash_matrix(h, m):
     h.update(repr((m.nrows, m.ncols, [[str(v) for v in r] for r in m.rows])).encode())
 
 
-def _kit_digests(name, field):
-    S = preset(name)
-    kit = TorusSheafKit(S, preset_charmap(name), field)
+def _kit_digests(kit):
+    S, field = kit.S, kit.field
     maps, diffs = hashlib.sha256(), hashlib.sha256()
     covers = [(i, j) for i in range(S.size) for j in S.covered_by[i]]
     for q in range(kit.n + 1):
@@ -420,7 +436,100 @@ def _kit_digests(name, field):
     return maps.hexdigest(), diffs.hexdigest()
 
 
+def _golden_kit(key):
+    name, field = key
+    return TorusSheafKit(preset(name), preset_charmap(name), {"Q": QQ, "F3": PrimeField(3)}[field])
+
+
+def _run_every_degree(kit):
+    """The degree passes an `all` job makes: every table of every degree."""
+    for q in range(kit.n + 1):
+        for kind in ("ideal", "quotient"):
+            kit.sheaf_dims(kind, q, True)
+        kit.sheaf_dims("quotient", q, False)
+        for kind in ("pi", "lambda/pi"):
+            kit.cosheaf_dims(kind, q)
+
+
 @pytest.mark.parametrize("key", sorted(KIT_GOLDEN), ids=lambda k: f"{k[0]}-{k[1]}")
 def test_kit_matrices_match_golden(key):
-    name, field = key
-    assert _kit_digests(name, {"Q": QQ, "F3": PrimeField(3)}[field]) == KIT_GOLDEN[key]
+    assert _kit_digests(_golden_kit(key)) == KIT_GOLDEN[key]
+
+
+@pytest.mark.parametrize("key", sorted(KIT_GOLDEN), ids=lambda k: f"{k[0]}-{k[1]}")
+def test_sheaves_asked_after_the_degree_passes_rebuild_to_golden(key):
+    # the degree passes keep no sheaf, so one asked for afterwards is built
+    # again, entry for entry
+    kit = _golden_kit(key)
+    _run_every_degree(kit)
+    assert _kit_digests(kit) == KIT_GOLDEN[key]
+
+
+KEPT_TYPES = (IncrementalSpan, Matrix, CellularSheaf, GradedComplex, HomologyProfile,
+              SheafCohomology)
+
+
+def _reachable(root, stop):
+    """Every object reachable from root through instances, containers and
+    their contents, not passing through `stop` or any type, function or
+    module."""
+    seen, found, todo = set(), [], [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or any(obj is s for s in stop) or \
+                isinstance(obj, (type, types.FunctionType, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        todo.extend(gc.get_referents(obj))
+    return found
+
+
+def test_kit_keeps_only_dimension_tables_after_an_all_job(tmp_path, monkeypatch):
+    kits = []
+    init = TorusSheafKit.__init__
+    monkeypatch.setattr(TorusSheafKit, "__init__",
+                        lambda kit, *args: kits.append(kit) or init(kit, *args))
+    path = tmp_path / "map.lam"
+    path.write_text(write_charmap(preset_charmap("torus_7")))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["all", "--preset", "torus_7", "--charmap", str(path), "--field", "Q"]) == 0
+    kit, = kits
+    # the poset holds the job, whose structure sheaf the kit reads
+    kept = [type(o).__name__ for o in _reachable(kit, stop=[kit.S]) if isinstance(o, KEPT_TYPES)]
+    assert kept == []
+    assert sorted(kit._dims) == list(range(kit.n + 1))
+    for tables in kit._dims.values():
+        assert sorted(map(str, tables)) == sorted(map(str, [
+            ("ideal", True), ("quotient", True), ("quotient", False), "pi", "lambda/pi"]))
+        assert all(type(k) is int and type(d) is int
+                   for dims in tables.values() for k, d in dims.items())
+
+
+def _stored_entries_are_nonzero(m):
+    p = m.field.char
+    rows = m.nonzeros()
+    return len(rows) == m.nrows and all(
+        0 <= j < m.ncols and a and (not p or 0 < a < p) for r in rows for j, a in r.items())
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+@pytest.mark.parametrize("F", [QQ, PrimeField(2), PrimeField(3), PrimeField(1000003)], ids=str)
+def test_kit_matrices_store_no_zero_entry(name, F):
+    # the cover builders, `tensor` (kron) and the block-complex builder write
+    # nonzero entries only, over F_p in [1, p)
+    S = preset(name)
+    if F == PrimeField(2) and name == "torus_7":
+        return
+    kit = TorusSheafKit(S, preset_charmap(name), F)
+    matrices = []
+    for q in range(kit.n + 1):
+        sheaves = [kit.ideal_sheaf(q), kit.quotient_sheaf(q), kit.pi_cosheaf(q),
+                   kit.lambda_mod_pi_cosheaf(q)]
+        tensors = [tensor(kit.structure_sheaf(), sheaf) for sheaf in sheaves[:2]]
+        complexes = [sheaf_cohomology(t, truncated).complex
+                     for t in tensors for truncated in (True, False)]
+        complexes += [cosheaf_homology(c).complex for c in sheaves[2:]]
+        matrices += [m for sheaf in sheaves + tensors for m in sheaf.rest.values()]
+        matrices += [m for cx in complexes for m in cx.diff.values()]
+    assert matrices and all(_stored_entries_are_nonzero(m) for m in matrices)
