@@ -11,16 +11,16 @@ The job owns the poset's local homology over its field, made when first
 read: each integer star complex of the poset is mapped into the field and
 ranked on first use.  The Betti numbers are the homology of star 0, so a
 job that reads only them ranks one star.  `link_dims` reads every star's
-dimensions, which is all that `classify` needs, and then releases the
-stars' profiles and field complexes, so a classification-only job (such as
-the F2, F3 and F5 jobs of a report over Q) builds no restriction matrix
-and keeps only dimensions.  The first `structure_sheaf` request builds
-both structure sheaves, mapping the stars into the field again but
-ranking none twice, after reading `link_dims` and `reduced_betti`, and
-then releases the local homology.  Otherwise only small results are
-kept: dimension tables, reports, profiles, the pages, the two structure
-sheaves, and the cohomology of the structure sheaf and of the kits as
-dimensions only.
+dimensions, which is all that `classify` needs, and a star's complex over
+the field is not kept once it is ranked, so a classification-only job
+(such as the F2, F3 and F5 jobs of a report over Q) builds no restriction
+matrix and keeps only dimensions.  The first `structure_sheaf` request
+builds both structure sheaves from profiles that map the stars into the
+field again but rank none twice, after reading `link_dims` and
+`reduced_betti`, and then releases the local homology.  Otherwise only
+small results are kept: dimension tables, reports, profiles, the pages,
+the two structure sheaves, and the cohomology of the structure sheaf and
+of the kits as dimensions only.
 """
 from __future__ import annotations
 
@@ -69,16 +69,9 @@ class Job:
 
     @cached_property
     def link_dims(self) -> tuple:
-        """Dimensions of H_*(S, S minus st j) per element j (index 0: S itself).
-
-        Reading them releases the profiles of every star, complexes over
-        the field included; only the dimensions are read afterwards unless
-        a sheaf of local homology is asked for.
-        """
+        """Dimensions of H_*(S, S minus st j) per element j (index 0: S itself)."""
         local = self.local_homology
-        dims = tuple(dict(local.dims(j)) for j in range(self.S.size))
-        local.release_profiles()
-        return dims
+        return tuple(dict(local.dims(j)) for j in range(self.S.size))
 
     @cached_property
     def _structure_sheaves(self) -> tuple:

@@ -209,10 +209,11 @@ class LocalHomologyData:
     at the empty face the reduced homology of S.  Backs the local homology
     sheaves and the structure sheaf.
 
-    The dimensions of a star are kept once it is ranked.  Its profile,
-    which holds the star's complex over the field and, once asked for, its
-    representatives, is kept until `release_profiles`; a later request
-    maps the star into the field again and does not rank it again.
+    A star's dimensions are kept once it is ranked, but not the complex
+    that ranked them.  Its profile, which holds the star's complex over
+    the field and its representatives, is made on first request from the
+    star mapped into the field again and the known dimensions, so no star
+    is ranked twice.
 
     A cover j1 < j2 puts the star of j2 inside the star of j1, so the chain
     map behind each restriction keeps the coordinates of the generators of
@@ -229,7 +230,8 @@ class LocalHomologyData:
         """The homology dimensions of the star complex of j."""
         dims = self._dims.get(j)
         if dims is None:
-            dims = self._dims[j] = self.profile(j).dims
+            cx = cellular_chain_complex(self.poset, self.field, star=j)
+            dims = self._dims[j] = homology(cx).dims
         return dims
 
     def profile(self, j) -> HomologyProfile:
@@ -237,12 +239,8 @@ class LocalHomologyData:
         prof = self._profiles.get(j)
         if prof is None:
             cx = cellular_chain_complex(self.poset, self.field, star=j)
-            prof = self._profiles[j] = HomologyProfile(cx, self._dims.get(j))
+            prof = self._profiles[j] = HomologyProfile(cx, self.dims(j))
         return prof
-
-    def release_profiles(self):
-        """Drop every profile and its complex; the dimensions stay."""
-        self._profiles.clear()
 
     def restriction(self, j1, j2, i) -> Matrix:
         """Matrix of loc_i(j1 < j2) in the representative bases."""

@@ -169,7 +169,7 @@ def test_classify_builds_no_structure_sheaf():
     assert "local_homology" not in vars(job)     # released with the sheaves
 
 
-def test_link_dims_release_the_star_profiles_and_rank_no_star_twice(monkeypatch):
+def test_classification_keeps_dimensions_only_and_ranks_no_star_twice(monkeypatch):
     # a classification-only job keeps dimensions alone; a structure sheaf
     # asked for afterwards maps the stars into the field again, unranked
     S = preset("torus_7")
