@@ -88,20 +88,6 @@ class ExteriorAlgebra:
                     out[k] += s * a * b
         return [x % p for x in out] if p else out
 
-    def times_basis(self, qa, va, qb):
-        """va ^ e_B for every qb-subset B, in order; va holds field elements."""
-        F = self.field
-        p, dim = F.char, self.dim(qa + qb)
-        out = []
-        for entries in self._table(qa, qb):
-            vec = [F.zero] * dim
-            for ia, k, s in entries:
-                a = va[ia]
-                if a:
-                    vec[k] = s * a % p if p else s * a
-            out.append(vec)
-        return out
-
     def one_form(self, coeffs):
         """Degree-1 vector from n coefficients."""
         if len(coeffs) != self.n:
@@ -198,10 +184,10 @@ class TorusSheafKit:
     tensors of the two sheaves with the structure sheaf and their
     complexes.  It keeps only the five dimension tables a check reads
     (structure (x) ideal truncated, structure (x) quotient truncated and
-    untruncated, and the two cosheaves) and drops the rest.  A sheaf or
-    cosheaf asked for by name (`ideal_sheaf(q)`, ...) is built again for
-    that request.  The sheaf and cosheaf sides share one builder per
-    construction: spans of forms, inclusions of spans, quotients by spans.
+    untruncated, and the two cosheaves) and drops the rest.  The sheaf and
+    cosheaf sides share one builder per construction: spans of forms
+    (`ideal_spans`, `pi_spans`), inclusions of spans (`_inclusions`) and
+    quotients by spans (`_quotients`).
     The constant terms Λ^q need no complex of their own: structure (x) Λ^q
     is C(n, q) copies of the structure sheaf and the constant cosheaf Λ^q
     is C(n, q) copies of the cellular chains, so `les_duality_check`
@@ -228,19 +214,18 @@ class TorusSheafKit:
     def omega(self, label):
         return self.ext.one_form(self.frows[label])
 
+    def _times_basis(self, qa: int, va, qb: int) -> list:
+        """va ^ e_B for every qb-subset B, in order."""
+        F, ext = self.field, self.ext
+        dim = ext.dim(qb)
+        return [ext.wedge(qa, va, qb, [F.one if i == k else F.zero for i in range(dim)])
+                for k in range(dim)]
+
     def _span(self, vecs, q: int):
         """Echelonized span of the degree-q vectors `vecs`; returns
-        (basis, span), the basis being the vectors that enlarged it.  Once
-        the span is the whole component no vector can enlarge it."""
-        amb = self.ext.dim(q)
-        span = IncrementalSpan(self.field, amb)
-        basis = []
-        for v in vecs:
-            if span.dim == amb:
-                break
-            if span.add(v):
-                basis.append(v)
-        return basis, span
+        (basis, span), the basis being the vectors that enlarged it."""
+        span = IncrementalSpan(self.field, self.ext.dim(q))
+        return [v for v in vecs if span.add(v)], span
 
     def ideal_spans(self, q: int) -> list:
         """(basis, span) of the degree-q part of every face's exterior
@@ -248,7 +233,7 @@ class TorusSheafKit:
         over its vertices v and the (q - 1)-subsets B, and each of these
         products is formed once for all faces."""
         ext = self.ext
-        products = {lab: ext.times_basis(1, self.omega(lab), q - 1)
+        products = {lab: self._times_basis(1, self.omega(lab), q - 1)
                     for lab in self.frows} if 0 < q <= self.n else {}
         spans = []
         for elem, labels in enumerate(self.S.vertex_sets):
@@ -281,7 +266,7 @@ class TorusSheafKit:
             if elem == 0 or not k <= q <= self.n:
                 spans.append(self._span([], q))
                 continue
-            basis, span = self._span(self.ext.times_basis(k, self.pi_form(elem), q - k), q)
+            basis, span = self._span(self._times_basis(k, self.pi_form(elem), q - k), q)
             if len(basis) != binom(self.n - k, q - k):
                 raise InvariantViolation(f"principal ideal dimension off at face {elem}")
             spans.append((basis, span))
@@ -354,35 +339,10 @@ class TorusSheafKit:
         check_sheaf_functoriality(result)
         return result
 
-    def ideal_sheaf(self, q: int) -> CellularSheaf:
-        """Degree-q ideal sheaf: stalk the ideal part, restrictions the
-        coordinate form of the inclusions."""
-        return self._inclusions(CellularSheaf, self.ideal_spans(q), f"ideal^({q})")
-
-    def quotient_sheaf(self, q: int) -> CellularSheaf:
-        """Degree-q part of the quotient of the full exterior algebra by the
-        ideal sheaf; the empty face carries the whole degree-q component."""
-        return self._quotients(CellularSheaf, self.ideal_spans(q), f"lambda/ideal^({q})")
-
-    def pi_cosheaf(self, q: int) -> CellularCosheaf:
-        """Degree-q principal-ideal cosheaf; corestrictions are the
-        coordinate forms of the inclusions."""
-        return self._inclusions(CellularCosheaf, self.pi_spans(q), f"pi^({q})")
-
-    def lambda_mod_pi_cosheaf(self, q: int) -> CellularCosheaf:
-        """Quotient cosheaf of the constant cosheaf by the principal ideals."""
-        return self._quotients(CellularCosheaf, self.pi_spans(q), f"lambda/pi^({q})")
-
     # -- structure sheaf, tensors and their (co)homology -------------------
 
     def structure_sheaf(self, include_empty: bool = True) -> CellularSheaf:
         return self.S.job(self.field).structure_sheaf(include_empty)
-
-    def structure_tensor_ideal(self, q: int) -> CellularSheaf:
-        return tensor(self.structure_sheaf(), self.ideal_sheaf(q))
-
-    def structure_tensor_quotient(self, q: int) -> CellularSheaf:
-        return tensor(self.structure_sheaf(), self.quotient_sheaf(q))
 
     def _degree(self, q: int) -> dict:
         """The dimension tables of degree q, from one pass over its spans,

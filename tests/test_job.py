@@ -23,7 +23,8 @@ from torushom.poset import preset
 from torushom.sheaves import (LocalHomologyData, cosheaf_homology, sheaf_cohomology,
                               standard_sheaf)
 
-from oracles import sheaf_dump
+from oracles import (ideal_sheaf, lambda_mod_pi_cosheaf, pi_cosheaf, quotient_sheaf, sheaf_dump,
+                     structure_tensor_ideal, structure_tensor_quotient)
 
 # sha256 of the `all` report, recorded before the job cache existed
 GOLDEN = {
@@ -328,9 +329,9 @@ def test_rational_job_holds_only_ints_and_fractions(name):
     sheaves = [job.structure_sheaf(False), job.structure_sheaf(True)]
     cosheaves = []
     for q in range(kit.n + 1):
-        sheaves += [kit.ideal_sheaf(q), kit.quotient_sheaf(q),
-                    kit.structure_tensor_ideal(q), kit.structure_tensor_quotient(q)]
-        cosheaves += [kit.pi_cosheaf(q), kit.lambda_mod_pi_cosheaf(q)]
+        sheaves += [ideal_sheaf(kit, q), quotient_sheaf(kit, q),
+                    structure_tensor_ideal(kit, q), structure_tensor_quotient(kit, q)]
+        cosheaves += [pi_cosheaf(kit, q), lambda_mod_pi_cosheaf(kit, q)]
     for sheaf in sheaves:
         matrices.extend(sheaf.rest.values())
         for truncated in (True, False):
