@@ -9,8 +9,7 @@ from .complexes import (cellular_chain_complex, homology, classify, reduced_bett
 from .sheaves import (CellularSheaf, CellularCosheaf, standard_sheaf, tensor,
                       sheaf_cohomology, cosheaf_homology, constancy_check)
 from .torusalg import (ExteriorAlgebra, CharacteristicMap, validate_charmap,
-                       coefficient_CAI, TorusSheafKit, keylemma_check, duality_check,
-                       les_duality_check)
+                       TorusSheafKit, keylemma_check, duality_check, les_duality_check)
 from .facevec import face_vectors, ft_consistency_check, dehn_sommerville_check
 from .specseq import (ManifoldProfile, cone_profile, validate_profile, pages,
                       bigraded_betti, theorem_checks, e2_border_sheaf_crosscheck)
@@ -25,8 +24,8 @@ __all__ = [
     "InvariantViolation",
     "CellularSheaf", "CellularCosheaf", "standard_sheaf", "tensor",
     "sheaf_cohomology", "cosheaf_homology", "constancy_check",
-    "ExteriorAlgebra", "CharacteristicMap", "validate_charmap", "coefficient_CAI",
-    "TorusSheafKit", "keylemma_check", "duality_check", "les_duality_check",
+    "ExteriorAlgebra", "CharacteristicMap", "validate_charmap", "TorusSheafKit",
+    "keylemma_check", "duality_check", "les_duality_check",
     "face_vectors", "ft_consistency_check", "dehn_sommerville_check",
     "ManifoldProfile", "cone_profile", "validate_profile", "pages",
     "bigraded_betti", "theorem_checks", "e2_border_sheaf_crosscheck",

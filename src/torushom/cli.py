@@ -27,6 +27,8 @@ from .formats import (FormatError, parse_cover_table, parse_facet_list,
 
 COMMANDS = ("validate", "vectors", "charmap", "sheaf", "verify", "specseq",
             "facering", "all")
+CHECKS = ("constant", "structure", "keylemma", "duality", "les_duality", "theorems",
+          "crosscheck")
 
 
 class InputProblem(Exception):
@@ -48,7 +50,8 @@ def build_parser():
     p.add_argument("--profile", help="manifold profile JSON file; cone by default")
     p.add_argument("--field", default="Q", help="Q or Fp:<p> (default Q)")
     p.add_argument("--out", choices=("json", "md"), default="json")
-    p.add_argument("--checks", help="comma-separated subset of checks to run")
+    p.add_argument("--checks", help="comma-separated subset of checks to run: "
+                                     + ", ".join(CHECKS))
     p.add_argument("--primes", default="2,3,5",
                    help="extra primes for the classification report")
     return p
@@ -83,13 +86,21 @@ def load_profile(args, S, field):
     return S.job(field).cone_profile
 
 
-def selected(args, name):
+def selected_checks(args) -> set:
+    """The checks that `--checks` selects, every check by default; refuses
+    an unknown name."""
     if not args.checks:
-        return True
-    return name in {c.strip() for c in args.checks.split(",") if c.strip()}
+        return set(CHECKS)
+    names = {c.strip() for c in args.checks.split(",") if c.strip()}
+    unknown = sorted(names - set(CHECKS))
+    if unknown:
+        raise InputProblem(f"unknown --checks {', '.join(unknown)}; "
+                           f"known: {', '.join(CHECKS)}")
+    return names
 
 
 def run(args) -> tuple[dict, int]:
+    checks = selected_checks(args)
     field = field_from_name(args.field)
     S = load_poset(args)
     job = S.job(field)     # every invariant of (S, field), computed once
@@ -159,10 +170,10 @@ def run(args) -> tuple[dict, int]:
 
     if want_sheaf:
         tables = {}
-        if selected(args, "constant"):
+        if "constant" in checks:
             # constant-sheaf cohomology: the Betti numbers of S
             tables["constant"] = {str(k): v for k, v in sorted(job.betti.items())}
-        if S.is_pure() and selected(args, "structure"):
+        if S.is_pure() and "structure" in checks:
             st = job.structure_sheaf(include_empty=True)
             tables["structure_stalk_dims"] = list(st.stalk_dims)
             tables["structure"] = {str(k): v
@@ -171,13 +182,13 @@ def run(args) -> tuple[dict, int]:
 
     if want_verify:
         job.kit(cmap)       # rejects an invalid map before any check runs
-        if selected(args, "keylemma"):
+        if "keylemma" in checks:
             rep = keylemma_check(S, cmap, field)
             record("keylemma", rep.as_dict(), rep.passed)
-        if selected(args, "duality"):
+        if "duality" in checks:
             rep = duality_check(S, cmap, field)
             record("duality", rep.as_dict(), rep.passed)
-        if selected(args, "les_duality"):
+        if "les_duality" in checks:
             rep = les_duality_check(S, cmap, field)
             record("les_duality", rep.as_dict(), rep.passed)
 
@@ -189,11 +200,11 @@ def run(args) -> tuple[dict, int]:
                                                      einf.as_dict()],
                    "bigraded": table.as_dict()}
         ok = True
-        if selected(args, "theorems"):
+        if "theorems" in checks:
             rep = theorem_checks(S, P, field)
             payload["theorems"] = rep.as_dict()
             ok = ok and rep.passed
-        if cmap is not None and P.source == "cone" and selected(args, "crosscheck") \
+        if cmap is not None and P.source == "cone" and "crosscheck" in checks \
                 and cmap.n == S.n:
             rep = e2_border_sheaf_crosscheck(S, cmap, field)
             payload["sheaf_crosscheck"] = rep.as_dict()

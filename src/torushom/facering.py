@@ -5,7 +5,10 @@ trivialized by the structure sheaf; relations come in two kinds.  The
 first kind pairs every face one rank down with a subset of torus
 coordinates through incidence signs and determinant coefficients; the
 second kind pairs cocycle representatives of the connecting images with
-the same coefficients.  All outputs are ranks and explicit kernel
+the same coefficients.  The coefficients are the signed coordinates of
+each face's top form, read from the job's sheaf kit of the map
+(`TorusSheafKit.coefficient`), the same forms that generate the
+principal-ideal cosheaf.  All outputs are ranks and explicit kernel
 vectors, never ring elements: the ring structure itself is out of scope.
 """
 from __future__ import annotations
@@ -18,19 +21,15 @@ from .poset import SimplicialPoset, PosetError, incidence_number
 from .complexes import homology
 from .sheaves import standard_sheaf, cochain_complex
 from .specseq import ManifoldProfile, validate_profile
-from .torusalg import CharacteristicMap, coefficient_CAI
+from .torusalg import CharacteristicMap, TorusSheafKit
 
 
 class _TrivializedComplex:
-    """Cochain complex of the trivialized structure sheaf (constant values),
-    its cohomology profile, which gives the cocycles, coboundaries and
-    representatives, and the pairing evaluating top cochains against point
-    classes."""
+    """Cochain complex of the trivialized structure sheaf (constant values)
+    and its cohomology profile, which gives the cocycles, coboundaries and
+    representatives."""
 
-    def __init__(self, S: SimplicialPoset, field, orientation):
-        self.S = S
-        self.field = field
-        self.orientation = orientation
+    def __init__(self, S: SimplicialPoset, field):
         sheaf = standard_sheaf(S, field, "constant", dim=1)
         self.cx = cochain_complex(sheaf, truncated=True)
         self.profile = homology(self.cx)
@@ -38,31 +37,28 @@ class _TrivializedComplex:
     def elements(self, degree):
         return self.cx.labels[degree]
 
-    def point_pairing(self, vec):
-        """Augmentation of a top cochain: orientation-weighted coefficient sum."""
-        elems = self.elements(self.S.n - 1)
-        return self.field(sum(self.orientation[e] * vec[k] for k, e in enumerate(elems)))
-
 
 @dataclass
 class RelationSystem:
     field: object
     n: int
-    poset: SimplicialPoset
-    cmap: CharacteristicMap
+    kit: TorusSheafKit          # the map's sheaf kit: the determinant coefficients
     generators: dict            # q -> list of generator labels
     type1: dict                 # q -> list of rows (vectors over the generators)
     type2: dict | None          # q -> list of (class_index, A, row); None if unavailable
     type2_cocycles: dict = dfield(default_factory=dict)   # q -> representative cocycles
     trivialized: _TrivializedComplex | None = None        # built with the second kind
     type2_reason: str = ""
-    orientation: dict | None = None
+
+    def __post_init__(self):
+        self._index = {q: {g: k for k, g in enumerate(gs)}
+                       for q, gs in self.generators.items()}
 
     def generator_count(self, q):
         return len(self.generators.get(q, []))
 
     def generator_index(self, q):
-        return {g: k for k, g in enumerate(self.generators[q])}
+        return self._index[q]
 
     def type1_rows(self, q):
         return self.type1.get(q, [])
@@ -79,8 +75,7 @@ class RelationSystem:
         row = [field.zero] * self.generator_count(q)
         for k, e in enumerate(elems):
             if z[k]:
-                cai = coefficient_CAI(self.cmap, field, self.poset.vertex_sets[e], A)
-                row[gi[("f", e)]] = field(z[k] * cai)
+                row[gi[("f", e)]] = field(z[k] * self.kit.coefficient(e, A))
         return row
 
     def as_dict(self):
@@ -120,6 +115,7 @@ def relation_system(S: SimplicialPoset, cmap: CharacteristicMap, field,
     rep = job.charmap_report(cmap)
     if not rep.ok_field:
         raise PosetError(f"characteristic map invalid on faces {rep.field_failures}")
+    kit = job.kit(cmap)
     structure = job.structure_sheaf(include_empty=True)
     cons = job.constancy
     if not cons.is_constant:
@@ -135,8 +131,7 @@ def relation_system(S: SimplicialPoset, cmap: CharacteristicMap, field,
         else:
             generators[q] = [("e", m) for m in range(structure.stalk_dims[0])]
 
-    system = RelationSystem(field, n, S, cmap, generators, {}, None,
-                            orientation=orientation)
+    system = RelationSystem(field, n, kit, generators, {}, None)
 
     type1 = {q: [] for q in range(n + 1)}
     for q in range(n):
@@ -149,7 +144,7 @@ def relation_system(S: SimplicialPoset, cmap: CharacteristicMap, field,
                         row = [field.zero] * width
                         for v in S.covered_by[0]:
                             c = structure.rest[(0, v)].rows[0][m]
-                            cai = coefficient_CAI(cmap, field, S.vertex_sets[v], A)
+                            cai = kit.coefficient(v, A)
                             row[gi[("f", v)]] = field(c * field.inv(orientation[v]) * cai)
                         type1[q].append(row)
             else:
@@ -157,8 +152,7 @@ def relation_system(S: SimplicialPoset, cmap: CharacteristicMap, field,
                     row = [field.zero] * width
                     for i in S.covered_by[j]:
                         sign = incidence_number(S, i, j)
-                        row[gi[("f", i)]] = field(
-                            sign * coefficient_CAI(cmap, field, S.vertex_sets[i], A))
+                        row[gi[("f", i)]] = field(sign * kit.coefficient(i, A))
                     type1[q].append(row)
     system.type1 = type1
 
@@ -167,7 +161,7 @@ def relation_system(S: SimplicialPoset, cmap: CharacteristicMap, field,
                                "profile only")
         return system
 
-    triv = system.trivialized = _TrivializedComplex(S, field, orientation)
+    triv = system.trivialized = _TrivializedComplex(S, field)
     cohomology = triv.profile
     type2 = {}
     cocycles_kept = {}
@@ -175,12 +169,16 @@ def relation_system(S: SimplicialPoset, cmap: CharacteristicMap, field,
         degree = n - 1 - q
         if q == 0:
             # the cocycles that pair to zero with the point classes, kept
-            # where they enlarge the span of the coboundaries
-            span = IncrementalSpan(field, triv.cx.dim(degree))
+            # where they enlarge the span of the coboundaries.  No
+            # differential leaves the top degree of the truncated complex,
+            # so its cocycles are the unit cochains, and those pairing to
+            # zero are the kernel of the orientation row
+            top = triv.elements(degree)
+            span = IncrementalSpan(field, len(top))
             for b in cohomology.boundaries(degree):
                 span.add(b)
-            kept = _pairing_kernel(field, triv, cohomology.cycles(degree))
-            reps = [z for z in kept if span.add(z)]
+            pairing = Matrix(field, [[field(orientation[e]) for e in top]], len(top))
+            reps = [z for z in pairing.kernel_basis() if span.add(z)]
         else:
             reps = cohomology.representatives(degree)
         expected = profile.rank_delta[q]
@@ -199,24 +197,6 @@ def relation_system(S: SimplicialPoset, cmap: CharacteristicMap, field,
     system.type2 = type2
     system.type2_cocycles = cocycles_kept
     return system
-
-
-def _pairing_kernel(field, triv, cocycles):
-    """Cocycles whose orientation-weighted point pairing vanishes."""
-    if not cocycles:
-        return []
-    pair = [triv.point_pairing(z) for z in cocycles]
-    rows = Matrix(field, [pair], len(cocycles))
-    kernel = rows.kernel_basis()
-    out = []
-    width = len(cocycles[0])
-    for coeffs in kernel:
-        vec = [field.zero] * width
-        for c, z in zip(coeffs, cocycles):
-            if c:
-                vec = [field(a + c * b) for a, b in zip(vec, z)]
-        out.append(vec)
-    return out
 
 
 def graded_quotient_rank(R: RelationSystem, include_type2: bool) -> dict:

@@ -19,8 +19,9 @@ builds both structure sheaves from profiles that map the stars into the
 field again but rank none twice, after reading `link_dims` and
 `reduced_betti`, and then releases the local homology.  Otherwise only
 small results are kept: dimension tables, reports, profiles, the pages,
-the two structure sheaves, and the cohomology of the structure sheaf and
-of the kits as dimensions only.
+the two structure sheaves, the cohomology of the structure sheaf and of
+the kits as dimensions only, and each kit's top forms of the faces, which
+its principal ideals and the face ring's coefficients both read.
 """
 from __future__ import annotations
 
@@ -125,7 +126,10 @@ class Job:
         return self._charmap_reports[key]
 
     def kit(self, cmap) -> TorusSheafKit:
-        """The sheaf kit of the characteristic map; raises if it is invalid."""
+        """The sheaf kit of the characteristic map; raises if it is invalid.
+
+        The verify checks read its dimension tables and the face ring its
+        determinant coefficients, so both use the same top forms."""
         key = cmap.key()
         if key not in self._kits:
             self._kits[key] = TorusSheafKit(self.S, cmap, self.field)

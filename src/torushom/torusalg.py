@@ -5,7 +5,9 @@ validity means the vectors over every face are independent (over the
 active field) or span a direct summand (over Z, checked by Smith
 invariants).  From a valid map the module builds, stalk by stalk, the
 exterior ideal sheaf, its quotient, and the principal-ideal cosheaf, and
-runs the vanishing and duality checks that tie them together.
+runs the vanishing and duality checks that tie them together.  The top
+form of each face, which generates its principal ideal, also gives the
+face ring's determinant coefficients as its coordinates.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .complexes import InvariantViolation
-from .exactlin import Matrix, IncrementalSpan, int_det, smith_invariants
+from .exactlin import Matrix, IncrementalSpan, smith_invariants
 from .poset import SimplicialPoset, PosetError
 from .sheaves import (
     CellularSheaf, CellularCosheaf, sheaf_cohomology, cosheaf_homology, tensor,
@@ -156,23 +158,6 @@ def charmap_report_of(S: SimplicialPoset, cmap: CharacteristicMap, field) -> Cha
                          field_failures, integral_failures)
 
 
-def coefficient_CAI(cmap: CharacteristicMap, field, vertices, A):
-    """The determinant coefficient attached to a face and a subset A.
-
-    `vertices` are the labels of the face in ascending order; A is a
-    subset of column indices 1..n with |A| = n - |vertices|.  The sign
-    depends only on A; flipping it never changes downstream ranks.
-    """
-    n = cmap.n
-    q = len(A)
-    if len(vertices) + q != n:
-        raise ValueError("need |A| + |I| = n")
-    cols = [j for j in range(1, n + 1) if j not in set(A)]
-    det = int_det([[cmap.row(lab)[j - 1] for j in cols] for lab in sorted(vertices)])
-    exp = sum(range(1, n - q + 1)) + sum(j for j in range(1, n + 1) if j not in set(A))
-    return field(-det if exp % 2 else det)
-
-
 class TorusSheafKit:
     """The graded sheaves and cosheaves attached to (S, characteristic map),
     one exterior degree at a time.
@@ -184,7 +169,11 @@ class TorusSheafKit:
     tensors of the two sheaves with the structure sheaf and their
     complexes.  It keeps only the five dimension tables a check reads
     (structure (x) ideal truncated, structure (x) quotient truncated and
-    untruncated, and the two cosheaves) and drops the rest.  The sheaf and
+    untruncated, and the two cosheaves) and drops the rest.  Besides these
+    it keeps each face's top form (`pi_form`), formed once: the form
+    generates the face's principal ideal in every degree, and its
+    coordinates are the determinant coefficients of the face ring's
+    relations (`coefficient`), so the kit is their one source.  The sheaf and
     cosheaf sides share one builder per construction: spans of forms
     (`ideal_spans`, `pi_spans`), inclusions of spans (`_inclusions`) and
     quotients by spans (`_quotients`).
@@ -208,6 +197,7 @@ class TorusSheafKit:
         self.ext = ExteriorAlgebra(cmap.n, field)
         self.frows = cmap.field_rows(field)
         self._dims = {}         # exterior degree -> its dimension tables
+        self._forms = {}        # face -> its top form
 
     # -- exterior spans per degree ---------------------------------------
 
@@ -245,17 +235,35 @@ class TorusSheafKit:
         return spans
 
     def pi_form(self, elem: int):
-        """Top wedge of the face's direction vectors; nonzero by validity."""
-        F = self.field
-        ext = self.ext
-        vec = [F.one]
-        deg = 0
-        for lab in self.S.vertex_sets[elem]:
-            vec = ext.wedge(deg, vec, 1, self.omega(lab))
-            deg += 1
-        if not any(vec):
-            raise InvariantViolation(f"zero top form at face {elem}")
+        """Top wedge of the face's direction vectors, in ascending vertex
+        order; formed once per kit, nonzero by validity."""
+        vec = self._forms.get(elem)
+        if vec is None:
+            ext = self.ext
+            vec = [self.field.one]
+            for deg, lab in enumerate(self.S.vertex_sets[elem]):
+                vec = ext.wedge(deg, vec, 1, self.omega(lab))
+            if not any(vec):
+                raise InvariantViolation(f"zero top form at face {elem}")
+            self._forms[elem] = vec
         return vec
+
+    def coefficient(self, elem: int, A):
+        """The determinant coefficient C_{A,I} of the face I = `elem` and a
+        subset A of the columns 1..n with |A| + |I| = n.
+
+        The minor of the face's rows on the columns outside A is the top
+        form's coordinate there, signed by the parity of
+        1 + ... + (n - |A|) plus those columns.  The sign depends only on A,
+        so flipping it never changes downstream ranks.
+        """
+        n = self.n
+        cols = tuple(j for j in range(1, n + 1) if j not in A)
+        if len(cols) != len(self.S.vertex_sets[elem]):
+            raise ValueError("need |A| + |I| = n")
+        det = self.pi_form(elem)[self.ext.index(cols)]
+        exp = sum(range(1, len(cols) + 1)) + sum(cols)
+        return self.field(-det if exp % 2 else det)
 
     def pi_spans(self, q: int) -> list:
         """(basis, span) of the degree-q part of every face's principal

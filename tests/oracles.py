@@ -3,8 +3,10 @@
 Each function here recomputes something the library computes another way,
 or reads a library object in a form no report needs: links as posets of
 their own, sheaves restricted to links, sheaf maps composed along a chain,
-induced maps in homology, the order-complex homology, minors gcds for the
-Smith form, and sheaf dumps for golden digests.
+induced maps in homology, the order-complex homology, integer determinants
+by Bareiss elimination, minors gcds for the Smith form, the determinant
+coefficients of the face ring from those determinants (the library reads
+them off the sheaf kit's top forms), and sheaf dumps for golden digests.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from itertools import combinations
 from math import gcd
 
 from torushom.complexes import GradedComplex, HomologyProfile, homology, reduced_betti
-from torushom.exactlin import Matrix, int_det
+from torushom.exactlin import Matrix
 from torushom.facevec import poly_add, poly_mul, poly_pow, poly_scale
 from torushom.poset import PosetError, SimplicialPoset
 from torushom.sheaves import CellularCosheaf, CellularSheaf, _require_sheaf, tensor
@@ -40,6 +42,28 @@ def apply(M: Matrix, vec):
 
 def transpose(M: Matrix) -> Matrix:
     return Matrix(M.field, [M.column(j) for j in range(M.ncols)], M.nrows)
+
+
+def int_det(a) -> int:
+    """Integer determinant by fraction-free (Bareiss) elimination."""
+    n = len(a)
+    if n == 0:
+        return 1
+    m = [[int(v) for v in row] for row in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 def minors_gcd(rows, k: int) -> int:
@@ -243,6 +267,25 @@ def sheaf_dump(sheaf: CellularSheaf) -> dict:
             for (i, j), m in sorted(sheaf.rest.items())
         },
     }
+
+
+def coefficient_CAI(cmap, field, vertices, A):
+    """The determinant coefficient attached to a face and a subset A, from
+    the integer minor (`TorusSheafKit.coefficient` reads the face's top
+    form instead).
+
+    `vertices` are the labels of the face in ascending order; A is a
+    subset of column indices 1..n with |A| = n - |vertices|.  The sign
+    depends only on A; flipping it never changes downstream ranks.
+    """
+    n = cmap.n
+    q = len(A)
+    if len(vertices) + q != n:
+        raise ValueError("need |A| + |I| = n")
+    cols = [j for j in range(1, n + 1) if j not in set(A)]
+    det = int_det([[cmap.row(lab)[j - 1] for j in cols] for lab in sorted(vertices)])
+    exp = sum(range(1, n - q + 1)) + sum(j for j in range(1, n + 1) if j not in set(A))
+    return field(-det if exp % 2 else det)
 
 
 def quotient_class(kit, elem: int, q: int, vec):

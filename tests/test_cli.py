@@ -85,6 +85,15 @@ def test_checks_selection(files, capsys):
     assert "duality" not in report["results"]
 
 
+def test_exit_2_on_an_unknown_check_name(files, capsys):
+    status = main(["verify", "--preset", "torus_7", "--charmap", files["t7"],
+                   "--checks", "keylema"])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert captured.err == ("error: unknown --checks keylema; known: constant, structure, "
+                            "keylemma, duality, les_duality, theorems, crosscheck\n")
+
+
 def _write_simplex2_charmap(tmpdir):
     path = tmpdir / "s2.lam"
     path.write_text(write_charmap(preset_charmap("boundary_of_simplex(2)")))

@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 from torushom.cli import main
 from torushom.field import QQ, PrimeField, field_from_name
 from torushom.exactlin import (Matrix, IncrementalSpan, product_nonzeros,
-                                smith_invariants, int_det)
+                                smith_invariants)
 from torushom.fixtures import preset_charmap
 from torushom.formats import write_charmap
 
-from oracles import apply, minors_gcd, transpose
+from oracles import apply, int_det, minors_gcd, transpose
 
 
 def test_field_parsing():

@@ -3,16 +3,16 @@ import dataclasses
 
 import pytest
 
-from torushom import facering
 from torushom.field import QQ, PrimeField
-from torushom.exactlin import Matrix, int_det
 from torushom.poset import preset, PosetError, incidence_number
 from torushom.facevec import face_vectors, binom
-from torushom.fixtures import preset_charmap, origami_annulus_profile
+from torushom.fixtures import CHARMAPS, preset_charmap, origami_annulus_profile
 from torushom.formats import parse_profile, write_profile
 from torushom.specseq import cone_profile, pages
 from torushom.facering import relation_system, graded_quotient_rank, kernel_generators
-from torushom.torusalg import coefficient_CAI
+from torushom.torusalg import TorusSheafKit
+
+from oracles import coefficient_CAI, int_det
 
 MANIFOLD_FIXTURES = ["boundary_of_simplex(2)", "boundary_of_simplex(3)",
                      "cross_polytope_boundary(3)", "torus_7", "digon_cycle(1)",
@@ -23,12 +23,14 @@ MANIFOLD_FIXTURES = ["boundary_of_simplex(2)", "boundary_of_simplex(3)",
 def flipped_signs(flips):
     """Within the block, the relation rows read the determinant coefficient
     of every subset in `flips` negated."""
-    def flipped(cmap, field, vertices, A):
-        c = coefficient_CAI(cmap, field, vertices, A)
-        return field(-c) if tuple(A) in flips else c
+    coefficient = TorusSheafKit.coefficient
+
+    def flipped(kit, elem, A):
+        c = coefficient(kit, elem, A)
+        return kit.field(-c) if tuple(A) in flips else c
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(facering, "coefficient_CAI", flipped)
+        m.setattr(TorusSheafKit, "coefficient", flipped)
         yield
 
 
@@ -112,6 +114,19 @@ def test_kernel_generators_digon():
     kg = kernel_generators(R)
     assert kg.count() == 1
     assert kg.independent and kg.representative_stable
+
+
+def test_top_cocycles_are_the_unit_cochains():
+    # the second-kind rows of degree 0 take the kernel of the orientation
+    # row as their cocycles, which holds because no differential leaves the
+    # top degree of the truncated complex
+    for name in CHARMAPS:
+        S = preset(name)
+        for F in (QQ, PrimeField(3), PrimeField(5)):
+            R = relation_system(S, preset_charmap(name), F)
+            top = R.trivialized.cx.dim(S.n - 1)
+            assert R.trivialized.profile.cycles(S.n - 1) == \
+                [[F.one if i == k else F.zero for i in range(top)] for k in range(top)]
 
 
 def test_rank_invariance_under_sgn_flips():

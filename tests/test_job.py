@@ -32,6 +32,10 @@ GOLDEN = {
         "f6ce2e7f7be9ea7572c8a15f191a62b96235281e0f2457c80fbe9f82f190e3dc",
     ("cross_polytope_boundary(3)", "Fp:3"):
         "79dd069a572db562e2f3003838bf5c32cfc751b2c10d9a6311f3e0721d10812d",
+    # the one pinned report over a prime field with second-kind kernel
+    # generators (6 of them); recorded before the face ring read the kit
+    ("torus_7", "Fp:3"):
+        "7a59227ee4105a14717b38bf44a96136368ac4578555536b4498f8a20dfa766f",
 }
 
 
@@ -44,6 +48,7 @@ class _Counts:
         self.work = Counter()             # (what, poset, field name)
         self.cohomology = Counter()       # (sheaf name, truncated)
         self.sheaf_calls = self.cosheaf_calls = self.structure_calls = 0
+        self.wedges_per_form = Counter()  # face -> wedges made forming its top form
 
         init = LocalHomologyData.__init__
 
@@ -85,6 +90,24 @@ class _Counts:
             return job_sheaf_cohomology(sheaf, truncated)
 
         mp.setattr(job_module, "sheaf_cohomology", counting_structure)
+
+        forming = []                      # the face whose top form is asked for
+        pi_form, wedge = torusalg.TorusSheafKit.pi_form, torusalg.ExteriorAlgebra.wedge
+
+        def counting_pi_form(kit, elem):
+            forming.append(elem)
+            try:
+                return pi_form(kit, elem)
+            finally:
+                forming.pop()
+
+        def counting_wedge(ext, *args):
+            if forming:
+                self.wedges_per_form[forming[-1]] += 1
+            return wedge(ext, *args)
+
+        mp.setattr(torusalg.TorusSheafKit, "pi_form", counting_pi_form)
+        mp.setattr(torusalg.ExteriorAlgebra, "wedge", counting_wedge)
 
     def _count_work(self, mp, name):
         fn = getattr(job_module, name)
@@ -134,6 +157,15 @@ def test_all_job_computes_each_invariant_once(all_job):
     assert counts.cosheaf_calls == 2 * (n + 1)
     assert set(counts.cohomology.values()) == {1}
     assert counts.structure_calls == 1
+
+
+def test_all_job_forms_each_top_form_once(all_job):
+    # the principal ideals and the face ring's coefficients read one top
+    # form per nonempty face, wedged from its vertices' rows once
+    (name, _), _, _, counts = all_job
+    S = preset(name)
+    assert counts.wedges_per_form == Counter(
+        {e: len(S.vertex_sets[e]) for e in range(1, S.size)})
 
 
 @contextlib.contextmanager

@@ -10,9 +10,9 @@ import pytest
 
 from torushom.field import QQ, PrimeField
 from torushom.poset import preset, build_from_facets, PosetError
-from torushom.fixtures import preset_charmap
+from torushom.fixtures import CHARMAPS, preset_charmap
 from torushom.torusalg import (
-    ExteriorAlgebra, CharacteristicMap, validate_charmap, coefficient_CAI,
+    ExteriorAlgebra, CharacteristicMap, validate_charmap,
     TorusSheafKit, keylemma_check, duality_check, les_duality_check,
 )
 from torushom.sheaves import (
@@ -25,8 +25,9 @@ from torushom.exactlin import Matrix, IncrementalSpan
 from torushom.cli import main
 from torushom.formats import write_charmap
 
-from oracles import (ideal_sheaf, lambda_mod_pi_cosheaf, pi_cosheaf, quotient_class,
-                     quotient_sheaf, structure_tensor_ideal, structure_tensor_quotient)
+from oracles import (coefficient_CAI, ideal_sheaf, lambda_mod_pi_cosheaf, pi_cosheaf,
+                     quotient_class, quotient_sheaf, structure_tensor_ideal,
+                     structure_tensor_quotient)
 
 FIXTURES = ["boundary_of_simplex(2)", "boundary_of_simplex(3)",
             "cross_polytope_boundary(3)", "torus_7", "digon_cycle(2)"]
@@ -239,6 +240,32 @@ def test_coefficient_cai_examples():
     assert coefficient_CAI(cm2, QQ, (1, 2), ()) in (QQ(1), QQ(-1))
     with pytest.raises(ValueError):
         coefficient_CAI(cm2, QQ, (1,), ())
+
+
+def _cross4_coordinate_map():
+    rows = {}
+    for i in range(1, 5):
+        rows[i] = tuple(int(k == i - 1) for k in range(4))
+        rows[i + 4] = tuple(-x for x in rows[i])
+    return CharacteristicMap(4, rows)
+
+
+def test_kit_coefficient_matches_integer_minor():
+    # the kit reads C_{A,I} off the face's top form; the oracle takes the
+    # Bareiss determinant of the integer minor.  Every map here is valid
+    # over its field (the kit refuses one that is not)
+    cases = [(name, preset_charmap(name), F) for name in CHARMAPS
+             for F in (QQ, PrimeField(3), PrimeField(5))]
+    cases.append(("cross_polytope_boundary(4)", _cross4_coordinate_map(), PrimeField(1000003)))
+    for name, cm, F in cases:
+        S = preset(name)
+        kit = TorusSheafKit(S, cm, F)
+        for e in range(1, S.size):
+            for A in kit.ext.subsets(cm.n - len(S.vertex_sets[e])):
+                assert kit.coefficient(e, A) == \
+                    coefficient_CAI(cm, F, S.vertex_sets[e], A), (name, F, e, A)
+        with pytest.raises(ValueError):
+            kit.coefficient(1, ())
 
 
 def test_cai_matches_quotient_class_up_to_unit():
@@ -494,6 +521,8 @@ def test_kit_keeps_only_dimension_tables_after_an_all_job(tmp_path, monkeypatch)
     kept = [type(o).__name__ for o in _reachable(kit, stop=[kit.S]) if isinstance(o, KEPT_TYPES)]
     assert kept == []
     assert sorted(kit._dims) == list(range(kit.n + 1))
+    # and the top form of every nonempty face
+    assert sorted(kit._forms) == list(range(1, kit.S.size))
     for tables in kit._dims.values():
         assert sorted(map(str, tables)) == sorted(map(str, [
             ("ideal", True), ("quotient", True), ("quotient", False), "pi", "lambda/pi"]))
