@@ -27,8 +27,11 @@ from .formats import (FormatError, parse_cover_table, parse_facet_list,
 
 COMMANDS = ("validate", "vectors", "charmap", "sheaf", "verify", "specseq",
             "facering", "all")
-CHECKS = ("constant", "structure", "keylemma", "duality", "les_duality", "theorems",
-          "crosscheck")
+# the checks each command can run; `all` runs every one, the rest none
+COMMAND_CHECKS = {"sheaf": ("constant", "structure"),
+                  "verify": ("keylemma", "duality", "les_duality"),
+                  "specseq": ("theorems", "crosscheck")}
+CHECKS = tuple(c for checks in COMMAND_CHECKS.values() for c in checks)
 
 
 class InputProblem(Exception):
@@ -88,7 +91,7 @@ def load_profile(args, S, field):
 
 def selected_checks(args) -> set:
     """The checks that `--checks` selects, every check by default; refuses
-    an unknown name."""
+    an unknown name, and a selection that leaves the command no check to run."""
     if not args.checks:
         return set(CHECKS)
     names = {c.strip() for c in args.checks.split(",") if c.strip()}
@@ -96,6 +99,10 @@ def selected_checks(args) -> set:
     if unknown:
         raise InputProblem(f"unknown --checks {', '.join(unknown)}; "
                            f"known: {', '.join(CHECKS)}")
+    own = CHECKS if args.command == "all" else COMMAND_CHECKS.get(args.command, ())
+    if own and not names & set(own):
+        raise InputProblem(f"--checks {args.checks.strip()} selects no check of "
+                           f"{args.command}; its checks: {', '.join(own)}")
     return names
 
 

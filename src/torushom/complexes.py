@@ -10,7 +10,7 @@ relations are what ask.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from typing import NamedTuple
 
 from .exactlin import Matrix, IncrementalSpan, product_nonzeros
 from .field import QQ
@@ -22,15 +22,15 @@ class InvariantViolation(ValueError):
     a fault of the computation, not of its input."""
 
 
-@dataclass
 class GradedComplex:
     """Graded vector space with differentials d[k]: C_k -> C_{k+shift}."""
 
-    field: object
-    dims: dict
-    diff: dict
-    shift: int
-    labels: dict = dfield(default_factory=dict)
+    def __init__(self, field, dims: dict, diff: dict, shift: int, labels: dict | None = None):
+        self.field = field
+        self.dims = dims
+        self.diff = diff
+        self.shift = shift
+        self.labels = {} if labels is None else labels
 
     def dim(self, k):
         return self.dims.get(k, 0)
@@ -189,8 +189,7 @@ def betti(S: SimplicialPoset, field) -> dict:
     return dict(S.job(field).betti)
 
 
-@dataclass
-class ClassifyReport:
+class ClassifyReport(NamedTuple):
     buchsbaum: bool
     cohen_macaulay: bool
     pure: bool

@@ -13,8 +13,8 @@ vectors, never ring elements: the ring structure itself is out of scope.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
 from itertools import combinations
+from typing import NamedTuple
 
 from .exactlin import Matrix, IncrementalSpan
 from .poset import SimplicialPoset, PosetError, incidence_number
@@ -38,21 +38,22 @@ class _TrivializedComplex:
         return self.cx.labels[degree]
 
 
-@dataclass
 class RelationSystem:
-    field: object
-    n: int
-    kit: TorusSheafKit          # the map's sheaf kit: the determinant coefficients
-    generators: dict            # q -> list of generator labels
-    type1: dict                 # q -> list of rows (vectors over the generators)
-    type2: dict | None          # q -> list of (class_index, A, row); None if unavailable
-    type2_cocycles: dict = dfield(default_factory=dict)   # q -> representative cocycles
-    trivialized: _TrivializedComplex | None = None        # built with the second kind
-    type2_reason: str = ""
+    """The generators of a face ring and its relation rows, filled in by
+    `relation_system`: first the first kind, then the second kind when the
+    profile determines it."""
 
-    def __post_init__(self):
-        self._index = {q: {g: k for k, g in enumerate(gs)}
-                       for q, gs in self.generators.items()}
+    def __init__(self, field, n: int, kit: TorusSheafKit, generators: dict):
+        self.field = field
+        self.n = n
+        self.kit = kit                  # the map's sheaf kit: the determinant coefficients
+        self.generators = generators    # q -> list of generator labels
+        self._index = {q: {g: k for k, g in enumerate(gs)} for q, gs in generators.items()}
+        self.type1 = {}                 # q -> list of rows (vectors over the generators)
+        self.type2 = None               # q -> list of (class_index, A, row); None if unavailable
+        self.type2_cocycles = {}        # q -> representative cocycles
+        self.trivialized = None         # _TrivializedComplex, built with the second kind
+        self.type2_reason = ""
 
     def generator_count(self, q):
         return len(self.generators.get(q, []))
@@ -131,7 +132,7 @@ def relation_system(S: SimplicialPoset, cmap: CharacteristicMap, field,
         else:
             generators[q] = [("e", m) for m in range(structure.stalk_dims[0])]
 
-    system = RelationSystem(field, n, kit, generators, {}, None)
+    system = RelationSystem(field, n, kit, generators)
 
     type1 = {q: [] for q in range(n + 1)}
     for q in range(n):
@@ -214,8 +215,7 @@ def graded_quotient_rank(R: RelationSystem, include_type2: bool) -> dict:
     return out
 
 
-@dataclass
-class KernelGenerators:
+class KernelGenerators(NamedTuple):
     per_degree: dict           # q -> list of (class_index, A, residual vector)
     independent: bool
     representative_stable: bool

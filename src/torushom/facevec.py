@@ -9,7 +9,7 @@ of coefficient lists, never at sampled points.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .poset import SimplicialPoset, PosetError, face_counts
 
@@ -68,8 +68,7 @@ def h_from_f(f, n: int):
     return tuple(acc[: n + 1])
 
 
-@dataclass
-class FaceVectors:
+class FaceVectors(NamedTuple):
     n: int
     f: tuple                 # (f_-1, ..., f_{n-1})
     h: tuple                 # (h_0, ..., h_n)
@@ -132,8 +131,7 @@ def face_vectors_of(job) -> FaceVectors:
                        chi, chi_tilde)
 
 
-@dataclass
-class IdentityReport:
+class IdentityReport(NamedTuple):
     passed: bool
     details: dict
 

@@ -24,7 +24,6 @@ a float.  So divide only through ``field.inv``, never with ``/``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 
 
 class Rationals:
@@ -58,25 +57,21 @@ class Rationals:
 
 # Miller-Rabin with the first twelve primes as witnesses is exact for every
 # n < 318665857834031151167461 (Jaeschke 1993), which covers all 64-bit n.
+# A prime field of a larger p is refused: it would show nothing that a
+# smaller prime dividing no torsion does not.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_EXACT_BELOW = 1 << 64
+PRIME_LIMIT = 1 << 64
 
 
 def _is_prime(p: int) -> bool:
-    """Primality in O(log^3 p) bit operations, never by trial division.
-
-    Exact below 2^64.  Above it a strong Lucas test is added to the same
-    witnesses, which makes it the Baillie-PSW test: no composite passing
-    it is known, though none is proven impossible.
-    """
+    """Primality of p < `PRIME_LIMIT` in O(log^3 p) bit operations, never by
+    trial division; exact."""
     if p < 2:
         return False
     for w in _WITNESSES:
         if p % w == 0:
             return p == w
-    if not all(_strong_probable_prime(p, w) for w in _WITNESSES):
-        return False
-    return p < _EXACT_BELOW or _strong_lucas_probable_prime(p)
+    return all(_strong_probable_prime(p, w) for w in _WITNESSES)
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:
@@ -95,65 +90,12 @@ def _strong_probable_prime(n: int, a: int) -> bool:
     return False
 
 
-def _jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) for odd n > 0."""
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
-def _strong_lucas_probable_prime(n: int) -> bool:
-    """Strong Lucas test with Selfridge's parameters, for odd n > 2 that
-    are not divisible by a witness prime."""
-    r = isqrt(n)
-    if r * r == n:
-        return False
-    D = 5
-    while True:
-        j = _jacobi(D, n)
-        if j == -1:
-            break
-        if j == 0 and abs(D) != n:
-            return False
-        D = -D - 2 if D > 0 else -D + 2
-    P, Q = 1, (1 - D) // 4
-
-    def half(x):
-        x %= n
-        return (x + n if x % 2 else x) // 2
-
-    d, s = n + 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    # U_k, V_k and Q^k for the prefixes k of d, read from the top bit down
-    U, V, Qk = 0, 2, 1
-    for bit in bin(d)[2:]:
-        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
-        if bit == "1":
-            U, V, Qk = half(P * U + V), half(D * U + P * V), Qk * Q % n
-    if U == 0 or V == 0:
-        return True
-    for _ in range(s - 1):
-        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
-        if V == 0:
-            return True
-    return False
-
-
 class PrimeField:
     """The field F_p for a prime p.  Elements are ints in [0, p)."""
 
     def __init__(self, p: int):
+        if p >= PRIME_LIMIT:
+            raise ValueError(f"{p} is too large: prime fields need p < 2^64")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p

@@ -12,9 +12,9 @@ cached over the integers in `_stars`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 
 class PosetError(ValueError):
@@ -27,30 +27,20 @@ class PosetError(ValueError):
 MAX_ELEMENTS = 1000
 
 
-@dataclass(frozen=True, eq=False)
 class SimplicialPoset:
     """An immutable simplicial poset.
 
     The tables are tuples, and equality and hashing are by identity, so a
-    poset keys caches in O(1).  Its jobs (`job`) and its integer star
-    complexes (`_stars`) live as long as the poset does, and so do the
-    tables of its rank-2 intervals (`diamonds`) and of its incidence
-    signs (`cover_signs`), each built on first read.
+    poset keys caches in O(1).  Assigning or deleting an attribute raises
+    `AttributeError`.  Its jobs (`job`) and its integer star complexes
+    (`_stars`) live as long as the poset does, and so do the tables of its
+    rank-2 intervals (`diamonds`) and of its incidence signs
+    (`cover_signs`), each built on first read.
     """
 
-    ranks: tuple
-    vertex_sets: tuple         # sorted tuples of vertex labels
-    covers: tuple              # ids one rank down, per element
-    name: str = ""
-
-    covered_by: tuple = dfield(init=False, repr=False)
-    below: tuple = dfield(init=False, repr=False)
-    _jobs: dict = dfield(init=False, repr=False)
-    _stars: dict = dfield(init=False, repr=False)
-
-    def __post_init__(self):
-        ranks = tuple(self.ranks)
-        covers = tuple(tuple(c) for c in self.covers)
+    def __init__(self, ranks, vertex_sets, covers, name=""):
+        ranks = tuple(ranks)
+        covers = tuple(tuple(c) for c in covers)
         m = len(ranks)
         covered_by = [[] for _ in range(m)]
         for j, cs in enumerate(covers):
@@ -62,14 +52,21 @@ class SimplicialPoset:
             for c in covers[i]:
                 below[i] |= below[c]
         tables = {"ranks": ranks,
-                  "vertex_sets": tuple(tuple(v) for v in self.vertex_sets),
-                  "covers": covers,
+                  "vertex_sets": tuple(tuple(v) for v in vertex_sets),  # sorted labels
+                  "covers": covers,                 # ids one rank down, per element
+                  "name": name,
                   "covered_by": tuple(tuple(sorted(v)) for v in covered_by),
                   "below": tuple(frozenset(b) for b in below),
                   "_jobs": {},
                   "_stars": {}}
         for attr, value in tables.items():
             object.__setattr__(self, attr, value)
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"a SimplicialPoset is immutable; cannot set {attr!r}")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"a SimplicialPoset is immutable; cannot delete {attr!r}")
 
     def job(self, field):
         """The `Job` holding this poset's invariants over `field`."""
@@ -114,7 +111,15 @@ class SimplicialPoset:
         return len({self.ranks[i] for i in self.maximal_elements()}) <= 1
 
     def upper_set(self, i):
-        return [j for j in range(self.size) if self.leq(i, j)]
+        """The faces J >= i in id order: the closure of i under `covered_by`."""
+        up = {i}
+        stack = [i]
+        while stack:
+            for j in self.covered_by[stack.pop()]:
+                if j not in up:
+                    up.add(j)
+                    stack.append(j)
+        return sorted(up)
 
     @cached_property
     def diamonds(self) -> tuple:
@@ -148,8 +153,7 @@ class SimplicialPoset:
         return signs
 
 
-@dataclass
-class PosetDiagnostics:
+class PosetDiagnostics(NamedTuple):
     ok: bool
     pure: bool
     dim: int

@@ -11,7 +11,7 @@ whole poset).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactlin import Matrix, product_nonzeros
 from .poset import SimplicialPoset, incidence_number
@@ -20,7 +20,6 @@ from .complexes import (
 )
 
 
-@dataclass
 class CellularSheaf:
     """Stalk dimensions and one matrix per cover relation.
 
@@ -29,14 +28,17 @@ class CellularSheaf:
     `CellularCosheaf` is the same data with the maps running down, and
     `_step` is the degree change of the (co)chain differential.
     """
-    poset: SimplicialPoset
-    field: object
-    stalk_dims: list
-    rest: dict                    # (source, target) over covers -> Matrix
-    include_empty: bool = False
-    name: str = ""
 
     _step = +1
+
+    def __init__(self, poset: SimplicialPoset, field, stalk_dims: list, rest: dict,
+                 include_empty: bool = False, name: str = ""):
+        self.poset = poset
+        self.field = field
+        self.stalk_dims = stalk_dims
+        self.rest = rest              # (source, target) over covers -> Matrix
+        self.include_empty = include_empty
+        self.name = name
 
     def _cover_matrix(self, src, dst) -> Matrix:
         m = self.rest.get((src, dst))
@@ -156,8 +158,7 @@ def cochain_complex(sheaf: CellularSheaf, truncated: bool = True) -> GradedCompl
     return _block_complex(sheaf, truncated)
 
 
-@dataclass
-class SheafCohomology:
+class SheafCohomology(NamedTuple):
     sheaf: CellularSheaf
     truncated: bool
     complex: GradedComplex
@@ -328,8 +329,7 @@ def standard_sheaf(S: SimplicialPoset, field, kind: str, *, dim: int = 1,
     raise ValueError(f"unknown standard sheaf kind {kind!r}")
 
 
-@dataclass
-class ConstancyResult:
+class ConstancyResult(NamedTuple):
     is_constant: bool
     orientation: dict | None     # element id -> unit scaling the stalk basis
     witness: str | None

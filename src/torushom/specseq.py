@@ -11,14 +11,13 @@ cross-validation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .poset import SimplicialPoset, PosetError
 from .facevec import binom
 
 
-@dataclass
-class ManifoldProfile:
+class ManifoldProfile(NamedTuple):
     """Rank data of the orbit space: b(Q), b(Q, dQ) and connecting ranks."""
 
     n: int
@@ -57,8 +56,7 @@ def cone_profile_of(job) -> ManifoldProfile:
     return ManifoldProfile(n, bQ, bQrel, rank_delta, source="cone")
 
 
-@dataclass
-class ProfileDiagnostics:
+class ProfileDiagnostics(NamedTuple):
     ok: bool
     messages: list
 
@@ -108,8 +106,7 @@ def validate_profile(S: SimplicialPoset, P: ManifoldProfile, field) -> ProfileDi
     return ProfileDiagnostics(not msgs, msgs)
 
 
-@dataclass
-class SpectralPage:
+class SpectralPage(NamedTuple):
     """One page: entries by (p, q) plus the labeled column-n decomposition."""
 
     page: str
@@ -215,8 +212,7 @@ def pages_of(job, P: ManifoldProfile):
     return e1plus, e2, einf
 
 
-@dataclass
-class BigradedTable:
+class BigradedTable(NamedTuple):
     n: int
     entries: dict               # (i, j) -> dim
     note: str = ("diagonal convention: H[i,i] = E_inf[i,i] + b_i(Q,dQ) * C(n,i) "
@@ -285,8 +281,7 @@ def euler_characteristic_from_e1(S: SimplicialPoset, P: ManifoldProfile, field) 
     return total
 
 
-@dataclass
-class CrosscheckReport:
+class CrosscheckReport(NamedTuple):
     passed: bool
     truncated_mismatches: list
     full_mismatches: list
@@ -334,8 +329,7 @@ def e2_border_sheaf_crosscheck(S: SimplicialPoset, cmap, field) -> CrosscheckRep
     return CrosscheckReport(passed, mism_t, mism_f, sheaf_trunc, sheaf_full)
 
 
-@dataclass
-class TheoremReport:
+class TheoremReport(NamedTuple):
     checks: dict                 # name -> {"applicable": bool, "passed": bool, ...}
 
     @property

@@ -11,8 +11,8 @@ face ring's determinant coefficients as its coordinates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .complexes import InvariantViolation
 from .exactlin import Matrix, IncrementalSpan, smith_invariants
@@ -97,8 +97,7 @@ class ExteriorAlgebra:
         return list(coeffs)
 
 
-@dataclass
-class CharacteristicMap:
+class CharacteristicMap(NamedTuple):
     """Integer direction vectors, one row per vertex label."""
 
     n: int
@@ -118,8 +117,7 @@ class CharacteristicMap:
         return self.n, tuple(sorted((lab, tuple(row)) for lab, row in self.rows.items()))
 
 
-@dataclass
-class CharmapReport:
+class CharmapReport(NamedTuple):
     ok_field: bool
     ok_integral: bool
     field_failures: list        # element ids
@@ -392,8 +390,7 @@ class TorusSheafKit:
 # ---------------------------------------------------------------------------
 # verification operations
 
-@dataclass
-class KeyLemmaReport:
+class KeyLemmaReport(NamedTuple):
     n: int
     table: dict                  # (i, q) -> dim
     passed: bool
@@ -425,8 +422,7 @@ def keylemma_check(S: SimplicialPoset, cmap: CharacteristicMap, field) -> KeyLem
     return KeyLemmaReport(kit.n, table, not violations, violations)
 
 
-@dataclass
-class DualityReport:
+class DualityReport(NamedTuple):
     n: int
     sheaf_side: dict             # (k, q) -> dim H^k(structure (x) ideal^(q))
     cosheaf_side: dict           # (k, q) -> dim H_{n-1-k}(pi^(q))
@@ -456,8 +452,7 @@ def duality_check(S: SimplicialPoset, cmap: CharacteristicMap, field) -> Duality
     return DualityReport(n, sheaf_side, cosheaf_side, passed)
 
 
-@dataclass
-class LesDualityReport:
+class LesDualityReport(NamedTuple):
     n: int
     sheaf_rows: dict             # q -> list of dims along the long exact sequence
     cosheaf_rows: dict

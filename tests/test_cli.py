@@ -94,6 +94,21 @@ def test_exit_2_on_an_unknown_check_name(files, capsys):
                             "keylemma, duality, les_duality, theorems, crosscheck\n")
 
 
+@pytest.mark.parametrize("command, checks, own", [
+    ("verify", "theorems", "keylemma, duality, les_duality"),
+    ("sheaf", "keylemma,crosscheck", "constant, structure"),
+    ("specseq", ",", "theorems, crosscheck"),
+])
+def test_exit_2_when_the_checks_leave_the_command_nothing_to_run(files, capsys, command,
+                                                                 checks, own):
+    status = main([command, "--preset", "torus_7", "--charmap", files["t7"],
+                   "--checks", checks])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert captured.err == (f"error: --checks {checks} selects no check of {command}; "
+                            f"its checks: {own}\n")
+
+
 def _write_simplex2_charmap(tmpdir):
     path = tmpdir / "s2.lam"
     path.write_text(write_charmap(preset_charmap("boundary_of_simplex(2)")))
@@ -156,6 +171,14 @@ def test_exit_2_on_an_argument_to_a_preset_without_one(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: preset torus_7 takes no argument, got 'torus_7(3)'\n"
+
+
+def test_exit_2_on_a_prime_field_beyond_64_bits(capsys):
+    assert main(["all", "--preset", "torus_7", "--field", f"Fp:{2**64 + 13}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {2**64 + 13} is too large: prime fields need "
+                            "p < 2^64\n")
 
 
 def test_cone_tag_must_name_the_cone_profile(files, tmp_path, capsys):

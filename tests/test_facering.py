@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 
 import pytest
 
@@ -39,8 +38,8 @@ def flip_orientation(S, field):
     constancy result the job keeps."""
     job = S.job(field)
     cons = job.constancy
-    job.constancy = dataclasses.replace(
-        cons, orientation={k: field(-v) for k, v in cons.orientation.items()})
+    job.constancy = cons._replace(
+        orientation={k: field(-v) for k, v in cons.orientation.items()})
 
 
 def test_generator_counts():
@@ -183,7 +182,7 @@ def test_cone_tag_must_name_the_cone_profile():
     # look for connecting classes the poset does not have
     S = preset("digon_cycle(2)")
     cm = preset_charmap("digon_cycle(2)")
-    tagged = dataclasses.replace(origami_annulus_profile(), source="cone")
+    tagged = origami_annulus_profile()._replace(source="cone")
     with pytest.raises(PosetError, match="not the cone profile"):
         relation_system(S, cm, QQ, profile=tagged)
     # the cone profile, written and read back, is accepted

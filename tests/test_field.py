@@ -40,17 +40,19 @@ def test_pseudoprimes_rejected(n):
 
 @pytest.mark.parametrize("n", [318665857834031151167461, 3317044064679887385961981])
 def test_strong_pseudoprimes_to_every_witness_rejected(n):
-    # both pass Miller-Rabin for all twelve witnesses; only the strong
-    # Lucas test used above 2^64 can reject them
+    # both pass Miller-Rabin for all twelve witnesses, which is exact only
+    # below 2^64, so a prime field of either is refused for its size
     assert n > 2**64
-    assert not _is_prime(n)
+    with pytest.raises(ValueError, match=r"too large: prime fields need p < 2\^64"):
+        PrimeField(n)
 
 
 def test_beyond_64_bits():
-    assert _is_prime(2**89 - 1) and _is_prime(2**127 - 1)
-    assert not _is_prime(2**67 - 1)                  # 193707721 * 761838257287
-    assert not _is_prime((2**61 - 1) * (2**89 - 1))
-    assert not _is_prime((2**61 - 1) ** 2)
+    # the smallest prime above 2^64 is refused, the largest below it accepted
+    assert PrimeField(2**64 - 59).p == 2**64 - 59
+    for n in (2**64 + 13, 2**89 - 1, 2**127 - 1, 2**67 - 1, (2**61 - 1) ** 2):
+        with pytest.raises(ValueError, match=r"too large: prime fields need p < 2\^64"):
+            field_from_name(f"Fp:{n}")
 
 
 def _exact(v, value):

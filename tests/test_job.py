@@ -1,25 +1,27 @@
 """The per-job cache: each invariant of a (poset, field) pair is built once."""
 import contextlib
-import dataclasses
 import gc
 import hashlib
 import io
+import os
+import subprocess
+import sys
 import weakref
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from torushom import job as job_module
-from torushom import torusalg
+import torushom
+from torushom import facering, job as job_module, specseq, torusalg
 from torushom.cli import main
 from torushom.field import QQ, PrimeField
 from torushom.fixtures import CHARMAPS, preset_charmap
 from torushom.formats import write_charmap
 from torushom.complexes import (GradedComplex, HomologyProfile, betti,
                                 cellular_chain_complex, classify, reduced_betti)
-from torushom.facevec import face_vectors
-from torushom.poset import preset
+from torushom.facevec import face_vectors, ft_consistency_check
+from torushom.poset import preset, validate
 from torushom.sheaves import (LocalHomologyData, cosheaf_homology, sheaf_cohomology,
                               standard_sheaf)
 
@@ -323,13 +325,50 @@ def test_public_results_are_copies():
 
 def test_poset_is_frozen_with_identity_hash():
     S = preset("torus_7")
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         S.name = "other"
+    with pytest.raises(AttributeError):
+        del S.covers
+    with pytest.raises(AttributeError):
+        S.anything = 1
     for table in (S.ranks, S.vertex_sets, S.covers, S.covered_by, S.below):
         assert isinstance(table, tuple)
     assert all(isinstance(c, tuple) for c in S.covers)
     assert hash(S) == object.__hash__(S)
     assert S != preset("torus_7")
+
+
+def test_report_records_are_immutable():
+    S = preset("torus_7")
+    cmap = preset_charmap("torus_7")
+    P = S.job(QQ).cone_profile
+    R = facering.relation_system(S, cmap, QQ)
+    records = [validate(S), classify(S, QQ), face_vectors(S, QQ),
+               ft_consistency_check(S, QQ), sheaf_cohomology(standard_sheaf(S, QQ, "constant")),
+               S.job(QQ).constancy, P, specseq.validate_profile(S, P, QQ),
+               *specseq.pages(S, P, QQ), specseq.bigraded_betti(S, P, QQ),
+               specseq.e2_border_sheaf_crosscheck(S, cmap, QQ),
+               specseq.theorem_checks(S, P, QQ), cmap, torusalg.validate_charmap(S, cmap, QQ),
+               torusalg.keylemma_check(S, cmap, QQ), torusalg.duality_check(S, cmap, QQ),
+               torusalg.les_duality_check(S, cmap, QQ), facering.kernel_generators(R)]
+    assert len({type(r) for r in records}) == 18
+    for rec in records:
+        assert isinstance(rec, tuple)
+        with pytest.raises(AttributeError):
+            setattr(rec, rec._fields[0], None)
+        with pytest.raises(AttributeError):
+            rec.anything = None
+
+
+def test_importing_the_cli_loads_no_record_machinery():
+    # records are named tuples and the other classes plain classes, so no
+    # code is generated at import and neither module is loaded
+    code = "import sys, torushom.cli; print(*sorted(sys.modules))"
+    src = os.path.dirname(os.path.dirname(torushom.__file__))
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True).stdout.split()
+    assert "torushom.cli" in out
+    assert "dataclasses" not in out and "inspect" not in out
 
 
 def test_job_cache_dies_with_poset():

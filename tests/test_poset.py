@@ -133,6 +133,16 @@ def test_poset_tables_match_a_scan(name):
     assert S.diamonds is S.diamonds and S._stars == {}
 
 
+@pytest.mark.parametrize("name", ["boundary_of_simplex(1)", "boundary_of_simplex(4)",
+                                  "cross_polytope_boundary(1)", "cross_polytope_boundary(4)",
+                                  "digon_cycle(1)", "digon_cycle(3)", "torus_7"])
+def test_upper_set_matches_a_scan(name):
+    # the up-closure over `covered_by` against a scan of every element
+    S = preset(name)
+    for i in range(S.size):
+        assert S.upper_set(i) == [j for j in range(S.size) if S.leq(i, j)]
+
+
 def test_parallel_edges_same_sign():
     S = preset("digon_cycle(1)")
     v1 = next(i for i in S.vertices() if S.vertex_sets[i] == (1,))

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from torushom.field import QQ, PrimeField
@@ -194,7 +192,7 @@ def test_cone_tag_must_name_the_cone_profile():
     S = preset("digon_cycle(2)")
     user = origami_annulus_profile()
     assert theorem_checks(S, user, QQ).passed      # the same numbers, pages cached
-    tagged = dataclasses.replace(user, source="cone")
+    tagged = user._replace(source="cone")
     diag = validate_profile(S, tagged, QQ)
     assert not diag.ok and "not the cone profile" in diag.messages[-1]
     for call in (theorem_checks, pages, bigraded_betti):
