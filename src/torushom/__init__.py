@@ -6,8 +6,8 @@ from .poset import (SimplicialPoset, PosetError, build_from_facets,
                     face_counts)
 from .complexes import (cellular_chain_complex, homology, classify, reduced_betti,
                         betti, InvariantViolation)
-from .sheaves import (CellularSheaf, CellularCosheaf, standard_sheaf, tensor,
-                      sheaf_cohomology, cosheaf_homology, constancy_check)
+from .sheaves import (CellularSheaf, CellularCosheaf, tensor, sheaf_cohomology,
+                      constancy_check)
 from .torusalg import (ExteriorAlgebra, CharacteristicMap, validate_charmap,
                        TorusSheafKit, keylemma_check, duality_check, les_duality_check)
 from .facevec import face_vectors, ft_consistency_check, dehn_sommerville_check
@@ -22,8 +22,8 @@ __all__ = [
     "face_counts",
     "cellular_chain_complex", "homology", "classify", "reduced_betti", "betti",
     "InvariantViolation",
-    "CellularSheaf", "CellularCosheaf", "standard_sheaf", "tensor",
-    "sheaf_cohomology", "cosheaf_homology", "constancy_check",
+    "CellularSheaf", "CellularCosheaf", "tensor", "sheaf_cohomology",
+    "constancy_check",
     "ExteriorAlgebra", "CharacteristicMap", "validate_charmap", "TorusSheafKit",
     "keylemma_check", "duality_check", "les_duality_check",
     "face_vectors", "ft_consistency_check", "dehn_sommerville_check",

@@ -106,6 +106,17 @@ def selected_checks(args) -> set:
     return names
 
 
+def _crosscheck_blocker(S, cmap, P):
+    """Why the sheaf cross-check of the pages cannot run, or None."""
+    if cmap is None:
+        return "no --charmap given"
+    if P.source != "cone":
+        return f"the profile is a {P.source} profile, not the cone profile"
+    if cmap.n != S.n:
+        return f"torus rank {cmap.n} is not the poset rank {S.n}"
+    return None
+
+
 def run(args) -> tuple[dict, int]:
     checks = selected_checks(args)
     field = field_from_name(args.field)
@@ -201,6 +212,10 @@ def run(args) -> tuple[dict, int]:
 
     if want_specseq:
         P = load_profile(args, S, field)
+        blocker = _crosscheck_blocker(S, cmap, P)
+        only_crosscheck = checks & set(COMMAND_CHECKS["specseq"]) == {"crosscheck"}
+        if blocker and only_crosscheck and not is_all:
+            raise InputProblem(f"--checks crosscheck cannot run: {blocker}")
         e1p, e2, einf = job.pages(P)
         table = bigraded_betti(S, P, field)
         payload = {"profile": P.as_dict(), "pages": [e1p.as_dict(), e2.as_dict(),
@@ -211,8 +226,7 @@ def run(args) -> tuple[dict, int]:
             rep = theorem_checks(S, P, field)
             payload["theorems"] = rep.as_dict()
             ok = ok and rep.passed
-        if cmap is not None and P.source == "cone" and "crosscheck" in checks \
-                and cmap.n == S.n:
+        if "crosscheck" in checks and not blocker:
             rep = e2_border_sheaf_crosscheck(S, cmap, field)
             payload["sheaf_crosscheck"] = rep.as_dict()
             ok = ok and rep.passed

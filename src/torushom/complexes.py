@@ -12,14 +12,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .exactlin import Matrix, IncrementalSpan, product_nonzeros
+from .exactlin import InvariantViolation, Matrix, IncrementalSpan, product_nonzeros
 from .field import QQ
 from .poset import SimplicialPoset, PosetError, incidence_number
-
-
-class InvariantViolation(ValueError):
-    """An internal invariant failed (d∘d != 0, a non-functorial sheaf):
-    a fault of the computation, not of its input."""
 
 
 class GradedComplex:
@@ -118,13 +113,13 @@ class HomologyProfile:
     def coords(self, k, vec):
         """Coordinates of a cycle's class in the representative basis.
 
-        Raises ValueError when `vec` is not a cycle (not in the span of
-        boundaries and representatives).
+        Raises InvariantViolation when `vec` is not a cycle (not in the
+        span of boundaries and representatives).
         """
         _, boundaries, _, span = self._basis(k)
         x = span.coords(vec)
         if x is None:
-            raise ValueError("vector is not a cycle of this complex")
+            raise InvariantViolation("vector is not a cycle of this complex")
         return x[len(boundaries):]
 
 

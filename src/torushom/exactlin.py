@@ -17,36 +17,25 @@ integral matrices stay in int arithmetic until a pivot other than ±1 is
 inverted.  Division goes only through `field.inv`: `/` on two ints is a
 float.  A matrix built from dense rows reads its entries into the field
 first (over F_p into [0, p)), so an entry is stored exactly when it is
-nonzero, even when given as p, -1 or 2p + 1.  `IncrementalSpan` keeps
-dense vectors, whose rows update only the nonzero support of the row
-they subtract.
+nonzero, even when given as p, -1 or 2p + 1.  `IncrementalSpan` stores
+the same sparse rows and reduces them with the same row subtraction and
+pivot normalisation as `Matrix`; only its inputs and outputs are dense.
 """
 from __future__ import annotations
 
 
-def _eliminate(v, c, w, support, p):
-    """v -= c * w on the support of w, over F_p (p > 0) or Q (p = 0)."""
+class InvariantViolation(ValueError):
+    """An internal invariant failed (d∘d != 0, a non-functorial sheaf,
+    factors whose shapes do not fit): a fault of the computation, not of
+    its input."""
+
+
+def _nonzeros(row, p):
+    """The nonzero entries of a dense row as `{column: entry}`, read into
+    the field first over F_p."""
     if p:
-        for j in support:
-            v[j] = (v[j] - c * w[j]) % p
-    else:
-        for j in support:
-            v[j] -= c * w[j]
-
-
-def _scale(v, support, inv, p):
-    """v *= inv on the support of v."""
-    if p:
-        for j in support:
-            v[j] = v[j] * inv % p
-    else:
-        for j in support:
-            v[j] *= inv
-
-
-def _reduced(row, p):
-    """A working copy of row, with entries in [0, p) over F_p."""
-    return [a % p for a in row] if p else list(row)
+        return {j: r for j, a in enumerate(row) if (r := a % p)}
+    return {j: a for j, a in enumerate(row) if a}
 
 
 def _subtract(v, c, w, p):
@@ -59,6 +48,15 @@ def _subtract(v, c, w, p):
             v[j] = a
         else:
             del v[j]
+
+
+def _normalized(v, c, F):
+    """v scaled so that its entry at column c is 1."""
+    a = v[c]
+    if a == 1:
+        return v
+    inv, p = F.inv(a), F.char
+    return {j: b * inv % p for j, b in v.items()} if p else {j: b * inv for j, b in v.items()}
 
 
 class Matrix:
@@ -74,17 +72,13 @@ class Matrix:
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
+                raise InvariantViolation("ragged rows")
             if ncols is not None and ncols != width:
-                raise ValueError("ncols mismatch")
+                raise InvariantViolation("ncols mismatch")
             ncols = width
         elif ncols is None:
-            raise ValueError("empty matrix needs explicit ncols")
-        p = field.char
-        if p:
-            rows = [{j: a % p for j, a in enumerate(r) if a % p} for r in rows]
-        else:
-            rows = [{j: a for j, a in enumerate(r) if a} for r in rows]
+            raise InvariantViolation("empty matrix needs explicit ncols")
+        rows = [_nonzeros(r, field.char) for r in rows]
         self.field, self._rows, self.nrows, self.ncols = field, rows, len(rows), ncols
 
     @classmethod
@@ -109,7 +103,7 @@ class Matrix:
         rows = [{} for _ in range(nrows)]
         for j, col in enumerate(cols):
             if len(col) != nrows:
-                raise ValueError("column length mismatch")
+                raise InvariantViolation("column length mismatch")
             for i, a in enumerate(col):
                 if a:
                     rows[i][j] = a
@@ -146,7 +140,7 @@ class Matrix:
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
-            raise ValueError("shape mismatch in mul")
+            raise InvariantViolation("shape mismatch in mul")
         return Matrix.sparse(self.field,
                              product_nonzeros(self._rows, other._rows, self.field.char),
                              other.ncols)
@@ -181,12 +175,7 @@ class Matrix:
                 c = min(v)
                 w = table.get(c)
                 if w is None:
-                    a = v[c]
-                    if a != 1:
-                        inv = F.inv(a)
-                        v = {j: b * inv % p for j, b in v.items()} if p else \
-                            {j: b * inv for j, b in v.items()}
-                    table[c] = v
+                    table[c] = _normalized(v, c, F)
                     break
                 _subtract(v, v[c], w, p)
         return table
@@ -249,20 +238,22 @@ class IncrementalSpan:
     coordinates: over the vectors that enlarged it (`coords`) and modulo it
     (`quotient_coords`).
 
-    Each stored vector keeps its nonzero support, which is all that a
-    reduction by it touches, and the combination of the enlarging inputs
-    that it equals.  A reduction carries those combinations along when it
-    is given a vector extended past the ambient dimension, one entry per
-    enlarging input; `add` and `coords` pass such vectors.
+    Each stored vector is a sparse row, `{column: entry}` as in `Matrix`,
+    with entry 1 at its pivot and zero at the pivots stored before it.
+    Past the ambient dimension the row holds the combination of the
+    enlarging inputs that the vector equals, the k-th input at column
+    `ambient_dim + k`.  A reduction subtracts whole rows in the order they
+    were stored, so a vector extended past the ambient dimension carries
+    those combinations along; `add` and `coords` reduce such vectors.  The
+    vectors, and so every result, are unique for a given insertion order.
+    Vectors go in and come out dense.
     """
 
     def __init__(self, field, ambient_dim):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.pivots = []       # pivot row index per stored vector
-        self._rows = []        # echelonized vector, pivot entry 1, then its combination
-        self._supports = []    # nonzero positions of the vector part
-        self._tracked = []     # nonzero positions of the whole row
+        self.pivots = []       # pivot column per stored vector
+        self._rows = []        # stored vector and its combination, as {column: entry}
 
     @property
     def dim(self):
@@ -271,45 +262,50 @@ class IncrementalSpan:
     @property
     def vectors(self):
         """The echelonized vectors, in the order they were stored."""
-        return [row[:self.ambient_dim] for row in self._rows]
+        z, amb = self.field.zero, self.ambient_dim
+        return [[row.get(j, z) for j in range(amb)] for row in self._rows]
+
+    def _reduce(self, v):
+        """Reduce the sparse row v in place by the stored rows; returns v."""
+        p = self.field.char
+        for piv, w in zip(self.pivots, self._rows):
+            c = v.get(piv)
+            if c:
+                _subtract(v, c, w, p)
+        return v
 
     def reduce(self, vec):
         """vec minus its components along the stored vectors: zero at every
         pivot.  Entries past the ambient dimension follow the combinations."""
-        p = self.field.char
-        v = _reduced(vec, p)
-        supports = self._supports if len(v) == self.ambient_dim else self._tracked
-        for piv, w, support in zip(self.pivots, self._rows, supports):
-            c = v[piv]
-            if c:
-                _eliminate(v, c, w, support, p)
-        return v
+        v = self._reduce(_nonzeros(vec, self.field.char))
+        z = self.field.zero
+        return [v.get(j, z) for j in range(len(vec))]
 
     def add(self, vec) -> bool:
         """Insert vec; returns True when it enlarges the span."""
         F, amb = self.field, self.ambient_dim
-        v = self.reduce(list(vec) + [F.zero] * self.dim + [F.one])
-        support = [j for j, a in enumerate(v) if a]     # its last entry stays 1
-        if support[0] >= amb:
+        v = _nonzeros(vec, F.char)
+        v[amb + self.dim] = F.one       # no stored row reaches this column
+        v = self._reduce(v)
+        piv = min(v)
+        if piv >= amb:
             return False
-        piv = support[0]
-        if v[piv] != 1:
-            _scale(v, support, F.inv(v[piv]), F.char)
         self.pivots.append(piv)
-        self._rows.append(v)
-        self._supports.append([j for j in support if j < amb])
-        self._tracked.append(support)
+        self._rows.append(_normalized(v, piv, F))
         return True
 
     def coords(self, vec):
         """Coefficients of vec over the vectors that enlarged the span, in
         the order they were added, or None when vec lies outside the span."""
         F, amb = self.field, self.ambient_dim
-        v = self.reduce(list(vec) + [F.zero] * self.dim)
-        if any(v[:amb]):
+        v = self._reduce(_nonzeros(vec, F.char))
+        if min(v, default=amb) < amb:
             return None
-        p = F.char
-        return [-a % p if p else -a for a in v[amb:]]
+        p, z = F.char, F.zero
+        x = [z] * self.dim
+        for j, a in v.items():
+            x[j - amb] = -a % p if p else -a
+        return x
 
     def free_columns(self):
         """The positions that are no pivot: a basis of the quotient."""

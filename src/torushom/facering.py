@@ -18,8 +18,7 @@ from typing import NamedTuple
 
 from .exactlin import Matrix, IncrementalSpan
 from .poset import SimplicialPoset, PosetError, incidence_number
-from .complexes import homology
-from .sheaves import standard_sheaf, cochain_complex
+from .sheaves import CellularSheaf, sheaf_cohomology
 from .specseq import ManifoldProfile, validate_profile
 from .torusalg import CharacteristicMap, TorusSheafKit
 
@@ -30,9 +29,8 @@ class _TrivializedComplex:
     representatives."""
 
     def __init__(self, S: SimplicialPoset, field):
-        sheaf = standard_sheaf(S, field, "constant", dim=1)
-        self.cx = cochain_complex(sheaf, truncated=True)
-        self.profile = homology(self.cx)
+        self.profile = sheaf_cohomology(CellularSheaf.constant(S, field))
+        self.cx = self.profile.complex
 
     def elements(self, degree):
         return self.cx.labels[degree]

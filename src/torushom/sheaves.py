@@ -4,20 +4,19 @@ A sheaf assigns a stalk space to every poset element and a restriction
 matrix to every cover relation; incidence signs live in the cochain
 differential, not in the sheaf, so functoriality means the two composites
 through any length-two interval are equal as matrices.  The standard
-sheaves of the torus-space theory are built here: constant, upper-set,
-local homology, and the structure sheaf (top local homology, with an
-optional stalk at the empty face carrying the top reduced homology of the
-whole poset).
+sheaves of the torus-space theory are built here: constant
+(`CellularSheaf.constant`), local homology, and the structure sheaf (top
+local homology, with an optional stalk at the empty face carrying the top
+reduced homology of the whole poset).  `sheaf_cohomology` is the one
+(co)homology of a sheaf or cosheaf.
 """
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .exactlin import Matrix, product_nonzeros
+from .exactlin import InvariantViolation, Matrix, product_nonzeros
 from .poset import SimplicialPoset, incidence_number
-from .complexes import (
-    GradedComplex, HomologyProfile, InvariantViolation, homology, cellular_chain_complex,
-)
+from .complexes import GradedComplex, HomologyProfile, homology, cellular_chain_complex
 
 
 class CellularSheaf:
@@ -40,6 +39,17 @@ class CellularSheaf:
         self.include_empty = include_empty
         self.name = name
 
+    @classmethod
+    def constant(cls, S, field, dim: int = 1, name: str = ""):
+        """The constant sheaf (or cosheaf) of value field^dim on the
+        nonempty faces.  Not checked for functoriality: every cover map is
+        the identity, so the check cannot fail."""
+        dims = [dim] * S.size
+        dims[0] = 0
+        ident = Matrix.identity(field, dim)
+        rest = {(a, b): ident for a, b in _covers(S, cls) if a != 0 and b != 0}
+        return cls(S, field, dims, rest, name=name or f"constant({dim})")
+
     def _cover_matrix(self, src, dst) -> Matrix:
         m = self.rest.get((src, dst))
         if m is None:
@@ -57,15 +67,6 @@ def _covers(S, kind):
     """Cover pairs (source, target) of S in the direction of the maps of
     `kind`, a sheaf or cosheaf class or instance."""
     return [(i, j) if kind._step > 0 else (j, i) for i in range(S.size) for j in S.covered_by[i]]
-
-
-def _constant(cls, S, field, dim, name):
-    """The constant sheaf or cosheaf `cls` of value field^dim on the nonempty faces."""
-    dims = [dim] * S.size
-    dims[0] = 0
-    ident = Matrix.identity(field, dim)
-    rest = {(a, b): ident for a, b in _covers(S, cls) if a != 0 and b != 0}
-    return cls(S, field, dims, rest, name=name)
 
 
 def check_sheaf_functoriality(sheaf: CellularSheaf):
@@ -111,12 +112,16 @@ def _blocks(S, stalk_dims, degree, include_empty):
     return ids, offsets, total
 
 
-def _block_complex(sheaf: CellularSheaf, truncated: bool) -> GradedComplex:
-    """Incidence-signed complex of a sheaf (cochains) or cosheaf (chains).
+def sheaf_cohomology(sheaf: CellularSheaf, truncated: bool = True) -> HomologyProfile:
+    """Cohomology of a sheaf, or homology of a cosheaf, with the complex
+    that computed it (`.complex`, `.dims`).
 
-    The block of the differential from the stalk of a face to the stalk of
-    a face it maps to is the cover matrix times the incidence number of
-    the cover; its nonzero entries are written straight into sparse rows.
+    The complex is incidence-signed: cochains of a sheaf, chains of a
+    cosheaf.  The block of the differential from the stalk of a face to
+    the stalk of a face it maps to is the cover matrix times the incidence
+    number of the cover; its nonzero entries are written straight into
+    sparse rows.  With include_empty, an untruncated complex has the empty
+    face in degree -1.
     """
     S = sheaf.poset
     F = sheaf.field
@@ -150,49 +155,18 @@ def _block_complex(sheaf: CellularSheaf, truncated: bool) -> GradedComplex:
     labels = {d: info[d][0] for d in info}
     cx = GradedComplex(F, dims, diff, shift=step, labels=labels)
     cx.check_square_zero()
-    return cx
-
-
-def cochain_complex(sheaf: CellularSheaf, truncated: bool = True) -> GradedComplex:
-    """Incidence-signed cochain complex of a sheaf; degree of the empty face is -1."""
-    return _block_complex(sheaf, truncated)
-
-
-class SheafCohomology(NamedTuple):
-    sheaf: CellularSheaf
-    truncated: bool
-    complex: GradedComplex
-    profile: HomologyProfile
-
-    @property
-    def dims(self):
-        return {d: self.profile.dims.get(d, 0) for d in self.complex.degrees()}
-
-
-def sheaf_cohomology(sheaf: CellularSheaf, truncated: bool = True) -> SheafCohomology:
-    cx = cochain_complex(sheaf, truncated)
-    return SheafCohomology(sheaf, truncated, cx, homology(cx))
-
-
-def chain_complex_of_cosheaf(cosheaf: CellularCosheaf) -> GradedComplex:
-    """Incidence-signed chain complex of a cosheaf."""
-    return _block_complex(cosheaf, True)
-
-
-def cosheaf_homology(cosheaf: CellularCosheaf) -> SheafCohomology:
-    cx = chain_complex_of_cosheaf(cosheaf)
-    return SheafCohomology(cosheaf, True, cx, homology(cx))
+    return homology(cx)
 
 
 def tensor(A: CellularSheaf, B: CellularSheaf) -> CellularSheaf:
     """Stalkwise tensor product of two sheaves, or of two cosheaves, with
     Kronecker cover maps."""
     if A.poset is not B.poset and A.poset.vertex_sets != B.poset.vertex_sets:
-        raise ValueError("tensor of sheaves on different posets")
+        raise InvariantViolation("tensor of sheaves on different posets")
     if A.field != B.field:
-        raise ValueError("tensor of sheaves over different fields")
+        raise InvariantViolation("tensor of sheaves over different fields")
     if A._step != B._step:
-        raise ValueError("tensor of a sheaf with a cosheaf")
+        raise InvariantViolation("tensor of a sheaf with a cosheaf")
     dims = [a * b for a, b in zip(A.stalk_dims, B.stalk_dims)]
     rest = {(a, b): A._cover_matrix(a, b).kron(B._cover_matrix(a, b))
             for a, b in _covers(A.poset, A) if dims[a] and dims[b]}
@@ -282,51 +256,6 @@ class LocalHomologyData:
         plain = CellularSheaf(S, self.field, [0] + full.stalk_dims[1:], rest,
                               name="structure")
         return plain, full
-
-
-def standard_sheaf(S: SimplicialPoset, field, kind: str, *, dim: int = 1,
-                   element: int | None = None, degree: int | None = None,
-                   include_empty: bool = False) -> CellularSheaf:
-    """Build one of the standard sheaves.
-
-    kind = "constant":        value `dim` on every nonempty face.
-    kind = "upper_set":       value `dim` on faces above `element`.
-    kind = "local_homology":  stalks H_degree(S, S minus st J), read off
-                              the job's star complexes.
-    kind = "structure":       local homology in top degree; with
-                              include_empty the empty face carries the top
-                              reduced homology of S, restricted along the
-                              inclusions of stars.  Built once per
-                              (S, field) and shared.
-
-    Local homology and structure sheaves are checked for functoriality.
-    The constant and upper-set sheaves are not: every cover map between
-    nonzero stalks is the identity, so the two composites through any
-    interval agree and the check cannot fail.
-    """
-    F = field
-    if kind == "constant":
-        return _constant(CellularSheaf, S, F, dim, f"constant({dim})")
-    if kind == "upper_set":
-        if element is None:
-            raise ValueError("upper_set needs element")
-        up = set(S.upper_set(element))
-        dims = [dim if i in up else 0 for i in range(S.size)]
-        ident = Matrix.identity(F, dim)
-        rest = {}
-        for i in range(S.size):
-            for j in S.covered_by[i]:
-                if i in up and j in up:
-                    rest[(i, j)] = ident
-        return CellularSheaf(S, F, dims, rest, include_empty=(element == 0),
-                             name=f"ups({element},{dim})")
-    if kind == "local_homology":
-        if degree is None:
-            raise ValueError("local_homology needs degree")
-        return S.job(F).local_homology.sheaf(degree, f"loc({degree})")
-    if kind == "structure":
-        return S.job(F).structure_sheaf(include_empty)
-    raise ValueError(f"unknown standard sheaf kind {kind!r}")
 
 
 class ConstancyResult(NamedTuple):

@@ -14,11 +14,10 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple
 
-from .complexes import InvariantViolation
-from .exactlin import Matrix, IncrementalSpan, smith_invariants
+from .exactlin import InvariantViolation, Matrix, IncrementalSpan, smith_invariants
 from .poset import SimplicialPoset, PosetError
 from .sheaves import (
-    CellularSheaf, CellularCosheaf, sheaf_cohomology, cosheaf_homology, tensor,
+    CellularSheaf, CellularCosheaf, sheaf_cohomology, tensor,
     check_sheaf_functoriality, _covers,
 )
 from .facevec import binom
@@ -93,7 +92,7 @@ class ExteriorAlgebra:
     def one_form(self, coeffs):
         """Degree-1 vector from n coefficients."""
         if len(coeffs) != self.n:
-            raise ValueError("one_form needs n coefficients")
+            raise InvariantViolation("one_form needs n coefficients")
         return list(coeffs)
 
 
@@ -258,7 +257,7 @@ class TorusSheafKit:
         n = self.n
         cols = tuple(j for j in range(1, n + 1) if j not in A)
         if len(cols) != len(self.S.vertex_sets[elem]):
-            raise ValueError("need |A| + |I| = n")
+            raise InvariantViolation("need |A| + |I| = n")
         det = self.pi_form(elem)[self.ext.index(cols)]
         exp = sum(range(1, len(cols) + 1)) + sum(cols)
         return self.field(-det if exp % 2 else det)
@@ -367,9 +366,9 @@ class TorusSheafKit:
                     sheaf_cohomology(quotient, truncated=truncated).dims
             del quotient
             spans = self.pi_spans(q)
-            tables["pi"] = cosheaf_homology(
+            tables["pi"] = sheaf_cohomology(
                 self._inclusions(CellularCosheaf, spans, f"pi^({q})")).dims
-            tables["lambda/pi"] = cosheaf_homology(
+            tables["lambda/pi"] = sheaf_cohomology(
                 self._quotients(CellularCosheaf, spans, f"lambda/pi^({q})")).dims
             self._dims[q] = tables
         return tables

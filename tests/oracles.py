@@ -2,11 +2,12 @@
 
 Each function here recomputes something the library computes another way,
 or reads a library object in a form no report needs: links as posets of
-their own, sheaves restricted to links, sheaf maps composed along a chain,
-induced maps in homology, the order-complex homology, integer determinants
-by Bareiss elimination, minors gcds for the Smith form, the determinant
-coefficients of the face ring from those determinants (the library reads
-them off the sheaf kit's top forms), and sheaf dumps for golden digests.
+their own, the upper-set sheaves, sheaves restricted to links, sheaf maps
+composed along a chain, induced maps in homology, the order-complex
+homology, integer determinants by Bareiss elimination, minors gcds for the
+Smith form, the determinant coefficients of the face ring from those
+determinants (the library reads them off the sheaf kit's top forms), and
+sheaf dumps for golden digests.
 """
 from __future__ import annotations
 
@@ -129,6 +130,17 @@ def link(S: SimplicialPoset, i: int) -> SimplicialPoset:
 def link_reduced_betti(S: SimplicialPoset, field, i: int) -> dict:
     """Reduced Betti numbers of lk_S(i) computed on the link poset itself."""
     return reduced_betti(link(S, i), field)
+
+
+def upper_set_sheaf(S: SimplicialPoset, field, element: int, dim: int = 1) -> CellularSheaf:
+    """The sheaf of value field^dim on the faces above `element`, with
+    identity maps; its cohomology is the reduced link (co)homology of the
+    element shifted by its rank."""
+    up = set(S.upper_set(element))
+    ident = Matrix.identity(field, dim)
+    rest = {(i, j): ident for i in up for j in S.covered_by[i] if j in up}
+    return CellularSheaf(S, field, [dim if i in up else 0 for i in range(S.size)], rest,
+                         include_empty=element == 0, name=f"ups({element},{dim})")
 
 
 def restrict_to_link(sheaf: CellularSheaf, i: int) -> CellularSheaf:

@@ -172,15 +172,14 @@ def test_criterion_7_kernel_generators():
 
 def test_criterion_8a_differentials_and_functoriality():
     # build every object with internal assertions live; any failure raises
-    from torushom.sheaves import (standard_sheaf, check_sheaf_functoriality,
-                                  cochain_complex)
+    from torushom.sheaves import check_sheaf_functoriality, sheaf_cohomology
     ok = True
     for name in SUITE:
         S = preset(name)
         cellular_chain_complex(S, QQ).check_square_zero()
-        sheaf = standard_sheaf(S, QQ, "structure", include_empty=True)
+        sheaf = S.job(QQ).structure_sheaf(include_empty=True)
         check_sheaf_functoriality(sheaf)
-        cochain_complex(sheaf, truncated=False).check_square_zero()
+        sheaf_cohomology(sheaf, truncated=False).complex.check_square_zero()
         kit = TorusSheafKit(S, preset_charmap(name), QQ)
         for q in range(kit.n + 1):
             ideal_sheaf(kit, q)

@@ -5,7 +5,7 @@ import pytest
 
 from torushom import complexes, job as job_module, sheaves, torusalg
 from torushom.cli import main, build_parser, run, InputProblem
-from torushom.exactlin import Matrix
+from torushom.exactlin import IncrementalSpan, Matrix
 from torushom.field import QQ
 from torushom.fixtures import preset_charmap, origami_annulus_profile
 from torushom.formats import (
@@ -14,6 +14,7 @@ from torushom.formats import (
 )
 from torushom.poset import preset
 from torushom.sheaves import LocalHomologyData
+from torushom.torusalg import CharacteristicMap
 
 
 @pytest.fixture
@@ -107,6 +108,29 @@ def test_exit_2_when_the_checks_leave_the_command_nothing_to_run(files, capsys, 
     assert status == 2 and captured.out == ""
     assert captured.err == (f"error: --checks {checks} selects no check of {command}; "
                             f"its checks: {own}\n")
+
+
+@pytest.mark.parametrize("preset_name, extra, reason", [
+    ("torus_7", [], "no --charmap given"),
+    ("digon_cycle(2)", ["--charmap", "d2", "--profile", "annulus"],
+     "the profile is a user profile, not the cone profile"),
+    ("torus_7", ["--charmap", "t7n4"], "torus rank 4 is not the poset rank 3"),
+], ids=["no-charmap", "user-profile", "torus-rank"])
+def test_exit_2_when_the_only_selected_check_cannot_run(files, capsys, preset_name, extra,
+                                                        reason):
+    # `specseq --checks crosscheck` would otherwise run no check and pass;
+    # with the theorems also selected the cross-check is left out as before
+    t7n4 = files["dir"] / "t7n4.lam"
+    padded = {v: r + (0,) for v, r in preset_charmap("torus_7").rows.items()}
+    t7n4.write_text(write_charmap(CharacteristicMap(4, padded)))
+    files = dict(files, t7n4=str(t7n4))
+    argv = ["specseq", "--preset", preset_name] + [files.get(a, a) for a in extra]
+    assert main(argv + ["--checks", "crosscheck"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --checks crosscheck cannot run: {reason}\n"
+    assert main(argv + ["--checks", "theorems,crosscheck"]) == 0
+    assert "sheaf_crosscheck" not in json.loads(capsys.readouterr().out)["results"]["specseq"]
 
 
 def _write_simplex2_charmap(tmpdir):
@@ -336,6 +360,17 @@ def test_exit_3_when_a_kit_invariant_fails(monkeypatch, capsys, files):
     assert captured.out == ""
     assert captured.err.startswith("error: invariant violated: ideal dimension off")
     assert captured.err.count("\n") == 1
+
+
+def test_exit_3_when_an_internal_value_check_fails(monkeypatch, capsys):
+    # a span that finds no coordinates makes a local homology restriction
+    # meet a vector that is no cycle: a fault of the computation, reported
+    # as an invariant violation, not as unusable input
+    monkeypatch.setattr(IncrementalSpan, "coords", lambda span, vec: None)
+    assert main(["sheaf", "--preset", "boundary_of_simplex(3)"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invariant violated: vector is not a cycle of this complex\n"
 
 
 def test_exit_3_on_an_unexpected_exception(monkeypatch, capsys):

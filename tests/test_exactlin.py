@@ -218,7 +218,29 @@ def matrices(draw, field=None, nrows=None, ncols=None):
     return F, rows, n
 
 
+@st.composite
+def sparse_matrices(draw, field=None, ncols=None):
+    """Wide rows with at most four nonzero entries, the shape of the sheaf
+    kit's exterior vectors at torus rank 6."""
+    F = draw(st.sampled_from(FIELDS)) if field is None else field
+    m = draw(st.integers(0, 8))
+    n = draw(st.integers(7, 24)) if ncols is None else ncols
+    rows = draw(st.lists(st.dictionaries(st.integers(0, n - 1), _entry(F), max_size=4),
+                         min_size=m, max_size=m))
+    return F, [[r.get(j, 0) for j in range(n)] for r in rows], n
+
+
+def span_inputs(data):
+    """Inputs of a span and probes of the same width: small dense ones, or
+    wide sparse ones."""
+    F, vecs, n = data.draw(st.one_of(matrices(), sparse_matrices()))
+    probes = data.draw(sparse_matrices(F, n) if n > 6 else matrices(field=F, ncols=n))[1]
+    return F, vecs, n, probes
+
+
 ORACLE = settings(max_examples=150, deadline=None)
+# the span tests split their examples between the dense and the sparse draws
+SPAN_ORACLE = settings(max_examples=300, deadline=None)
 
 
 @ORACLE
@@ -233,13 +255,12 @@ def test_rref_and_kernel_match_reference(case):
     assert M.kernel_basis() == canon(F, ref_kernel(F, rows, n))
 
 
-@ORACLE
+@SPAN_ORACLE
 @given(st.data())
 def test_span_coords_match_reference(data):
     # probes: random vectors (mostly outside a small span), the inputs, and
     # random combinations of the inputs; an empty span comes with no inputs
-    F, vecs, n = data.draw(matrices())
-    _, probes, _ = data.draw(matrices(field=F, ncols=n))
+    F, vecs, n, probes = span_inputs(data)
     weights = data.draw(st.lists(st.lists(_entry(F), min_size=len(vecs), max_size=len(vecs)),
                                  max_size=3))
     combos = [[sum_(F, [F(c * v[j]) for c, v in zip(w, vecs)]) for j in range(n)]
@@ -255,18 +276,21 @@ def test_span_coords_match_reference(data):
             assert x == [F(r[0]) for r in ref]
 
 
-@ORACLE
+@SPAN_ORACLE
 @given(st.data())
 def test_incremental_span_matches_reference(data):
-    F, vecs, n = data.draw(matrices())
-    _, probes, _ = data.draw(matrices(field=F, ncols=n))
+    F, vecs, n, probes = span_inputs(data)
     span, ref = IncrementalSpan(F, n), RefSpan(F)
     for v in vecs:
         assert span.add(v) == ref.add(v)
     assert span.pivots == ref.pivots
     assert span.vectors == canon(F, ref.vectors)
+    free = [c for c in range(n) if c not in ref.pivots]
+    assert span.free_columns() == free
     for v in probes + vecs:
-        assert [span.reduce(v)] == canon(F, [ref.reduce(v)])
+        reduced = ref.reduce(v)
+        assert [span.reduce(v)] == canon(F, [reduced])
+        assert [span.quotient_coords(v)] == canon(F, [[reduced[c] for c in free]])
 
 
 @ORACLE

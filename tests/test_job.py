@@ -22,8 +22,7 @@ from torushom.complexes import (GradedComplex, HomologyProfile, betti,
                                 cellular_chain_complex, classify, reduced_betti)
 from torushom.facevec import face_vectors, ft_consistency_check
 from torushom.poset import preset, validate
-from torushom.sheaves import (LocalHomologyData, cosheaf_homology, sheaf_cohomology,
-                              standard_sheaf)
+from torushom.sheaves import LocalHomologyData, sheaf_cohomology
 
 from oracles import (ideal_sheaf, lambda_mod_pi_cosheaf, pi_cosheaf, quotient_sheaf, sheaf_dump,
                      structure_tensor_ideal, structure_tensor_quotient)
@@ -70,20 +69,16 @@ class _Counts:
             self._count_work(mp, name)
 
         sheaf_cohomology = torusalg.sheaf_cohomology
-        cosheaf_homology = torusalg.cosheaf_homology
 
         def counting_sheaf(sheaf, truncated=True):
-            self.sheaf_calls += 1
+            if sheaf._step > 0:
+                self.sheaf_calls += 1
+            else:
+                self.cosheaf_calls += 1
             self.cohomology[(sheaf.name, truncated)] += 1
             return sheaf_cohomology(sheaf, truncated)
 
-        def counting_cosheaf(cosheaf):
-            self.cosheaf_calls += 1
-            self.cohomology[(cosheaf.name, True)] += 1
-            return cosheaf_homology(cosheaf)
-
         mp.setattr(torusalg, "sheaf_cohomology", counting_sheaf)
-        mp.setattr(torusalg, "cosheaf_homology", counting_cosheaf)
 
         job_sheaf_cohomology = job_module.sheaf_cohomology
 
@@ -234,7 +229,7 @@ def test_standard_local_homology_sheaf_reads_the_job():
     S.job(QQ).link_dims
     with _local_homology_calls() as calls:
         for d in range(S.n):
-            sheaf = standard_sheaf(S, QQ, "local_homology", degree=d)
+            sheaf = S.job(QQ).local_homology.sheaf(d, f"loc({d})")
             assert sheaf_dump(sheaf) == sheaf_dump(direct.sheaf(d, f"loc({d})"))
         assert calls["builds"] == Counter()
 
@@ -344,14 +339,14 @@ def test_report_records_are_immutable():
     P = S.job(QQ).cone_profile
     R = facering.relation_system(S, cmap, QQ)
     records = [validate(S), classify(S, QQ), face_vectors(S, QQ),
-               ft_consistency_check(S, QQ), sheaf_cohomology(standard_sheaf(S, QQ, "constant")),
-               S.job(QQ).constancy, P, specseq.validate_profile(S, P, QQ),
+               ft_consistency_check(S, QQ), S.job(QQ).constancy, P,
+               specseq.validate_profile(S, P, QQ),
                *specseq.pages(S, P, QQ), specseq.bigraded_betti(S, P, QQ),
                specseq.e2_border_sheaf_crosscheck(S, cmap, QQ),
                specseq.theorem_checks(S, P, QQ), cmap, torusalg.validate_charmap(S, cmap, QQ),
                torusalg.keylemma_check(S, cmap, QQ), torusalg.duality_check(S, cmap, QQ),
                torusalg.les_duality_check(S, cmap, QQ), facering.kernel_generators(R)]
-    assert len({type(r) for r in records}) == 18
+    assert len({type(r) for r in records}) == 17
     for rec in records:
         assert isinstance(rec, tuple)
         with pytest.raises(AttributeError):
@@ -395,7 +390,7 @@ def test_rational_job_holds_only_ints_and_fractions(name):
     def take(result):
         matrices.extend(result.complex.diff.values())
         for k in result.complex.degrees():
-            vectors.extend(result.profile.representatives(k))
+            vectors.extend(result.representatives(k))
 
     sheaves = [job.structure_sheaf(False), job.structure_sheaf(True)]
     cosheaves = []
@@ -409,7 +404,7 @@ def test_rational_job_holds_only_ints_and_fractions(name):
             take(sheaf_cohomology(sheaf, truncated))
     for cosheaf in cosheaves:
         matrices.extend(cosheaf.rest.values())
-        take(cosheaf_homology(cosheaf))
+        take(sheaf_cohomology(cosheaf))
     local = LocalHomologyData(S, QQ)
     for j in range(S.size):
         prof = local.profile(j)

@@ -12,7 +12,7 @@ import pytest
 from torushom.field import QQ, PrimeField
 from torushom.poset import build_from_facets
 from torushom.complexes import classify, reduced_betti
-from torushom.sheaves import standard_sheaf, constancy_check
+from torushom.sheaves import constancy_check
 from torushom.facevec import face_vectors
 from torushom.torusalg import (CharacteristicMap, validate_charmap,
                                keylemma_check, duality_check, les_duality_check)
@@ -39,8 +39,8 @@ def test_field_dependence_of_manifoldness(S):
     assert classify(S, F2).buchsbaum
     assert reduced_betti(S, QQ) == {-1: 0, 0: 0, 1: 0, 2: 0}
     assert reduced_betti(S, F2) == {-1: 0, 0: 0, 1: 1, 2: 1}
-    assert not constancy_check(standard_sheaf(S, QQ, "structure")).is_constant
-    assert constancy_check(standard_sheaf(S, F2, "structure")).is_constant
+    assert not constancy_check(S.job(QQ).structure_sheaf()).is_constant
+    assert constancy_check(S.job(F2).structure_sheaf()).is_constant
 
 
 def test_charmap_valid_over_f2(S):

@@ -8,11 +8,12 @@ from torushom.fixtures import CHARMAPS
 from torushom.poset import preset, build_from_facets
 from torushom.complexes import InvariantViolation, classify, reduced_betti, betti
 from torushom.sheaves import (
-    standard_sheaf, sheaf_cohomology, tensor, constancy_check,
+    CellularSheaf, sheaf_cohomology, tensor, constancy_check,
     LocalHomologyData, check_sheaf_functoriality,
 )
 
-from oracles import link_reduced_betti, restrict_to_link, sheaf_dump, sheaf_restriction
+from oracles import (link_reduced_betti, restrict_to_link, sheaf_dump, sheaf_restriction,
+                     upper_set_sheaf)
 
 RP2_FACETS = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
               (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)]
@@ -20,20 +21,20 @@ RP2_FACETS = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
 
 def test_constant_sheaf_circle():
     S = preset("boundary_of_simplex(2)")
-    coh = sheaf_cohomology(standard_sheaf(S, QQ, "constant", dim=1), truncated=True)
+    coh = sheaf_cohomology(CellularSheaf.constant(S, QQ, 1), truncated=True)
     assert coh.dims == {0: 1, 1: 1}
 
 
 def test_constant_sheaf_torus(any_field):
     S = preset("torus_7")
-    coh = sheaf_cohomology(standard_sheaf(S, any_field, "constant", dim=1), truncated=True)
+    coh = sheaf_cohomology(CellularSheaf.constant(S, any_field, 1), truncated=True)
     assert coh.dims == {0: 1, 1: 2, 2: 1}
 
 
 def test_constant_sheaf_tensor_dims():
     S = preset("boundary_of_simplex(2)")
-    A = standard_sheaf(S, QQ, "constant", dim=2)
-    B = standard_sheaf(S, QQ, "constant", dim=3)
+    A = CellularSheaf.constant(S, QQ, 2)
+    B = CellularSheaf.constant(S, QQ, 3)
     T = tensor(A, B)
     assert all(T.stalk_dims[i] == 6 for i in range(1, S.size))
     coh = sheaf_cohomology(T, truncated=True)
@@ -42,8 +43,8 @@ def test_constant_sheaf_tensor_dims():
 
 def test_tensor_with_unit_is_identity_dims():
     S = preset("torus_7")
-    A = standard_sheaf(S, QQ, "structure")
-    U = standard_sheaf(S, QQ, "constant", dim=1)
+    A = S.job(QQ).structure_sheaf()
+    U = CellularSheaf.constant(S, QQ, 1)
     T = tensor(A, U)
     assert T.stalk_dims == A.stalk_dims
     for key, m in A.rest.items():
@@ -57,7 +58,7 @@ def test_upper_set_shifts_link_cohomology():
                  "digon_cycle(2)"]:
         S = preset(name)
         for i in range(S.size):
-            coh = sheaf_cohomology(standard_sheaf(S, QQ, "upper_set", element=i, dim=1),
+            coh = sheaf_cohomology(upper_set_sheaf(S, QQ, i, 1),
                                    truncated=(i != 0))
             lk_b = link_reduced_betti(S, QQ, i) if i != 0 else reduced_betti(S, QQ)
             k0 = S.ranks[i]
@@ -70,8 +71,8 @@ def test_upper_set_tensors_with_value_dimension():
     # are W times the one-dimensional case
     S = preset("boundary_of_simplex(3)")
     for i in [S.vertices()[0], S.elements_of_rank(2)[0]]:
-        one = sheaf_cohomology(standard_sheaf(S, QQ, "upper_set", element=i, dim=1))
-        two = sheaf_cohomology(standard_sheaf(S, QQ, "upper_set", element=i, dim=3))
+        one = sheaf_cohomology(upper_set_sheaf(S, QQ, i, 1))
+        two = sheaf_cohomology(upper_set_sheaf(S, QQ, i, 3))
         for k in one.dims:
             assert two.dims[k] == 3 * one.dims[k]
 
@@ -79,14 +80,14 @@ def test_upper_set_tensors_with_value_dimension():
 def test_upper_set_vertex_of_circle():
     S = preset("boundary_of_simplex(2)")
     v = S.vertices()[0]
-    coh = sheaf_cohomology(standard_sheaf(S, QQ, "upper_set", element=v, dim=1))
+    coh = sheaf_cohomology(upper_set_sheaf(S, QQ, v, 1))
     # link is two points; reduced gives one class, shifted to degree 1
     assert coh.dims == {0: 0, 1: 1}
 
 
 def test_structure_sheaf_torus_stalks():
     S = preset("torus_7")
-    sheaf = standard_sheaf(S, QQ, "structure", include_empty=True)
+    sheaf = S.job(QQ).structure_sheaf(include_empty=True)
     assert all(sheaf.stalk_dims[i] == 1 for i in range(1, S.size))
     assert sheaf.stalk_dims[0] == 1  # top reduced homology of the torus
 
@@ -96,7 +97,7 @@ def test_structure_sheaf_cohomology_is_poset_homology():
     for name in ["torus_7", "boundary_of_simplex(3)", "digon_cycle(2)",
                  "cross_polytope_boundary(3)"]:
         S = preset(name)
-        sheaf = standard_sheaf(S, QQ, "structure")
+        sheaf = S.job(QQ).structure_sheaf()
         coh = sheaf_cohomology(sheaf, truncated=True)
         b = betti(S, QQ)
         n = S.n
@@ -104,7 +105,7 @@ def test_structure_sheaf_cohomology_is_poset_homology():
             assert coh.dims.get(n - 1 - p, 0) == b.get(p, 0), (name, p)
     # the torus values in one line: degrees (0,1,2) carry (1,2,1)
     S = preset("torus_7")
-    coh = sheaf_cohomology(standard_sheaf(S, QQ, "structure"), truncated=True)
+    coh = sheaf_cohomology(S.job(QQ).structure_sheaf(), truncated=True)
     assert coh.dims == {0: 1, 1: 2, 2: 1}
 
 
@@ -133,7 +134,7 @@ def test_cone_collapse_on_cm_links():
     # face's link has one-dimensional cohomology in top degree, zero elsewhere
     for name in ["torus_7", "boundary_of_simplex(3)", "digon_cycle(2)"]:
         S = preset(name)
-        sheaf = standard_sheaf(S, QQ, "structure", include_empty=True)
+        sheaf = S.job(QQ).structure_sheaf(include_empty=True)
         for i in list(S.vertices())[:2] + list(S.maximal_elements())[:2]:
             restricted = restrict_to_link(sheaf, i)
             coh = sheaf_cohomology(restricted, truncated=False)
@@ -146,9 +147,9 @@ def test_upper_set_tensor_matches_link_restriction():
     # cohomology of (upper-set sheaf) (x) A equals the cohomology of A
     # restricted to the link, shifted by the face rank
     S = preset("torus_7")
-    A = standard_sheaf(S, QQ, "structure", include_empty=True)
+    A = S.job(QQ).structure_sheaf(include_empty=True)
     for i in list(S.vertices())[:2] + list(S.elements_of_rank(2))[:2]:
-        ups = standard_sheaf(S, QQ, "upper_set", element=i, dim=1)
+        ups = upper_set_sheaf(S, QQ, i, 1)
         left = sheaf_cohomology(tensor(ups, A), truncated=False)
         right = sheaf_cohomology(restrict_to_link(A, i), truncated=False)
         k0 = S.ranks[i]
@@ -160,7 +161,7 @@ def test_constancy_torus_and_spheres():
     for name in ["torus_7", "boundary_of_simplex(3)", "digon_cycle(2)",
                  "cross_polytope_boundary(3)"]:
         S = preset(name)
-        sheaf = standard_sheaf(S, QQ, "structure")
+        sheaf = S.job(QQ).structure_sheaf()
         res = constancy_check(sheaf)
         assert res.is_constant, (name, res.witness)
 
@@ -168,7 +169,7 @@ def test_constancy_torus_and_spheres():
 def test_constancy_fails_on_stalk_dimension():
     # an interval: endpoints have zero top local homology
     S = build_from_facets([(1, 2), (2, 3)])
-    sheaf = standard_sheaf(S, QQ, "structure")
+    sheaf = S.job(QQ).structure_sheaf()
     res = constancy_check(sheaf)
     assert not res.is_constant
     assert "dimension" in res.witness
@@ -177,9 +178,9 @@ def test_constancy_fails_on_stalk_dimension():
 def test_constancy_projective_plane_detects_orientability():
     S = build_from_facets(RP2_FACETS)
     assert classify(S, QQ).buchsbaum
-    over_q = constancy_check(standard_sheaf(S, QQ, "structure"))
+    over_q = constancy_check(S.job(QQ).structure_sheaf())
     assert not over_q.is_constant and "cycle" in over_q.witness
-    over_f2 = constancy_check(standard_sheaf(S, PrimeField(2), "structure"))
+    over_f2 = constancy_check(S.job(PrimeField(2)).structure_sheaf())
     assert over_f2.is_constant
 
 
@@ -187,7 +188,7 @@ def test_restriction_composition_is_chain_independent():
     # composing cover restrictions along any saturated chain gives the same
     # matrix as sheaf_restriction(); checked on every vertex-under-facet interval
     S = preset("torus_7")
-    sheaf = standard_sheaf(S, QQ, "structure", include_empty=True)
+    sheaf = S.job(QQ).structure_sheaf(include_empty=True)
     for j in range(S.size):
         if S.ranks[j] != 3:
             continue
@@ -203,33 +204,33 @@ def test_restriction_composition_is_chain_independent():
 
 
 def test_zero_cosheaf_has_zero_homology():
-    from torushom.sheaves import CellularCosheaf, cosheaf_homology
+    from torushom.sheaves import CellularCosheaf
     S = preset("boundary_of_simplex(2)")
     z = CellularCosheaf(S, QQ, [0] * S.size, {}, name="zero")
-    hom = cosheaf_homology(z)
+    hom = sheaf_cohomology(z)
     assert all(v == 0 for v in hom.dims.values())
 
 
 def test_constant_cosheaf_is_cellular_homology():
     from torushom.exactlin import Matrix
-    from torushom.sheaves import CellularCosheaf, cosheaf_homology
+    from torushom.sheaves import CellularCosheaf
     S = preset("boundary_of_simplex(2)")
     ident = Matrix.identity(QQ, 1)
     corest = {(j, i): ident for j in range(1, S.size) for i in S.covers[j] if i != 0}
     c = CellularCosheaf(S, QQ, [0] + [1] * (S.size - 1), corest, name="k")
-    hom = cosheaf_homology(c)
+    hom = sheaf_cohomology(c)
     assert {d: v for d, v in hom.dims.items()} == {0: 1, 1: 1}
     # the tensor square keeps the direction of the maps
     square = tensor(c, c)
     assert isinstance(square, CellularCosheaf) and square.rest.keys() == corest.keys()
-    assert cosheaf_homology(square).dims == hom.dims
+    assert sheaf_cohomology(square).dims == hom.dims
     with pytest.raises(ValueError, match="sheaf with a cosheaf"):
-        tensor(standard_sheaf(S, QQ, "constant", dim=1), c)
+        tensor(CellularSheaf.constant(S, QQ, 1), c)
 
 
 def test_sheaf_dump_roundtrip_golden():
     S = preset("boundary_of_simplex(2)")
-    sheaf = standard_sheaf(S, QQ, "constant", dim=1)
+    sheaf = CellularSheaf.constant(S, QQ, 1)
     dump = sheaf_dump(sheaf)
     assert dump["stalk_dims"] == [0, 1, 1, 1, 1, 1, 1]
     assert all(rows == [["1"]] for rows in dump["covers"].values())
@@ -296,7 +297,7 @@ def test_functoriality_check_fails_on_a_broken_square():
     S = preset("boundary_of_simplex(3)")
     edge = S.elements_of_rank(2)[0]
     vertex = S.covers[edge][0]
-    sheaf = standard_sheaf(S, QQ, "constant", dim=1)
+    sheaf = CellularSheaf.constant(S, QQ, 1)
     cosheaf = CellularCosheaf(S, QQ, sheaf.stalk_dims,
                               {(j, i): m for (i, j), m in sheaf.rest.items()})
     check_sheaf_functoriality(cosheaf)
@@ -322,7 +323,7 @@ def test_functoriality_check_reads_entries_mod_p(p):
     S = preset("boundary_of_simplex(3)")
     forms = [[[2 * p + 1, p], [p, -1]], [[1, 0], [0, p - 1]],
              [[1 - p, 2 * p], [-p, 2 * p - 1]]]
-    sheaf = standard_sheaf(S, F, "constant", dim=2)
+    sheaf = CellularSheaf.constant(S, F, 2)
     for t, key in enumerate(sorted(sheaf.rest)):
         sheaf.rest[key] = Matrix(F, forms[t % 3])
     cosheaf = CellularCosheaf(S, F, sheaf.stalk_dims,
@@ -351,7 +352,7 @@ def test_functoriality_check_refuses_a_map_that_does_not_fit_its_stalks(rows, co
     edge = S.elements_of_rank(2)[0]
     vertex, facet = S.covers[edge][0], S.covered_by[edge][0]
     src, dst = (edge, facet) if cover == "upper" else (vertex, edge)
-    sheaf = standard_sheaf(S, QQ, "constant", dim=1)
+    sheaf = CellularSheaf.constant(S, QQ, 1)
     check_sheaf_functoriality(sheaf)
     sheaf.rest[(src, dst)] = Matrix(QQ, rows)
     with pytest.raises(InvariantViolation,
@@ -364,22 +365,22 @@ def test_functoriality_check_refuses_a_map_that_does_not_fit_its_stalks(rows, co
 def test_sheaf_only_operations_refuse_a_cosheaf(check):
     # both read every cover map as running up; on the constant cosheaf that
     # reads as zero maps, so they refuse it instead of answering
-    from torushom.sheaves import CellularCosheaf, _constant
+    from torushom.sheaves import CellularCosheaf
     S = preset("boundary_of_simplex(2)")
-    cosheaf = _constant(CellularCosheaf, S, QQ, 1, "k")
+    cosheaf = CellularCosheaf.constant(S, QQ, 1, "k")
     with pytest.raises(TypeError, match="takes a sheaf, not the cosheaf 'k'"):
         check(cosheaf)
 
 
 @pytest.mark.parametrize("name", sorted(CHARMAPS))
 def test_identity_kinds_are_functorial(name):
-    # `standard_sheaf` does not check the constant and upper-set kinds, whose
+    # the constant and upper-set sheaves are built unchecked, since their
     # cover maps are identities; the check passes on them everywhere
     S = preset(name)
     for F in (QQ, PrimeField(2)):
         for dim in (1, 3):
-            check_sheaf_functoriality(standard_sheaf(S, F, "constant", dim=dim))
+            check_sheaf_functoriality(CellularSheaf.constant(S, F, dim))
         for i in range(S.size):
-            sheaf = standard_sheaf(S, F, "upper_set", element=i, dim=2)
+            sheaf = upper_set_sheaf(S, F, i, 2)
             assert sheaf.include_empty == (i == 0)
             check_sheaf_functoriality(sheaf)

@@ -16,8 +16,7 @@ from torushom.torusalg import (
     TorusSheafKit, keylemma_check, duality_check, les_duality_check,
 )
 from torushom.sheaves import (
-    CellularSheaf, CellularCosheaf, SheafCohomology, sheaf_cohomology, cosheaf_homology,
-    tensor, standard_sheaf, _constant,
+    CellularSheaf, CellularCosheaf, sheaf_cohomology, tensor,
 )
 from torushom.facevec import binom
 from torushom.complexes import GradedComplex, HomologyProfile, InvariantViolation
@@ -327,7 +326,7 @@ def test_duality_vanishes_beyond_top_grading():
     # degree above the torus rank: both sides identically zero
     q = kit.n
     coh = sheaf_cohomology(structure_tensor_ideal(kit, q), truncated=True)
-    hom = cosheaf_homology(pi_cosheaf(kit, q))
+    hom = sheaf_cohomology(pi_cosheaf(kit, q))
     assert coh.dims.get(0, 0) == hom.dims.get(S.n - 1, 0)
 
 
@@ -369,12 +368,12 @@ def test_les_duality_all_fixtures():
 def _lambda_sheaf(S, F, dim):
     """structure (x) Λ^q, dim = C(n, q), as a tensor complex of its own."""
     return tensor(S.job(F).structure_sheaf(include_empty=True),
-                  standard_sheaf(S, F, "constant", dim=dim))
+                  CellularSheaf.constant(S, F, dim))
 
 
 def _lambda_cosheaf(S, F, dim):
     """The constant cosheaf Λ^q, dim = C(n, q), as a complex of its own."""
-    return _constant(CellularCosheaf, S, F, dim, "lambda")
+    return CellularCosheaf.constant(S, F, dim, "lambda")
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -389,7 +388,7 @@ def test_constant_terms_match_tensor_route(name, F):
     for q in range(cm.n + 1):
         copies = binom(cm.n, q)
         coh = sheaf_cohomology(_lambda_sheaf(S, F, copies), truncated=True).dims
-        hom = cosheaf_homology(_lambda_cosheaf(S, F, copies)).dims
+        hom = sheaf_cohomology(_lambda_cosheaf(S, F, copies)).dims
         assert coh == {k: copies * d for k, d in job.structure_cohomology.items()}, q
         assert hom == {k: copies * d for k, d in job.betti.items()}, q
         if rep is not None:
@@ -449,7 +448,7 @@ def _kit_digests(kit):
                    structure_tensor_quotient(kit, q))
         complexes = [sheaf_cohomology(t, truncated).complex
                      for t in tensors for truncated in (True, False)]
-        complexes += [cosheaf_homology(c).complex for c in cosheaves]
+        complexes += [sheaf_cohomology(c).complex for c in cosheaves]
         for cx in complexes:
             diffs.update(repr(sorted(cx.labels.items())).encode())
             for d in sorted(cx.diff):
@@ -487,8 +486,7 @@ def test_sheaves_asked_after_the_degree_passes_rebuild_to_golden(key):
     assert _kit_digests(kit) == KIT_GOLDEN[key]
 
 
-KEPT_TYPES = (IncrementalSpan, Matrix, CellularSheaf, GradedComplex, HomologyProfile,
-              SheafCohomology)
+KEPT_TYPES = (IncrementalSpan, Matrix, CellularSheaf, GradedComplex, HomologyProfile)
 
 
 def _reachable(root, stop):
@@ -553,7 +551,7 @@ def test_kit_matrices_store_no_zero_entry(name, F):
         tensors = [tensor(kit.structure_sheaf(), sheaf) for sheaf in sheaves[:2]]
         complexes = [sheaf_cohomology(t, truncated).complex
                      for t in tensors for truncated in (True, False)]
-        complexes += [cosheaf_homology(c).complex for c in sheaves[2:]]
+        complexes += [sheaf_cohomology(c).complex for c in sheaves[2:]]
         matrices += [m for sheaf in sheaves + tensors for m in sheaf.rest.values()]
         matrices += [m for cx in complexes for m in cx.diff.values()]
     assert matrices and all(_stored_entries_are_nonzero(m) for m in matrices)
