@@ -23,19 +23,6 @@ from .specseq import ManifoldProfile, validate_profile
 from .torusalg import CharacteristicMap, TorusSheafKit
 
 
-class _TrivializedComplex:
-    """Cochain complex of the trivialized structure sheaf (constant values)
-    and its cohomology profile, which gives the cocycles, coboundaries and
-    representatives."""
-
-    def __init__(self, S: SimplicialPoset, field):
-        self.profile = sheaf_cohomology(CellularSheaf.constant(S, field))
-        self.cx = self.profile.complex
-
-    def elements(self, degree):
-        return self.cx.labels[degree]
-
-
 class RelationSystem:
     """The generators of a face ring and its relation rows, filled in by
     `relation_system`: first the first kind, then the second kind when the
@@ -50,7 +37,9 @@ class RelationSystem:
         self.type1 = {}                 # q -> list of rows (vectors over the generators)
         self.type2 = None               # q -> list of (class_index, A, row); None if unavailable
         self.type2_cocycles = {}        # q -> representative cocycles
-        self.trivialized = None         # _TrivializedComplex, built with the second kind
+        # cohomology of the trivialized structure sheaf (constant values),
+        # with its cochain complex; built with the second kind
+        self.trivialized = None
         self.type2_reason = ""
 
     def generator_count(self, q):
@@ -160,8 +149,8 @@ def relation_system(S: SimplicialPoset, cmap: CharacteristicMap, field,
                                "profile only")
         return system
 
-    triv = system.trivialized = _TrivializedComplex(S, field)
-    cohomology = triv.profile
+    cohomology = system.trivialized = sheaf_cohomology(CellularSheaf.constant(S, field))
+    labels = cohomology.complex.labels
     type2 = {}
     cocycles_kept = {}
     for q in range(max(n - 1, 0)):
@@ -172,7 +161,7 @@ def relation_system(S: SimplicialPoset, cmap: CharacteristicMap, field,
             # differential leaves the top degree of the truncated complex,
             # so its cocycles are the unit cochains, and those pairing to
             # zero are the kernel of the orientation row
-            top = triv.elements(degree)
+            top = labels[degree]
             span = IncrementalSpan(field, len(top))
             for b in cohomology.boundaries(degree):
                 span.add(b)
@@ -186,7 +175,7 @@ def relation_system(S: SimplicialPoset, cmap: CharacteristicMap, field,
                              f"profile says {expected}")
         if not reps:
             continue
-        elems = triv.elements(degree)
+        elems = labels[degree]
         rows = []
         for ci, z in enumerate(reps):
             for A in subsets[q]:
@@ -241,7 +230,7 @@ def kernel_generators(R: RelationSystem) -> KernelGenerators:
     if R.type2 is None:
         raise PosetError("second-kind relations unavailable: " + R.type2_reason)
     field = R.field
-    triv = R.trivialized
+    cohomology = R.trivialized
     per_degree = {}
     independent = True
     stable = True
@@ -261,8 +250,8 @@ def kernel_generators(R: RelationSystem) -> KernelGenerators:
         if rk != len(reduced):
             independent = False
         degree = R.n - 1 - q
-        elems = triv.elements(degree)
-        cbs = triv.profile.boundaries(degree)
+        elems = cohomology.complex.labels[degree]
+        cbs = cohomology.boundaries(degree)
         subsets = sorted({A for (_, A, _) in rows})
         for ci, z in enumerate(R.type2_cocycles.get(q, [])):
             for cb in cbs:

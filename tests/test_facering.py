@@ -123,8 +123,8 @@ def test_top_cocycles_are_the_unit_cochains():
         S = preset(name)
         for F in (QQ, PrimeField(3), PrimeField(5)):
             R = relation_system(S, preset_charmap(name), F)
-            top = R.trivialized.cx.dim(S.n - 1)
-            assert R.trivialized.profile.cycles(S.n - 1) == \
+            top = R.trivialized.complex.dim(S.n - 1)
+            assert R.trivialized.cycles(S.n - 1) == \
                 [[F.one if i == k else F.zero for i in range(top)] for k in range(top)]
 
 
