@@ -3,12 +3,16 @@
 A sheaf assigns a stalk space to every poset element and a restriction
 matrix to every cover relation; incidence signs live in the cochain
 differential, not in the sheaf, so functoriality means the two composites
-through any length-two interval are equal as matrices.  The standard
-sheaves of the torus-space theory are built here: constant
-(`CellularSheaf.constant`), local homology, and the structure sheaf (top
-local homology, with an optional stalk at the empty face carrying the top
-reduced homology of the whole poset).  `sheaf_cohomology` is the one
-(co)homology of a sheaf or cosheaf.
+through any length-two interval are equal as matrices.  Such an interval is
+a diamond whose two paths carry opposite signs, so the block of d∘d between
+its ends is ± the difference of the composites: the d∘d check of
+`sheaf_cohomology`, the one (co)homology of a sheaf or cosheaf, is the
+functoriality check over the diamonds of its degrees, and its assembler
+refuses a map that does not fit its stalks.  The standard sheaves are
+built here: constant (`CellularSheaf.constant`), local homology (checked
+per diamond, as not every command builds their complexes), and the
+structure sheaf (top local homology, with an optional stalk at the empty
+face carrying the top reduced homology of the whole poset).
 """
 from __future__ import annotations
 
@@ -120,13 +124,16 @@ def sheaf_cohomology(sheaf: CellularSheaf, truncated: bool = True) -> HomologyPr
     cosheaf.  The block of the differential from the stalk of a face to
     the stalk of a face it maps to is the cover matrix times the incidence
     number of the cover; its nonzero entries are written straight into
-    sparse rows.  With include_empty, an untruncated complex has the empty
-    face in degree -1.
+    sparse rows once its shape fits the stalks.  The d∘d check is then the
+    functoriality check over the diamonds of its degrees, whose two paths
+    carry opposite signs; with include_empty, an untruncated complex has
+    the empty face, and its diamonds, in degree -1.
     """
     S = sheaf.poset
     F = sheaf.field
     p = F.char
     step = sheaf._step
+    kind = "sheaf" if step > 0 else "cosheaf"
     lowest = -1 if (sheaf.include_empty and not truncated) else 0
     info = {d: _blocks(S, sheaf.stalk_dims, d, lowest == -1) for d in range(lowest, S.n)}
     dims = {d: info[d][2] for d in info}
@@ -144,6 +151,8 @@ def sheaf_cohomology(sheaf: CellularSheaf, truncated: bool = True) -> HomologyPr
                 m = sheaf.rest.get((src, dst))
                 if m is None or dst not in off_e:
                     continue
+                if (m.nrows, m.ncols) != (sheaf.stalk_dims[dst], sheaf.stalk_dims[src]):
+                    raise InvariantViolation(f"{kind} map {src} -> {dst} does not fit its stalks")
                 upper, lower = (dst, src) if step > 0 else (src, dst)
                 negate = incidence_number(S, upper, lower) < 0
                 r0 = off_e[dst]

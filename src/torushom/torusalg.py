@@ -17,8 +17,7 @@ from typing import NamedTuple
 from .exactlin import InvariantViolation, Matrix, IncrementalSpan, smith_invariants
 from .poset import SimplicialPoset, PosetError
 from .sheaves import (
-    CellularSheaf, CellularCosheaf, sheaf_cohomology, tensor,
-    check_sheaf_functoriality, _covers,
+    CellularSheaf, CellularCosheaf, sheaf_cohomology, tensor, _covers,
 )
 from .facevec import binom
 
@@ -163,10 +162,11 @@ class TorusSheafKit:
     `cosheaf_dims`) builds that degree's spans (the exterior ideal and the
     principal ideal of every face), the ideal and quotient sheaves, the
     principal-ideal cosheaf and its quotient of the constant cosheaf, the
-    tensors of the two sheaves with the structure sheaf and their
-    complexes.  It keeps only the five dimension tables a check reads
-    (structure (x) ideal truncated, structure (x) quotient truncated and
-    untruncated, and the two cosheaves) and drops the rest.  Besides these
+    tensors of the two sheaves with the structure sheaf, and four
+    complexes: structure (x) ideal truncated, structure (x) quotient
+    untruncated, and the two cosheaves, whose d∘d checks certify them.  It
+    keeps the five dimension tables a check reads, the truncated quotient
+    one read off the untruncated complex, and drops the rest.  Besides these
     it keeps each face's top form (`pi_form`), formed once: the form
     generates the face's principal ideal in every degree, and its
     coordinates are the determinant coefficients of the face ring's
@@ -287,33 +287,18 @@ class TorusSheafKit:
         Column i of a map X holds the coordinates of the source's i-th basis
         vector in the target's basis, read off the target's span, so
         B_dst X = B_src.  Hence X is injective with no check: X v = 0 gives
-        B_src v = 0, and B_src is a basis, so v = 0.  A source vector that is
-        itself the k-th target basis vector (the ideals of two faces share
-        the products of their common vertices) has the unit column e_k."""
+        B_src v = 0, and B_src is a basis, so v = 0.  Every column is read
+        this way, a target basis vector giving its unit column."""
         S, F = self.S, self.field
         dims = [len(basis) for basis, _ in spans]
-        positions = {}                  # face -> {basis vector: its index}
-
-        def column(v, dst):
-            if dst not in positions:
-                positions[dst] = {tuple(w): k for k, w in enumerate(spans[dst][0])}
-            k = positions[dst].get(tuple(v))
-            if k is None:
-                return spans[dst][1].coords(v)
-            unit = [F.zero] * dims[dst]
-            unit[k] = F.one
-            return unit
-
         rest = {}
         for src, dst in _covers(S, cls):
             if dims[src] and dims[dst]:
-                cols = [column(v, dst) for v in spans[src][0]]
+                cols = [spans[dst][1].coords(v) for v in spans[src][0]]
                 if any(c is None for c in cols):
                     raise InvariantViolation(f"{name} not nested along a cover")
                 rest[(src, dst)] = Matrix.from_columns(F, cols, dims[dst])
-        result = cls(S, F, dims, rest, name=name)
-        check_sheaf_functoriality(result)
-        return result
+        return cls(S, F, dims, rest, name=name)
 
     def _quotients(self, cls, spans, name: str):
         """The sheaf or cosheaf (`cls`) of the exterior component modulo the
@@ -340,9 +325,7 @@ class TorusSheafKit:
             if dims[src] and dims[dst]:
                 cols = [unit_class(dst, c) for c in free[src]]
                 rest[(src, dst)] = Matrix.from_columns(F, cols, dims[dst])
-        result = cls(S, F, dims, rest, include_empty=dims[0] > 0, name=name)
-        check_sheaf_functoriality(result)
-        return result
+        return cls(S, F, dims, rest, include_empty=dims[0] > 0, name=name)
 
     # -- structure sheaf, tensors and their (co)homology -------------------
 
@@ -361,9 +344,13 @@ class TorusSheafKit:
             quotient = tensor(structure,
                               self._quotients(CellularSheaf, spans, f"lambda/ideal^({q})"))
             del ideal, spans
-            for truncated in (True, False):
-                tables[("quotient", truncated)] = \
-                    sheaf_cohomology(quotient, truncated=truncated).dims
+            # the truncated complex is this one without degree -1, so its H^0
+            # is ker d^0 = H^0 + rank d^-1 = H^0 + dim C^-1 - H^-1
+            quotient = sheaf_cohomology(quotient, truncated=False)
+            dims = tables[("quotient", False)] = quotient.dims
+            head = {k: d for k, d in dims.items() if k >= 0}
+            head[0] += quotient.complex.dim(-1) - dims.get(-1, 0)
+            tables[("quotient", True)] = head
             del quotient
             spans = self.pi_spans(q)
             tables["pi"] = sheaf_cohomology(

@@ -382,3 +382,83 @@ def test_exit_3_on_an_unexpected_exception(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: RuntimeError: boom at the face vectors\n"
+
+
+def _first_cover(sheaf, rank):
+    """The first cover map of `sheaf` whose source has the given rank."""
+    S = sheaf.poset
+    return next(key for key in sorted(sheaf.rest) if S.ranks[key[0]] == rank)
+
+
+def _bump_an_entry(sheaf, key):
+    m = sheaf.rest[key]
+    rows = [list(r) for r in m.rows]
+    rows[0][0] = m.field(rows[0][0] + 1)
+    sheaf.rest[key] = Matrix(m.field, rows, m.ncols)
+
+
+def _wrong_coords_column(sheaf):
+    # a vertex -> edge inclusion of the ideal sheaf: the maps into the
+    # triangles are injective, so the squares through the edge break
+    _bump_an_entry(sheaf, _first_cover(sheaf, 1))
+
+
+def _wrong_unit_class(sheaf):
+    # a vertex -> edge quotient map of degree 1: the triangles' stalks are
+    # zero, so only the squares at the empty face see it, whose maps into
+    # the vertices are onto
+    _bump_an_entry(sheaf, _first_cover(sheaf, 1))
+
+
+def _missing_cover_map(sheaf):
+    # a triangle -> edge inclusion of the top principal ideals, whose stalks
+    # are all one-dimensional: the square through the edge composes to zero
+    del sheaf.rest[_first_cover(sheaf, 3)]
+
+
+def _wrongly_shaped_map(sheaf):
+    key = _first_cover(sheaf, 3)
+    m = sheaf.rest[key]
+    sheaf.rest[key] = Matrix(m.field, m.rows + [[m.field.zero] * m.ncols], m.ncols)
+
+
+@pytest.mark.parametrize("builder, name, fault", [
+    ("_inclusions", "ideal^(1)", _wrong_coords_column),
+    ("_quotients", "lambda/ideal^(1)", _wrong_unit_class),
+    ("_inclusions", "pi^(3)", _missing_cover_map),
+    ("_quotients", "lambda/pi^(1)", _wrongly_shaped_map),
+], ids=["wrong-coords-column", "wrong-unit-class", "missing-cover-map", "wrongly-shaped-map"])
+@pytest.mark.parametrize("preset_name, field", [
+    ("torus_7", "Q"), ("cross_polytope_boundary(3)", "Fp:3"),
+], ids=["torus_7-Q", "cross3-Fp3"])
+def test_exit_3_when_a_kit_sheaf_is_faulty(monkeypatch, capsys, tmp_path, builder, name,
+                                           fault, preset_name, field):
+    # one fault in one of the kit's own (co)sheaves, made as the kit's
+    # builder constructs it, so that every check the kit runs on it sees the
+    # fault; the job must refuse it
+    build = getattr(torusalg.TorusSheafKit, builder)
+    faulted = []
+
+    def faulty(kit, cls, spans, sheaf_name):
+        if sheaf_name != name:
+            return build(kit, cls, spans, sheaf_name)
+        init = cls.__init__
+
+        def faulty_init(sheaf, *args, **kwargs):
+            init(sheaf, *args, **kwargs)
+            fault(sheaf)
+            faulted.append(sheaf_name)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cls, "__init__", faulty_init)
+            return build(kit, cls, spans, sheaf_name)
+
+    monkeypatch.setattr(torusalg.TorusSheafKit, builder, faulty)
+    lam = tmp_path / "map.lam"
+    lam.write_text(write_charmap(preset_charmap(preset_name)))
+    status = main(["verify", "--preset", preset_name, "--charmap", str(lam), "--field", field])
+    captured = capsys.readouterr()
+    assert faulted == [name]
+    assert status == 3 and captured.out == ""
+    assert captured.err.startswith("error: invariant violated: ")
+    assert captured.err.count("\n") == 1

@@ -145,12 +145,12 @@ def test_all_job_computes_each_invariant_once(all_job):
     assert counts.work and set(counts.work.values()) == {1}
     classified = sorted(f for (what, _, f) in counts.work if what == "classify_of")
     assert classified == sorted([main_field] + extra)
-    # every kit (co)homology group is computed once: ideal and quotient
-    # truncated plus quotient untruncated per degree, and two cosheaves; the
-    # constant terms are scaled from the job's structure-sheaf cohomology,
-    # which the job computes once
+    # every kit (co)homology group is computed once: ideal truncated and
+    # quotient untruncated per degree, the truncated quotient table read off
+    # the same complex, and two cosheaves; the constant terms are scaled from
+    # the job's structure-sheaf cohomology, which the job computes once
     n = preset(name).n
-    assert counts.sheaf_calls == 3 * (n + 1)
+    assert counts.sheaf_calls == 2 * (n + 1)
     assert counts.cosheaf_calls == 2 * (n + 1)
     assert set(counts.cohomology.values()) == {1}
     assert counts.structure_calls == 1

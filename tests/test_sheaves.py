@@ -1,15 +1,19 @@
+import functools
 import hashlib
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from torushom.exactlin import Matrix
 from torushom.field import QQ, PrimeField
 from torushom.fixtures import CHARMAPS
 from torushom.poset import preset, build_from_facets
 from torushom.complexes import InvariantViolation, classify, reduced_betti, betti
 from torushom.sheaves import (
-    CellularSheaf, sheaf_cohomology, tensor, constancy_check,
-    LocalHomologyData, check_sheaf_functoriality,
+    CellularSheaf, CellularCosheaf, sheaf_cohomology, tensor, constancy_check,
+    LocalHomologyData, check_sheaf_functoriality, _covers,
 )
 
 from oracles import (link_reduced_betti, restrict_to_link, sheaf_dump, sheaf_restriction,
@@ -358,6 +362,10 @@ def test_functoriality_check_refuses_a_map_that_does_not_fit_its_stalks(rows, co
     with pytest.raises(InvariantViolation,
                        match=f"^sheaf map {src} -> {dst} does not fit its stalks$"):
         check_sheaf_functoriality(sheaf)
+    # the complex's assembler refuses it too, before d∘d is formed
+    with pytest.raises(InvariantViolation,
+                       match=f"^sheaf map {src} -> {dst} does not fit its stalks$"):
+        sheaf_cohomology(sheaf)
 
 
 @pytest.mark.parametrize("check", [constancy_check, lambda c: restrict_to_link(c, 1)],
@@ -384,3 +392,84 @@ def test_identity_kinds_are_functorial(name):
             sheaf = upper_set_sheaf(S, F, i, 2)
             assert sheaf.include_empty == (i == 0)
             check_sheaf_functoriality(sheaf)
+
+
+# Gauge-transformed constant (co)sheaves: the map of a cover a -> b is
+# g_b g_a^-1 for an invertible g per face, so every composite from a to c is
+# g_c g_a^-1 and the (co)sheaf is functorial until one entry of one map is
+# changed.  A changed map breaks exactly the diamonds through its cover,
+# since every other map is invertible.
+GAUGE_POSETS = {name: preset(name) for name in ("boundary_of_simplex(3)", "digon_cycle(2)")}
+
+
+@functools.cache
+def _invertible_pairs(F, dim, entries=range(-2, 3)):
+    """Every invertible dim x dim matrix with entries in `entries`, read in
+    F, with its inverse."""
+    pairs = {}
+    for flat in itertools.product(entries, repeat=dim * dim):
+        rows = [[F(v) for v in flat[k:k + dim]] for k in range(0, dim * dim, dim)]
+        det = F(rows[0][0] if dim == 1 else rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0])
+        if det:
+            inv = F.inv(det)
+            inverse = ([[inv]] if dim == 1 else
+                       [[F(inv * rows[1][1]), F(-inv * rows[0][1])],
+                        [F(-inv * rows[1][0]), F(inv * rows[0][0])]])
+            pairs[str(rows)] = (Matrix(F, rows, dim), Matrix(F, inverse, dim))
+    return [pairs[key] for key in sorted(pairs)]
+
+
+@st.composite
+def gauge_sheaves(draw):
+    """A gauge-transformed constant sheaf or cosheaf, with one entry of one
+    cover map changed in about half the draws; returns (sheaf, faulted
+    cover or None)."""
+    S = GAUGE_POSETS[draw(st.sampled_from(sorted(GAUGE_POSETS)))]
+    F = draw(st.sampled_from([QQ, PrimeField(3)]))
+    cls = draw(st.sampled_from([CellularSheaf, CellularCosheaf]))
+    dim = draw(st.integers(1, 2))
+    include_empty = draw(st.booleans())
+    dims = [dim] * S.size
+    if not include_empty:
+        dims[0] = 0
+    gauge = st.sampled_from(_invertible_pairs(F, dim))
+    gauge = {e: draw(gauge) for e in range(S.size) if dims[e]}
+    rest = {(a, b): gauge[b][0].mul(gauge[a][1])
+            for a, b in _covers(S, cls) if dims[a] and dims[b]}
+    faulted = None
+    if draw(st.booleans()):
+        faulted = draw(st.sampled_from(sorted(rest)))
+        rows = [list(r) for r in rest[faulted].rows]
+        r, c = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        rows[r][c] = F(rows[r][c] + draw(st.integers(1, 2)))
+        rest[faulted] = Matrix(F, rows, dim)
+    return cls(S, F, dims, rest, include_empty=include_empty), faulted
+
+
+def _raises(check, sheaf):
+    try:
+        check(sheaf)
+    except InvariantViolation as e:
+        return str(e)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(gauge_sheaves())
+def test_diamond_check_fails_exactly_when_d_squared_is_not_zero(drawn):
+    # the premise of certifying a (co)sheaf by the d∘d check of its
+    # untruncated complex alone: the two checks refuse the same maps
+    sheaf, faulted = drawn
+    diamond = _raises(check_sheaf_functoriality, sheaf)
+    square = _raises(lambda s: sheaf_cohomology(s, truncated=False), sheaf)
+    assert (diamond is None) == (square is None), (diamond, square)
+    assert square is None or square.startswith("d^2 != 0 at degree ")
+    # and both refuse a changed map exactly when its cover lies on a
+    # diamond they read: one whose bottom is nonempty or carries a stalk
+    on_a_diamond = False
+    if faulted is not None:
+        low, high = faulted if sheaf._step > 0 else faulted[::-1]
+        on_a_diamond = any((i == low and high in mids or j == high and low in mids)
+                           and (i != 0 or sheaf.include_empty)
+                           for i, mids, j in sheaf.poset.diamonds)
+    assert (diamond is not None) == on_a_diamond
