@@ -390,43 +390,35 @@ def _first_cover(sheaf, rank):
     return next(key for key in sorted(sheaf.rest) if S.ranks[key[0]] == rank)
 
 
-def _bump_an_entry(sheaf, key):
+def _changed_vertex_map(sheaf):
+    key = _first_cover(sheaf, 1)
     m = sheaf.rest[key]
     rows = [list(r) for r in m.rows]
     rows[0][0] = m.field(rows[0][0] + 1)
     sheaf.rest[key] = Matrix(m.field, rows, m.ncols)
 
 
-def _wrong_coords_column(sheaf):
-    # a vertex -> edge inclusion of the ideal sheaf: the maps into the
-    # triangles are injective, so the squares through the edge break
-    _bump_an_entry(sheaf, _first_cover(sheaf, 1))
-
-
-def _wrong_unit_class(sheaf):
-    # a vertex -> edge quotient map of degree 1: the triangles' stalks are
-    # zero, so only the squares at the empty face see it, whose maps into
-    # the vertices are onto
-    _bump_an_entry(sheaf, _first_cover(sheaf, 1))
-
-
-def _missing_cover_map(sheaf):
-    # a triangle -> edge inclusion of the top principal ideals, whose stalks
-    # are all one-dimensional: the square through the edge composes to zero
+def _missing_triangle_map(sheaf):
     del sheaf.rest[_first_cover(sheaf, 3)]
 
 
-def _wrongly_shaped_map(sheaf):
+def _taller_triangle_map(sheaf):
     key = _first_cover(sheaf, 3)
     m = sheaf.rest[key]
     sheaf.rest[key] = Matrix(m.field, m.rows + [[m.field.zero] * m.ncols], m.ncols)
 
 
+# The kit's degree-1 ideal maps into the triangles are injective, so a
+# changed vertex -> edge inclusion breaks the squares through the edge.  Its
+# degree-1 quotient has zero stalks at the triangles, so a changed vertex ->
+# edge class only breaks the squares at the empty face, whose maps into the
+# vertices are onto.  The top principal ideals are one-dimensional at every
+# face, so a missing triangle -> edge map makes one path of a square zero.
 @pytest.mark.parametrize("builder, name, fault", [
-    ("_inclusions", "ideal^(1)", _wrong_coords_column),
-    ("_quotients", "lambda/ideal^(1)", _wrong_unit_class),
-    ("_inclusions", "pi^(3)", _missing_cover_map),
-    ("_quotients", "lambda/pi^(1)", _wrongly_shaped_map),
+    ("_inclusions", "ideal^(1)", _changed_vertex_map),
+    ("_quotients", "lambda/ideal^(1)", _changed_vertex_map),
+    ("_inclusions", "pi^(3)", _missing_triangle_map),
+    ("_quotients", "lambda/pi^(1)", _taller_triangle_map),
 ], ids=["wrong-coords-column", "wrong-unit-class", "missing-cover-map", "wrongly-shaped-map"])
 @pytest.mark.parametrize("preset_name, field", [
     ("torus_7", "Q"), ("cross_polytope_boundary(3)", "Fp:3"),

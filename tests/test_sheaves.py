@@ -208,7 +208,6 @@ def test_restriction_composition_is_chain_independent():
 
 
 def test_zero_cosheaf_has_zero_homology():
-    from torushom.sheaves import CellularCosheaf
     S = preset("boundary_of_simplex(2)")
     z = CellularCosheaf(S, QQ, [0] * S.size, {}, name="zero")
     hom = sheaf_cohomology(z)
@@ -216,8 +215,6 @@ def test_zero_cosheaf_has_zero_homology():
 
 
 def test_constant_cosheaf_is_cellular_homology():
-    from torushom.exactlin import Matrix
-    from torushom.sheaves import CellularCosheaf
     S = preset("boundary_of_simplex(2)")
     ident = Matrix.identity(QQ, 1)
     corest = {(j, i): ident for j in range(1, S.size) for i in S.covers[j] if i != 0}
@@ -296,8 +293,6 @@ def test_structure_sheaf_matches_golden(key):
 def test_functoriality_check_fails_on_a_broken_square():
     # one cover map of the constant sheaf and of the constant cosheaf is
     # doubled; the square through it no longer commutes in either direction
-    from torushom.exactlin import Matrix
-    from torushom.sheaves import CellularCosheaf
     S = preset("boundary_of_simplex(3)")
     edge = S.elements_of_rank(2)[0]
     vertex = S.covers[edge][0]
@@ -321,8 +316,6 @@ def test_functoriality_check_reads_entries_mod_p(p):
     # every cover map of a rank-two constant sheaf and cosheaf is diag(1, -1)
     # mod p, written with the entries p, -1 and 2p + 1, so every composite
     # is the identity; a map that is the identity breaks the squares through it
-    from torushom.exactlin import Matrix
-    from torushom.sheaves import CellularCosheaf
     F = PrimeField(p)
     S = preset("boundary_of_simplex(3)")
     forms = [[[2 * p + 1, p], [p, -1]], [[1, 0], [0, p - 1]],
@@ -351,7 +344,6 @@ def test_functoriality_check_refuses_a_map_that_does_not_fit_its_stalks(rows, co
     # one cover map of a constant sheaf with stalks QQ^1 is replaced by a
     # 1x2 or 2x1 matrix; its composites would be products of factors that do
     # not compose ("upper", the left factor) or of the wrong shape ("lower")
-    from torushom.exactlin import Matrix
     S = preset("boundary_of_simplex(3)")
     edge = S.elements_of_rank(2)[0]
     vertex, facet = S.covers[edge][0], S.covered_by[edge][0]
@@ -373,7 +365,6 @@ def test_functoriality_check_refuses_a_map_that_does_not_fit_its_stalks(rows, co
 def test_sheaf_only_operations_refuse_a_cosheaf(check):
     # both read every cover map as running up; on the constant cosheaf that
     # reads as zero maps, so they refuse it instead of answering
-    from torushom.sheaves import CellularCosheaf
     S = preset("boundary_of_simplex(2)")
     cosheaf = CellularCosheaf.constant(S, QQ, 1, "k")
     with pytest.raises(TypeError, match="takes a sheaf, not the cosheaf 'k'"):
