@@ -117,7 +117,7 @@ class HomologyProfile:
         span of boundaries and representatives).
         """
         _, boundaries, _, span = self._basis(k)
-        x = span.coords(vec)
+        x = span.coords(vec) if any(vec) else [span.field.zero] * span.dim
         if x is None:
             raise InvariantViolation("vector is not a cycle of this complex")
         return x[len(boundaries):]

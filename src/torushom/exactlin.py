@@ -235,8 +235,7 @@ def product_nonzeros(left, right, p):
 
 class IncrementalSpan:
     """Growing echelonized span of column vectors, and the one reader of
-    coordinates: over the vectors that enlarged it (`coords`) and modulo it
-    (`quotient_coords`).
+    coordinates over the vectors that enlarged it (`coords`).
 
     Each stored vector is a sparse row, `{column: entry}` as in `Matrix`,
     with entry 1 at its pivot and zero at the pivots stored before it.
@@ -306,16 +305,6 @@ class IncrementalSpan:
         for j, a in v.items():
             x[j - amb] = -a % p if p else -a
         return x
-
-    def free_columns(self):
-        """The positions that are no pivot: a basis of the quotient."""
-        pivots = set(self.pivots)
-        return [c for c in range(self.ambient_dim) if c not in pivots]
-
-    def quotient_coords(self, vec):
-        """Coordinates of vec modulo the span, over `free_columns`."""
-        red = self.reduce(vec)
-        return [red[c] for c in self.free_columns()]
 
 
 def smith_invariants(rows) -> list:

@@ -7,30 +7,26 @@ computes each of these on first use and keeps it.  It is reached from
 the poset (`SimplicialPoset.job(field)`), so no layer takes a cache
 argument and the cache lives exactly as long as the poset.
 
-The job owns the poset's local homology over its field, made when first
-read: each integer star complex of the poset is mapped into the field and
-ranked on first use.  The Betti numbers are the homology of star 0, so a
-job that reads only them ranks one star.  `link_dims` reads every star's
-dimensions, which is all that `classify` needs, and a star's complex over
-the field is not kept once it is ranked, so a classification-only job
-(such as the F2, F3 and F5 jobs of a report over Q) builds no restriction
-matrix and keeps only dimensions.  The first `structure_sheaf` request
-builds both structure sheaves from profiles that map the stars into the
-field again but rank none twice, after reading `link_dims` and
-`reduced_betti`, and then releases the local homology.  Otherwise only
-small results are kept: dimension tables, reports, profiles, the pages,
-the two structure sheaves, the cohomology of the structure sheaf and of
-the kits as dimensions only, and each kit's top forms of the faces, which
-its principal ideals and the face ring's coefficients both read.
+The job owns the poset's local homology over its field: each integer
+star complex is mapped into the field and ranked on first use.  The Betti
+numbers are the homology of star 0, so a job that reads only them ranks
+one star.  `link_dims`, all that `classify` needs, keeps no star's
+complex, so a classification-only job (such as the F2, F3 and F5 jobs of
+a report over Q) builds no restriction matrix.  The first
+`structure_sheaf` request builds both structure sheaves from profiles
+that rank no star twice, and then releases the local homology.  Besides
+dimensions, reports and pages the job keeps the structure sheaves, the
+profiles of the structure sheaf (untruncated) and of the cellular chains,
+whose classes the sheaf kits read, and the kits.
 """
 from __future__ import annotations
 
 from functools import cached_property
 
-from .complexes import classify_of
+from .complexes import GradedComplex, HomologyProfile, cellular_chain_complex, classify_of
 from .facevec import face_vectors_of
 from .poset import PosetError
-from .sheaves import LocalHomologyData, constancy_check, sheaf_cohomology
+from .sheaves import LocalHomologyData, constancy_check, sheaf_cohomology, truncated_dims
 from .specseq import cone_profile_of, pages_of
 from .torusalg import TorusSheafKit, charmap_report_of
 
@@ -90,9 +86,21 @@ class Job:
         return self._structure_sheaves[include_empty]
 
     @cached_property
+    def structure_profile(self) -> HomologyProfile:
+        """The untruncated cohomology of the structure sheaf with its empty-face stalk."""
+        return sheaf_cohomology(self.structure_sheaf(include_empty=True), truncated=False)
+
+    @cached_property
     def structure_cohomology(self) -> dict:
         """Truncated cohomology dimensions of the structure sheaf, degrees 0..n-1."""
-        return sheaf_cohomology(self.structure_sheaf(), truncated=True).dims
+        return truncated_dims(self.structure_profile)
+
+    @cached_property
+    def chain_homology(self) -> HomologyProfile:
+        """Homology of the unreduced cellular chains of S: star 0 without d_0."""
+        cx = cellular_chain_complex(self.S, self.field)
+        diff = {d: m for d, m in cx.diff.items() if d}
+        return HomologyProfile(GradedComplex(cx.field, cx.dims, diff, -1, cx.labels), self.betti)
 
     @cached_property
     def classify(self):

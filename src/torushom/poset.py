@@ -89,9 +89,6 @@ class SimplicialPoset:
     def dim(self):
         return self.n - 1
 
-    def leq(self, i, j):
-        return i in self.below[j]
-
     def elements_of_rank(self, r):
         return [i for i in range(self.size) if self.ranks[i] == r]
 

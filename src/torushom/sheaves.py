@@ -167,6 +167,14 @@ def sheaf_cohomology(sheaf: CellularSheaf, truncated: bool = True) -> HomologyPr
     return homology(cx)
 
 
+def truncated_dims(profile: HomologyProfile) -> dict:
+    """The truncated cohomology dimensions, read off the untruncated profile:
+    without degree -1, H^0 becomes ker d^0 = H^0 + dim C^-1 - H^-1."""
+    dims = {k: d for k, d in profile.dims.items() if k >= 0}
+    dims[0] += profile.complex.dim(-1) - profile.dims.get(-1, 0)
+    return dims
+
+
 def tensor(A: CellularSheaf, B: CellularSheaf) -> CellularSheaf:
     """Stalkwise tensor product of two sheaves, or of two cosheaves, with
     Kronecker cover maps."""

@@ -3,21 +3,22 @@
 A characteristic map assigns an integer direction vector to each vertex;
 validity means the vectors over every face are independent (over the
 active field) or span a direct summand (over Z, checked by Smith
-invariants).  From a valid map the module builds, stalk by stalk, the
-exterior ideal sheaf, its quotient, and the principal-ideal cosheaf, and
-runs the vanishing and duality checks that tie them together.  The top
-form of each face, which generates its principal ideal, also gives the
-face ring's determinant coefficients as its coordinates.
+invariants).  From a valid map the sheaf kit builds the quotient of the
+exterior ideal sheaf and the principal-ideal cosheaf in adapted bases and
+reads the ideal sheaf and the quotient cosheaf off two long exact
+sequences; the module runs the vanishing and duality checks that tie them
+together.  The top form of each face, which generates its principal
+ideal, also gives the face ring's determinant coefficients.
 """
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from typing import NamedTuple
 
-from .exactlin import InvariantViolation, Matrix, IncrementalSpan, smith_invariants
+from .exactlin import IncrementalSpan, InvariantViolation, Matrix, smith_invariants
 from .poset import SimplicialPoset, PosetError
 from .sheaves import (
-    CellularSheaf, CellularCosheaf, sheaf_cohomology, tensor, _covers,
+    CellularSheaf, CellularCosheaf, sheaf_cohomology, tensor, truncated_dims, _blocks, _covers,
 )
 from .facevec import binom
 
@@ -56,12 +57,6 @@ class ExteriorAlgebra:
         inversions = sum(1 for a in A for b in B if a > b)
         return -1 if inversions % 2 else 1
 
-    def wedge_basis(self, A, B):
-        s = self.shuffle_sign(A, B)
-        if s == 0:
-            return 0, ()
-        return s, tuple(sorted(set(A) | set(B)))
-
     def _table(self, qa, qb):
         """For each qb-subset B, in order, the triples (ia, k, s) with
         e_A ^ e_B = s e_C, over the qa-subsets A (index ia) that miss B;
@@ -69,8 +64,8 @@ class ExteriorAlgebra:
         table = self._tables.get((qa, qb))
         if table is None:
             table = self._tables[(qa, qb)] = [
-                [(ia, self.index(C), s) for ia, A in enumerate(self.subsets(qa))
-                 for s, C in [self.wedge_basis(A, B)] if s]
+                [(ia, self.index(tuple(sorted(A + B))), s)
+                 for ia, A in enumerate(self.subsets(qa)) for s in [self.shuffle_sign(A, B)] if s]
                 for B in self.subsets(qb)]
         return table
 
@@ -87,12 +82,6 @@ class ExteriorAlgebra:
                 if a:
                     out[k] += s * a * b
         return [x % p for x in out] if p else out
-
-    def one_form(self, coeffs):
-        """Degree-1 vector from n coefficients."""
-        if len(coeffs) != self.n:
-            raise InvariantViolation("one_form needs n coefficients")
-        return list(coeffs)
 
 
 class CharacteristicMap(NamedTuple):
@@ -155,31 +144,21 @@ def charmap_report_of(S: SimplicialPoset, cmap: CharacteristicMap, field) -> Cha
 
 
 class TorusSheafKit:
-    """The graded sheaves and cosheaves attached to (S, characteristic map),
-    one exterior degree at a time.
+    """The quotient sheaf Λ^q / ideal^(q) and the principal-ideal cosheaf
+    π^(q) of (S, characteristic map) in adapted bases (`frames`), one
+    degree q at a time.  A degree ranks their complexes, structure (x)
+    quotient untruncated and π, certified by their d∘d checks, and reads
+    the other two tables off the long exact sequences of 0 -> ideal ->
+    Λ^q -> quotient -> 0 (tensored with the structure sheaf) and 0 -> π ->
+    Λ^q -> Λ/π -> 0, whose middle terms are C(n, q) copies of the structure
+    sheaf (untruncated cohomology h^k) and of the chains (Betti numbers b_k):
 
-    The first request for the (co)homology of degree q (`sheaf_dims`,
-    `cosheaf_dims`) builds that degree's spans (the exterior ideal and the
-    principal ideal of every face), the ideal and quotient sheaves, the
-    principal-ideal cosheaf and its quotient of the constant cosheaf, the
-    tensors of the two sheaves with the structure sheaf, and four
-    complexes: structure (x) ideal truncated, structure (x) quotient
-    untruncated, and the two cosheaves, whose d∘d checks certify them.  It
-    keeps the five dimension tables a check reads, the truncated quotient
-    one read off the untruncated complex, and drops the rest.  Besides these
-    it keeps each face's top form (`pi_form`), formed once: the form
-    generates the face's principal ideal in every degree, and its
-    coordinates are the determinant coefficients of the face ring's
-    relations (`coefficient`), so the kit is their one source.  The sheaf and
-    cosheaf sides share one builder per construction: spans of forms
-    (`ideal_spans`, `pi_spans`), inclusions of spans (`_inclusions`) and
-    quotients by spans (`_quotients`).
-    The constant terms Λ^q need no complex of their own: structure (x) Λ^q
-    is C(n, q) copies of the structure sheaf and the constant cosheaf Λ^q
-    is C(n, q) copies of the cellular chains, so `les_duality_check`
-    scales the job's structure-sheaf cohomology and Betti numbers instead.
-    The structure sheaf itself is the poset's, shared through its job;
-    `Job.kit` keeps one kit per characteristic map.
+        dim H^k(structure (x) ideal) = (C(n,q) h^k - r_k) + (h^(k-1)(quotient) - r_(k-1))
+        dim H_k(Λ/π) = (C(n,q) b_k - r'_k) + (h_(k-1)(π) - r'_(k-1))
+
+    with r_k, r'_k the ranks of H^k(structure (x) Λ^q) -> H^k(structure (x)
+    quotient) and H_k(π) -> H_k(Λ^q), read on representatives.  It keeps
+    the tables and ranks, the frames and the faces' top forms (`pi_form`).
     """
 
     def __init__(self, S: SimplicialPoset, cmap: CharacteristicMap, field):
@@ -187,73 +166,31 @@ class TorusSheafKit:
         if not rep.ok_field:
             raise PosetError(f"characteristic map invalid over {field!r} "
                              f"on faces {rep.field_failures}")
-        self.S = S
-        self.cmap = cmap
-        self.field = field
-        self.n = cmap.n
+        self.S, self.cmap, self.field, self.n = S, cmap, field, cmap.n
         self.ext = ExteriorAlgebra(cmap.n, field)
         self.frows = cmap.field_rows(field)
-        self._dims = {}         # exterior degree -> its dimension tables
+        self._dims = {}         # exterior degree -> its tables
         self._forms = {}        # face -> its top form
-
-    # -- exterior spans per degree ---------------------------------------
-
-    def omega(self, label):
-        return self.ext.one_form(self.frows[label])
-
-    def _times_basis(self, qa: int, va, qb: int) -> list:
-        """va ^ e_B for every qb-subset B, in order."""
-        F, ext = self.field, self.ext
-        dim = ext.dim(qb)
-        return [ext.wedge(qa, va, qb, [F.one if i == k else F.zero for i in range(dim)])
-                for k in range(dim)]
-
-    def _span(self, vecs, q: int):
-        """Echelonized span of the degree-q vectors `vecs`; returns
-        (basis, span), the basis being the vectors that enlarged it."""
-        span = IncrementalSpan(self.field, self.ext.dim(q))
-        return [v for v in vecs if span.add(v)], span
-
-    def ideal_spans(self, q: int) -> list:
-        """(basis, span) of the degree-q part of every face's exterior
-        ideal, in id order.  The ideal of a face is spanned by omega(v) ^ e_B
-        over its vertices v and the (q - 1)-subsets B, and each of these
-        products is formed once for all faces."""
-        ext = self.ext
-        products = {lab: self._times_basis(1, self.omega(lab), q - 1)
-                    for lab in self.frows} if 0 < q <= self.n else {}
-        spans = []
-        for elem, labels in enumerate(self.S.vertex_sets):
-            vecs = [v for lab in labels for v in products[lab]] if products else []
-            basis, span = self._span(vecs, q)
-            if len(basis) != ext.dim(q) - binom(self.n - len(labels), q):
-                raise InvariantViolation(f"ideal dimension off at face {elem}, degree {q}")
-            spans.append((basis, span))
-        return spans
+        self._frames, self._moves = None, {}     # see `frames`
 
     def pi_form(self, elem: int):
         """Top wedge of the face's direction vectors, in ascending vertex
         order; formed once per kit, nonzero by validity."""
         vec = self._forms.get(elem)
         if vec is None:
-            ext = self.ext
             vec = [self.field.one]
             for deg, lab in enumerate(self.S.vertex_sets[elem]):
-                vec = ext.wedge(deg, vec, 1, self.omega(lab))
+                vec = self.ext.wedge(deg, vec, 1, self.frows[lab])
             if not any(vec):
                 raise InvariantViolation(f"zero top form at face {elem}")
             self._forms[elem] = vec
         return vec
 
     def coefficient(self, elem: int, A):
-        """The determinant coefficient C_{A,I} of the face I = `elem` and a
-        subset A of the columns 1..n with |A| + |I| = n.
-
-        The minor of the face's rows on the columns outside A is the top
-        form's coordinate there, signed by the parity of
-        1 + ... + (n - |A|) plus those columns.  The sign depends only on A,
-        so flipping it never changes downstream ranks.
-        """
+        """The determinant coefficient C_{A,I} of the face I = `elem` and
+        columns A, |A| + |I| = n: the top form's coordinate at the columns
+        outside A, signed by the parity of 1 + ... + (n - |A|) plus those
+        columns.  The sign depends only on A, so it moves no rank."""
         n = self.n
         cols = tuple(j for j in range(1, n + 1) if j not in A)
         if len(cols) != len(self.S.vertex_sets[elem]):
@@ -262,115 +199,183 @@ class TorusSheafKit:
         exp = sum(range(1, len(cols) + 1)) + sum(cols)
         return self.field(-det if exp % 2 else det)
 
-    def pi_spans(self, q: int) -> list:
-        """(basis, span) of the degree-q part of every face's principal
-        ideal, generated by its top form, in id order."""
-        spans = []
-        for elem, labels in enumerate(self.S.vertex_sets):
-            k = len(labels)
-            if elem == 0 or not k <= q <= self.n:
-                spans.append(self._span([], q))
-                continue
-            basis, span = self._span(self._times_basis(k, self.pi_form(elem), q - k), q)
-            if len(basis) != binom(self.n - k, q - k):
-                raise InvariantViolation(f"principal ideal dimension off at face {elem}")
-            spans.append((basis, span))
-        return spans
+    # -- adapted bases -----------------------------------------------------
 
-    # -- sheaves and cosheaves per exterior degree --------------------------
+    def frames(self) -> list:
+        """Each face's adapted basis, in id order, as (C, P): the columns j whose e_j
+        complete its directions greedily, and P[j - 1], the class of e_j modulo them
+        over e_C.  For a cover I < J adding w, `_moves[(I, J)]` is (j0, b): b is the class
+        of s lambda(w), omega_J = omega_I ^ s lambda(w), and j0 the last column where b != 0."""
+        if self._frames is None:
+            S, F, n = self.S, self.field, self.n
+            frames = {0: (tuple(range(1, n + 1)),
+                          [[F.one if i == j else F.zero for i in range(n)] for j in range(n)])}
+            for J in sorted(range(1, S.size), key=S.ranks.__getitem__):
+                labels = S.vertex_sets[J]
+                for I in S.covers[J]:
+                    (C, P), t = frames[I], labels.index(*set(labels) - set(S.vertex_sets[I]))
+                    s = (-1) ** (len(labels) - 1 - t)
+                    b = _reduced(F, [s * sum(x * v[c] for x, v in zip(self.frows[labels[t]], P))
+                                       for c in range(len(C))])
+                    drop = max((c for c, x in enumerate(b) if x), default=None)
+                    if drop is None:
+                        raise InvariantViolation(f"dependent directions on the face {labels}")
+                    self._moves[(I, J)] = C[drop], b
+                    if J not in frames:
+                        inv, keep = F.inv(b[drop]), [c for c in range(len(C)) if c != drop]
+                        frames[J] = (tuple(C[c] for c in keep), [_reduced(F, 
+                            [x[c] - x[drop] * inv * b[c] for c in keep]) for x in P])
+            self._frames = [frames[e] for e in range(S.size)]
+        return self._frames
 
-    def _inclusions(self, cls, spans, name: str):
-        """The sheaf or cosheaf (`cls`) of the spans, one (basis, span) per
-        face; its maps are the coordinate forms of the inclusions along the
-        covers.
+    # -- the two (co)sheaves and the ranks of the maps to and from Λ^q ------
 
-        Column i of a map X holds the coordinates of the source's i-th basis
-        vector in the target's basis, read off the target's span, so
-        B_dst X = B_src.  Hence X is injective with no check: X v = 0 gives
-        B_src v = 0, and B_src is a basis, so v = 0.  Every column is read
-        this way, a target basis vector giving its unit column."""
-        S, F = self.S, self.field
-        dims = [len(basis) for basis, _ in spans]
+    def _quotient_sheaf(self, q: int) -> CellularSheaf:
+        """Λ^q / ideal^(q), the empty face's stalk all of Λ^q.  A cover I < J fixes
+        e_A when j0 is not in A and sends e_j0 ^ e_B to P_J[j0 - 1] ^ e_B."""
+        S, F, frames = self.S, self.field, self.frames()
+        dims = [binom(self.n - rank, q) for rank in S.ranks]
         rest = {}
-        for src, dst in _covers(S, cls):
-            if dims[src] and dims[dst]:
-                cols = [spans[dst][1].coords(v) for v in spans[src][0]]
-                if any(c is None for c in cols):
-                    raise InvariantViolation(f"{name} not nested along a cover")
-                rest[(src, dst)] = Matrix.from_columns(F, cols, dims[dst])
-        return cls(S, F, dims, rest, name=name)
+        for I, J in _covers(S, CellularSheaf):
+            if dims[I] and dims[J]:
+                (CI, _), (C, P), (j0, _) = frames[I], frames[J], self._moves[(I, J)]
+                index = {A: k for k, A in enumerate(combinations(C, q))}
+                rows = [{} for _ in index]
+                for a, A in enumerate(combinations(CI, q)):
+                    if j0 not in A:
+                        rows[index[A]][a] = F.one
+                    else:
+                        B = tuple(j for j in A if j != j0)
+                        _wedge_into(rows, a, index, C, P[j0 - 1], B, F.char,
+                                    ExteriorAlgebra.shuffle_sign((j0,), B))
+                rest[(I, J)] = Matrix.sparse(F, rows, dims[I])
+        return CellularSheaf(S, F, dims, rest, include_empty=True, name=f"lambda/ideal^({q})")
 
-    def _quotients(self, cls, spans, name: str):
-        """The sheaf or cosheaf (`cls`) of the exterior component modulo the
-        spans, one (basis, span) per face, in free-column coordinates.  Only
-        the sheaf keeps the empty face, carrying the whole component."""
-        S, F = self.S, self.field
-        spans = [span for _, span in spans]
-        amb = spans[0].ambient_dim
-        free = [span.free_columns() for span in spans]
-        dims = [len(cols) for cols in free]
-        if cls is CellularCosheaf:
-            dims[0] = 0
-        classes = {}                    # (face, position) -> class of the unit vector
-
-        def unit_class(e, c):
-            if (e, c) not in classes:
-                unit = [F.zero] * amb
-                unit[c] = F.one
-                classes[(e, c)] = spans[e].quotient_coords(unit)
-            return classes[(e, c)]
-
+    def _pi_cosheaf(self, q: int) -> CellularCosheaf:
+        """π^(q), with no stalk at the empty face; along a cover I < J,
+        omega_J ^ e_B = omega_I ^ (s lambda(w) ^ e_B), read modulo V_I."""
+        S, F, frames = self.S, self.field, self.frames()
+        dims = [binom(self.n - rank, q - rank) if 0 < rank <= q else 0 for rank in S.ranks]
         rest = {}
-        for src, dst in _covers(S, cls):
-            if dims[src] and dims[dst]:
-                cols = [unit_class(dst, c) for c in free[src]]
-                rest[(src, dst)] = Matrix.from_columns(F, cols, dims[dst])
-        return cls(S, F, dims, rest, include_empty=dims[0] > 0, name=name)
+        for J, I in _covers(S, CellularCosheaf):
+            if dims[I] and dims[J]:
+                C, qb = frames[I][0], q - S.ranks[J]
+                index = {A: k for k, A in enumerate(combinations(C, qb + 1))}
+                rows = [{} for _ in index]
+                for a, B in enumerate(combinations(frames[J][0], qb)):
+                    _wedge_into(rows, a, index, C, self._moves[(I, J)][1], B, F.char)
+                rest[(J, I)] = Matrix.sparse(F, rows, dims[J])
+        return CellularCosheaf(S, F, dims, rest, name=f"pi^({q})")
 
-    # -- structure sheaf, tensors and their (co)homology -------------------
+    def _ranks(self, source, target, rows) -> dict:
+        """Per degree k, the rank of a map source -> target with rows `rows(k, reps)`."""
+        return {k: Matrix(self.field, list(rows(k, source.representatives(k)))).rank()
+                for k in source.complex.degrees() if source.dims.get(k) and target.dims.get(k)}
+
+    def projections(self, sheaf) -> dict:
+        """The projection Λ^q -> quotient at each face: the quotient sheaf's map
+        from the empty face, composed along a chain of covers."""
+        S, proj = self.S, {0: Matrix.identity(self.field, sheaf.stalk_dims[0])}
+        for J in sorted(range(1, S.size), key=S.ranks.__getitem__):
+            proj[J] = sheaf._cover_matrix(S.covers[J][0], J).mul(proj[S.covers[J][0]])
+        return proj
+
+    def _projection_ranks(self, q: int, quotient, sheaf) -> dict:
+        """r_k: the classes z (x) e_A projected face by face, read in `quotient`."""
+        S, F, stalks = self.S, self.field, sheaf.stalk_dims
+        sdims, proj = self.structure_sheaf().stalk_dims, self.projections(sheaf)
+
+        def rows(k, reps):
+            _, soff, _ = _blocks(S, sdims, k, True)
+            _, qoff, total = _blocks(S, [a * b for a, b in zip(sdims, stalks)], k, True)
+            for z, A in product(reps, range(self.ext.dim(q))):
+                vec = [F.zero] * total
+                for I, off in qoff.items():
+                    image = proj[I].column(A)
+                    for a, za in enumerate(z[soff[I]:soff[I] + sdims[I]]):
+                        start = off + a * stalks[I]
+                        vec[start:start + stalks[I]] = [za * x for x in image]
+                yield quotient.coords(k, vec)
+        return self._ranks(S.job(F).structure_profile, quotient, rows)
+
+    def _inclusion_ranks(self, q: int, pi, stalks) -> dict:
+        """r'_k: the cycles of π carried into Λ^q, each Λ^q coordinate read in the chains."""
+        S, F, ext, chains = self.S, self.field, self.ext, self.S.job(self.field).chain_homology
+
+        def rows(k, reps):
+            position = {e: i for i, e in enumerate(chains.complex.labels[k])}
+            for x in reps:
+                parts = [[F.zero] * len(position) for _ in range(ext.dim(q))]
+                for I, o in _blocks(S, stalks, k, False)[1].items():
+                    y = [F.zero] * ext.dim(q - k - 1)
+                    for B, c in zip(combinations(self.frames()[I][0], q - k - 1), x[o:]):
+                        y[ext.index(B)] = c
+                    for A, v in enumerate(ext.wedge(k + 1, self.pi_form(I), q - k - 1, y)):
+                        parts[A][position[I]] = v
+                yield [v for part in parts for v in chains.coords(k, part)]
+        return self._ranks(pi, chains, rows)
+
+    # -- the degree passes -------------------------------------------------
 
     def structure_sheaf(self, include_empty: bool = True) -> CellularSheaf:
         return self.S.job(self.field).structure_sheaf(include_empty)
 
     def _degree(self, q: int) -> dict:
-        """The dimension tables of degree q, from one pass over its spans,
-        sheaves and complexes, none of which is kept."""
-        tables = self._dims.get(q)
-        if tables is None:
-            structure = self.structure_sheaf()
-            spans = self.ideal_spans(q)
-            ideal = tensor(structure, self._inclusions(CellularSheaf, spans, f"ideal^({q})"))
-            tables = {("ideal", True): sheaf_cohomology(ideal, truncated=True).dims}
-            quotient = tensor(structure,
-                              self._quotients(CellularSheaf, spans, f"lambda/ideal^({q})"))
-            del ideal, spans
-            # the truncated complex is this one without degree -1, so its H^0
-            # is ker d^0 = H^0 + rank d^-1 = H^0 + dim C^-1 - H^-1
-            quotient = sheaf_cohomology(quotient, truncated=False)
-            dims = tables[("quotient", False)] = quotient.dims
-            head = {k: d for k, d in dims.items() if k >= 0}
-            head[0] += quotient.complex.dim(-1) - dims.get(-1, 0)
-            tables[("quotient", True)] = head
-            del quotient
-            spans = self.pi_spans(q)
-            tables["pi"] = sheaf_cohomology(
-                self._inclusions(CellularCosheaf, spans, f"pi^({q})")).dims
-            tables["lambda/pi"] = sheaf_cohomology(
-                self._quotients(CellularCosheaf, spans, f"lambda/pi^({q})")).dims
+        """The tables of degree q, from one pass over its two (co)sheaves
+        and complexes, none of which is kept."""
+        if q not in self._dims:
+            S, job, copies = self.S, self.S.job(self.field), binom(self.n, q)
+            sheaf = self._quotient_sheaf(q)
+            quotient = sheaf_cohomology(tensor(self.structure_sheaf(), sheaf), truncated=False)
+            r, c = self._projection_ranks(q, quotient, sheaf), quotient.dims
+            ranks = {k: r.get(k, 0) for k in range(S.n)}
+            ranks[0] += quotient.complex.dim(-1) - c.get(-1, 0)
+            tables = {("quotient", False): c, ("quotient", True): truncated_dims(quotient),
+                      "ranks": ranks, ("ideal", True): _exact_term(
+                          f"ideal^({q})", S.n, copies, job.structure_profile.dims, r, c)}
+            del sheaf, quotient
+            cosheaf = self._pi_cosheaf(q)
+            pi = sheaf_cohomology(cosheaf)
+            r = self._inclusion_ranks(q, pi, cosheaf.stalk_dims)
+            tables["pi"] = pi.dims
+            tables["lambda/pi"] = _exact_term(f"lambda/pi^({q})", S.n, copies, job.betti, r,
+                                              pi.dims)
             self._dims[q] = tables
-        return tables
+        return self._dims[q]
 
     def sheaf_dims(self, kind: str, q: int, truncated: bool) -> dict:
-        """Cohomology dimensions of structure (x) `kind`^(q).
-
-        `kind` is "ideal" (truncated only) or "quotient"; `truncated` is as
-        in `sheaf_cohomology`.
-        """
+        """Cohomology dims of structure (x) `kind`^(q), "ideal" (truncated) or "quotient"."""
         return self._degree(q)[(kind, truncated)]
 
     def cosheaf_dims(self, kind: str, q: int) -> dict:
         """Homology dimensions of the cosheaf `kind`^(q), "pi" or "lambda/pi"."""
         return self._degree(q)[kind]
+
+    def projection_ranks(self, q: int) -> dict:
+        """The ranks of H^k(structure (x) Λ^q) -> H^k(structure (x) quotient^(q)), truncated."""
+        return self._degree(q)["ranks"]
+
+
+def _reduced(F, vec):
+    return [a % F.char for a in vec] if F.char else list(map(F, vec))
+
+
+def _wedge_into(rows, col, index, C, v, B, p, s=1):
+    """Writes s (v ^ e_B), v a 1-form over C, into column `col` of rows of C's monomials."""
+    for j, x in zip(C, v):
+        if x and j not in B:
+            y = s * ExteriorAlgebra.shuffle_sign((j,), B) * x
+            rows[index[tuple(sorted(B + (j,)))]][col] = y % p if p else y
+
+
+def _exact_term(name, n, copies, middle, ranks, other):
+    """dim X_k = (copies m_k - r_k) + (y_(k-1) - r_(k-1)), k = 0..n-1, in a long
+    exact sequence of X, copies x M and Y, r_k the rank of M -> Y or Y -> M."""
+    dims = {k: copies * middle.get(k, 0) - ranks.get(k, 0) + other.get(k - 1, 0)
+            - ranks.get(k - 1, 0) for k in range(-1, n + 1)}
+    if dims.pop(-1) or dims.pop(n):
+        raise InvariantViolation(f"{name}: exactness leaves a class outside 0..{n - 1}")
+    return dims
 
 
 # ---------------------------------------------------------------------------
@@ -395,16 +400,9 @@ def keylemma_check(S: SimplicialPoset, cmap: CharacteristicMap, field) -> KeyLem
     orbit-space dimension), whatever the torus rank is.
     """
     kit = S.job(field).kit(cmap)
-    n = S.n
-    table = {}
-    violations = []
-    for q in range(kit.n + 1):
-        dims = kit.sheaf_dims("ideal", q, True)
-        for i in range(S.n):
-            d = dims.get(i, 0)
-            table[(i, q)] = d
-            if i <= n - 1 - q and d != 0:
-                violations.append((i, q, d))
+    table = {(i, q): kit.sheaf_dims("ideal", q, True).get(i, 0)
+             for q in range(kit.n + 1) for i in range(S.n)}
+    violations = [(i, q, d) for (i, q), d in table.items() if i <= S.n - 1 - q and d]
     return KeyLemmaReport(kit.n, table, not violations, violations)
 
 
@@ -421,28 +419,20 @@ class DualityReport(NamedTuple):
 
 
 def duality_check(S: SimplicialPoset, cmap: CharacteristicMap, field) -> DualityReport:
-    """Graded comparison of ideal-sheaf cohomology with principal-ideal
-    cosheaf homology in complementary degree."""
+    """Graded comparison of ideal-sheaf cohomology, derived on the sheaf
+    side, with principal-ideal cosheaf homology in complementary degree."""
     kit = S.job(field).kit(cmap)
-    n = kit.n
-    top = S.n - 1
-    sheaf_side = {}
-    cosheaf_side = {}
-    for q in range(n + 1):
-        coh = kit.sheaf_dims("ideal", q, True)
-        hom = kit.cosheaf_dims("pi", q)
-        for k in range(S.n):
-            sheaf_side[(k, q)] = coh.get(k, 0)
-            cosheaf_side[(k, q)] = hom.get(top - k, 0)
-    passed = sheaf_side == cosheaf_side
-    return DualityReport(n, sheaf_side, cosheaf_side, passed)
+    degrees = [(k, q) for q in range(kit.n + 1) for k in range(S.n)]
+    sheaf_side = {(k, q): kit.sheaf_dims("ideal", q, True).get(k, 0) for k, q in degrees}
+    cosheaf_side = {(k, q): kit.cosheaf_dims("pi", q).get(S.n - 1 - k, 0) for k, q in degrees}
+    return DualityReport(kit.n, sheaf_side, cosheaf_side, sheaf_side == cosheaf_side)
 
 
 class LesDualityReport(NamedTuple):
     n: int
     sheaf_rows: dict             # q -> list of dims along the long exact sequence
     cosheaf_rows: dict
-    connecting: dict             # q -> list of map ranks forced by exactness
+    connecting: dict             # q -> list of map ranks along the sheaf sequence
     passed: bool
 
     def as_dict(self):
@@ -455,54 +445,29 @@ class LesDualityReport(NamedTuple):
 def les_duality_check(S: SimplicialPoset, cmap: CharacteristicMap, field) -> LesDualityReport:
     """Compare the two long exact sequences degreewise.
 
-    Sheaf side: ideal -> full -> quotient in structure-sheaf cohomology.
-    Cosheaf side: principal ideal -> full -> quotient in cosheaf homology,
-    read in complementary degree.  Connecting ranks are forced by
-    exactness once all dimensions are known, so equal dimension rows give
-    isomorphic sequences.
-
-    The full terms are constant: structure (x) Λ^q is C(n, q) copies of
-    the structure sheaf, and the constant cosheaf Λ^q is C(n, q) copies of
-    the cellular chains of S.  So the middle column compares C(n, q) times
-    the job's structure-sheaf cohomology (local-homology cochains) with
-    C(n, q) times its Betti numbers in complementary degree (cellular
-    chains): two independent routes, so the comparison can fail.
+    Sheaf side: ideal -> full -> quotient in structure-sheaf cohomology;
+    cosheaf side: principal ideal -> full -> quotient in cosheaf homology,
+    in complementary degree.  Each end compares a computed column with one
+    derived on the other side, and the full terms C(n, q) times the
+    structure-sheaf cohomology and the Betti numbers.  `connecting` holds
+    the ranks of full -> quotient computed on representatives, and around
+    each the ranks into it and of the connecting map, by exactness.
     """
     job = S.job(field)
     kit = job.kit(cmap)
-    n = kit.n
     top = S.n - 1
-    sheaf_rows = {}
-    cosheaf_rows = {}
-    connecting = {}
-    passed = True
-    for q in range(n + 1):
-        a = kit.sheaf_dims("ideal", q, True)
-        c = kit.sheaf_dims("quotient", q, True)
-        ah = kit.cosheaf_dims("pi", q)
-        ch = kit.cosheaf_dims("lambda/pi", q)
-        copies = binom(n, q)
-        srow = []
-        crow = []
+    sheaf_rows, cosheaf_rows, connecting = {}, {}, {}
+    for q in range(kit.n + 1):
+        a, c = kit.sheaf_dims("ideal", q, True), kit.sheaf_dims("quotient", q, True)
+        ah, ch = kit.cosheaf_dims("pi", q), kit.cosheaf_dims("lambda/pi", q)
+        r, copies = kit.projection_ranks(q), binom(kit.n, q)
+        srow, crow, ranks = [], [], []
         for k in range(S.n):
-            srow += [a.get(k, 0), copies * job.structure_cohomology.get(k, 0), c.get(k, 0)]
+            middle = copies * job.structure_cohomology.get(k, 0)
+            srow += [a.get(k, 0), middle, c.get(k, 0)]
             crow += [ah.get(top - k, 0), copies * job.betti.get(top - k, 0),
                      ch.get(top - k, 0)]
-        sheaf_rows[q] = srow
-        cosheaf_rows[q] = crow
-        if srow != crow:
-            passed = False
-        # ranks forced by exactness, anchored at the left end
-        ranks = []
-        prev = 0
-        for dim in srow:
-            r = dim - prev
-            if r < 0:
-                passed = False
-                r = 0
-            ranks.append(r)
-            prev = r
-        if prev != 0:
-            passed = False
-        connecting[q] = ranks
-    return LesDualityReport(n, sheaf_rows, cosheaf_rows, connecting, passed)
+            ranks += [middle - r[k], r[k], c.get(k, 0) - r[k]]
+        sheaf_rows[q], cosheaf_rows[q], connecting[q] = srow, crow, ranks
+    return LesDualityReport(kit.n, sheaf_rows, cosheaf_rows, connecting,
+                            sheaf_rows == cosheaf_rows)

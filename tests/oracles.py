@@ -15,10 +15,11 @@ from itertools import combinations
 from math import gcd
 
 from torushom.complexes import GradedComplex, HomologyProfile, homology, reduced_betti
-from torushom.exactlin import Matrix
-from torushom.facevec import poly_add, poly_mul, poly_pow, poly_scale
+from torushom.exactlin import IncrementalSpan, InvariantViolation, Matrix
+from torushom.facevec import binom, poly_add, poly_mul, poly_pow, poly_scale
 from torushom.poset import PosetError, SimplicialPoset
-from torushom.sheaves import CellularCosheaf, CellularSheaf, _require_sheaf, tensor
+from torushom.sheaves import (CellularCosheaf, CellularSheaf, _covers, _require_sheaf,
+                              sheaf_cohomology, tensor, truncated_dims)
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +99,11 @@ def f_from_h(h, n: int):
 # ---------------------------------------------------------------------------
 # links
 
+def leq(S: SimplicialPoset, i: int, j: int) -> bool:
+    """i <= j in the poset."""
+    return i in S.below[j]
+
+
 def link_ids(S: SimplicialPoset, i: int) -> list:
     """The ids of S in the link of i, listed in the order of the link's ids."""
     return sorted(S.upper_set(i), key=lambda j: (S.ranks[j], S.vertex_sets[j], j))
@@ -118,11 +124,11 @@ def link(S: SimplicialPoset, i: int) -> SimplicialPoset:
     ranks = [S.ranks[j] - base for j in members]
     vsets = []
     for j in members:
-        labels = sorted(atom_label[a] for a in atoms if S.leq(a, j))
+        labels = sorted(atom_label[a] for a in atoms if leq(S, a, j))
         vsets.append(tuple(labels))
     covers = []
     for j in members:
-        cs = [newid[c] for c in S.covers[j] if S.leq(i, c)]
+        cs = [newid[c] for c in S.covers[j] if leq(S, i, c)]
         covers.append(tuple(sorted(cs)))
     return SimplicialPoset(ranks, vsets, covers, name=f"lk({S.name or 'S'},{i})")
 
@@ -211,7 +217,7 @@ def order_complex_homology(S: SimplicialPoset, field) -> HomologyProfile:
         for ch in chains[d]:
             top = ch[-1]
             for e in elems:
-                if S.ranks[e] > S.ranks[top] and S.leq(top, e):
+                if S.ranks[e] > S.ranks[top] and leq(S, top, e):
                     nxt.append(ch + (e,))
         d += 1
         if nxt:
@@ -251,12 +257,12 @@ def sheaf_restriction(sheaf: CellularSheaf, i: int, j: int) -> Matrix:
     S = sheaf.poset
     if i == j:
         return Matrix.identity(sheaf.field, sheaf.stalk_dims[i])
-    if not S.leq(i, j):
+    if not leq(S, i, j):
         raise PosetError(f"{i} is not below {j}")
     chain = [j]
     cur = j
     while cur != i:
-        cur = next(c for c in S.covers[cur] if S.leq(i, c))
+        cur = next(c for c in S.covers[cur] if leq(S, i, c))
         chain.append(cur)
     if sheaf._step > 0:
         chain.reverse()
@@ -300,35 +306,136 @@ def coefficient_CAI(cmap, field, vertices, A):
     return field(-det if exp % 2 else det)
 
 
+# The span route to the sheaf kit's (co)sheaves: each face's exterior ideal
+# and principal ideal as the echelonized span of its generators, with
+# inclusions read off the target's span and quotients in free-column
+# coordinates.  The kit builds its two (co)sheaves in adapted bases instead
+# and reads the other two tables off the long exact sequences.
+
+def free_columns(span):
+    """The positions that are no pivot of an `IncrementalSpan`: a basis of
+    its quotient."""
+    pivots = set(span.pivots)
+    return [c for c in range(span.ambient_dim) if c not in pivots]
+
+
+def quotient_coords(span, vec):
+    """Coordinates of vec modulo the span, over `free_columns`."""
+    red = span.reduce(vec)
+    return [red[c] for c in free_columns(span)]
+
+
+def _times_basis(kit, qa: int, va, qb: int) -> list:
+    """va ^ e_B for every qb-subset B, in order."""
+    F, ext = kit.field, kit.ext
+    dim = ext.dim(qb)
+    return [ext.wedge(qa, va, qb, [F.one if i == k else F.zero for i in range(dim)])
+            for k in range(dim)]
+
+
+def _span(kit, vecs, q: int):
+    """(basis, span) of the degree-q vectors `vecs`, the basis being the
+    vectors that enlarged the span."""
+    span = IncrementalSpan(kit.field, kit.ext.dim(q))
+    return [v for v in vecs if span.add(v)], span
+
+
+def ideal_spans(kit, q: int) -> list:
+    """(basis, span) of the degree-q part of every face's exterior ideal,
+    spanned by omega(v) ^ e_B over its vertices v and the (q - 1)-subsets B."""
+    products = {lab: _times_basis(kit, 1, kit.frows[lab], q - 1)
+                for lab in kit.frows} if 0 < q <= kit.n else {}
+    spans = []
+    for elem, labels in enumerate(kit.S.vertex_sets):
+        vecs = [v for lab in labels for v in products[lab]] if products else []
+        basis, span = _span(kit, vecs, q)
+        if len(basis) != kit.ext.dim(q) - binom(kit.n - len(labels), q):
+            raise InvariantViolation(f"ideal dimension off at face {elem}, degree {q}")
+        spans.append((basis, span))
+    return spans
+
+
+def pi_spans(kit, q: int) -> list:
+    """(basis, span) of the degree-q part of every face's principal ideal,
+    generated by its top form."""
+    spans = []
+    for elem, labels in enumerate(kit.S.vertex_sets):
+        k = len(labels)
+        if elem == 0 or not k <= q <= kit.n:
+            spans.append(_span(kit, [], q))
+            continue
+        basis, span = _span(kit, _times_basis(kit, k, kit.pi_form(elem), q - k), q)
+        if len(basis) != binom(kit.n - k, q - k):
+            raise InvariantViolation(f"principal ideal dimension off at face {elem}")
+        spans.append((basis, span))
+    return spans
+
+
+def inclusions(kit, cls, spans, name: str):
+    """The sheaf or cosheaf (`cls`) of the spans, one (basis, span) per
+    face; column i of a cover map holds the coordinates of the source's
+    i-th basis vector in the target's basis, read off the target's span."""
+    S, F = kit.S, kit.field
+    dims = [len(basis) for basis, _ in spans]
+    rest = {}
+    for src, dst in _covers(S, cls):
+        if dims[src] and dims[dst]:
+            cols = [spans[dst][1].coords(v) for v in spans[src][0]]
+            if any(c is None for c in cols):
+                raise InvariantViolation(f"{name} not nested along a cover")
+            rest[(src, dst)] = Matrix.from_columns(F, cols, dims[dst])
+    return cls(S, F, dims, rest, name=name)
+
+
+def quotients(kit, cls, spans, name: str):
+    """The sheaf or cosheaf (`cls`) of the exterior component modulo the
+    spans, in free-column coordinates.  Only the sheaf keeps the empty
+    face, carrying the whole component."""
+    S, F = kit.S, kit.field
+    spans = [span for _, span in spans]
+    amb = spans[0].ambient_dim
+    free = [free_columns(span) for span in spans]
+    dims = [len(cols) for cols in free]
+    if cls is CellularCosheaf:
+        dims[0] = 0
+    rest = {}
+    for src, dst in _covers(S, cls):
+        if dims[src] and dims[dst]:
+            cols = [quotient_coords(spans[dst], [F.one if i == c else F.zero for i in range(amb)])
+                    for c in free[src]]
+            rest[(src, dst)] = Matrix.from_columns(F, cols, dims[dst])
+    return cls(S, F, dims, rest, include_empty=dims[0] > 0, name=name)
+
+
 def quotient_class(kit, elem: int, q: int, vec):
-    """Coordinates of a degree-q form in the kit's quotient basis at a face."""
-    return kit.ideal_spans(q)[elem][1].quotient_coords(vec)
+    """Coordinates of a degree-q form in the span route's quotient basis at a face."""
+    return quotient_coords(ideal_spans(kit, q)[elem][1], vec)
 
 
 # The torus sheaf kit keeps dimension tables only; these build one degree's
-# (co)sheaves again from the builders its degree pass runs.
+# four (co)sheaves by the span route.
 
 def ideal_sheaf(kit, q: int) -> CellularSheaf:
     """Degree-q ideal sheaf: stalk the ideal part, restrictions the
     coordinate form of the inclusions."""
-    return kit._inclusions(CellularSheaf, kit.ideal_spans(q), f"ideal^({q})")
+    return inclusions(kit, CellularSheaf, ideal_spans(kit, q), f"ideal^({q})")
 
 
 def quotient_sheaf(kit, q: int) -> CellularSheaf:
     """Degree-q part of the quotient of the full exterior algebra by the
     ideal sheaf; the empty face carries the whole degree-q component."""
-    return kit._quotients(CellularSheaf, kit.ideal_spans(q), f"lambda/ideal^({q})")
+    return quotients(kit, CellularSheaf, ideal_spans(kit, q), f"lambda/ideal^({q})")
 
 
 def pi_cosheaf(kit, q: int) -> CellularCosheaf:
     """Degree-q principal-ideal cosheaf; corestrictions are the coordinate
     forms of the inclusions."""
-    return kit._inclusions(CellularCosheaf, kit.pi_spans(q), f"pi^({q})")
+    return inclusions(kit, CellularCosheaf, pi_spans(kit, q), f"pi^({q})")
 
 
 def lambda_mod_pi_cosheaf(kit, q: int) -> CellularCosheaf:
     """Quotient cosheaf of the constant cosheaf by the principal ideals."""
-    return kit._quotients(CellularCosheaf, kit.pi_spans(q), f"lambda/pi^({q})")
+    return quotients(kit, CellularCosheaf, pi_spans(kit, q), f"lambda/pi^({q})")
 
 
 def structure_tensor_ideal(kit, q: int) -> CellularSheaf:
@@ -337,3 +444,25 @@ def structure_tensor_ideal(kit, q: int) -> CellularSheaf:
 
 def structure_tensor_quotient(kit, q: int) -> CellularSheaf:
     return tensor(kit.structure_sheaf(), quotient_sheaf(kit, q))
+
+
+def span_tables(kit, q: int) -> dict:
+    """The kit's degree-q tables by the span route: all four (co)sheaves
+    ranked, and the ranks of H^k(structure (x) Λ^q) -> H^k(structure (x)
+    quotient) in the truncated sequence forced by exactness from its
+    dimensions, anchored at its left end."""
+    S = kit.S
+    quotient = sheaf_cohomology(structure_tensor_quotient(kit, q), truncated=False)
+    tables = {("ideal", True): sheaf_cohomology(structure_tensor_ideal(kit, q)).dims,
+              ("quotient", False): quotient.dims,
+              ("quotient", True): truncated_dims(quotient),
+              "pi": sheaf_cohomology(pi_cosheaf(kit, q)).dims,
+              "lambda/pi": sheaf_cohomology(lambda_mod_pi_cosheaf(kit, q)).dims}
+    middle = S.job(kit.field).structure_cohomology
+    ranks, prev = {}, 0
+    for k in range(S.n):
+        into = tables[("ideal", True)].get(k, 0) - prev
+        ranks[k] = binom(kit.n, q) * middle.get(k, 0) - into
+        prev = tables[("quotient", True)].get(k, 0) - ranks[k]
+    tables["ranks"] = ranks
+    return tables

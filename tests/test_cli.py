@@ -325,7 +325,8 @@ def test_exit_3_when_a_sheaf_complex_drops_an_incidence_sign(monkeypatch, capsys
     assert main(["sheaf", "--preset", "boundary_of_simplex(3)"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: invariant violated: d^2 != 0 at degree 0\n"
+    # the structure sheaf's complex starts at the empty face, in degree -1
+    assert captured.err == "error: invariant violated: d^2 != 0 at degree -1\n"
 
 
 def test_exit_3_when_a_sheaf_is_not_functorial(monkeypatch, capsys):
@@ -351,14 +352,16 @@ def test_exit_3_when_a_sheaf_is_not_functorial(monkeypatch, capsys):
 
 
 def test_exit_3_when_a_kit_invariant_fails(monkeypatch, capsys, files):
-    # the charmap is valid, so a wrong ideal dimension is a fault of the
-    # computation, not of the input
+    # the charmap is valid, so stalk dimensions C(n - |I|, q) that do not
+    # fit the monomial bases the kit's cover maps are written in are a fault
+    # of the computation, not of the input
     binom = torusalg.binom
     monkeypatch.setattr(torusalg, "binom", lambda n, k: binom(n, k) + 1)
     assert main(["verify", "--preset", "torus_7", "--charmap", files["t7"]]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: invariant violated: ideal dimension off")
+    assert captured.err.startswith("error: invariant violated: sheaf map ")
+    assert captured.err.endswith(" does not fit its stalks\n")
     assert captured.err.count("\n") == 1
 
 
@@ -390,35 +393,42 @@ def _first_cover(sheaf, rank):
     return next(key for key in sorted(sheaf.rest) if S.ranks[key[0]] == rank)
 
 
-def _changed_vertex_map(sheaf):
-    key = _first_cover(sheaf, 1)
-    m = sheaf.rest[key]
-    rows = [list(r) for r in m.rows]
-    rows[0][0] = m.field(rows[0][0] + 1)
-    sheaf.rest[key] = Matrix(m.field, rows, m.ncols)
+def _changed_map(rank):
+    def fault(sheaf):
+        key = _first_cover(sheaf, rank)
+        m = sheaf.rest[key]
+        rows = [list(r) for r in m.rows]
+        rows[0][0] = m.field(rows[0][0] + 1)
+        sheaf.rest[key] = Matrix(m.field, rows, m.ncols)
+    return fault
 
 
-def _missing_triangle_map(sheaf):
-    del sheaf.rest[_first_cover(sheaf, 3)]
+def _missing_map(rank):
+    def fault(sheaf):
+        del sheaf.rest[_first_cover(sheaf, rank)]
+    return fault
 
 
-def _taller_triangle_map(sheaf):
-    key = _first_cover(sheaf, 3)
-    m = sheaf.rest[key]
-    sheaf.rest[key] = Matrix(m.field, m.rows + [[m.field.zero] * m.ncols], m.ncols)
+def _taller_map(rank):
+    def fault(sheaf):
+        key = _first_cover(sheaf, rank)
+        m = sheaf.rest[key]
+        sheaf.rest[key] = Matrix(m.field, m.rows + [[m.field.zero] * m.ncols], m.ncols)
+    return fault
 
 
-# The kit's degree-1 ideal maps into the triangles are injective, so a
-# changed vertex -> edge inclusion breaks the squares through the edge.  Its
-# degree-1 quotient has zero stalks at the triangles, so a changed vertex ->
-# edge class only breaks the squares at the empty face, whose maps into the
-# vertices are onto.  The top principal ideals are one-dimensional at every
-# face, so a missing triangle -> edge map makes one path of a square zero.
+# The kit's degree-1 quotient has zero stalks at the triangles, so a changed
+# vertex -> edge class only breaks the squares at the empty face, whose maps
+# into the vertices are onto.  The top principal ideals are one-dimensional
+# at every face and their cover maps are units, so a changed edge -> vertex
+# map, or a missing triangle -> edge map, breaks the squares through the
+# edge.  A map from the empty face with one row too many does not fit its
+# stalks.
 @pytest.mark.parametrize("builder, name, fault", [
-    ("_inclusions", "ideal^(1)", _changed_vertex_map),
-    ("_quotients", "lambda/ideal^(1)", _changed_vertex_map),
-    ("_inclusions", "pi^(3)", _missing_triangle_map),
-    ("_quotients", "lambda/pi^(1)", _taller_triangle_map),
+    ("_pi_cosheaf", "pi^(3)", _changed_map(2)),
+    ("_quotient_sheaf", "lambda/ideal^(1)", _changed_map(1)),
+    ("_pi_cosheaf", "pi^(3)", _missing_map(3)),
+    ("_quotient_sheaf", "lambda/ideal^(1)", _taller_map(0)),
 ], ids=["wrong-coords-column", "wrong-unit-class", "missing-cover-map", "wrongly-shaped-map"])
 @pytest.mark.parametrize("preset_name, field", [
     ("torus_7", "Q"), ("cross_polytope_boundary(3)", "Fp:3"),
@@ -426,24 +436,17 @@ def _taller_triangle_map(sheaf):
 def test_exit_3_when_a_kit_sheaf_is_faulty(monkeypatch, capsys, tmp_path, builder, name,
                                            fault, preset_name, field):
     # one fault in one of the kit's own (co)sheaves, made as the kit's
-    # builder constructs it, so that every check the kit runs on it sees the
+    # builder returns it, so that every check the kit runs on it sees the
     # fault; the job must refuse it
     build = getattr(torusalg.TorusSheafKit, builder)
     faulted = []
 
-    def faulty(kit, cls, spans, sheaf_name):
-        if sheaf_name != name:
-            return build(kit, cls, spans, sheaf_name)
-        init = cls.__init__
-
-        def faulty_init(sheaf, *args, **kwargs):
-            init(sheaf, *args, **kwargs)
+    def faulty(kit, q):
+        sheaf = build(kit, q)
+        if sheaf.name == name:
             fault(sheaf)
-            faulted.append(sheaf_name)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cls, "__init__", faulty_init)
-            return build(kit, cls, spans, sheaf_name)
+            faulted.append(sheaf.name)
+        return sheaf
 
     monkeypatch.setattr(torusalg.TorusSheafKit, builder, faulty)
     lam = tmp_path / "map.lam"
@@ -454,3 +457,30 @@ def test_exit_3_when_a_kit_sheaf_is_faulty(monkeypatch, capsys, tmp_path, builde
     assert status == 3 and captured.out == ""
     assert captured.err.startswith("error: invariant violated: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:3"])
+def test_exit_3_when_a_projected_representative_is_not_a_cycle(monkeypatch, capsys, files,
+                                                               field):
+    # in degree 0 the projection Λ^0 -> quotient is the identity at every
+    # face; doubling it at one edge carries a representative of the torus's
+    # H^1, which is nonzero there, to a cochain that is no cocycle
+    S = preset("torus_7")
+    edge = S.elements_of_rank(2)[0]
+    projections = torusalg.TorusSheafKit.projections
+    faulted = []
+
+    def faulty(kit, sheaf):
+        images = projections(kit, sheaf)
+        if sheaf.name == "lambda/ideal^(0)":
+            faulted.append(edge)
+            m = images[edge]
+            images[edge] = Matrix(m.field, [[2 * x for x in row] for row in m.rows], m.ncols)
+        return images
+
+    monkeypatch.setattr(torusalg.TorusSheafKit, "projections", faulty)
+    status = main(["verify", "--preset", "torus_7", "--charmap", files["t7"], "--field", field])
+    captured = capsys.readouterr()
+    assert faulted == [edge]
+    assert status == 3 and captured.out == ""
+    assert captured.err == "error: invariant violated: vector is not a cycle of this complex\n"

@@ -23,6 +23,7 @@ from torushom.complexes import (GradedComplex, HomologyProfile, betti,
 from torushom.facevec import face_vectors, ft_consistency_check
 from torushom.poset import preset, validate
 from torushom.sheaves import LocalHomologyData, sheaf_cohomology
+from torushom.torusalg import CharacteristicMap
 
 from oracles import (ideal_sheaf, lambda_mod_pi_cosheaf, pi_cosheaf, quotient_sheaf, sheaf_dump,
                      structure_tensor_ideal, structure_tensor_quotient)
@@ -37,7 +38,36 @@ GOLDEN = {
     # generators (6 of them); recorded before the face ring read the kit
     ("torus_7", "Fp:3"):
         "7a59227ee4105a14717b38bf44a96136368ac4578555536b4498f8a20dfa766f",
+    # torus rank 4, the coordinate map (see `JOBS`); recorded before the kit
+    # read its ideal and lambda/pi tables off the long exact sequences
+    ("cross4", "Fp:1000003"):
+        "72dcfe2619f9a52036639c16c1853ae92d47a1187486b7fef17037f95f90df2b",
+    ("cross4", "Q"):
+        "f8ac071d891cddd76089ba8aec547b0a238860e342da9ceb546dac9d8af867eb",
 }
+
+
+def _coordinate_map(n):
+    """Vertex i -> e_i and vertex i + n -> -e_i."""
+    rows = {}
+    for i in range(1, n + 1):
+        rows[i] = tuple(int(k == i - 1) for k in range(n))
+        rows[i + n] = tuple(-x for x in rows[i])
+    return CharacteristicMap(n, rows)
+
+
+def _padded_torus_7_map(n):
+    """The torus_7 map with n - 3 zero columns appended: torus rank n."""
+    return CharacteristicMap(n, {v: r + (0,) * (n - 3)
+                                 for v, r in preset_charmap("torus_7").rows.items()})
+
+
+# pinned jobs whose map is not their preset's own: name -> (preset, map)
+JOBS = {"cross4": ("cross_polytope_boundary(4)", _coordinate_map(4))}
+
+
+def _job_input(name):
+    return JOBS.get(name) or (name, preset_charmap(name))
 
 
 class _Counts:
@@ -48,7 +78,8 @@ class _Counts:
         self.structure_builds = Counter()  # field name
         self.work = Counter()             # (what, poset, field name)
         self.cohomology = Counter()       # (sheaf name, truncated)
-        self.sheaf_calls = self.cosheaf_calls = self.structure_calls = 0
+        self.sheaf_calls = self.cosheaf_calls = 0
+        self.structure_calls = Counter()  # truncated -> structure-sheaf complexes
         self.wedges_per_form = Counter()  # face -> wedges made forming its top form
 
         init = LocalHomologyData.__init__
@@ -83,7 +114,7 @@ class _Counts:
         job_sheaf_cohomology = job_module.sheaf_cohomology
 
         def counting_structure(sheaf, truncated=True):
-            self.structure_calls += 1
+            self.structure_calls[truncated] += 1
             return job_sheaf_cohomology(sheaf, truncated)
 
         mp.setattr(job_module, "sheaf_cohomology", counting_structure)
@@ -119,12 +150,13 @@ class _Counts:
 @pytest.fixture(scope="module", params=sorted(GOLDEN), ids=lambda k: f"{k[0]}-{k[1]}")
 def all_job(request, tmp_path_factory):
     name, field = request.param
+    preset_name, cmap = _job_input(name)
     path = tmp_path_factory.mktemp("job") / "map.lam"
-    path.write_text(write_charmap(preset_charmap(name)))
+    path.write_text(write_charmap(cmap))
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
         counts = _Counts(mp)
-        status = main(["all", "--preset", name, "--charmap", str(path), "--field", field])
+        status = main(["all", "--preset", preset_name, "--charmap", str(path), "--field", field])
     return request.param, status, out.getvalue(), counts
 
 
@@ -132,6 +164,22 @@ def test_all_report_matches_golden(all_job):
     key, status, stdout, _ = all_job
     assert status == 0
     assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN[key]
+
+
+def test_verify_report_at_torus_rank_5_matches_golden(tmp_path):
+    # torus_7 with its map padded to torus rank 5 over F3: the greedy
+    # completion of a face is not just the standard vectors its directions
+    # miss.  `all` refuses the map (the face ring needs torus rank equal to
+    # the poset rank), so the `verify` report is pinned; recorded before the
+    # kit read its ideal and lambda/pi tables off the long exact sequences
+    path = tmp_path / "map.lam"
+    path.write_text(write_charmap(_padded_torus_7_map(5)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = main(["verify", "--preset", "torus_7", "--charmap", str(path), "--field", "Fp:3"])
+    assert status == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == \
+        "3029555f51baf79b15e90264b69f1ea0b694318164a44e12880b22115e7be88c"
 
 
 def test_all_job_computes_each_invariant_once(all_job):
@@ -145,22 +193,24 @@ def test_all_job_computes_each_invariant_once(all_job):
     assert counts.work and set(counts.work.values()) == {1}
     classified = sorted(f for (what, _, f) in counts.work if what == "classify_of")
     assert classified == sorted([main_field] + extra)
-    # every kit (co)homology group is computed once: ideal truncated and
-    # quotient untruncated per degree, the truncated quotient table read off
-    # the same complex, and two cosheaves; the constant terms are scaled from
-    # the job's structure-sheaf cohomology, which the job computes once
-    n = preset(name).n
-    assert counts.sheaf_calls == 2 * (n + 1)
-    assert counts.cosheaf_calls == 2 * (n + 1)
+    # each kit degree ranks one sheaf complex, structure (x) quotient
+    # untruncated, and one cosheaf complex, pi; the truncated quotient table
+    # is read off the same complex and the ideal and lambda/pi tables off the
+    # long exact sequences.  The constant terms and the representatives the
+    # kit projects come from the job's one structure-sheaf complex,
+    # untruncated, whose truncated table is read off it too
+    kit_rank = _job_input(name)[1].n
+    assert counts.sheaf_calls == kit_rank + 1
+    assert counts.cosheaf_calls == kit_rank + 1
     assert set(counts.cohomology.values()) == {1}
-    assert counts.structure_calls == 1
+    assert counts.structure_calls == Counter({False: 1})
 
 
 def test_all_job_forms_each_top_form_once(all_job):
     # the principal ideals and the face ring's coefficients read one top
     # form per nonempty face, wedged from its vertices' rows once
     (name, _), _, _, counts = all_job
-    S = preset(name)
+    S = preset(_job_input(name)[0])
     assert counts.wedges_per_form == Counter(
         {e: len(S.vertex_sets[e]) for e in range(1, S.size)})
 
@@ -398,6 +448,8 @@ def test_rational_job_holds_only_ints_and_fractions(name):
         sheaves += [ideal_sheaf(kit, q), quotient_sheaf(kit, q),
                     structure_tensor_ideal(kit, q), structure_tensor_quotient(kit, q)]
         cosheaves += [pi_cosheaf(kit, q), lambda_mod_pi_cosheaf(kit, q)]
+        sheaves.append(kit._quotient_sheaf(q))
+        cosheaves.append(kit._pi_cosheaf(q))
     for sheaf in sheaves:
         matrices.extend(sheaf.rest.values())
         for truncated in (True, False):

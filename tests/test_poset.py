@@ -5,7 +5,7 @@ from torushom.poset import (
     incidence_number, face_counts, MAX_ELEMENTS,
 )
 
-from oracles import link, link_ids
+from oracles import leq, link, link_ids
 
 
 def test_build_triangle_boundary():
@@ -103,7 +103,7 @@ def test_incidence_square_identity_everywhere():
                 if S.ranks[i] != S.ranks[j] - 2:
                     continue
                 mids = [t for t in S.below[j]
-                        if S.ranks[t] == S.ranks[j] - 1 and S.leq(i, t)]
+                        if S.ranks[t] == S.ranks[j] - 1 and leq(S, i, t)]
                 assert len(mids) == 2
                 t1, t2 = mids
                 total = (incidence_number(S, j, t1) * incidence_number(S, t1, i)
@@ -121,7 +121,7 @@ def test_poset_tables_match_a_scan(name):
     for j in range(S.size):
         for i in S.below[j]:
             if S.ranks[j] >= 2 and S.ranks[i] == S.ranks[j] - 2:
-                mids = [t for t in S.below[j] if S.ranks[t] == S.ranks[j] - 1 and S.leq(i, t)]
+                mids = [t for t in S.below[j] if S.ranks[t] == S.ranks[j] - 1 and leq(S, i, t)]
                 scan.append((i, tuple(mids), j))
     assert list(S.diamonds) == scan
     signs = {}
@@ -140,7 +140,7 @@ def test_upper_set_matches_a_scan(name):
     # the up-closure over `covered_by` against a scan of every element
     S = preset(name)
     for i in range(S.size):
-        assert S.upper_set(i) == [j for j in range(S.size) if S.leq(i, j)]
+        assert S.upper_set(i) == [j for j in range(S.size) if leq(S, i, j)]
 
 
 def test_parallel_edges_same_sign():

@@ -16,7 +16,7 @@ from torushom.sheaves import (
     LocalHomologyData, check_sheaf_functoriality, _covers,
 )
 
-from oracles import (link_reduced_betti, restrict_to_link, sheaf_dump, sheaf_restriction,
+from oracles import (leq, link_reduced_betti, restrict_to_link, sheaf_dump, sheaf_restriction,
                      upper_set_sheaf)
 
 RP2_FACETS = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
@@ -200,7 +200,7 @@ def test_restriction_composition_is_chain_independent():
             if S.ranks[i] != 1:
                 continue
             via = sheaf_restriction(sheaf, i, j)
-            mids = [t for t in S.below[j] if S.ranks[t] == 2 and S.leq(i, t)]
+            mids = [t for t in S.below[j] if S.ranks[t] == 2 and leq(S, i, t)]
             assert len(mids) == 2
             for t in mids:
                 comp = sheaf._cover_matrix(t, j).mul(sheaf._cover_matrix(i, t))

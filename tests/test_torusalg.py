@@ -7,6 +7,7 @@ import random
 import types
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from torushom.field import QQ, PrimeField
 from torushom.poset import preset, build_from_facets, PosetError
@@ -16,7 +17,7 @@ from torushom.torusalg import (
     TorusSheafKit, keylemma_check, duality_check, les_duality_check,
 )
 from torushom.sheaves import (
-    CellularSheaf, CellularCosheaf, sheaf_cohomology, tensor,
+    CellularSheaf, CellularCosheaf, sheaf_cohomology, tensor, _covers,
 )
 from torushom.facevec import binom
 from torushom.complexes import GradedComplex, HomologyProfile, InvariantViolation
@@ -24,9 +25,9 @@ from torushom.exactlin import Matrix, IncrementalSpan
 from torushom.cli import main
 from torushom.formats import write_charmap
 
-from oracles import (coefficient_CAI, ideal_sheaf, lambda_mod_pi_cosheaf, pi_cosheaf,
-                     quotient_class, quotient_sheaf, structure_tensor_ideal,
-                     structure_tensor_quotient)
+from oracles import (coefficient_CAI, ideal_sheaf, inclusions, is_chain_map,
+                     lambda_mod_pi_cosheaf, pi_cosheaf, quotient_class, quotient_sheaf,
+                     span_tables, structure_tensor_ideal, structure_tensor_quotient)
 
 FIXTURES = ["boundary_of_simplex(2)", "boundary_of_simplex(3)",
             "cross_polytope_boundary(3)", "torus_7", "digon_cycle(2)"]
@@ -45,13 +46,13 @@ def test_exterior_dims_and_signs():
     assert ext.shuffle_sign((1,), (2,)) == 1
     assert ext.shuffle_sign((2,), (1,)) == -1
     assert ext.shuffle_sign((1,), (1,)) == 0
-    assert ext.wedge_basis((1, 3), (2,)) == (-1, (1, 2, 3))
+    assert ext.shuffle_sign((1, 3), (2,)) == -1
 
 
 def test_exterior_wedge_anticommutes():
     ext = ExteriorAlgebra(3, QQ)
-    e1 = ext.one_form([QQ(1), QQ(0), QQ(0)])
-    e2 = ext.one_form([QQ(0), QQ(1), QQ(0)])
+    e1 = [QQ(1), QQ(0), QQ(0)]
+    e2 = [QQ(0), QQ(1), QQ(0)]
     w12 = ext.wedge(1, e1, 1, e2)
     w21 = ext.wedge(1, e2, 1, e1)
     assert w12 == [-v for v in w21]
@@ -64,7 +65,7 @@ def _ref_wedge(ext, qa, va, qb, vb):
     out = [F.zero] * ext.dim(qa + qb)
     for ia, A in enumerate(ext.subsets(qa)):
         for ib, B in enumerate(ext.subsets(qb)):
-            s, C = ext.wedge_basis(A, B)
+            s, C = ext.shuffle_sign(A, B), tuple(sorted(A + B))
             if s:
                 k = ext.index(C)
                 out[k] = F(out[k] + F(s) * F(va[ia]) * F(vb[ib]))
@@ -204,8 +205,8 @@ def test_inclusions_refuse_spans_that_are_not_nested(cls):
         return [v for v in vecs if span.add(v)], span
 
     with pytest.raises(InvariantViolation, match="not nested along a cover"):
-        kit._inclusions(cls, [spanned(spans[r]) for r in S.ranks], "crossed")
-    nested = kit._inclusions(cls, [spanned(spans[min(r, 1)]) for r in S.ranks], "same")
+        inclusions(kit, cls, [spanned(spans[r]) for r in S.ranks], "crossed")
+    nested = inclusions(kit, cls, [spanned(spans[min(r, 1)]) for r in S.ranks], "same")
     assert all(m.rows == [[1]] for m in nested.rest.values()) and nested.rest
 
 
@@ -523,7 +524,8 @@ def test_kit_keeps_only_dimension_tables_after_an_all_job(tmp_path, monkeypatch)
     assert sorted(kit._forms) == list(range(1, kit.S.size))
     for tables in kit._dims.values():
         assert sorted(map(str, tables)) == sorted(map(str, [
-            ("ideal", True), ("quotient", True), ("quotient", False), "pi", "lambda/pi"]))
+            ("ideal", True), ("quotient", True), ("quotient", False), "pi", "lambda/pi",
+            "ranks"]))
         assert all(type(k) is int and type(d) is int
                    for dims in tables.values() for k, d in dims.items())
 
@@ -538,8 +540,9 @@ def _stored_entries_are_nonzero(m):
 @pytest.mark.parametrize("name", FIXTURES)
 @pytest.mark.parametrize("F", [QQ, PrimeField(2), PrimeField(3), PrimeField(1000003)], ids=str)
 def test_kit_matrices_store_no_zero_entry(name, F):
-    # the cover builders, `tensor` (kron) and the block-complex builder write
-    # nonzero entries only, over F_p in [1, p)
+    # the cover builders (the kit's and the span route's), `tensor` (kron),
+    # the projections and the block-complex builder write nonzero entries
+    # only, over F_p in [1, p)
     S = preset(name)
     if F == PrimeField(2) and name == "torus_7":
         return
@@ -554,4 +557,116 @@ def test_kit_matrices_store_no_zero_entry(name, F):
         complexes += [sheaf_cohomology(c).complex for c in sheaves[2:]]
         matrices += [m for sheaf in sheaves + tensors for m in sheaf.rest.values()]
         matrices += [m for cx in complexes for m in cx.diff.values()]
+        quotient = kit._quotient_sheaf(q)
+        matrices += [*quotient.rest.values(), *kit._pi_cosheaf(q).rest.values(),
+                     *kit.projections(quotient).values()]
     assert matrices and all(_stored_entries_are_nonzero(m) for m in matrices)
+
+
+# ---------------------------------------------------------------------------
+# the kit's adapted-basis route against the span route
+
+def _kit_tables(kit, q):
+    tables = {key: kit.sheaf_dims(key[0], q, key[1])
+              for key in [("ideal", True), ("quotient", True), ("quotient", False)]}
+    tables.update({kind: kit.cosheaf_dims(kind, q) for kind in ("pi", "lambda/pi")})
+    tables["ranks"] = kit.projection_ranks(q)
+    return tables
+
+
+def _assert_kit_matches_span_route(S, cm, F):
+    kit = TorusSheafKit(S, cm, F)
+    for q in range(kit.n + 1):
+        assert _kit_tables(kit, q) == span_tables(kit, q), q
+
+
+@pytest.mark.parametrize("name", sorted(CHARMAPS))
+@pytest.mark.parametrize("F", [QQ, PrimeField(2), PrimeField(3), PrimeField(1000003)], ids=str)
+def test_kit_tables_match_the_span_route(name, F):
+    # every table, and the ranks of the projection, equal the span route's:
+    # all four (co)sheaves ranked, the ranks forced by exactness
+    S, cm = preset(name), preset_charmap(name)
+    if not validate_charmap(S, cm, F).ok_field:
+        return
+    _assert_kit_matches_span_route(S, cm, F)
+
+
+RANDOM_MAP_POSETS = ["boundary_of_simplex(2)", "boundary_of_simplex(3)",
+                     "cross_polytope_boundary(3)", "digon_cycle(2)"]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(st.data())
+def test_kit_tables_match_the_span_route_on_random_maps(data):
+    # random integer maps with entries -2..2, torus rank up to the poset
+    # rank + 2, kept when valid over the field
+    S = preset(data.draw(st.sampled_from(RANDOM_MAP_POSETS)))
+    F = data.draw(st.sampled_from([QQ, PrimeField(2), PrimeField(3), PrimeField(7)]))
+    n = S.n + data.draw(st.integers(0, 2))
+    rows = {lab: tuple(data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+            for lab in S.vertex_labels()}
+    cm = CharacteristicMap(n, rows)
+    assume(validate_charmap(S, cm, F).ok_field)
+    _assert_kit_matches_span_route(S, cm, F)
+
+
+def _lambda_with_empty_face(S, F, dim):
+    """The constant sheaf Λ^q (dim = C(n, q)) on every face, the empty one too."""
+    ident = Matrix.identity(F, dim)
+    return CellularSheaf(S, F, [dim] * S.size,
+                         {cover: ident for cover in _covers(S, CellularSheaf)},
+                         include_empty=True, name="lambda")
+
+
+@pytest.mark.parametrize("name", sorted(CHARMAPS))
+@pytest.mark.parametrize("F", [QQ, PrimeField(3)], ids=str)
+def test_projection_is_a_cochain_map(name, F):
+    # the face-by-face projection structure (x) Λ^q -> structure (x)
+    # quotient, the quotient sheaf's maps from the empty face, commutes with
+    # the differentials of the untruncated complexes
+    S, cm = preset(name), preset_charmap(name)
+    if not validate_charmap(S, cm, F).ok_field:
+        return
+    kit = TorusSheafKit(S, cm, F)
+    structure = kit.structure_sheaf()
+    for q in range(kit.n + 1):
+        quotient = kit._quotient_sheaf(q)
+        projections = kit.projections(quotient)
+        src = sheaf_cohomology(tensor(structure, _lambda_with_empty_face(S, F, binom(kit.n, q))),
+                               truncated=False).complex
+        dst = sheaf_cohomology(tensor(structure, quotient), truncated=False).complex
+        f = {}
+        for k in dst.degrees():
+            rows = [[F.zero] * src.dim(k) for _ in range(dst.dim(k))]
+            r = c = 0
+            cols = dict(zip(src.labels[k], itertools.accumulate(
+                [structure.stalk_dims[e] * binom(kit.n, q) for e in src.labels[k]], initial=0)))
+            for e in dst.labels[k]:
+                block = Matrix.identity(F, structure.stalk_dims[e]).kron(projections[e])
+                c = cols[e]
+                for i, row in enumerate(block.rows):
+                    rows[r + i][c:c + len(row)] = row
+                r += block.nrows
+            f[k] = Matrix(F, rows, src.dim(k))
+        assert is_chain_map(f, src, dst), (q, k)
+
+
+@pytest.mark.parametrize("name", ["torus_7", "cross_polytope_boundary(3)"])
+def test_adapted_bases_complete_each_face_greedily(name):
+    # the completion is greedy, and P kills the face's directions and fixes
+    # the completing standard vectors
+    S = preset(name)
+    kit = TorusSheafKit(S, preset_charmap(name), QQ)
+    n = kit.n
+    for elem, (C, P) in enumerate(kit.frames()):
+        span = IncrementalSpan(QQ, n)
+        for lab in S.vertex_sets[elem]:
+            span.add(kit.frows[lab])
+        units = [[QQ(int(i == j)) for i in range(n)] for j in range(n)]
+        assert C == tuple(j + 1 for j in range(n) if span.add(units[j]))
+        for lab in S.vertex_sets[elem]:
+            image = [sum(x * col[c] for x, col in zip(kit.frows[lab], P)) for c in range(len(C))]
+            assert not any(image)
+        assert [P[j - 1] for j in C] == [units[c][:len(C)] for c in range(len(C))]
+        assert all(len(col) == len(C) for col in P)
