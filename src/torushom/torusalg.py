@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import combinations, product
 from typing import NamedTuple
 
-from .exactlin import IncrementalSpan, InvariantViolation, Matrix, smith_invariants
+from .exactlin import InvariantViolation, Matrix, smith_invariants
 from .poset import SimplicialPoset, PosetError
 from .sheaves import (
     CellularSheaf, CellularCosheaf, sheaf_cohomology, tensor, truncated_dims, _blocks, _covers,
