@@ -1,34 +1,38 @@
-"""Exact homology invariants of torus spaces over Buchsbaum simplicial posets."""
+"""Exact homology invariants of torus spaces over Buchsbaum simplicial posets.
 
-from .field import QQ, PrimeField, Rationals, field_from_name
-from .poset import (SimplicialPoset, PosetError, build_from_facets,
-                    build_from_cover_table, preset, validate, incidence_number,
-                    face_counts)
-from .complexes import (cellular_chain_complex, homology, classify, reduced_betti,
-                        betti, InvariantViolation)
-from .sheaves import (CellularSheaf, CellularCosheaf, tensor, sheaf_cohomology,
-                      constancy_check)
-from .torusalg import (ExteriorAlgebra, CharacteristicMap, validate_charmap,
-                       TorusSheafKit, keylemma_check, duality_check, les_duality_check)
-from .facevec import face_vectors, ft_consistency_check, dehn_sommerville_check
-from .specseq import (ManifoldProfile, cone_profile, validate_profile, pages,
-                      bigraded_betti, theorem_checks, e2_border_sheaf_crosscheck)
-from .facering import relation_system, graded_quotient_rank, kernel_generators
+Each public name loads its layer on first access (PEP 562), so `import
+torushom` compiles no layer."""
+from importlib import import_module
 
-__all__ = [
-    "QQ", "PrimeField", "Rationals", "field_from_name",
-    "SimplicialPoset", "PosetError", "build_from_facets",
-    "build_from_cover_table", "preset", "validate", "incidence_number",
-    "face_counts",
-    "cellular_chain_complex", "homology", "classify", "reduced_betti", "betti",
-    "InvariantViolation",
-    "CellularSheaf", "CellularCosheaf", "tensor", "sheaf_cohomology",
-    "constancy_check",
-    "ExteriorAlgebra", "CharacteristicMap", "validate_charmap", "TorusSheafKit",
-    "keylemma_check", "duality_check", "les_duality_check",
-    "face_vectors", "ft_consistency_check", "dehn_sommerville_check",
-    "ManifoldProfile", "cone_profile", "validate_profile", "pages",
-    "bigraded_betti", "theorem_checks", "e2_border_sheaf_crosscheck",
-    "relation_system", "graded_quotient_rank", "kernel_generators",
-]
+# layer -> the public names it defines or re-exports
+_LAYERS = {
+    "field": ("QQ", "PrimeField", "Rationals", "field_from_name"),
+    "poset": ("SimplicialPoset", "PosetError", "build_from_facets", "build_from_cover_table",
+              "preset", "validate", "incidence_number", "face_counts"),
+    "complexes": ("cellular_chain_complex", "homology", "classify", "reduced_betti", "betti",
+                  "InvariantViolation"),
+    "sheaves": ("CellularSheaf", "CellularCosheaf", "tensor", "sheaf_cohomology",
+                "constancy_check"),
+    "formats": ("CharacteristicMap", "ManifoldProfile"),
+    "torusalg": ("ExteriorAlgebra", "validate_charmap", "TorusSheafKit", "keylemma_check",
+                 "duality_check", "les_duality_check"),
+    "facevec": ("face_vectors", "ft_consistency_check", "dehn_sommerville_check"),
+    "specseq": ("cone_profile", "validate_profile", "pages", "bigraded_betti",
+                "theorem_checks", "e2_border_sheaf_crosscheck"),
+    "facering": ("relation_system", "graded_quotient_rank", "kernel_generators"),
+}
+_HOME = {name: layer for layer, names in _LAYERS.items() for name in names}
+
+__all__ = list(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

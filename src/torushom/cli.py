@@ -7,6 +7,9 @@ some mathematical check failed, 2 means the input was unusable, and 3
 means an internal failure: an invariant of the computation was violated
 (`InvariantViolation`) or an unexpected exception was raised.  Failures
 print one line on stderr, `error: ...` or `internal error: ...`.
+
+Each layer is imported where it is used, not at the top: a process
+compiles every module it imports, so a command loads only what it reaches.
 """
 from __future__ import annotations
 
@@ -15,15 +18,9 @@ import json
 import sys
 from pathlib import Path
 
-from .field import PrimeField, field_from_name
-from .poset import PosetError, preset as poset_preset, validate, face_counts
-from .complexes import InvariantViolation, classify
-from .facevec import face_vectors, ft_consistency_check, dehn_sommerville_check
-from .torusalg import keylemma_check, duality_check, les_duality_check
-from .specseq import bigraded_betti, theorem_checks, e2_border_sheaf_crosscheck
-from .facering import relation_system, graded_quotient_rank, kernel_generators
-from .formats import (FormatError, parse_cover_table, parse_facet_list,
-                      parse_charmap, parse_profile)
+from .exactlin import InvariantViolation
+from .formats import FormatError
+from .poset import PosetError
 
 COMMANDS = ("validate", "vectors", "charmap", "sheaf", "verify", "specseq",
             "facering", "all")
@@ -61,6 +58,8 @@ def build_parser():
 
 
 def load_poset(args):
+    from .formats import parse_cover_table, parse_facet_list
+    from .poset import preset as poset_preset
     if args.preset:
         return poset_preset(args.preset)
     if args.poset:
@@ -80,11 +79,13 @@ def _read(path):
 def load_charmap(args):
     if not args.charmap:
         raise InputProblem("this command needs --charmap")
+    from .formats import parse_charmap
     return parse_charmap(_read(args.charmap))
 
 
 def load_profile(args, S, field):
     if args.profile:
+        from .formats import parse_profile
         return parse_profile(_read(args.profile))     # validated where it is used
     return S.job(field).cone_profile
 
@@ -118,9 +119,15 @@ def _crosscheck_blocker(S, cmap, P):
 
 
 def run(args) -> tuple[dict, int]:
+    from .field import PrimeField, field_from_name
     checks = selected_checks(args)
     field = field_from_name(args.field)
     S = load_poset(args)
+    # the layers every command reads, loaded once the input is usable
+    from .complexes import classify
+    from .facevec import face_vectors, ft_consistency_check, dehn_sommerville_check
+    from .poset import validate, face_counts
+    from .specseq import bigraded_betti, theorem_checks, e2_border_sheaf_crosscheck
     job = S.job(field)     # every invariant of (S, field), computed once
     report = {"command": args.command, "poset": S.name or "(file)",
               "field": field.name, "results": {}}
@@ -199,6 +206,7 @@ def run(args) -> tuple[dict, int]:
         record("sheaf", tables, True)
 
     if want_verify:
+        from .torusalg import keylemma_check, duality_check, les_duality_check
         job.kit(cmap)       # rejects an invalid map before any check runs
         if "keylemma" in checks:
             rep = keylemma_check(S, cmap, field)
@@ -235,6 +243,7 @@ def run(args) -> tuple[dict, int]:
     if want_facering:
         if cmap is None:
             raise InputProblem("facering needs --charmap")
+        from .facering import relation_system, graded_quotient_rank, kernel_generators
         P = load_profile(args, S, field)
         R = relation_system(S, cmap, field, profile=P)
         ranks1 = graded_quotient_rank(R, include_type2=False)

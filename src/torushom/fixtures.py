@@ -9,8 +9,7 @@ over Z either.
 from __future__ import annotations
 
 from .poset import PosetError
-from .torusalg import CharacteristicMap
-from .specseq import ManifoldProfile
+from .formats import CharacteristicMap, ManifoldProfile
 
 CHARMAPS = {
     "boundary_of_simplex(2)": {1: (1, 0), 2: (0, 1), 3: (1, 1)},

@@ -1,5 +1,8 @@
 """Text formats for posets, characteristic maps, and profiles.
 
+This module owns the two input records, `CharacteristicMap` and
+`ManifoldProfile`, so parsing them loads no layer that computes with them.
+
 Cover table (general format, expresses parallel faces)::
 
     simplicial-poset v1
@@ -31,14 +34,56 @@ optional source tag, "user" (the default) or "cone"; the CLI accepts
 from __future__ import annotations
 
 import json
+from typing import NamedTuple
 
 from .poset import SimplicialPoset, build_from_cover_table, build_from_facets, PosetError
-from .torusalg import CharacteristicMap
-from .specseq import ManifoldProfile
 
 
 class FormatError(ValueError):
     pass
+
+
+class CharacteristicMap(NamedTuple):
+    """Integer direction vectors, one row per vertex label."""
+
+    n: int
+    rows: dict                    # vertex label -> tuple of n ints
+
+    def row(self, label):
+        try:
+            return self.rows[label]
+        except KeyError:
+            raise PosetError(f"characteristic map has no row for vertex {label}") from None
+
+    def field_rows(self, field):
+        return {lab: [field(v) for v in row] for lab, row in self.rows.items()}
+
+    def key(self):
+        """Hashable content of the map: equal maps give equal keys."""
+        return self.n, tuple(sorted((lab, tuple(row)) for lab, row in self.rows.items()))
+
+
+class ManifoldProfile(NamedTuple):
+    """Rank data of the orbit space: b(Q), b(Q, dQ) and connecting ranks."""
+
+    n: int
+    bQ: tuple
+    bQrel: tuple
+    rank_delta: tuple            # ranks of delta_1 ... delta_n
+    source: str = "user"         # "cone" or "user"
+
+    def as_dict(self):
+        return {"n": self.n, "bQ": list(self.bQ), "bQrel": list(self.bQrel),
+                "rank_delta": list(self.rank_delta), "source": self.source}
+
+    @classmethod
+    def from_dict(cls, d):
+        source = str(d.get("source", "user"))
+        if source not in ("cone", "user"):
+            raise ValueError(f"profile source must be 'cone' or 'user', not {source!r}")
+        return cls(int(d["n"]), tuple(int(x) for x in d["bQ"]),
+                   tuple(int(x) for x in d["bQrel"]),
+                   tuple(int(x) for x in d["rank_delta"]), source)
 
 
 def _split_list(tok: str):

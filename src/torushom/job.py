@@ -28,14 +28,15 @@ from .facevec import face_vectors_of
 from .poset import PosetError
 from .sheaves import LocalHomologyData, constancy_check, sheaf_cohomology, truncated_dims
 from .specseq import cone_profile_of, pages_of
-from .torusalg import TorusSheafKit, charmap_report_of
 
 
 class Job:
     """Lazily computed invariants of one (poset, field) pair.
 
     Use `S.job(field)` to get the poset's shared job; a `Job` built
-    directly caches only for its own holder.
+    directly caches only for its own holder.  `kit` and `charmap_report`
+    import `torusalg` when first called, so a job without a characteristic
+    map never loads it.
     """
 
     def __init__(self, S, field):
@@ -128,16 +129,18 @@ class Job:
 
     def charmap_report(self, cmap):
         """`validate_charmap` of the characteristic map on this pair."""
+        from .torusalg import charmap_report_of
         key = cmap.key()
         if key not in self._charmap_reports:
             self._charmap_reports[key] = charmap_report_of(self.S, cmap, self.field)
         return self._charmap_reports[key]
 
-    def kit(self, cmap) -> TorusSheafKit:
+    def kit(self, cmap) -> "TorusSheafKit":
         """The sheaf kit of the characteristic map; raises if it is invalid.
 
         The verify checks read its dimension tables and the face ring its
         determinant coefficients, so both use the same top forms."""
+        from .torusalg import TorusSheafKit
         key = cmap.key()
         if key not in self._kits:
             self._kits[key] = TorusSheafKit(self.S, cmap, self.field)

@@ -15,29 +15,7 @@ from typing import NamedTuple
 
 from .poset import SimplicialPoset, PosetError
 from .facevec import binom
-
-
-class ManifoldProfile(NamedTuple):
-    """Rank data of the orbit space: b(Q), b(Q, dQ) and connecting ranks."""
-
-    n: int
-    bQ: tuple
-    bQrel: tuple
-    rank_delta: tuple            # ranks of delta_1 ... delta_n
-    source: str = "user"         # "cone" or "user"
-
-    def as_dict(self):
-        return {"n": self.n, "bQ": list(self.bQ), "bQrel": list(self.bQrel),
-                "rank_delta": list(self.rank_delta), "source": self.source}
-
-    @classmethod
-    def from_dict(cls, d):
-        source = str(d.get("source", "user"))
-        if source not in ("cone", "user"):
-            raise ValueError(f"profile source must be 'cone' or 'user', not {source!r}")
-        return cls(int(d["n"]), tuple(int(x) for x in d["bQ"]),
-                   tuple(int(x) for x in d["bQrel"]),
-                   tuple(int(x) for x in d["rank_delta"]), source)
+from .formats import ManifoldProfile
 
 
 def cone_profile(S: SimplicialPoset, field) -> ManifoldProfile:

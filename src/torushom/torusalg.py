@@ -21,6 +21,7 @@ from .sheaves import (
     CellularSheaf, CellularCosheaf, sheaf_cohomology, tensor, truncated_dims, _blocks, _covers,
 )
 from .facevec import binom
+from .formats import CharacteristicMap
 
 
 class ExteriorAlgebra:
@@ -82,26 +83,6 @@ class ExteriorAlgebra:
                 if a:
                     out[k] += s * a * b
         return [x % p for x in out] if p else out
-
-
-class CharacteristicMap(NamedTuple):
-    """Integer direction vectors, one row per vertex label."""
-
-    n: int
-    rows: dict                    # vertex label -> tuple of n ints
-
-    def row(self, label):
-        try:
-            return self.rows[label]
-        except KeyError:
-            raise PosetError(f"characteristic map has no row for vertex {label}") from None
-
-    def field_rows(self, field):
-        return {lab: [field(v) for v in row] for lab, row in self.rows.items()}
-
-    def key(self):
-        """Hashable content of the map: equal maps give equal keys."""
-        return self.n, tuple(sorted((lab, tuple(row)) for lab, row in self.rows.items()))
 
 
 class CharmapReport(NamedTuple):

@@ -2,6 +2,7 @@
 import contextlib
 import gc
 import hashlib
+import importlib
 import io
 import os
 import subprocess
@@ -13,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 import torushom
-from torushom import facering, job as job_module, specseq, torusalg
+from torushom import facering, fixtures, formats, job as job_module, specseq, torusalg
 from torushom.cli import main
 from torushom.field import QQ, PrimeField
 from torushom.fixtures import CHARMAPS, preset_charmap
@@ -405,15 +406,73 @@ def test_report_records_are_immutable():
             rec.anything = None
 
 
+def _fresh_process(code, *argv):
+    """stdout words of `code` run in a new interpreter that imports the package."""
+    src = os.path.dirname(os.path.dirname(torushom.__file__))
+    return subprocess.run([sys.executable, "-S", "-c", code, *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          check=True).stdout.split()
+
+
 def test_importing_the_cli_loads_no_record_machinery():
     # records are named tuples and the other classes plain classes, so no
     # code is generated at import and neither module is loaded
-    code = "import sys, torushom.cli; print(*sorted(sys.modules))"
-    src = os.path.dirname(os.path.dirname(torushom.__file__))
-    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=src), check=True).stdout.split()
+    out = _fresh_process("import sys, torushom.cli; print(*sorted(sys.modules))")
     assert "torushom.cli" in out
     assert "dataclasses" not in out and "inspect" not in out
+
+
+def test_cli_import_and_input_parsing_load_only_their_layers(tmp_path):
+    # the benchmark's set-up probe: each process compiles every module it
+    # imports, so set-up must reach no layer that computes
+    S = preset("torus_7")
+    facets = tmp_path / "t7.facets"
+    facets.write_text("facets v1\n" + "".join(
+        " ".join(map(str, S.vertex_sets[i])) + "\n"
+        for i in range(S.size) if S.ranks[i] == S.n), encoding="utf-8")
+    charmap = tmp_path / "t7.lam"
+    charmap.write_text(write_charmap(preset_charmap("torus_7")), encoding="utf-8")
+    code = ("import sys\nfrom pathlib import Path\nimport torushom.cli\n"
+            "from torushom.formats import parse_facet_list, parse_charmap\n"
+            "parse_facet_list(Path(sys.argv[1]).read_text(encoding='utf-8'))\n"
+            "parse_charmap(Path(sys.argv[2]).read_text(encoding='utf-8'))\n"
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'torushom'))")
+    assert set(_fresh_process(code, str(facets), str(charmap))) == {
+        "torushom", "torushom.cli", "torushom.formats", "torushom.poset", "torushom.exactlin"}
+
+
+def test_a_job_without_charmap_never_loads_the_torus_layers():
+    code = ("import contextlib, io, sys\nfrom torushom.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = main(['all', '--preset', 'cross_polytope_boundary(3)'])\n"
+            "print(status, *sorted(sys.modules))")
+    status, *modules = _fresh_process(code)
+    assert status == "0"
+    assert "torushom.job" in modules
+    assert "torushom.torusalg" not in modules and "torushom.facering" not in modules
+
+
+def test_the_lazy_namespace_keeps_every_public_name():
+    assert len(torushom.__all__) == len(set(torushom.__all__)) == 43
+    for layer, names in torushom._LAYERS.items():
+        home = importlib.import_module(f"torushom.{layer}")
+        for name in names:
+            assert getattr(torushom, name) is getattr(home, name)
+    star = {}
+    exec("from torushom import *", star)
+    assert set(star) - {"__builtins__"} == set(torushom.__all__)
+    assert set(torushom.__all__) <= set(dir(torushom))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        torushom.no_such_name
+    assert not hasattr(torushom, "CharmapReport")
+    for name in ("CharacteristicMap", "ManifoldProfile"):
+        assert getattr(formats, name) is getattr(torushom, name)
+    assert torusalg.CharacteristicMap is fixtures.CharacteristicMap is formats.CharacteristicMap
+    assert specseq.ManifoldProfile is fixtures.ManifoldProfile is formats.ManifoldProfile
+    # a submodule not yet loaded is still importable from the package
+    out = _fresh_process("from torushom import complexes, torusalg\n"
+                         "print(complexes.__name__, torusalg.__name__)")
+    assert out == ["torushom.complexes", "torushom.torusalg"]
 
 
 def test_job_cache_dies_with_poset():

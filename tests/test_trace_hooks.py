@@ -4,6 +4,10 @@ measuring nothing, or failing, with no tier-1 test noticing."""
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +45,30 @@ def test_every_wrapped_method_is_defined_on_its_class(layer, cls_name, method):
 def test_every_keyed_function_binds_the_poset_and_the_field(key):
     params = inspect.signature(_resolve(spans.KEYED[key])).parameters
     assert "S" in params and "field" in params
+
+
+def test_the_tracer_sees_the_layers_the_cli_imports_at_call_time(tmp_path):
+    # the CLI imports torusalg, specseq and facering inside `run`, after the
+    # tracer has rebound their functions; it must get the wrapped ones.  The
+    # job runs in a fresh interpreter: `install` rebinds the package for good.
+    import torushom
+    from torushom.fixtures import preset_charmap
+    from torushom.formats import write_charmap
+
+    charmap = tmp_path / "t7.lam"
+    charmap.write_text(write_charmap(preset_charmap("torus_7")), encoding="utf-8")
+    code = ("import contextlib, io, json, sys\n"
+            f"sys.path.insert(0, {str(SPANS.parent)!r})\n"
+            "import spans\nfrom torushom import cli\n"
+            "tracer = spans.Tracer()\nspans.install(tracer)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = cli.main(sys.argv[1:])\n"
+            "print(json.dumps([status, sorted({s[0] for s in tracer.spans})]))")
+    src = str(Path(torushom.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code, "all", "--preset", "torus_7",
+                          "--charmap", str(charmap)], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+    status, names = json.loads(out)
+    assert status == 0
+    assert {"torusalg.keylemma_check", "facering.relation_system",
+            "specseq.theorem_checks"} <= set(names)
