@@ -199,7 +199,7 @@ def run(args) -> tuple[dict, int]:
             # constant-sheaf cohomology: the Betti numbers of S
             tables["constant"] = {str(k): v for k, v in sorted(job.betti.items())}
         if S.is_pure() and "structure" in checks:
-            st = job.structure_sheaf(include_empty=True)
+            st = job.structure_sheaf()
             tables["structure_stalk_dims"] = list(st.stalk_dims)
             tables["structure"] = {str(k): v
                                    for k, v in sorted(job.structure_cohomology.items())}

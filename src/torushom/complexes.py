@@ -5,8 +5,8 @@ degree) and sheaf cochain complexes (raises degree).  Every builder checks
 d∘d = 0, so homology dimensions are read off one rank per differential.
 Deterministic representative cycles, and the lift data that expresses any
 cycle in the representative basis, are built per degree only when asked
-for; the restriction maps of the local homology sheaf and the face-ring
-relations are what ask.
+for; the restriction maps of the structure sheaf, the sheaf kit's induced
+maps and the face-ring relations are what ask.
 """
 from __future__ import annotations
 
@@ -58,11 +58,11 @@ class HomologyProfile:
     The complex must satisfy d∘d = 0, which every builder checks
     (`cellular_chain_complex` and the sheaf complex builder).  Then
     dim H_k = n_k - rank d_k - rank d_{k-shift}, so the dimensions cost
-    one rank per differential.  The cycles, boundaries and
-    representative cycles of a degree are built the first time one of them
-    or `coords(k, vec)` asks for it: the kernel basis of d_k, the pivot
-    columns of d_{k-shift}, and the cycles, kept in order, that enlarge the
-    span of the boundaries.  That span also reads class coordinates.  A
+    one rank per differential.  The boundaries and representative cycles
+    of a degree are built the first time one of them or `coords(k, vec)`
+    asks for it: the pivot columns of d_{k-shift}, and the vectors of the
+    kernel basis of d_k, kept in order, that enlarge the span of the
+    boundaries.  That span also reads class coordinates.  A
     caller that knows the dimensions already passes them (`dims`), and
     then no differential is ranked.
     """
@@ -74,7 +74,7 @@ class HomologyProfile:
             dims = {k: cx.dim(k) - ranks.get(k, 0) - ranks.get(k - cx.shift, 0)
                     for k in cx.degrees()}
         self.dims = dims
-        self._bases = {}      # degree -> (cycles, boundaries, representatives, span)
+        self._bases = {}      # degree -> (boundaries, representatives, span)
 
     def _basis(self, k):
         if k not in self._bases:
@@ -83,7 +83,7 @@ class HomologyProfile:
             nk = cx.dim(k)
             dk = cx.d(k)
             if dk is None:
-                cycles = [_unit(F, nk, i) for i in range(nk)]
+                cycles = (_unit(F, nk, i) for i in range(nk))
             else:
                 cycles = dk.kernel_basis()
             dprev = cx.d(k - cx.shift)
@@ -95,20 +95,16 @@ class HomologyProfile:
             for b in boundaries:
                 span.add(b)
             reps = [z for z in cycles if span.add(z)]
-            self._bases[k] = cycles, boundaries, reps, span
+            self._bases[k] = boundaries, reps, span
         return self._bases[k]
-
-    def cycles(self, k):
-        """A basis of the cycles in degree k, one vector per free column of d_k."""
-        return self._basis(k)[0]
 
     def boundaries(self, k):
         """A basis of the boundaries in degree k: the pivot columns of d_{k-shift}."""
-        return self._basis(k)[1]
+        return self._basis(k)[0]
 
     def representatives(self, k):
         """Representative cycles of a basis of H_k, built on first use."""
-        return self._basis(k)[2]
+        return self._basis(k)[1]
 
     def coords(self, k, vec):
         """Coordinates of a cycle's class in the representative basis.
@@ -116,7 +112,7 @@ class HomologyProfile:
         Raises InvariantViolation when `vec` is not a cycle (not in the
         span of boundaries and representatives).
         """
-        _, boundaries, _, span = self._basis(k)
+        boundaries, _, span = self._basis(k)
         x = span.coords(vec) if any(vec) else [span.field.zero] * span.dim
         if x is None:
             raise InvariantViolation("vector is not a cycle of this complex")

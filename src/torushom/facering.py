@@ -100,11 +100,8 @@ def relation_system(S: SimplicialPoset, cmap: CharacteristicMap, field,
         raise PosetError("face ring needs torus rank equal to the poset rank")
     if not job.classify.buchsbaum:
         raise PosetError("poset is not Buchsbaum over the active field")
-    rep = job.charmap_report(cmap)
-    if not rep.ok_field:
-        raise PosetError(f"characteristic map invalid on faces {rep.field_failures}")
-    kit = job.kit(cmap)
-    structure = job.structure_sheaf(include_empty=True)
+    kit = job.kit(cmap)             # refuses a map that is invalid over the field
+    structure = job.structure_sheaf()
     cons = job.constancy
     if not cons.is_constant:
         raise PosetError("structure sheaf is not constant: " + (cons.witness or ""))

@@ -12,11 +12,13 @@ star complex is mapped into the field and ranked on first use.  The Betti
 numbers are the homology of star 0, so a job that reads only them ranks
 one star.  `link_dims`, all that `classify` needs, keeps no star's
 complex, so a classification-only job (such as the F2, F3 and F5 jobs of
-a report over Q) builds no restriction matrix.  The first
-`structure_sheaf` request builds both structure sheaves from profiles
-that rank no star twice, and then releases the local homology.  Besides
-dimensions, reports and pages the job keeps the structure sheaves, the
-profiles of the structure sheaf (untruncated) and of the cellular chains,
+a report over Q) builds no restriction matrix.  The first read of the
+structure sheaf builds it, with its empty-face stalk, from profiles that
+rank no star twice, releases the local homology, and ranks the sheaf's
+untruncated complex at once, whose d∘d check certifies the sheaf: every
+reader (its cohomology, `constancy`, the kits, the face ring) gets a
+checked sheaf.  Besides dimensions, reports and pages the job keeps the
+structure sheaf and its profile, the profile of the cellular chains,
 whose classes the sheaf kits read, and the kits.
 """
 from __future__ import annotations
@@ -60,7 +62,7 @@ class Job:
     def local_homology(self) -> LocalHomologyData:
         """The homology of every star complex, each ranked on first read.
 
-        Released once the structure sheaves are built; a later read ranks
+        Released once the structure sheaf is built; a later read ranks
         the stars again.
         """
         return LocalHomologyData(self.S, self.field)
@@ -72,24 +74,27 @@ class Job:
         return tuple(dict(local.dims(j)) for j in range(self.S.size))
 
     @cached_property
-    def _structure_sheaves(self) -> tuple:
-        """(without, with) the empty-face stalk; releases `local_homology`."""
-        self.link_dims                  # read before the profiles go
-        self.reduced_betti
-        sheaves = self.local_homology.structure_sheaves()
-        vars(self).pop("local_homology", None)
-        return sheaves
-
-    def structure_sheaf(self, include_empty: bool = False):
-        """The structure sheaf; with include_empty, with its empty-face stalk."""
+    def _structure(self) -> tuple:
+        """The structure sheaf, with its empty-face stalk, and the profile of
+        its untruncated complex, built together: the complex's shape and
+        d∘d checks certify the sheaf before any reader gets it.  Releases
+        `local_homology`."""
         if not self.S.is_pure():
             raise PosetError("structure sheaf needs a pure poset")
-        return self._structure_sheaves[include_empty]
+        self.link_dims                  # read before the profiles go
+        self.reduced_betti
+        sheaf = self.local_homology.structure_sheaf()
+        vars(self).pop("local_homology", None)
+        return sheaf, sheaf_cohomology(sheaf, truncated=False)
 
-    @cached_property
+    def structure_sheaf(self):
+        """The structure sheaf, with its empty-face stalk."""
+        return self._structure[0]
+
+    @property
     def structure_profile(self) -> HomologyProfile:
-        """The untruncated cohomology of the structure sheaf with its empty-face stalk."""
-        return sheaf_cohomology(self.structure_sheaf(include_empty=True), truncated=False)
+        """The untruncated cohomology of the structure sheaf."""
+        return self._structure[1]
 
     @cached_property
     def structure_cohomology(self) -> dict:
@@ -117,7 +122,7 @@ class Job:
 
     @cached_property
     def constancy(self):
-        """Constancy (orientability) of the structure sheaf."""
+        """Constancy (orientability) of the structure sheaf on its nonempty faces."""
         return constancy_check(self.structure_sheaf())
 
     def pages(self, P):

@@ -8,17 +8,17 @@ a diamond whose two paths carry opposite signs, so the block of d∘d between
 its ends is ± the difference of the composites: the d∘d check of
 `sheaf_cohomology`, the one (co)homology of a sheaf or cosheaf, is the
 functoriality check over the diamonds of its degrees, and its assembler
-refuses a map that does not fit its stalks.  The standard sheaves are
-built here: constant (`CellularSheaf.constant`), local homology (checked
-per diamond, as not every command builds their complexes), and the
-structure sheaf (top local homology, with an optional stalk at the empty
-face carrying the top reduced homology of the whole poset).
+refuses a map that does not fit its stalks.  No sheaf is checked apart
+from its complex.  The standard sheaves are built here: constant
+(`CellularSheaf.constant`) and the structure sheaf (top local homology,
+with a stalk at the empty face carrying the top reduced homology of the
+whole poset), which the job certifies through its untruncated complex.
 """
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .exactlin import InvariantViolation, Matrix, product_nonzeros
+from .exactlin import InvariantViolation, Matrix
 from .poset import SimplicialPoset, incidence_number
 from .complexes import GradedComplex, HomologyProfile, homology, cellular_chain_complex
 
@@ -46,8 +46,7 @@ class CellularSheaf:
     @classmethod
     def constant(cls, S, field, dim: int = 1, name: str = ""):
         """The constant sheaf (or cosheaf) of value field^dim on the
-        nonempty faces.  Not checked for functoriality: every cover map is
-        the identity, so the check cannot fail."""
+        nonempty faces; every cover map is the identity."""
         dims = [dim] * S.size
         dims[0] = 0
         ident = Matrix.identity(field, dim)
@@ -71,36 +70,6 @@ def _covers(S, kind):
     """Cover pairs (source, target) of S in the direction of the maps of
     `kind`, a sheaf or cosheaf class or instance."""
     return [(i, j) if kind._step > 0 else (j, i) for i in range(S.size) for j in S.covered_by[i]]
-
-
-def check_sheaf_functoriality(sheaf: CellularSheaf):
-    """Two-path equality through every length-two interval; raises on failure.
-
-    Compares the nonzero entries of the two composites; each cover map's
-    shape is checked against the stalks and its nonzero entries are read
-    once per check.  Serves cosheaves too, composing the maps downward.
-    """
-    S = sheaf.poset
-    p = sheaf.field.char
-    kind = "sheaf" if sheaf._step > 0 else "cosheaf"
-    nonzeros = {}
-
-    def cover(src, dst):
-        if (src, dst) not in nonzeros:
-            m = sheaf._cover_matrix(src, dst)
-            if (m.nrows, m.ncols) != (sheaf.stalk_dims[dst], sheaf.stalk_dims[src]):
-                raise InvariantViolation(f"{kind} map {src} -> {dst} does not fit its stalks")
-            nonzeros[(src, dst)] = m.nonzeros()
-        return nonzeros[(src, dst)]
-
-    for i, (m1, m2), j in S.diamonds:
-        if i == 0 and not sheaf.include_empty:
-            continue
-        src, dst = (i, j) if sheaf._step > 0 else (j, i)
-        a = product_nonzeros(cover(m1, dst), cover(src, m1), p)
-        b = product_nonzeros(cover(m2, dst), cover(src, m2), p)
-        if a != b:
-            raise InvariantViolation(f"{kind} functoriality fails on {i} < {m1},{m2} < {j}")
 
 
 def _blocks(S, stalk_dims, degree, include_empty):
@@ -198,8 +167,8 @@ def tensor(A: CellularSheaf, B: CellularSheaf) -> CellularSheaf:
 class LocalHomologyData:
     """The homology of the star complex C(S, S minus st j) of every face j,
     ranked on first read (`dims(j)`, `profile(j)`): the local homology, and
-    at the empty face the reduced homology of S.  Backs the local homology
-    sheaves and the structure sheaf.
+    at the empty face the reduced homology of S.  Backs the structure
+    sheaf.
 
     A star's dimensions are kept once it is ranked, but not the complex
     that ranked them.  Its profile, which holds the star's complex over
@@ -242,37 +211,16 @@ class LocalHomologyData:
         cols = [dst.coords(i, [z[k] for k in keep]) for z in src.representatives(i)]
         return Matrix.from_columns(self.field, cols, dst.dims[i])
 
-    def sheaf(self, degree, name, include_empty=False) -> CellularSheaf:
-        """Local homology sheaf in `degree`, functoriality checked.
-
-        With include_empty the empty face carries H_degree of the reduced
-        complex of S.
-        """
+    def structure_sheaf(self) -> CellularSheaf:
+        """The structure sheaf of a pure poset: top local homology, and at
+        the empty face the top reduced homology of S.  Unchecked here: the
+        job certifies it by the d∘d check of its untruncated complex."""
         S = self.poset
-        dims = [self.dims(j).get(degree, 0) for j in range(S.size)]
-        if not include_empty:
-            dims[0] = 0
-        rest = {(i, j): self.restriction(i, j, degree)
+        top = S.n - 1
+        dims = [self.dims(j).get(top, 0) for j in range(S.size)]
+        rest = {(i, j): self.restriction(i, j, top)
                 for i, j in _covers(S, CellularSheaf) if dims[i] and dims[j]}
-        sheaf = CellularSheaf(S, self.field, dims, rest, include_empty=include_empty,
-                              name=name)
-        check_sheaf_functoriality(sheaf)
-        return sheaf
-
-    def structure_sheaves(self) -> tuple:
-        """The structure sheaf of a pure poset, without and with the
-        empty-face stalk.
-
-        Both share the restriction matrices of the nonempty faces, which
-        are computed once.  Only `full` is checked for functoriality: every
-        interval and matrix of `plain` is also one of `full`.
-        """
-        S = self.poset
-        full = self.sheaf(S.n - 1, "structure", include_empty=True)
-        rest = {(i, j): m for (i, j), m in full.rest.items() if i != 0}
-        plain = CellularSheaf(S, self.field, [0] + full.stalk_dims[1:], rest,
-                              name="structure")
-        return plain, full
+        return CellularSheaf(S, self.field, dims, rest, include_empty=True, name="structure")
 
 
 class ConstancyResult(NamedTuple):

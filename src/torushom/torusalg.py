@@ -264,7 +264,7 @@ class TorusSheafKit:
     def _projection_ranks(self, q: int, quotient, sheaf) -> dict:
         """r_k: the classes z (x) e_A projected face by face, read in `quotient`."""
         S, F, stalks = self.S, self.field, sheaf.stalk_dims
-        sdims, proj = self.structure_sheaf().stalk_dims, self.projections(sheaf)
+        sdims, proj = S.job(F).structure_sheaf().stalk_dims, self.projections(sheaf)
 
         def rows(k, reps):
             _, soff, _ = _blocks(S, sdims, k, True)
@@ -298,16 +298,13 @@ class TorusSheafKit:
 
     # -- the degree passes -------------------------------------------------
 
-    def structure_sheaf(self, include_empty: bool = True) -> CellularSheaf:
-        return self.S.job(self.field).structure_sheaf(include_empty)
-
     def _degree(self, q: int) -> dict:
         """The tables of degree q, from one pass over its two (co)sheaves
         and complexes, none of which is kept."""
         if q not in self._dims:
             S, job, copies = self.S, self.S.job(self.field), binom(self.n, q)
             sheaf = self._quotient_sheaf(q)
-            quotient = sheaf_cohomology(tensor(self.structure_sheaf(), sheaf), truncated=False)
+            quotient = sheaf_cohomology(tensor(job.structure_sheaf(), sheaf), truncated=False)
             r, c = self._projection_ranks(q, quotient, sheaf), quotient.dims
             ranks = {k: r.get(k, 0) for k in range(S.n)}
             ranks[0] += quotient.complex.dim(-1) - c.get(-1, 0)

@@ -2,12 +2,13 @@
 
 Each function here recomputes something the library computes another way,
 or reads a library object in a form no report needs: links as posets of
-their own, the upper-set sheaves, sheaves restricted to links, sheaf maps
-composed along a chain, induced maps in homology, the order-complex
-homology, integer determinants by Bareiss elimination, minors gcds for the
-Smith form, the determinant coefficients of the face ring from those
-determinants (the library reads them off the sheaf kit's top forms), and
-sheaf dumps for golden digests.
+their own, the upper-set and local homology sheaves, the structure sheaf
+without its empty-face stalk, sheaves restricted to links, sheaf maps
+composed along a chain, the per-diamond functoriality check, induced maps
+in homology, the order-complex homology, integer determinants by Bareiss
+elimination, minors gcds for the Smith form, the determinant coefficients
+of the face ring from those determinants (the library reads them off the
+sheaf kit's top forms), and sheaf dumps for golden digests.
 """
 from __future__ import annotations
 
@@ -15,11 +16,11 @@ from itertools import combinations
 from math import gcd
 
 from torushom.complexes import GradedComplex, HomologyProfile, homology, reduced_betti
-from torushom.exactlin import IncrementalSpan, InvariantViolation, Matrix
+from torushom.exactlin import IncrementalSpan, InvariantViolation, Matrix, product_nonzeros
 from torushom.facevec import binom, poly_add, poly_mul, poly_pow, poly_scale
 from torushom.poset import PosetError, SimplicialPoset
-from torushom.sheaves import (CellularCosheaf, CellularSheaf, _covers, _require_sheaf,
-                              sheaf_cohomology, tensor, truncated_dims)
+from torushom.sheaves import (CellularCosheaf, CellularSheaf, LocalHomologyData, _covers,
+                              _require_sheaf, sheaf_cohomology, tensor, truncated_dims)
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +150,30 @@ def upper_set_sheaf(S: SimplicialPoset, field, element: int, dim: int = 1) -> Ce
                          include_empty=element == 0, name=f"ups({element},{dim})")
 
 
+def local_homology_sheaf(data: LocalHomologyData, degree: int, name: str,
+                        include_empty: bool = False) -> CellularSheaf:
+    """The local homology sheaf in `degree`, read off the star profiles;
+    with include_empty the empty face carries H_degree of the reduced
+    complex of S.  The library builds the top degree alone, as the
+    structure sheaf."""
+    S = data.poset
+    dims = [data.dims(j).get(degree, 0) for j in range(S.size)]
+    if not include_empty:
+        dims[0] = 0
+    rest = {(i, j): data.restriction(i, j, degree)
+            for i, j in _covers(S, CellularSheaf) if dims[i] and dims[j]}
+    return CellularSheaf(S, data.field, dims, rest, include_empty=include_empty, name=name)
+
+
+def without_empty_stalk(sheaf: CellularSheaf) -> CellularSheaf:
+    """The sheaf with the stalk at the empty face and the maps out of it
+    dropped: the structure sheaf as the job built it apart from the one
+    with its empty-face stalk, which `STRUCTURE_GOLDEN` still pins."""
+    rest = {(i, j): m for (i, j), m in sheaf.rest.items() if i != 0}
+    return CellularSheaf(sheaf.poset, sheaf.field, [0] + sheaf.stalk_dims[1:], rest,
+                         name=sheaf.name)
+
+
 def restrict_to_link(sheaf: CellularSheaf, i: int) -> CellularSheaf:
     """Restriction of a sheaf to lk(i), with i playing the empty face.
 
@@ -270,6 +295,38 @@ def sheaf_restriction(sheaf: CellularSheaf, i: int, j: int) -> Matrix:
     for a, b in zip(chain[1:], chain[2:]):
         mat = sheaf._cover_matrix(a, b).mul(mat)
     return mat
+
+
+def check_sheaf_functoriality(sheaf: CellularSheaf):
+    """Two-path equality through every length-two interval; raises on failure.
+
+    Compares the nonzero entries of the two composites; each cover map's
+    shape is checked against the stalks and its nonzero entries are read
+    once per check.  Serves cosheaves too, composing the maps downward.
+    The library certifies a (co)sheaf by the d∘d check of its complex
+    instead; this is the reference that check is compared against.
+    """
+    S = sheaf.poset
+    p = sheaf.field.char
+    kind = "sheaf" if sheaf._step > 0 else "cosheaf"
+    nonzeros = {}
+
+    def cover(src, dst):
+        if (src, dst) not in nonzeros:
+            m = sheaf._cover_matrix(src, dst)
+            if (m.nrows, m.ncols) != (sheaf.stalk_dims[dst], sheaf.stalk_dims[src]):
+                raise InvariantViolation(f"{kind} map {src} -> {dst} does not fit its stalks")
+            nonzeros[(src, dst)] = m.nonzeros()
+        return nonzeros[(src, dst)]
+
+    for i, (m1, m2), j in S.diamonds:
+        if i == 0 and not sheaf.include_empty:
+            continue
+        src, dst = (i, j) if sheaf._step > 0 else (j, i)
+        a = product_nonzeros(cover(m1, dst), cover(src, m1), p)
+        b = product_nonzeros(cover(m2, dst), cover(src, m2), p)
+        if a != b:
+            raise InvariantViolation(f"{kind} functoriality fails on {i} < {m1},{m2} < {j}")
 
 
 def sheaf_dump(sheaf: CellularSheaf) -> dict:
@@ -439,11 +496,11 @@ def lambda_mod_pi_cosheaf(kit, q: int) -> CellularCosheaf:
 
 
 def structure_tensor_ideal(kit, q: int) -> CellularSheaf:
-    return tensor(kit.structure_sheaf(), ideal_sheaf(kit, q))
+    return tensor(kit.S.job(kit.field).structure_sheaf(), ideal_sheaf(kit, q))
 
 
 def structure_tensor_quotient(kit, q: int) -> CellularSheaf:
-    return tensor(kit.structure_sheaf(), quotient_sheaf(kit, q))
+    return tensor(kit.S.job(kit.field).structure_sheaf(), quotient_sheaf(kit, q))
 
 
 def span_tables(kit, q: int) -> dict:

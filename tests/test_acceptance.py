@@ -21,8 +21,8 @@ from torushom.specseq import (cone_profile, pages, bigraded_betti, theorem_check
                               e2_border_sheaf_crosscheck)
 from torushom.facering import relation_system, graded_quotient_rank, kernel_generators
 
-from oracles import (f_from_h, ideal_sheaf, lambda_mod_pi_cosheaf, order_complex_homology,
-                     pi_cosheaf, quotient_sheaf)
+from oracles import (check_sheaf_functoriality, f_from_h, ideal_sheaf, lambda_mod_pi_cosheaf,
+                     order_complex_homology, pi_cosheaf, quotient_sheaf)
 from test_facering import flip_orientation, flipped_signs
 
 
@@ -173,16 +173,16 @@ def test_criterion_7_kernel_generators():
 
 def test_criterion_8a_differentials_and_functoriality():
     # build every object with internal assertions live; any failure raises.
-    # The kit's (co)sheaves are certified by the d∘d check of the complexes
-    # the kit builds; the diamond check runs on them here as an oracle
-    from torushom.sheaves import check_sheaf_functoriality, sheaf_cohomology
+    # The structure sheaf and the kit's (co)sheaves are certified by the d∘d
+    # check of the complexes the job and the kit build; the diamond check
+    # runs on them here as an oracle
     ok = True
     for name in SUITE:
         S = preset(name)
         cellular_chain_complex(S, QQ).check_square_zero()
-        sheaf = S.job(QQ).structure_sheaf(include_empty=True)
-        check_sheaf_functoriality(sheaf)
-        sheaf_cohomology(sheaf, truncated=False).complex.check_square_zero()
+        job = S.job(QQ)
+        check_sheaf_functoriality(job.structure_sheaf())
+        job.structure_profile.complex.check_square_zero()
         kit = TorusSheafKit(S, preset_charmap(name), QQ)
         for q in range(kit.n + 1):
             for build in (ideal_sheaf, quotient_sheaf, pi_cosheaf, lambda_mod_pi_cosheaf):

@@ -118,14 +118,19 @@ def test_kernel_generators_digon():
 def test_top_cocycles_are_the_unit_cochains():
     # the second-kind rows of degree 0 take the kernel of the orientation
     # row as their cocycles, which holds because no differential leaves the
-    # top degree of the truncated complex
+    # top degree of the truncated complex: the representatives and the
+    # coboundaries span every cochain, and each unit cochain has class
+    # coordinates
     for name in CHARMAPS:
         S = preset(name)
         for F in (QQ, PrimeField(3), PrimeField(5)):
             R = relation_system(S, preset_charmap(name), F)
-            top = R.trivialized.complex.dim(S.n - 1)
-            assert R.trivialized.cycles(S.n - 1) == \
-                [[F.one if i == k else F.zero for i in range(top)] for k in range(top)]
+            cohomology, k = R.trivialized, S.n - 1
+            top = cohomology.complex.dim(k)
+            assert cohomology.complex.d(k) is None
+            assert len(cohomology.representatives(k)) + len(cohomology.boundaries(k)) == top
+            for i in range(top):
+                cohomology.coords(k, [F.one if j == i else F.zero for j in range(top)])
 
 
 def test_rank_invariance_under_sgn_flips():

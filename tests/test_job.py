@@ -23,11 +23,11 @@ from torushom.complexes import (GradedComplex, HomologyProfile, betti,
                                 cellular_chain_complex, classify, reduced_betti)
 from torushom.facevec import face_vectors, ft_consistency_check
 from torushom.poset import preset, validate
-from torushom.sheaves import LocalHomologyData, sheaf_cohomology
+from torushom.sheaves import CellularSheaf, LocalHomologyData, sheaf_cohomology
 from torushom.torusalg import CharacteristicMap
 
-from oracles import (ideal_sheaf, lambda_mod_pi_cosheaf, pi_cosheaf, quotient_sheaf, sheaf_dump,
-                     structure_tensor_ideal, structure_tensor_quotient)
+from oracles import (ideal_sheaf, lambda_mod_pi_cosheaf, local_homology_sheaf, pi_cosheaf,
+                     quotient_sheaf, sheaf_dump, structure_tensor_ideal, structure_tensor_quotient)
 
 # sha256 of the `all` report, recorded before the job cache existed
 GOLDEN = {
@@ -76,7 +76,7 @@ class _Counts:
 
     def __init__(self, mp):
         self.local_data = Counter()       # field name
-        self.structure_builds = Counter()  # field name
+        self.structure_builds = Counter()  # field name -> sheaves named "structure" made
         self.work = Counter()             # (what, poset, field name)
         self.cohomology = Counter()       # (sheaf name, truncated)
         self.sheaf_calls = self.cosheaf_calls = 0
@@ -90,13 +90,14 @@ class _Counts:
             init(data, S, field)
 
         mp.setattr(LocalHomologyData, "__init__", counting_init)
-        structure_sheaves = LocalHomologyData.structure_sheaves
+        sheaf_init = CellularSheaf.__init__
 
-        def counting_structure_sheaves(data):
-            self.structure_builds[data.field.name] += 1
-            return structure_sheaves(data)
+        def counting_sheaf_init(sheaf, S, field, *args, **kwargs):
+            sheaf_init(sheaf, S, field, *args, **kwargs)
+            if sheaf.name == "structure":
+                self.structure_builds[field.name] += 1
 
-        mp.setattr(LocalHomologyData, "structure_sheaves", counting_structure_sheaves)
+        mp.setattr(CellularSheaf, "__init__", counting_sheaf_init)
         for name in ("classify_of", "face_vectors_of", "cone_profile_of"):
             self._count_work(mp, name)
 
@@ -188,8 +189,8 @@ def test_all_job_computes_each_invariant_once(all_job):
     main_field = "Q" if field == "Q" else "F" + field.split(":")[1]
     extra = ["F2", "F3", "F5"] if field == "Q" else []
     assert counts.local_data == Counter({f: 1 for f in [main_field] + extra})
-    # only the active field builds structure sheaves; the classification
-    # fields read link dimensions alone
+    # only the active field builds a structure sheaf, one, with its
+    # empty-face stalk; the classification fields read link dimensions alone
     assert counts.structure_builds == Counter({main_field: 1})
     assert counts.work and set(counts.work.values()) == {1}
     classified = sorted(f for (what, _, f) in counts.work if what == "classify_of")
@@ -244,15 +245,16 @@ def test_classify_builds_no_structure_sheaf():
         assert calls["builds"] == Counter({"F3": 1})
         assert calls["restrictions"] == Counter()
         job = S.job(F3)
-        assert job.structure_sheaf(include_empty=True).stalk_dims[0] == 1
+        assert job.structure_sheaf().stalk_dims[0] == 1
         assert calls["builds"] == Counter({"F3": 1})
         assert calls["restrictions"]["F3"] > 0
-    assert "local_homology" not in vars(job)     # released with the sheaves
+    assert "local_homology" not in vars(job)     # released with the sheaf
 
 
 def test_classification_keeps_dimensions_only_and_ranks_no_star_twice(monkeypatch):
     # a classification-only job keeps dimensions alone; a structure sheaf
-    # asked for afterwards maps the stars into the field again, unranked
+    # asked for afterwards maps the stars into the field again, unranked,
+    # and ranks only its own complex, which certifies it
     S = preset("torus_7")
     F3 = PrimeField(3)
     ranked = _ranked_complexes(monkeypatch)
@@ -260,8 +262,9 @@ def test_classification_keeps_dimensions_only_and_ranks_no_star_twice(monkeypatc
     local = S.job(F3).local_homology
     assert local._profiles == {} and sorted(local._dims) == list(range(S.size))
     assert len(ranked) == S.size
-    S.job(F3).structure_sheaf(include_empty=True)
-    assert len(ranked) == S.size
+    S.job(F3).structure_sheaf()
+    assert len(ranked) == S.size + 1
+    assert ranked[-1] is S.job(F3).structure_profile.complex
 
 
 def test_structure_sheaf_first_then_link_dims_builds_once():
@@ -280,8 +283,8 @@ def test_standard_local_homology_sheaf_reads_the_job():
     S.job(QQ).link_dims
     with _local_homology_calls() as calls:
         for d in range(S.n):
-            sheaf = S.job(QQ).local_homology.sheaf(d, f"loc({d})")
-            assert sheaf_dump(sheaf) == sheaf_dump(direct.sheaf(d, f"loc({d})"))
+            sheaf = local_homology_sheaf(S.job(QQ).local_homology, d, f"loc({d})")
+            assert sheaf_dump(sheaf) == sheaf_dump(local_homology_sheaf(direct, d, f"loc({d})"))
         assert calls["builds"] == Counter()
 
 
@@ -333,7 +336,7 @@ def test_integer_stars_are_left_unchanged_by_every_field(name, monkeypatch):
     S = preset(name)
     ranked = _ranked_complexes(monkeypatch)
     for field in FIELDS:
-        S.job(field).structure_sheaf(include_empty=True)
+        S.job(field).structure_sheaf()
         classify(S, field)
     fresh = preset(name)
     for j in range(fresh.size):
@@ -501,7 +504,7 @@ def test_rational_job_holds_only_ints_and_fractions(name):
         for k in result.complex.degrees():
             vectors.extend(result.representatives(k))
 
-    sheaves = [job.structure_sheaf(False), job.structure_sheaf(True)]
+    sheaves = [job.structure_sheaf()]
     cosheaves = []
     for q in range(kit.n + 1):
         sheaves += [ideal_sheaf(kit, q), quotient_sheaf(kit, q),

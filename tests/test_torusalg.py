@@ -368,7 +368,7 @@ def test_les_duality_all_fixtures():
 
 def _lambda_sheaf(S, F, dim):
     """structure (x) Λ^q, dim = C(n, q), as a tensor complex of its own."""
-    return tensor(S.job(F).structure_sheaf(include_empty=True),
+    return tensor(S.job(F).structure_sheaf(),
                   CellularSheaf.constant(S, F, dim))
 
 
@@ -551,7 +551,7 @@ def test_kit_matrices_store_no_zero_entry(name, F):
     for q in range(kit.n + 1):
         sheaves = [ideal_sheaf(kit, q), quotient_sheaf(kit, q), pi_cosheaf(kit, q),
                    lambda_mod_pi_cosheaf(kit, q)]
-        tensors = [tensor(kit.structure_sheaf(), sheaf) for sheaf in sheaves[:2]]
+        tensors = [tensor(S.job(F).structure_sheaf(), sheaf) for sheaf in sheaves[:2]]
         complexes = [sheaf_cohomology(t, truncated).complex
                      for t in tensors for truncated in (True, False)]
         complexes += [sheaf_cohomology(c).complex for c in sheaves[2:]]
@@ -629,7 +629,7 @@ def test_projection_is_a_cochain_map(name, F):
     if not validate_charmap(S, cm, F).ok_field:
         return
     kit = TorusSheafKit(S, cm, F)
-    structure = kit.structure_sheaf()
+    structure = S.job(F).structure_sheaf()
     for q in range(kit.n + 1):
         quotient = kit._quotient_sheaf(q)
         projections = kit.projections(quotient)
