@@ -150,19 +150,15 @@ def upper_set_sheaf(S: SimplicialPoset, field, element: int, dim: int = 1) -> Ce
                          include_empty=element == 0, name=f"ups({element},{dim})")
 
 
-def local_homology_sheaf(data: LocalHomologyData, degree: int, name: str,
-                        include_empty: bool = False) -> CellularSheaf:
-    """The local homology sheaf in `degree`, read off the star profiles;
-    with include_empty the empty face carries H_degree of the reduced
-    complex of S.  The library builds the top degree alone, as the
-    structure sheaf."""
+def local_homology_sheaf(data: LocalHomologyData, degree: int, name: str) -> CellularSheaf:
+    """The local homology sheaf in `degree` on the nonempty faces, read off
+    the star profiles.  The library builds the top degree alone, with an
+    empty-face stalk, as the structure sheaf."""
     S = data.poset
-    dims = [data.dims(j).get(degree, 0) for j in range(S.size)]
-    if not include_empty:
-        dims[0] = 0
+    dims = [data.dims(j).get(degree, 0) if j else 0 for j in range(S.size)]
     rest = {(i, j): data.restriction(i, j, degree)
             for i, j in _covers(S, CellularSheaf) if dims[i] and dims[j]}
-    return CellularSheaf(S, data.field, dims, rest, include_empty=include_empty, name=name)
+    return CellularSheaf(S, data.field, dims, rest, name=name)
 
 
 def without_empty_stalk(sheaf: CellularSheaf) -> CellularSheaf:
