@@ -6,11 +6,11 @@ from importlib import import_module
 
 # layer -> the public names it defines or re-exports
 _LAYERS = {
+    "errors": ("InputError", "InvariantViolation"),
     "field": ("QQ", "PrimeField", "Rationals", "field_from_name"),
-    "poset": ("SimplicialPoset", "PosetError", "build_from_facets", "build_from_cover_table",
+    "poset": ("SimplicialPoset", "build_from_facets", "build_from_cover_table",
               "preset", "validate", "incidence_number", "face_counts"),
-    "complexes": ("cellular_chain_complex", "homology", "classify", "reduced_betti", "betti",
-                  "InvariantViolation"),
+    "complexes": ("cellular_chain_complex", "homology", "classify", "reduced_betti", "betti"),
     "sheaves": ("CellularSheaf", "CellularCosheaf", "tensor", "sheaf_cohomology",
                 "constancy_check"),
     "formats": ("CharacteristicMap", "ManifoldProfile"),

@@ -3,13 +3,16 @@
 One process runs one job: parse the poset and optional characteristic map
 and profile, run the selected checks, and emit one deterministic JSON or
 markdown report.  Exit status 0 means every selected check passed, 1 means
-some mathematical check failed, 2 means the input was unusable, and 3
-means an internal failure: an invariant of the computation was violated
-(`InvariantViolation`) or an unexpected exception was raised.  Failures
-print one line on stderr, `error: ...` or `internal error: ...`.
+some mathematical check failed, 2 means the input was unusable (an
+`InputError`, raised by whichever layer found it), and 3 means an internal
+failure: an invariant of the computation was violated
+(`InvariantViolation`) or any other exception was raised.  `main` alone
+maps the exceptions to these statuses.  Failures print one line on stderr,
+`error: ...` or `internal error: ...`.
 
 Each layer is imported where it is used, not at the top: a process
-compiles every module it imports, so a command loads only what it reaches.
+compiles every module it imports, so a command loads only what it reaches,
+and a usage error compiles none.
 """
 from __future__ import annotations
 
@@ -18,9 +21,7 @@ import json
 import sys
 from pathlib import Path
 
-from .exactlin import InvariantViolation
-from .formats import FormatError
-from .poset import PosetError
+from .errors import InputError, InvariantViolation
 
 COMMANDS = ("validate", "vectors", "charmap", "sheaf", "verify", "specseq",
             "facering", "all")
@@ -29,10 +30,6 @@ COMMAND_CHECKS = {"sheaf": ("constant", "structure"),
                   "verify": ("keylemma", "duality", "les_duality"),
                   "specseq": ("theorems", "crosscheck")}
 CHECKS = tuple(c for checks in COMMAND_CHECKS.values() for c in checks)
-
-
-class InputProblem(Exception):
-    pass
 
 
 def build_parser():
@@ -66,21 +63,14 @@ def load_poset(args):
         return parse_cover_table(_read(args.poset), name=Path(args.poset).stem)
     if args.facets:
         return parse_facet_list(_read(args.facets), name=Path(args.facets).stem)
-    raise InputProblem("one of --preset, --poset, --facets is required")
+    raise InputError("one of --preset, --poset, --facets is required")
 
 
 def _read(path):
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as e:
-        raise InputProblem(str(e)) from None
-
-
-def load_charmap(args):
-    if not args.charmap:
-        raise InputProblem("this command needs --charmap")
-    from .formats import parse_charmap
-    return parse_charmap(_read(args.charmap))
+        raise InputError(str(e)) from None
 
 
 def load_profile(args, S, field):
@@ -98,12 +88,12 @@ def selected_checks(args) -> set:
     names = {c.strip() for c in args.checks.split(",") if c.strip()}
     unknown = sorted(names - set(CHECKS))
     if unknown:
-        raise InputProblem(f"unknown --checks {', '.join(unknown)}; "
-                           f"known: {', '.join(CHECKS)}")
+        raise InputError(f"unknown --checks {', '.join(unknown)}; "
+                         f"known: {', '.join(CHECKS)}")
     own = CHECKS if args.command == "all" else COMMAND_CHECKS.get(args.command, ())
     if own and not names & set(own):
-        raise InputProblem(f"--checks {args.checks.strip()} selects no check of "
-                           f"{args.command}; its checks: {', '.join(own)}")
+        raise InputError(f"--checks {args.checks.strip()} selects no check of "
+                         f"{args.command}; its checks: {', '.join(own)}")
     return names
 
 
@@ -119,7 +109,7 @@ def _crosscheck_blocker(S, cmap, P):
 
 
 def run(args) -> tuple[dict, int]:
-    from .field import PrimeField, field_from_name
+    from .field import field_from_name, prime_fields
     checks = selected_checks(args)
     field = field_from_name(args.field)
     S = load_poset(args)
@@ -149,7 +139,7 @@ def run(args) -> tuple[dict, int]:
     want_specseq = args.command in ("specseq", "all")
     want_facering = args.command in ("facering", "all")
     if args.command in ("charmap", "verify", "facering") and not args.charmap:
-        raise InputProblem(f"{args.command} needs --charmap")
+        raise InputError(f"{args.command} needs --charmap")
     if is_all and not args.charmap:
         # run whatever is possible without a characteristic map
         want_charmap = want_verify = want_facering = False
@@ -162,8 +152,8 @@ def run(args) -> tuple[dict, int]:
         if diag.ok and diag.pure:
             cls = {field.name: classify(S, field).as_dict()}
             if field.name == "Q":
-                for p in _parse_primes(args.primes):
-                    cls[f"F{p}"] = classify(S, PrimeField(p)).as_dict()
+                for F in prime_fields(args.primes):
+                    cls[F.name] = classify(S, F).as_dict()
             payload["classification"] = cls
             if cls[field.name]["buchsbaum"]:
                 cons = job.constancy
@@ -173,9 +163,7 @@ def run(args) -> tuple[dict, int]:
         record("validate", payload, diag.ok)
 
     if want_vectors:
-        if not S.is_pure():
-            raise InputProblem("face vectors need a pure poset")
-        fv = face_vectors(S, field)
+        fv = face_vectors(S, field)       # refuses a poset that is not pure
         ft = ft_consistency_check(S, field)
         payload = {"vectors": fv.as_dict(), "generating_identity": ft.as_dict()}
         ok = ft.passed
@@ -188,7 +176,8 @@ def run(args) -> tuple[dict, int]:
 
     cmap = None
     if args.charmap:
-        cmap = load_charmap(args)
+        from .formats import parse_charmap
+        cmap = parse_charmap(_read(args.charmap))
     if want_charmap:
         rep = job.charmap_report(cmap)
         record("charmap", rep.as_dict(), rep.ok_field)
@@ -223,7 +212,7 @@ def run(args) -> tuple[dict, int]:
         blocker = _crosscheck_blocker(S, cmap, P)
         only_crosscheck = checks & set(COMMAND_CHECKS["specseq"]) == {"crosscheck"}
         if blocker and only_crosscheck and not is_all:
-            raise InputProblem(f"--checks crosscheck cannot run: {blocker}")
+            raise InputError(f"--checks crosscheck cannot run: {blocker}")
         e1p, e2, einf = job.pages(P)
         table = bigraded_betti(S, P, field)
         payload = {"profile": P.as_dict(), "pages": [e1p.as_dict(), e2.as_dict(),
@@ -241,8 +230,6 @@ def run(args) -> tuple[dict, int]:
         record("specseq", payload, ok)
 
     if want_facering:
-        if cmap is None:
-            raise InputProblem("facering needs --charmap")
         from .facering import relation_system, graded_quotient_rank, kernel_generators
         P = load_profile(args, S, field)
         R = relation_system(S, cmap, field, profile=P)
@@ -264,15 +251,6 @@ def run(args) -> tuple[dict, int]:
 
     report["ok"] = not failed
     return report, (0 if not failed else 1)
-
-
-def _parse_primes(text):
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if tok:
-            out.append(int(tok))
-    return out
 
 
 def render_markdown(report: dict) -> str:
@@ -304,8 +282,8 @@ def main(argv=None) -> int:
     except InvariantViolation as e:
         print(f"error: invariant violated: {_one_line(e)}", file=sys.stderr)
         return 3
-    except (InputProblem, FormatError, PosetError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except InputError as e:
+        print(f"error: {_one_line(e)}", file=sys.stderr)
         return 2
     except Exception as e:
         print(f"internal error: {type(e).__name__}: {_one_line(e)}", file=sys.stderr)

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .exactlin import InvariantViolation, Matrix, IncrementalSpan, product_nonzeros
+from .errors import InputError, InvariantViolation
+from .exactlin import Matrix, IncrementalSpan, product_nonzeros
 from .field import QQ
-from .poset import SimplicialPoset, PosetError, incidence_number
+from .poset import SimplicialPoset, incidence_number
 
 
 class GradedComplex:
@@ -146,7 +147,7 @@ def cellular_chain_complex(S: SimplicialPoset, field, star: int = 0) -> GradedCo
     and shares its read-only `dims` and `labels`.
     """
     if not 0 <= star < S.size:
-        raise PosetError(f"no element {star} in a poset of {S.size} elements")
+        raise InputError(f"no element {star} in a poset of {S.size} elements")
     cx = S._stars.get(star)
     if cx is None:
         labels = {d: [] for d in range(-1, S.n)}

@@ -23,11 +23,7 @@ pivot normalisation as `Matrix`; only its inputs and outputs are dense.
 """
 from __future__ import annotations
 
-
-class InvariantViolation(ValueError):
-    """An internal invariant failed (d∘d != 0, a non-functorial sheaf,
-    factors whose shapes do not fit): a fault of the computation, not of
-    its input."""
+from .errors import InvariantViolation
 
 
 def _nonzeros(row, p):
@@ -257,12 +253,6 @@ class IncrementalSpan:
     @property
     def dim(self):
         return len(self._rows)
-
-    @property
-    def vectors(self):
-        """The echelonized vectors, in the order they were stored."""
-        z, amb = self.field.zero, self.ambient_dim
-        return [[row.get(j, z) for j in range(amb)] for row in self._rows]
 
     def _reduce(self, v):
         """Reduce the sparse row v in place by the stored rows; returns v."""

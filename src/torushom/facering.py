@@ -17,7 +17,8 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .exactlin import Matrix, IncrementalSpan
-from .poset import SimplicialPoset, PosetError, incidence_number
+from .errors import InputError
+from .poset import SimplicialPoset, incidence_number
 from .sheaves import CellularSheaf, sheaf_cohomology
 from .specseq import ManifoldProfile, validate_profile
 from .torusalg import CharacteristicMap, TorusSheafKit
@@ -53,7 +54,7 @@ class RelationSystem:
 
     def type2_rows(self, q):
         if self.type2 is None:
-            raise PosetError("second-kind relations unavailable: " + self.type2_reason)
+            raise InputError("second-kind relations unavailable: " + self.type2_reason)
         return [row for (_, _, row) in self.type2.get(q, [])]
 
     def row_from_cocycle(self, q, z, A, elems):
@@ -65,18 +66,6 @@ class RelationSystem:
             if z[k]:
                 row[gi[("f", e)]] = field(z[k] * self.kit.coefficient(e, A))
         return row
-
-    def as_dict(self):
-        def rows_out(rows):
-            return [[str(v) for v in r] for r in rows]
-        out = {"n": self.n,
-               "generators": {str(q): [list(map(str, g)) for g in gs]
-                              for q, gs in sorted(self.generators.items())},
-               "type1": {str(q): rows_out(rs) for q, rs in sorted(self.type1.items())}}
-        if self.type2 is not None:
-            out["type2"] = {str(q): rows_out([r for (_, _, r) in rs])
-                            for q, rs in sorted(self.type2.items())}
-        return out
 
 
 def relation_system(S: SimplicialPoset, cmap: CharacteristicMap, field,
@@ -95,16 +84,16 @@ def relation_system(S: SimplicialPoset, cmap: CharacteristicMap, field,
         profile = job.cone_profile
     diag = validate_profile(S, profile, field)
     if not diag.ok:
-        raise PosetError("invalid profile: " + "; ".join(diag.messages))
+        raise InputError("invalid profile: " + "; ".join(diag.messages))
     if cmap.n != n:
-        raise PosetError("face ring needs torus rank equal to the poset rank")
+        raise InputError("face ring needs torus rank equal to the poset rank")
     if not job.classify.buchsbaum:
-        raise PosetError("poset is not Buchsbaum over the active field")
+        raise InputError("poset is not Buchsbaum over the active field")
     kit = job.kit(cmap)             # refuses a map that is invalid over the field
     structure = job.structure_sheaf()
     cons = job.constancy
     if not cons.is_constant:
-        raise PosetError("structure sheaf is not constant: " + (cons.witness or ""))
+        raise InputError("structure sheaf is not constant: " + (cons.witness or ""))
     orientation = dict(cons.orientation)
 
     subsets = {q: [tuple(c) for c in combinations(range(1, n + 1), q)]
@@ -168,7 +157,7 @@ def relation_system(S: SimplicialPoset, cmap: CharacteristicMap, field,
             reps = cohomology.representatives(degree)
         expected = profile.rank_delta[q]
         if len(reps) != expected:
-            raise PosetError(f"degree {q}: found {len(reps)} connecting classes, "
+            raise InputError(f"degree {q}: found {len(reps)} connecting classes, "
                              f"profile says {expected}")
         if not reps:
             continue
@@ -191,7 +180,7 @@ def graded_quotient_rank(R: RelationSystem, include_type2: bool) -> dict:
         rows = list(R.type1_rows(q))
         if include_type2:
             if R.type2 is None:
-                raise PosetError("second-kind relations unavailable: " + R.type2_reason)
+                raise InputError("second-kind relations unavailable: " + R.type2_reason)
             rows += R.type2_rows(q)
         count = R.generator_count(q)
         rank = Matrix(R.field, rows, count).rank() if rows else 0
@@ -225,7 +214,7 @@ def kernel_generators(R: RelationSystem) -> KernelGenerators:
     unchanged, and that the whole family is linearly independent.
     """
     if R.type2 is None:
-        raise PosetError("second-kind relations unavailable: " + R.type2_reason)
+        raise InputError("second-kind relations unavailable: " + R.type2_reason)
     field = R.field
     cohomology = R.trivialized
     per_degree = {}

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .poset import SimplicialPoset, PosetError, face_counts
+from .errors import InputError
+from .poset import SimplicialPoset, face_counts
 
 
 def binom(n: int, k: int) -> int:
@@ -110,7 +111,7 @@ def face_vectors_of(job) -> FaceVectors:
     """The uncached work of `face_vectors`."""
     S = job.S
     if not S.is_pure():
-        raise PosetError("face vectors need a pure poset")
+        raise InputError("face vectors need a pure poset")
     n = S.n
     f = face_counts(S)
     h = h_from_f(f, n)

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import InputError
+
 
 class Rationals:
     """The field Q.  An element is an int when integral, else a Fraction."""
@@ -95,9 +97,9 @@ class PrimeField:
 
     def __init__(self, p: int):
         if p >= PRIME_LIMIT:
-            raise ValueError(f"{p} is too large: prime fields need p < 2^64")
+            raise InputError(f"{p} is too large: prime fields need p < 2^64")
         if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
+            raise InputError(f"{p} is not prime")
         self.p = p
         self.char = p
         self.name = f"F{p}"
@@ -141,7 +143,19 @@ def field_from_name(name: str):
     if s == "Q":
         return QQ
     if s.startswith("Fp:"):
-        return PrimeField(int(s[3:]))
+        return PrimeField(_integer(s[3:], "--field"))
     if s.startswith("F") and s[1:].isdigit():
-        return PrimeField(int(s[1:]))
-    raise ValueError(f"unknown field {name!r}; expected Q or Fp:<p>")
+        return PrimeField(_integer(s[1:], "--field"))
+    raise InputError(f"unknown --field {name!r}; expected Q or Fp:<p>")
+
+
+def prime_fields(text: str) -> list:
+    """The prime fields of a comma-separated list of primes, e.g. "2,3,5"."""
+    return [PrimeField(_integer(tok, "--primes")) for tok in text.split(",") if tok.strip()]
+
+
+def _integer(text: str, option: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"{option}: {text.strip()!r} is not an integer") from None

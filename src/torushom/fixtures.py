@@ -8,7 +8,7 @@ over Z either.
 """
 from __future__ import annotations
 
-from .poset import PosetError
+from .errors import InputError
 from .formats import CharacteristicMap, ManifoldProfile
 
 CHARMAPS = {
@@ -28,7 +28,7 @@ def preset_charmap(name: str) -> CharacteristicMap:
     try:
         rows = CHARMAPS[name]
     except KeyError:
-        raise PosetError(f"no canonical characteristic map for preset {name!r}") from None
+        raise InputError(f"no canonical characteristic map for preset {name!r}") from None
     n = len(next(iter(rows.values())))
     return CharacteristicMap(n, dict(rows))
 

@@ -36,11 +36,8 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .poset import SimplicialPoset, build_from_cover_table, build_from_facets, PosetError
-
-
-class FormatError(ValueError):
-    pass
+from .errors import InputError
+from .poset import SimplicialPoset, build_from_cover_table, build_from_facets
 
 
 class CharacteristicMap(NamedTuple):
@@ -53,7 +50,7 @@ class CharacteristicMap(NamedTuple):
         try:
             return self.rows[label]
         except KeyError:
-            raise PosetError(f"characteristic map has no row for vertex {label}") from None
+            raise InputError(f"characteristic map has no row for vertex {label}") from None
 
     def field_rows(self, field):
         return {lab: [field(v) for v in row] for lab, row in self.rows.items()}
@@ -80,7 +77,7 @@ class ManifoldProfile(NamedTuple):
     def from_dict(cls, d):
         source = str(d.get("source", "user"))
         if source not in ("cone", "user"):
-            raise ValueError(f"profile source must be 'cone' or 'user', not {source!r}")
+            raise InputError(f"profile source must be 'cone' or 'user', not {source!r}")
         return cls(int(d["n"]), tuple(int(x) for x in d["bQ"]),
                    tuple(int(x) for x in d["bQrel"]),
                    tuple(int(x) for x in d["rank_delta"]), source)
@@ -96,21 +93,18 @@ def parse_cover_table(text: str, name="") -> SimplicialPoset:
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or lines[0] != "simplicial-poset v1":
-        raise FormatError("cover table must start with 'simplicial-poset v1'")
+        raise InputError("cover table must start with 'simplicial-poset v1'")
     entries = []
     for k, ln in enumerate(lines[1:], start=2):
         parts = ln.split()
         if len(parts) != 4:
-            raise FormatError(f"line {k}: expected 'id rank vertices covers'")
+            raise InputError(f"line {k}: expected 'id rank vertices covers'")
         try:
             entries.append((int(parts[0]), int(parts[1]),
                             _split_list(parts[2]), _split_list(parts[3])))
         except ValueError as e:
-            raise FormatError(f"line {k}: {e}") from None
-    try:
-        return build_from_cover_table(entries, name=name)
-    except PosetError as e:
-        raise FormatError(str(e)) from None
+            raise InputError(f"line {k}: {e}") from None
+    return build_from_cover_table(entries, name=name)
 
 
 def write_cover_table(S: SimplicialPoset) -> str:
@@ -126,48 +120,45 @@ def parse_facet_list(text: str, name="") -> SimplicialPoset:
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or lines[0] != "facets v1":
-        raise FormatError("facet list must start with 'facets v1'")
+        raise InputError("facet list must start with 'facets v1'")
     facets = []
     for k, ln in enumerate(lines[1:], start=2):
         try:
             facets.append([int(x) for x in ln.split()])
         except ValueError:
-            raise FormatError(f"line {k}: vertices must be integers") from None
-    try:
-        return build_from_facets(facets, name=name)
-    except PosetError as e:
-        raise FormatError(str(e)) from None
+            raise InputError(f"line {k}: vertices must be integers") from None
+    return build_from_facets(facets, name=name)
 
 
 def parse_charmap(text: str) -> CharacteristicMap:
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("charmap v1"):
-        raise FormatError("characteristic map must start with 'charmap v1 n=<n>'")
+        raise InputError("characteristic map must start with 'charmap v1 n=<n>'")
     head = lines[0].split()
     if len(head) != 3 or not head[2].startswith("n="):
-        raise FormatError("characteristic map header needs n=<n>")
+        raise InputError("characteristic map header needs n=<n>")
     try:
         n = int(head[2][2:])
     except ValueError:
-        raise FormatError("bad torus rank in header") from None
+        raise InputError("bad torus rank in header") from None
     rows = {}
     for k, ln in enumerate(lines[1:], start=2):
         if ":" not in ln:
-            raise FormatError(f"line {k}: expected 'vertex: entries'")
+            raise InputError(f"line {k}: expected 'vertex: entries'")
         lab, rest = ln.split(":", 1)
         try:
             label = int(lab)
             entries = tuple(int(x) for x in rest.split())
         except ValueError:
-            raise FormatError(f"line {k}: integers expected") from None
+            raise InputError(f"line {k}: integers expected") from None
         if len(entries) != n:
-            raise FormatError(f"line {k}: expected {n} entries")
+            raise InputError(f"line {k}: expected {n} entries")
         if label in rows:
-            raise FormatError(f"line {k}: duplicate vertex {label}")
+            raise InputError(f"line {k}: duplicate vertex {label}")
         rows[label] = entries
     if not rows:
-        raise FormatError("characteristic map has no rows")
+        raise InputError("characteristic map has no rows")
     return CharacteristicMap(n, rows)
 
 
@@ -182,14 +173,16 @@ def parse_profile(text: str) -> ManifoldProfile:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
-        raise FormatError(f"profile is not valid JSON: {e}") from None
+        raise InputError(f"profile is not valid JSON: {e}") from None
+    if not isinstance(data, dict):
+        raise InputError("profile must be a JSON object")
     for key in ("n", "bQ", "bQrel", "rank_delta"):
         if key not in data:
-            raise FormatError(f"profile misses key {key!r}")
+            raise InputError(f"profile misses key {key!r}")
     try:
         return ManifoldProfile.from_dict(data)
     except (TypeError, ValueError) as e:
-        raise FormatError(f"bad profile: {e}") from None
+        raise InputError(f"bad profile: {e}") from None
 
 
 def write_profile(P: ManifoldProfile) -> str:

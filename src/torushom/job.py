@@ -26,8 +26,8 @@ from __future__ import annotations
 from functools import cached_property
 
 from .complexes import GradedComplex, HomologyProfile, cellular_chain_complex, classify_of
+from .errors import InputError
 from .facevec import face_vectors_of
-from .poset import PosetError
 from .sheaves import LocalHomologyData, constancy_check, sheaf_cohomology, truncated_dims
 from .specseq import cone_profile_of, pages_of
 
@@ -80,12 +80,12 @@ class Job:
         d∘d checks certify the sheaf before any reader gets it.  Releases
         `local_homology`."""
         if not self.S.is_pure():
-            raise PosetError("structure sheaf needs a pure poset")
+            raise InputError("structure sheaf needs a pure poset")
         self.link_dims                  # read before the profiles go
         self.reduced_betti
         sheaf = self.local_homology.structure_sheaf()
         vars(self).pop("local_homology", None)
-        return sheaf, sheaf_cohomology(sheaf, truncated=False)
+        return sheaf, sheaf_cohomology(sheaf)
 
     def structure_sheaf(self):
         """The structure sheaf, with its empty-face stalk."""

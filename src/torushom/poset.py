@@ -16,9 +16,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple
 
-
-class PosetError(ValueError):
-    pass
+from .errors import InputError
 
 
 # Largest poset built from a preset or a facet list.  Both can name far
@@ -34,8 +32,8 @@ class SimplicialPoset:
     poset keys caches in O(1).  Assigning or deleting an attribute raises
     `AttributeError`.  Its jobs (`job`) and its integer star complexes
     (`_stars`) live as long as the poset does, and so do the tables of its
-    rank-2 intervals (`diamonds`) and of its incidence signs
-    (`cover_signs`), each built on first read.
+    rank-2 intervals (`diamonds`), of its incidence signs (`cover_signs`)
+    and of its axiom check (`diagnostics`), each built on first read.
     """
 
     def __init__(self, ranks, vertex_sets, covers, name=""):
@@ -149,6 +147,47 @@ class SimplicialPoset:
                     signs[(j, i)] = -1 if sum(1 for w in vj if w < v) % 2 else 1
         return signs
 
+    @cached_property
+    def diagnostics(self) -> PosetDiagnostics:
+        """The axiom check of `validate`, run on first read: a builder's
+        refusal and a report's `validate` section read one pass."""
+        msgs = []
+        if self.size == 0 or self.ranks[0] != 0 or self.vertex_sets[0] != ():
+            msgs.append("missing empty face at id 0")
+            return PosetDiagnostics(False, False, -2, msgs)
+        if sum(1 for r in self.ranks if r == 0) != 1:
+            msgs.append("more than one rank-0 element")
+        for i in range(self.size):
+            if len(self.vertex_sets[i]) != self.ranks[i]:
+                msgs.append(f"element {i}: |vertex_set| != rank")
+            for c in self.covers[i]:
+                if self.ranks[c] != self.ranks[i] - 1:
+                    msgs.append(f"cover {i} -> {c} not graded")
+                if not set(self.vertex_sets[c]) < set(self.vertex_sets[i]):
+                    msgs.append(f"cover {i} -> {c}: vertex set does not grow")
+            if self.ranks[i] > 0 and not self.covers[i]:
+                msgs.append(f"element {i} of positive rank covers nothing")
+        if msgs:
+            return PosetDiagnostics(False, self.is_pure(), self.dim, msgs)
+        # boolean lower intervals: 2^|I| elements, one per sub-vertex-set
+        for i in range(self.size):
+            want = 1 << self.ranks[i]
+            got = self.below[i]
+            if len(got) != want:
+                msgs.append(f"element {i}: lower interval has {len(got)} elements, "
+                            f"expected {want} (not boolean)")
+                continue
+            seen = {self.vertex_sets[j] for j in got}
+            expected = {tuple(sorted(c)) for k in range(self.ranks[i] + 1)
+                        for c in combinations(self.vertex_sets[i], k)}
+            if seen != expected:
+                msgs.append(f"element {i}: lower interval misses some sub-vertex-sets")
+        # square condition: exactly two intermediates for every I <_2 J
+        for i, mids, j in self.diamonds:
+            if len(mids) != 2:
+                msgs.append(f"pair {i} <2 {j} has {len(mids)} intermediates, expected 2")
+        return PosetDiagnostics(not msgs, self.is_pure(), self.dim, msgs)
+
 
 class PosetDiagnostics(NamedTuple):
     ok: bool
@@ -160,22 +199,22 @@ class PosetDiagnostics(NamedTuple):
 def build_from_facets(facets, name="") -> SimplicialPoset:
     """Poset of all faces of a simplicial complex given by its facet list."""
     if not facets:
-        raise PosetError("empty facet list")
+        raise InputError("empty facet list")
     cleaned = []
     for f in facets:
         vs = tuple(sorted(set(int(v) for v in f)))
         if not vs:
-            raise PosetError("empty facet")
+            raise InputError("empty facet")
         cleaned.append(vs)
     faces = set()
     for f in dict.fromkeys(cleaned):
         if 2 ** len(f) > MAX_ELEMENTS:
-            raise PosetError(f"facet {list(f)} has {2 ** len(f)} faces, more than the "
+            raise InputError(f"facet {list(f)} has {2 ** len(f)} faces, more than the "
                              f"limit of {MAX_ELEMENTS} elements")
         for k in range(len(f) + 1):
             faces.update(combinations(f, k))
         if len(faces) > MAX_ELEMENTS:
-            raise PosetError(f"facet list has more than {MAX_ELEMENTS} faces")
+            raise InputError(f"facet list has more than {MAX_ELEMENTS} faces")
     ordered = sorted(faces, key=lambda s: (len(s), s))
     index = {s: i for i, s in enumerate(ordered)}
     ranks = [len(s) for s in ordered]
@@ -198,21 +237,21 @@ def build_from_cover_table(entries, name="") -> SimplicialPoset:
     for e in entries:
         i, rank, vs, cov = e
         if i in by_id:
-            raise PosetError(f"duplicate id {i}")
+            raise InputError(f"duplicate id {i}")
         by_id[i] = (int(rank), tuple(sorted(int(v) for v in vs)), tuple(int(c) for c in cov))
     if sorted(by_id) != list(range(m)):
-        raise PosetError("ids must be dense integers 0..m-1")
+        raise InputError("ids must be dense integers 0..m-1")
     ranks = [by_id[i][0] for i in range(m)]
     vsets = [by_id[i][1] for i in range(m)]
     covers = [tuple(sorted(by_id[i][2])) for i in range(m)]
     if m == 0 or ranks[0] != 0 or vsets[0] != ():
-        raise PosetError("element 0 must be the empty face with rank 0")
+        raise InputError("element 0 must be the empty face with rank 0")
     for i in range(m):
         for c in covers[i]:
             if not (0 <= c < m):
-                raise PosetError(f"element {i} covers unknown id {c}")
+                raise InputError(f"element {i} covers unknown id {c}")
             if ranks[c] != ranks[i] - 1:
-                raise PosetError(f"cover {i} -> {c} is not graded")
+                raise InputError(f"cover {i} -> {c} is not graded")
     S = SimplicialPoset(ranks, vsets, covers, name=name)
     _validate_or_raise(S)
     return S
@@ -221,48 +260,12 @@ def build_from_cover_table(entries, name="") -> SimplicialPoset:
 def _validate_or_raise(S: SimplicialPoset):
     diag = validate(S)
     if not diag.ok:
-        raise PosetError("; ".join(diag.messages))
+        raise InputError("; ".join(diag.messages))
 
 
 def validate(S: SimplicialPoset) -> PosetDiagnostics:
     """Check the simplicial poset axioms and report purity and dimension."""
-    msgs = []
-    if S.size == 0 or S.ranks[0] != 0 or S.vertex_sets[0] != ():
-        msgs.append("missing empty face at id 0")
-        return PosetDiagnostics(False, False, -2, msgs)
-    if sum(1 for r in S.ranks if r == 0) != 1:
-        msgs.append("more than one rank-0 element")
-    for i in range(S.size):
-        if len(S.vertex_sets[i]) != S.ranks[i]:
-            msgs.append(f"element {i}: |vertex_set| != rank")
-        for c in S.covers[i]:
-            if S.ranks[c] != S.ranks[i] - 1:
-                msgs.append(f"cover {i} -> {c} not graded")
-            if not set(S.vertex_sets[c]) < set(S.vertex_sets[i]):
-                msgs.append(f"cover {i} -> {c}: vertex set does not grow")
-        if S.ranks[i] > 0 and not S.covers[i]:
-            msgs.append(f"element {i} of positive rank covers nothing")
-    if msgs:
-        return PosetDiagnostics(False, S.is_pure(), S.dim, msgs)
-    # boolean lower intervals: 2^|I| elements, one per sub-vertex-set
-    for i in range(S.size):
-        want = 1 << S.ranks[i]
-        got = S.below[i]
-        if len(got) != want:
-            msgs.append(f"element {i}: lower interval has {len(got)} elements, "
-                        f"expected {want} (not boolean)")
-            continue
-        seen = {S.vertex_sets[j] for j in got}
-        expected = {tuple(sorted(c)) for k in range(S.ranks[i] + 1)
-                    for c in combinations(S.vertex_sets[i], k)}
-        if seen != expected:
-            msgs.append(f"element {i}: lower interval misses some sub-vertex-sets")
-    # square condition: exactly two intermediates for every I <_2 J
-    for i, mids, j in S.diamonds:
-        if len(mids) != 2:
-            msgs.append(f"pair {i} <2 {j} has {len(mids)} intermediates, expected 2")
-    ok = not msgs
-    return PosetDiagnostics(ok, S.is_pure(), S.dim, msgs)
+    return S.diagnostics
 
 
 def incidence_number(S: SimplicialPoset, j: int, i: int) -> int:
@@ -276,16 +279,16 @@ def incidence_number(S: SimplicialPoset, j: int, i: int) -> int:
     sign = S.cover_signs.get((j, i))
     if sign is None:
         if i not in S.covers[j]:
-            raise PosetError(f"{i} is not covered by {j}")
+            raise InputError(f"{i} is not covered by {j}")
         added = set(S.vertex_sets[j]) - set(S.vertex_sets[i])
-        raise PosetError(f"cover {j} -> {i} adds {len(added)} vertices")
+        raise InputError(f"cover {j} -> {i} adds {len(added)} vertices")
     return sign
 
 
 def face_counts(S: SimplicialPoset):
     """f-vector (f_-1, f_0, ..., f_{n-1}); rejects non-pure posets."""
     if not S.is_pure():
-        raise PosetError("face_counts requires a pure poset")
+        raise InputError("face_counts requires a pure poset")
     n = S.n
     return tuple(len(S.elements_of_rank(r)) for r in range(n + 1))
 
@@ -304,15 +307,15 @@ def preset(name: str) -> SimplicialPoset:
             "digon_cycle": lambda c: 1 + 4 * c}.get(key)
     if size is not None and arg is not None and (arg > MAX_ELEMENTS
                                                  or size(arg) > MAX_ELEMENTS):
-        raise PosetError(f"preset {name!r} has more than {MAX_ELEMENTS} elements")
+        raise InputError(f"preset {name!r} has more than {MAX_ELEMENTS} elements")
     if key == "boundary_of_simplex":
         if arg is None or arg < 1:
-            raise PosetError("boundary_of_simplex needs n >= 1")
+            raise InputError("boundary_of_simplex needs n >= 1")
         verts = range(1, arg + 2)
         return build_from_facets([c for c in combinations(verts, arg)], name=name)
     if key == "cross_polytope_boundary":
         if arg is None or arg < 1:
-            raise PosetError("cross_polytope_boundary needs n >= 1")
+            raise InputError("cross_polytope_boundary needs n >= 1")
         pairs = [(i, i + arg) for i in range(1, arg + 1)]
         facets = []
         for choice in range(1 << arg):
@@ -320,25 +323,25 @@ def preset(name: str) -> SimplicialPoset:
         return build_from_facets(facets, name=name)
     if key == "digon_cycle":
         if arg is None or arg < 1:
-            raise PosetError("digon_cycle needs c >= 1")
+            raise InputError("digon_cycle needs c >= 1")
         return _digon_cycle(arg, name=name)
     if key == "torus_7":
         if arg is not None:
-            raise PosetError(f"preset torus_7 takes no argument, got {name!r}")
+            raise InputError(f"preset torus_7 takes no argument, got {name!r}")
         return build_from_facets(torus_7_facets(), name=name)
-    raise PosetError(f"unknown preset {name!r}")
+    raise InputError(f"unknown preset {name!r}")
 
 
 def _parse_preset(name: str):
     s = name.strip()
     if "(" in s:
         if not s.endswith(")"):
-            raise PosetError(f"malformed preset {name!r}")
+            raise InputError(f"malformed preset {name!r}")
         key, argtxt = s[:-1].split("(", 1)
         try:
             return key.strip(), int(argtxt)
         except ValueError:
-            raise PosetError(f"malformed preset argument in {name!r}") from None
+            raise InputError(f"malformed preset argument in {name!r}") from None
     return s, None
 
 

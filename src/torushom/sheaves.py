@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .exactlin import InvariantViolation, Matrix
+from .errors import InvariantViolation
+from .exactlin import Matrix
 from .poset import SimplicialPoset, incidence_number
 from .complexes import GradedComplex, HomologyProfile, homology, cellular_chain_complex
 
@@ -85,7 +86,7 @@ def _blocks(S, stalk_dims, degree, include_empty):
     return ids, offsets, total
 
 
-def sheaf_cohomology(sheaf: CellularSheaf, truncated: bool = True) -> HomologyProfile:
+def sheaf_cohomology(sheaf: CellularSheaf) -> HomologyProfile:
     """Cohomology of a sheaf, or homology of a cosheaf, with the complex
     that computed it (`.complex`, `.dims`).
 
@@ -95,16 +96,17 @@ def sheaf_cohomology(sheaf: CellularSheaf, truncated: bool = True) -> HomologyPr
     number of the cover; its nonzero entries are written straight into
     sparse rows once its shape fits the stalks.  The d∘d check is then the
     functoriality check over the diamonds of its degrees, whose two paths
-    carry opposite signs; with include_empty, an untruncated complex has
-    the empty face, and its diamonds, in degree -1.
+    carry opposite signs.  With include_empty the complex is untruncated:
+    it has the empty face, and its diamonds, in degree -1 (`truncated_dims`
+    reads the truncated dimensions off it).
     """
     S = sheaf.poset
     F = sheaf.field
     p = F.char
     step = sheaf._step
     kind = "sheaf" if step > 0 else "cosheaf"
-    lowest = -1 if (sheaf.include_empty and not truncated) else 0
-    info = {d: _blocks(S, sheaf.stalk_dims, d, lowest == -1) for d in range(lowest, S.n)}
+    lowest = -1 if sheaf.include_empty else 0
+    info = {d: _blocks(S, sheaf.stalk_dims, d, sheaf.include_empty) for d in range(lowest, S.n)}
     dims = {d: info[d][2] for d in info}
     targets = S.covered_by if step > 0 else S.covers
     diff = {}
@@ -227,10 +229,6 @@ class ConstancyResult(NamedTuple):
     is_constant: bool
     orientation: dict | None     # element id -> unit scaling the stalk basis
     witness: str | None
-
-    def as_dict(self):
-        return {"is_constant": self.is_constant,
-                "witness": self.witness or ""}
 
 
 def _require_sheaf(sheaf, what):

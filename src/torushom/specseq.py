@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .poset import SimplicialPoset, PosetError
+from .errors import InputError
+from .poset import SimplicialPoset
 from .facevec import binom
 from .formats import ManifoldProfile
 
@@ -37,9 +38,6 @@ def cone_profile_of(job) -> ManifoldProfile:
 class ProfileDiagnostics(NamedTuple):
     ok: bool
     messages: list
-
-    def as_dict(self):
-        return {"ok": self.ok, "messages": list(self.messages)}
 
 
 def validate_profile(S: SimplicialPoset, P: ManifoldProfile, field) -> ProfileDiagnostics:
@@ -123,10 +121,10 @@ def pages_of(job, P: ManifoldProfile):
     S = job.S
     diag = validate_profile(S, P, job.field)
     if not diag.ok:
-        raise PosetError("invalid profile: " + "; ".join(diag.messages))
+        raise InputError("invalid profile: " + "; ".join(diag.messages))
     verdict = job.classify
     if not verdict.buchsbaum:
-        raise PosetError(f"the spectral-sequence pages need a Buchsbaum poset; this one is "
+        raise InputError(f"the spectral-sequence pages need a Buchsbaum poset; this one is "
                          f"not Buchsbaum over {job.field.name} (failures as element, "
                          f"degree, dim: {[list(f) for f in verdict.failures]})")
     n = S.n
@@ -173,7 +171,7 @@ def pages_of(job, P: ManifoldProfile):
                 src = cur_comps[(q1, q2)]
                 tgt = cur_entries.get((q1 - 1, q2), 0)
                 if drop > src or drop > tgt:
-                    raise PosetError(f"differential rank exceeds source or target "
+                    raise InputError(f"differential rank exceeds source or target "
                                      f"at component ({q1},{q2})")
                 cur_comps[(q1, q2)] = src - drop
                 q_src = q1 + q2 - n
@@ -186,7 +184,7 @@ def pages_of(job, P: ManifoldProfile):
     einf = SpectralPage("inf", n, dict(cur_entries), dict(cur_comps))
     for (p, q), d in einf.entries.items():
         if q == p and d < 0:
-            raise PosetError(f"negative limit entry at ({p},{q})")
+            raise InputError(f"negative limit entry at ({p},{q})")
     return e1plus, e2, einf
 
 
@@ -239,7 +237,7 @@ def bigraded_betti(S: SimplicialPoset, P: ManifoldProfile, field) -> BigradedTab
     for k in range(2 * n + 1):
         anti = sum(einf.entry(p, k - p) for p in range(n + 1))
         if anti != totals[k]:
-            raise PosetError(f"total in degree {k} disagrees with the limit-page "
+            raise InputError(f"total in degree {k} disagrees with the limit-page "
                              f"antidiagonal ({totals[k]} vs {anti})")
     return table
 
@@ -285,7 +283,7 @@ def e2_border_sheaf_crosscheck(S: SimplicialPoset, cmap, field) -> CrosscheckRep
     p < n.  Entries with q > p must vanish along the way.
     """
     if cmap.n != S.n:
-        raise PosetError("page cross-check needs torus rank equal to the poset rank")
+        raise InputError("page cross-check needs torus rank equal to the poset rank")
     job = S.job(field)
     kit = job.kit(cmap)
     n = S.n

@@ -15,8 +15,9 @@ from __future__ import annotations
 from itertools import combinations, product
 from typing import NamedTuple
 
-from .exactlin import InvariantViolation, Matrix, smith_invariants
-from .poset import SimplicialPoset, PosetError
+from .errors import InputError, InvariantViolation
+from .exactlin import Matrix, smith_invariants
+from .poset import SimplicialPoset
 from .sheaves import (
     CellularSheaf, CellularCosheaf, sheaf_cohomology, tensor, truncated_dims, _blocks, _covers,
 )
@@ -105,10 +106,10 @@ def validate_charmap(S: SimplicialPoset, cmap: CharacteristicMap, field) -> Char
 def charmap_report_of(S: SimplicialPoset, cmap: CharacteristicMap, field) -> CharmapReport:
     """The uncached work of `validate_charmap`."""
     if cmap.n < S.n:
-        raise PosetError(f"torus rank {cmap.n} smaller than poset rank {S.n}")
+        raise InputError(f"torus rank {cmap.n} smaller than poset rank {S.n}")
     missing = [lab for lab in S.vertex_labels() if lab not in cmap.rows]
     if missing:
-        raise PosetError(f"characteristic map misses vertices {missing}")
+        raise InputError(f"characteristic map misses vertices {missing}")
     frows = cmap.field_rows(field)
     field_failures = []
     integral_failures = []
@@ -145,7 +146,7 @@ class TorusSheafKit:
     def __init__(self, S: SimplicialPoset, cmap: CharacteristicMap, field):
         rep = S.job(field).charmap_report(cmap)
         if not rep.ok_field:
-            raise PosetError(f"characteristic map invalid over {field!r} "
+            raise InputError(f"characteristic map invalid over {field!r} "
                              f"on faces {rep.field_failures}")
         self.S, self.cmap, self.field, self.n = S, cmap, field, cmap.n
         self.ext = ExteriorAlgebra(cmap.n, field)
@@ -304,7 +305,7 @@ class TorusSheafKit:
         if q not in self._dims:
             S, job, copies = self.S, self.S.job(self.field), binom(self.n, q)
             sheaf = self._quotient_sheaf(q)
-            quotient = sheaf_cohomology(tensor(job.structure_sheaf(), sheaf), truncated=False)
+            quotient = sheaf_cohomology(tensor(job.structure_sheaf(), sheaf))
             r, c = self._projection_ranks(q, quotient, sheaf), quotient.dims
             ranks = {k: r.get(k, 0) for k in range(S.n)}
             ranks[0] += quotient.complex.dim(-1) - c.get(-1, 0)

@@ -16,9 +16,10 @@ from itertools import combinations
 from math import gcd
 
 from torushom.complexes import GradedComplex, HomologyProfile, homology, reduced_betti
-from torushom.exactlin import IncrementalSpan, InvariantViolation, Matrix, product_nonzeros
+from torushom.errors import InputError, InvariantViolation
+from torushom.exactlin import IncrementalSpan, Matrix, product_nonzeros
 from torushom.facevec import binom, poly_add, poly_mul, poly_pow, poly_scale
-from torushom.poset import PosetError, SimplicialPoset
+from torushom.poset import SimplicialPoset
 from torushom.sheaves import (CellularCosheaf, CellularSheaf, LocalHomologyData, _covers,
                               _require_sheaf, sheaf_cohomology, tensor, truncated_dims)
 
@@ -279,7 +280,7 @@ def sheaf_restriction(sheaf: CellularSheaf, i: int, j: int) -> Matrix:
     if i == j:
         return Matrix.identity(sheaf.field, sheaf.stalk_dims[i])
     if not leq(S, i, j):
-        raise PosetError(f"{i} is not below {j}")
+        raise InputError(f"{i} is not below {j}")
     chain = [j]
     cur = j
     while cur != i:
@@ -340,6 +341,20 @@ def sheaf_dump(sheaf: CellularSheaf) -> dict:
     }
 
 
+def relation_dump(R) -> dict:
+    """A face ring's generators and relation rows as JSON-ready strings."""
+    def rows_out(rows):
+        return [[str(v) for v in r] for r in rows]
+    out = {"n": R.n,
+           "generators": {str(q): [list(map(str, g)) for g in gs]
+                          for q, gs in sorted(R.generators.items())},
+           "type1": {str(q): rows_out(rs) for q, rs in sorted(R.type1.items())}}
+    if R.type2 is not None:
+        out["type2"] = {str(q): rows_out([r for (_, _, r) in rs])
+                        for q, rs in sorted(R.type2.items())}
+    return out
+
+
 def coefficient_CAI(cmap, field, vertices, A):
     """The determinant coefficient attached to a face and a subset A, from
     the integer minor (`TorusSheafKit.coefficient` reads the face's top
@@ -364,6 +379,13 @@ def coefficient_CAI(cmap, field, vertices, A):
 # inclusions read off the target's span and quotients in free-column
 # coordinates.  The kit builds its two (co)sheaves in adapted bases instead
 # and reads the other two tables off the long exact sequences.
+
+def span_vectors(span):
+    """The echelonized vectors of an `IncrementalSpan`, dense, in the order
+    they were stored."""
+    z, amb = span.field.zero, span.ambient_dim
+    return [[row.get(j, z) for j in range(amb)] for row in span._rows]
+
 
 def free_columns(span):
     """The positions that are no pivot of an `IncrementalSpan`: a basis of
@@ -505,7 +527,7 @@ def span_tables(kit, q: int) -> dict:
     quotient) in the truncated sequence forced by exactness from its
     dimensions, anchored at its left end."""
     S = kit.S
-    quotient = sheaf_cohomology(structure_tensor_quotient(kit, q), truncated=False)
+    quotient = sheaf_cohomology(structure_tensor_quotient(kit, q))
     tables = {("ideal", True): sheaf_cohomology(structure_tensor_ideal(kit, q)).dims,
               ("quotient", False): quotient.dims,
               ("quotient", True): truncated_dims(quotient),

@@ -3,14 +3,15 @@ import json
 
 import pytest
 
-from torushom import complexes, job as job_module, sheaves, torusalg
-from torushom.cli import main, build_parser, run, InputProblem
+from torushom import complexes, job as job_module, poset as poset_module, sheaves, torusalg
+from torushom.cli import main, build_parser, run
+from torushom.errors import InputError
 from torushom.exactlin import IncrementalSpan, Matrix
 from torushom.field import QQ
 from torushom.fixtures import preset_charmap, origami_annulus_profile
 from torushom.formats import (
     write_charmap, write_profile, write_cover_table, parse_cover_table,
-    parse_facet_list, parse_charmap, parse_profile, FormatError,
+    parse_facet_list, parse_charmap, parse_profile,
 )
 from torushom.poset import preset
 from torushom.sheaves import LocalHomologyData
@@ -147,6 +148,22 @@ def test_all_annulus(files, capsys):
     assert report["results"]["specseq"]["bigraded"]["totals"] == [1, 1, 4, 1, 1]
 
 
+def test_an_all_job_checks_the_poset_axioms_once(files, capsys, monkeypatch):
+    # the builder's refusal and the report's `validate` read the one pass
+    # kept on the immutable poset
+    passes = []
+    diagnostics = poset_module.PosetDiagnostics
+
+    def counting(*fields):
+        passes.append(fields[0])
+        return diagnostics(*fields)
+
+    monkeypatch.setattr(poset_module, "PosetDiagnostics", counting)
+    assert main(["all", "--preset", "torus_7", "--charmap", files["t7"]]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["validate"]["ok"]
+    assert passes == [True]
+
+
 def test_all_without_charmap_skips(files, capsys):
     status = main(["all", "--preset", "boundary_of_simplex(2)"])
     report = json.loads(capsys.readouterr().out)
@@ -181,13 +198,43 @@ def test_markdown_output(files, capsys):
     assert out.startswith("# torushom vectors")
 
 
+# Unusable input, each case (argv, file contents): every one exits 2 with
+# one stderr line and no report.  `{file}` in an argv names the file.
+BAD_INPUT = {
+    "unknown preset": (["validate", "--preset", "no_such_preset"], None),
+    "missing file": (["validate", "--poset", "{file}.missing"], None),
+    "malformed facet list": (["validate", "--facets", "{file}"], "facets v1\n1 x\n"),
+    "malformed cover table": (["validate", "--poset", "{file}"],
+                              "simplicial-poset v1\n0 0 - -\n1 1 1\n"),
+    "malformed charmap": (["charmap", "--preset", "torus_7", "--charmap", "{file}"],
+                          "not a charmap\n"),
+    "profile 5": (["specseq", "--preset", "torus_7", "--profile", "{file}"], "5"),
+    "profile list": (["specseq", "--preset", "torus_7", "--profile", "{file}"],
+                     '["n", "bQ", "bQrel", "rank_delta"]'),
+    "profile missing key": (["specseq", "--preset", "torus_7", "--profile", "{file}"],
+                            '{"n": 3, "bQ": [1, 0, 0, 0]}'),
+    "field Z": (["validate", "--preset", "torus_7", "--field", "Z"], None),
+    "field Fp:abc": (["validate", "--preset", "torus_7", "--field", "Fp:abc"], None),
+    "field Fp:4": (["validate", "--preset", "torus_7", "--field", "Fp:4"], None),
+    "primes 2,x": (["validate", "--preset", "torus_7", "--primes", "2,x"], None),
+    "verify without charmap": (["verify", "--preset", "torus_7"], None),
+    "unknown check": (["sheaf", "--preset", "torus_7", "--checks", "constant,nope"], None),
+    "not Buchsbaum": (["specseq", "--facets", "{file}"], "facets v1\n1 2 3\n1 4 5\n"),
+}
+
+
 def test_exit_2_on_bad_input(capsys, tmp_path):
-    assert main(["validate", "--preset", "no_such_preset"]) == 2
-    assert main(["verify", "--preset", "torus_7"]) == 2          # missing charmap
-    bad = tmp_path / "bad.lam"
-    bad.write_text("not a charmap\n")
-    assert main(["charmap", "--preset", "torus_7", "--charmap", str(bad)]) == 2
-    assert main(["validate", "--poset", str(tmp_path / "missing.txt")]) == 2
+    for case, (argv, text) in BAD_INPUT.items():
+        path = tmp_path / "input"
+        if text is not None:
+            path.write_text(text)
+        assert main([a.format(file=path) for a in argv]) == 2, case
+        captured = capsys.readouterr()
+        assert captured.out == "", case
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, \
+            (case, captured.err)
+        if case in ("field Fp:abc", "primes 2,x"):
+            assert argv[-2] in captured.err and "invalid literal" not in captured.err
 
 
 @pytest.mark.parametrize("command", ["facering", "verify", "all"])
@@ -289,31 +336,31 @@ def test_facet_list_parsing():
     S = parse_facet_list("facets v1\n1 2\n1 3\n2 3\n")
     from torushom.poset import face_counts
     assert face_counts(S) == (1, 3, 3)
-    with pytest.raises(FormatError):
+    with pytest.raises(InputError):
         parse_facet_list("1 2\n")
-    with pytest.raises(FormatError):
+    with pytest.raises(InputError):
         parse_facet_list("facets v1\n1 x\n")
 
 
 def test_charmap_parsing_errors():
-    with pytest.raises(FormatError):
+    with pytest.raises(InputError):
         parse_charmap("charmap v1\n1: 1 0\n")
-    with pytest.raises(FormatError):
+    with pytest.raises(InputError):
         parse_charmap("charmap v1 n=2\n1: 1\n")
-    with pytest.raises(FormatError):
+    with pytest.raises(InputError):
         parse_charmap("charmap v1 n=2\n1: 1 0\n1: 0 1\n")
     cm = parse_charmap("charmap v1 n=2\n# comment\n1: 1 0\n2: 0 1\n")
     assert cm.rows[2] == (0, 1)
 
 
 def test_profile_parsing_errors():
-    with pytest.raises(FormatError):
+    with pytest.raises(InputError):
         parse_profile("{not json")
-    with pytest.raises(FormatError):
+    with pytest.raises(InputError):
         parse_profile(json.dumps({"n": 2, "bQ": [1, 0, 0]}))
     P = parse_profile(write_profile(origami_annulus_profile()))
     assert P == origami_annulus_profile()
-    with pytest.raises(FormatError, match="source must be 'cone' or 'user'"):
+    with pytest.raises(InputError, match="source must be 'cone' or 'user'"):
         parse_profile(json.dumps(dict(P.as_dict(), source="orbifold")))
 
 
@@ -397,14 +444,17 @@ def test_exit_3_when_an_internal_value_check_fails(monkeypatch, capsys):
 
 
 def test_exit_3_on_an_unexpected_exception(monkeypatch, capsys):
-    def crash(job):
-        raise RuntimeError("boom\n  at the face vectors")
+    # only an `InputError` means unusable input: a stray `ValueError` from
+    # inside a layer is a fault of the computation like any other
+    for error in (RuntimeError, ValueError):
+        def crash(job):
+            raise error("boom\n  at the face vectors")
 
-    monkeypatch.setattr(job_module, "face_vectors_of", crash)
-    assert main(["vectors", "--preset", "boundary_of_simplex(2)"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "internal error: RuntimeError: boom at the face vectors\n"
+        monkeypatch.setattr(job_module, "face_vectors_of", crash)
+        assert main(["all", "--preset", "boundary_of_simplex(2)"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"internal error: {error.__name__}: boom at the face vectors\n"
 
 
 def _first_cover(sheaf, rank):

@@ -3,9 +3,10 @@ import pytest
 from torushom.field import QQ, PrimeField
 from torushom.exactlin import Matrix, IncrementalSpan
 from torushom.fixtures import CHARMAPS
-from torushom.poset import preset, build_from_facets, PosetError
+from torushom.errors import InputError, InvariantViolation
+from torushom.poset import preset, build_from_facets
 from torushom.complexes import (
-    GradedComplex, InvariantViolation, cellular_chain_complex, homology, reduced_betti,
+    GradedComplex, cellular_chain_complex, homology, reduced_betti,
     betti, classify,
 )
 
@@ -139,7 +140,7 @@ def test_star_of_a_parallel_edge_excludes_the_other():
 def test_star_outside_the_poset_is_refused():
     S = preset("boundary_of_simplex(2)")
     for star in (S.size, -1):
-        with pytest.raises(PosetError, match="no element"):
+        with pytest.raises(InputError, match="no element"):
             cellular_chain_complex(S, QQ, star=star)
 
 

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from torushom.field import QQ, PrimeField
-from torushom.poset import preset, build_from_facets, PosetError
+from torushom.errors import InputError
+from torushom.poset import preset, build_from_facets
 from torushom.facevec import (
     face_vectors, ft_consistency_check, dehn_sommerville_check,
     h_from_f, binom,
@@ -122,5 +123,5 @@ def test_h_double_prime_nonnegative_on_buchsbaum_fixtures():
 
 def test_face_vectors_rejects_non_pure():
     S = build_from_facets([(1, 2, 3), (4, 5)])
-    with pytest.raises(PosetError):
+    with pytest.raises(InputError):
         face_vectors(S, QQ)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from torushom.errors import InputError
 from torushom.field import QQ, PrimeField, field_from_name, _is_prime
 
 
@@ -34,7 +35,7 @@ def test_pseudoprimes_rejected(n):
     # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to
     # the bases 2, 3, 5 and 7
     assert not _is_prime(n)
-    with pytest.raises(ValueError, match="not prime"):
+    with pytest.raises(InputError, match="not prime"):
         PrimeField(n)
 
 
@@ -43,7 +44,7 @@ def test_strong_pseudoprimes_to_every_witness_rejected(n):
     # both pass Miller-Rabin for all twelve witnesses, which is exact only
     # below 2^64, so a prime field of either is refused for its size
     assert n > 2**64
-    with pytest.raises(ValueError, match=r"too large: prime fields need p < 2\^64"):
+    with pytest.raises(InputError, match=r"too large: prime fields need p < 2\^64"):
         PrimeField(n)
 
 
@@ -51,7 +52,7 @@ def test_beyond_64_bits():
     # the smallest prime above 2^64 is refused, the largest below it accepted
     assert PrimeField(2**64 - 59).p == 2**64 - 59
     for n in (2**64 + 13, 2**89 - 1, 2**127 - 1, 2**67 - 1, (2**61 - 1) ** 2):
-        with pytest.raises(ValueError, match=r"too large: prime fields need p < 2\^64"):
+        with pytest.raises(InputError, match=r"too large: prime fields need p < 2\^64"):
             field_from_name(f"Fp:{n}")
 
 

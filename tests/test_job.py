@@ -27,7 +27,8 @@ from torushom.sheaves import CellularSheaf, LocalHomologyData, sheaf_cohomology
 from torushom.torusalg import CharacteristicMap
 
 from oracles import (ideal_sheaf, lambda_mod_pi_cosheaf, local_homology_sheaf, pi_cosheaf,
-                     quotient_sheaf, sheaf_dump, structure_tensor_ideal, structure_tensor_quotient)
+                     quotient_sheaf, sheaf_dump, structure_tensor_ideal, structure_tensor_quotient,
+                     without_empty_stalk)
 
 # sha256 of the `all` report, recorded before the job cache existed
 GOLDEN = {
@@ -78,9 +79,9 @@ class _Counts:
         self.local_data = Counter()       # field name
         self.structure_builds = Counter()  # field name -> sheaves named "structure" made
         self.work = Counter()             # (what, poset, field name)
-        self.cohomology = Counter()       # (sheaf name, truncated)
+        self.cohomology = Counter()       # sheaf name
         self.sheaf_calls = self.cosheaf_calls = 0
-        self.structure_calls = Counter()  # truncated -> structure-sheaf complexes
+        self.structure_calls = []         # include_empty of each structure-sheaf complex
         self.wedges_per_form = Counter()  # face -> wedges made forming its top form
 
         init = LocalHomologyData.__init__
@@ -103,21 +104,21 @@ class _Counts:
 
         sheaf_cohomology = torusalg.sheaf_cohomology
 
-        def counting_sheaf(sheaf, truncated=True):
+        def counting_sheaf(sheaf):
             if sheaf._step > 0:
                 self.sheaf_calls += 1
             else:
                 self.cosheaf_calls += 1
-            self.cohomology[(sheaf.name, truncated)] += 1
-            return sheaf_cohomology(sheaf, truncated)
+            self.cohomology[sheaf.name] += 1
+            return sheaf_cohomology(sheaf)
 
         mp.setattr(torusalg, "sheaf_cohomology", counting_sheaf)
 
         job_sheaf_cohomology = job_module.sheaf_cohomology
 
-        def counting_structure(sheaf, truncated=True):
-            self.structure_calls[truncated] += 1
-            return job_sheaf_cohomology(sheaf, truncated)
+        def counting_structure(sheaf):
+            self.structure_calls.append(sheaf.include_empty)
+            return job_sheaf_cohomology(sheaf)
 
         mp.setattr(job_module, "sheaf_cohomology", counting_structure)
 
@@ -205,7 +206,7 @@ def test_all_job_computes_each_invariant_once(all_job):
     assert counts.sheaf_calls == kit_rank + 1
     assert counts.cosheaf_calls == kit_rank + 1
     assert set(counts.cohomology.values()) == {1}
-    assert counts.structure_calls == Counter({False: 1})
+    assert counts.structure_calls == [True]
 
 
 def test_all_job_forms_each_top_form_once(all_job):
@@ -435,13 +436,17 @@ def test_cli_import_and_input_parsing_load_only_their_layers(tmp_path):
         for i in range(S.size) if S.ranks[i] == S.n), encoding="utf-8")
     charmap = tmp_path / "t7.lam"
     charmap.write_text(write_charmap(preset_charmap("torus_7")), encoding="utf-8")
-    code = ("import sys\nfrom pathlib import Path\nimport torushom.cli\n"
+    loaded = "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'torushom'), '|')\n"
+    code = ("import sys\nfrom pathlib import Path\nimport torushom.cli\n" + loaded +
             "from torushom.formats import parse_facet_list, parse_charmap\n"
             "parse_facet_list(Path(sys.argv[1]).read_text(encoding='utf-8'))\n"
-            "parse_charmap(Path(sys.argv[2]).read_text(encoding='utf-8'))\n"
-            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'torushom'))")
-    assert set(_fresh_process(code, str(facets), str(charmap))) == {
-        "torushom", "torushom.cli", "torushom.formats", "torushom.poset", "torushom.exactlin"}
+            "parse_charmap(Path(sys.argv[2]).read_text(encoding='utf-8'))\n" + loaded)
+    out = _fresh_process(code, str(facets), str(charmap))
+    cut = out.index("|")
+    # the command line names its two error types, and so compiles no layer
+    assert set(out[:cut]) == {"torushom", "torushom.cli", "torushom.errors"}
+    assert set(out[cut + 1:-1]) == {"torushom", "torushom.cli", "torushom.errors",
+                                    "torushom.formats", "torushom.poset"}
 
 
 def test_a_job_without_charmap_never_loads_the_torus_layers():
@@ -514,8 +519,8 @@ def test_rational_job_holds_only_ints_and_fractions(name):
         cosheaves.append(kit._pi_cosheaf(q))
     for sheaf in sheaves:
         matrices.extend(sheaf.rest.values())
-        for truncated in (True, False):
-            take(sheaf_cohomology(sheaf, truncated))
+        for variant in (without_empty_stalk(sheaf), sheaf):
+            take(sheaf_cohomology(variant))
     for cosheaf in cosheaves:
         matrices.extend(cosheaf.rest.values())
         take(sheaf_cohomology(cosheaf))

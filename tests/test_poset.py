@@ -1,7 +1,8 @@
 import pytest
 
+from torushom.errors import InputError
 from torushom.poset import (
-    PosetError, build_from_facets, build_from_cover_table, preset, validate,
+    build_from_facets, build_from_cover_table, preset, validate,
     incidence_number, face_counts, MAX_ELEMENTS,
 )
 
@@ -26,7 +27,7 @@ def test_presets_basic_counts():
 
 def test_preset_without_parameter_refuses_an_argument():
     for name in ["torus_7(3)", " torus_7 (0) "]:
-        with pytest.raises(PosetError, match="takes no argument"):
+        with pytest.raises(InputError, match="takes no argument"):
             preset(name)
 
 
@@ -34,16 +35,16 @@ def test_size_bound_before_faces_are_built():
     # each of these would enumerate far more faces than fit in memory
     for name in ["boundary_of_simplex(30)", "cross_polytope_boundary(30)",
                  "digon_cycle(1000000000)", "boundary_of_simplex(9)"]:
-        with pytest.raises(PosetError, match="more than"):
+        with pytest.raises(InputError, match="more than"):
             preset(name)
-    with pytest.raises(PosetError, match="more than"):
+    with pytest.raises(InputError, match="more than"):
         build_from_facets([tuple(range(1, 41))])
     # the count is of distinct faces: shared faces count once
     big = preset("cross_polytope_boundary(5)")
     assert big.size == 243 <= MAX_ELEMENTS
     assert build_from_facets([big.vertex_sets[e] for e in big.maximal_elements()]).size == 243
     assert preset("cross_polytope_boundary(6)").size == 729
-    with pytest.raises(PosetError, match="more than"):
+    with pytest.raises(InputError, match="more than"):
         build_from_facets([(v, v + 1) for v in range(1, 400)] + [tuple(range(1, 10))])
 
 
@@ -70,7 +71,7 @@ def test_validate_rejects_non_boolean():
         (1, 1, (1,), (0,)),
         (2, 2, (1, 2), (1,)),
     ]
-    with pytest.raises(PosetError):
+    with pytest.raises(InputError):
         build_from_cover_table(entries)
 
 
@@ -79,7 +80,7 @@ def test_validate_rejects_nongraded_cover():
         (0, 0, (), ()),
         (1, 2, (1, 2), (0,)),
     ]
-    with pytest.raises(PosetError):
+    with pytest.raises(InputError):
         build_from_cover_table(entries)
 
 
@@ -88,7 +89,7 @@ def test_incidence_examples():
     by_vs = {S.vertex_sets[i]: i for i in range(S.size)}
     assert incidence_number(S, by_vs[(1, 2)], by_vs[(1,)]) == -1
     assert incidence_number(S, by_vs[(1, 2)], by_vs[(2,)]) == 1
-    with pytest.raises(PosetError):
+    with pytest.raises(InputError):
         incidence_number(S, by_vs[(1, 2, 3)], by_vs[(1,)])
 
 
@@ -221,5 +222,5 @@ def test_link_of_link_is_link_of_join():
 
 def test_face_counts_rejects_non_pure():
     S = build_from_facets([(1, 2, 3), (4, 5)])
-    with pytest.raises(PosetError):
+    with pytest.raises(InputError):
         face_counts(S)

@@ -86,10 +86,10 @@ def test_facering_over_f2(S):
 
 
 def test_facering_rejected_over_q(S):
-    from torushom.poset import PosetError
+    from torushom.errors import InputError
     # over Q the structure sheaf is not constant, so the module refuses
     cm_q = CharacteristicMap(3, {1: (1, 0, 0), 2: (0, 1, 0), 3: (0, 0, 1),
                                  4: (-2, -2, -2), 5: (-2, -1, -1), 6: (-2, -1, -2)})
     assert validate_charmap(S, cm_q, QQ).ok_field
-    with pytest.raises(PosetError, match="not constant"):
+    with pytest.raises(InputError, match="not constant"):
         relation_system(S, cm_q, QQ)

@@ -10,10 +10,11 @@ from torushom.exactlin import Matrix
 from torushom.field import QQ, PrimeField
 from torushom.fixtures import CHARMAPS
 from torushom.poset import preset, build_from_facets
-from torushom.complexes import InvariantViolation, classify, reduced_betti, betti
+from torushom.complexes import classify, reduced_betti, betti
+from torushom.errors import InvariantViolation
 from torushom.sheaves import (
     CellularSheaf, CellularCosheaf, sheaf_cohomology, tensor, constancy_check,
-    LocalHomologyData, _covers,
+    LocalHomologyData, _covers, truncated_dims,
 )
 
 from oracles import (check_sheaf_functoriality, leq, link_reduced_betti, restrict_to_link,
@@ -25,13 +26,13 @@ RP2_FACETS = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
 
 def test_constant_sheaf_circle():
     S = preset("boundary_of_simplex(2)")
-    coh = sheaf_cohomology(CellularSheaf.constant(S, QQ, 1), truncated=True)
+    coh = sheaf_cohomology(CellularSheaf.constant(S, QQ, 1))
     assert coh.dims == {0: 1, 1: 1}
 
 
 def test_constant_sheaf_torus(any_field):
     S = preset("torus_7")
-    coh = sheaf_cohomology(CellularSheaf.constant(S, any_field, 1), truncated=True)
+    coh = sheaf_cohomology(CellularSheaf.constant(S, any_field, 1))
     assert coh.dims == {0: 1, 1: 2, 2: 1}
 
 
@@ -41,7 +42,7 @@ def test_constant_sheaf_tensor_dims():
     B = CellularSheaf.constant(S, QQ, 3)
     T = tensor(A, B)
     assert all(T.stalk_dims[i] == 6 for i in range(1, S.size))
-    coh = sheaf_cohomology(T, truncated=True)
+    coh = sheaf_cohomology(T)
     assert coh.dims == {0: 6, 1: 6}
 
 
@@ -62,8 +63,7 @@ def test_upper_set_shifts_link_cohomology():
                  "digon_cycle(2)"]:
         S = preset(name)
         for i in range(S.size):
-            coh = sheaf_cohomology(upper_set_sheaf(S, QQ, i, 1),
-                                   truncated=(i != 0))
+            coh = sheaf_cohomology(upper_set_sheaf(S, QQ, i, 1))
             lk_b = link_reduced_betti(S, QQ, i) if i != 0 else reduced_betti(S, QQ)
             k0 = S.ranks[i]
             for k, d in coh.dims.items():
@@ -102,15 +102,14 @@ def test_structure_sheaf_cohomology_is_poset_homology():
                  "cross_polytope_boundary(3)"]:
         S = preset(name)
         sheaf = S.job(QQ).structure_sheaf()
-        coh = sheaf_cohomology(sheaf, truncated=True)
+        dims = truncated_dims(sheaf_cohomology(sheaf))
         b = betti(S, QQ)
         n = S.n
         for p in range(n):
-            assert coh.dims.get(n - 1 - p, 0) == b.get(p, 0), (name, p)
+            assert dims.get(n - 1 - p, 0) == b.get(p, 0), (name, p)
     # the torus values in one line: degrees (0,1,2) carry (1,2,1)
     S = preset("torus_7")
-    coh = sheaf_cohomology(S.job(QQ).structure_sheaf(), truncated=True)
-    assert coh.dims == {0: 1, 1: 2, 2: 1}
+    assert truncated_dims(sheaf_cohomology(S.job(QQ).structure_sheaf())) == {0: 1, 1: 2, 2: 1}
 
 
 def test_buchsbaum_iff_local_homology_vanishes():
@@ -141,7 +140,7 @@ def test_cone_collapse_on_cm_links():
         sheaf = S.job(QQ).structure_sheaf()
         for i in list(S.vertices())[:2] + list(S.maximal_elements())[:2]:
             restricted = restrict_to_link(sheaf, i)
-            coh = sheaf_cohomology(restricted, truncated=False)
+            coh = sheaf_cohomology(restricted)
             top = restricted.poset.n - 1
             for k, d in coh.dims.items():
                 assert d == (1 if k == top else 0), (name, i, k)
@@ -154,8 +153,8 @@ def test_upper_set_tensor_matches_link_restriction():
     A = S.job(QQ).structure_sheaf()
     for i in list(S.vertices())[:2] + list(S.elements_of_rank(2))[:2]:
         ups = upper_set_sheaf(S, QQ, i, 1)
-        left = sheaf_cohomology(tensor(ups, A), truncated=False)
-        right = sheaf_cohomology(restrict_to_link(A, i), truncated=False)
+        left = sheaf_cohomology(tensor(ups, A))
+        right = sheaf_cohomology(restrict_to_link(A, i))
         k0 = S.ranks[i]
         for k, d in left.dims.items():
             assert d == right.dims.get(k - k0, 0), (i, k)
@@ -225,7 +224,7 @@ def test_constant_cosheaf_is_cellular_homology():
     square = tensor(c, c)
     assert isinstance(square, CellularCosheaf) and square.rest.keys() == corest.keys()
     assert sheaf_cohomology(square).dims == hom.dims
-    with pytest.raises(ValueError, match="sheaf with a cosheaf"):
+    with pytest.raises(InvariantViolation, match="sheaf with a cosheaf"):
         tensor(CellularSheaf.constant(S, QQ, 1), c)
 
 
@@ -308,9 +307,9 @@ def test_functoriality_check_fails_on_a_broken_square():
     two = Matrix(QQ, [[QQ(2)]])
     sheaf.rest[(vertex, edge)] = two
     cosheaf.rest[(edge, vertex)] = two
-    with pytest.raises(ValueError, match="^sheaf functoriality fails"):
+    with pytest.raises(InvariantViolation, match="^sheaf functoriality fails"):
         check_sheaf_functoriality(sheaf)
-    with pytest.raises(ValueError, match="^cosheaf functoriality fails"):
+    with pytest.raises(InvariantViolation, match="^cosheaf functoriality fails"):
         check_sheaf_functoriality(cosheaf)
 
 
@@ -335,9 +334,9 @@ def test_functoriality_check_reads_entries_mod_p(p):
     identity = Matrix(F, [[2 * p + 1, p], [-p, 1]])
     sheaf.rest[(vertex, edge)] = identity
     cosheaf.rest[(edge, vertex)] = identity
-    with pytest.raises(ValueError, match="^sheaf functoriality fails on 1 < 5,6 < 11$"):
+    with pytest.raises(InvariantViolation, match="^sheaf functoriality fails on 1 < 5,6 < 11$"):
         check_sheaf_functoriality(sheaf)
-    with pytest.raises(ValueError, match="^cosheaf functoriality fails on 1 < 5,6 < 11$"):
+    with pytest.raises(InvariantViolation, match="^cosheaf functoriality fails on 1 < 5,6 < 11$"):
         check_sheaf_functoriality(cosheaf)
 
 
@@ -455,7 +454,7 @@ def test_diamond_check_fails_exactly_when_d_squared_is_not_zero(drawn):
     # untruncated complex alone: the two checks refuse the same maps
     sheaf, faulted = drawn
     diamond = _raises(check_sheaf_functoriality, sheaf)
-    square = _raises(lambda s: sheaf_cohomology(s, truncated=False), sheaf)
+    square = _raises(sheaf_cohomology, sheaf)
     assert (diamond is None) == (square is None), (diamond, square)
     assert square is None or square.startswith("d^2 != 0 at degree ")
     # and both refuse a changed map exactly when its cover lies on a

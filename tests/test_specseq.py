@@ -1,7 +1,8 @@
 import pytest
 
 from torushom.field import QQ, PrimeField
-from torushom.poset import preset, PosetError
+from torushom.errors import InputError
+from torushom.poset import preset
 from torushom.facevec import face_vectors, binom
 from torushom.fixtures import preset_charmap, origami_annulus_profile
 from torushom.formats import parse_profile, write_profile
@@ -42,7 +43,7 @@ def test_validate_profile_rejects_corruption():
                           (P.rank_delta[0], P.rank_delta[1] + 1), "user")
     diag = validate_profile(S, bad, QQ)
     assert not diag.ok
-    with pytest.raises(PosetError):
+    with pytest.raises(InputError):
         pages(S, bad, QQ)
 
 
@@ -196,7 +197,7 @@ def test_cone_tag_must_name_the_cone_profile():
     diag = validate_profile(S, tagged, QQ)
     assert not diag.ok and "not the cone profile" in diag.messages[-1]
     for call in (theorem_checks, pages, bigraded_betti):
-        with pytest.raises(PosetError, match="not the cone profile"):
+        with pytest.raises(InputError, match="not the cone profile"):
             call(S, tagged, QQ)
     # the cone profile, written and read back, is accepted
     cone = parse_profile(write_profile(cone_profile(S, QQ)))

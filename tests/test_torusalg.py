@@ -10,7 +10,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from torushom.field import QQ, PrimeField
-from torushom.poset import preset, build_from_facets, PosetError
+from torushom.errors import InputError, InvariantViolation
+from torushom.poset import preset, build_from_facets
 from torushom.fixtures import CHARMAPS, preset_charmap
 from torushom.torusalg import (
     ExteriorAlgebra, CharacteristicMap, validate_charmap,
@@ -20,14 +21,15 @@ from torushom.sheaves import (
     CellularSheaf, CellularCosheaf, sheaf_cohomology, tensor, _covers,
 )
 from torushom.facevec import binom
-from torushom.complexes import GradedComplex, HomologyProfile, InvariantViolation
+from torushom.complexes import GradedComplex, HomologyProfile
 from torushom.exactlin import Matrix, IncrementalSpan
 from torushom.cli import main
 from torushom.formats import write_charmap
 
 from oracles import (coefficient_CAI, ideal_sheaf, inclusions, is_chain_map,
                      lambda_mod_pi_cosheaf, pi_cosheaf, quotient_class, quotient_sheaf,
-                     span_tables, structure_tensor_ideal, structure_tensor_quotient)
+                     span_tables, structure_tensor_ideal, structure_tensor_quotient,
+                     without_empty_stalk)
 
 FIXTURES = ["boundary_of_simplex(2)", "boundary_of_simplex(3)",
             "cross_polytope_boundary(3)", "torus_7", "digon_cycle(2)"]
@@ -146,7 +148,7 @@ def test_no_f2_charmap_for_torus_7():
 
 def test_charmap_missing_vertex_rejected():
     S = preset("boundary_of_simplex(2)")
-    with pytest.raises(PosetError):
+    with pytest.raises(InputError):
         validate_charmap(S, CharacteristicMap(2, {1: (1, 0), 2: (0, 1)}), QQ)
 
 
@@ -264,7 +266,7 @@ def test_kit_coefficient_matches_integer_minor():
             for A in kit.ext.subsets(cm.n - len(S.vertex_sets[e])):
                 assert kit.coefficient(e, A) == \
                     coefficient_CAI(cm, F, S.vertex_sets[e], A), (name, F, e, A)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantViolation):
             kit.coefficient(1, ())
 
 
@@ -326,7 +328,7 @@ def test_duality_vanishes_beyond_top_grading():
     kit = TorusSheafKit(S, preset_charmap("boundary_of_simplex(2)"), QQ)
     # degree above the torus rank: both sides identically zero
     q = kit.n
-    coh = sheaf_cohomology(structure_tensor_ideal(kit, q), truncated=True)
+    coh = sheaf_cohomology(structure_tensor_ideal(kit, q))
     hom = sheaf_cohomology(pi_cosheaf(kit, q))
     assert coh.dims.get(0, 0) == hom.dims.get(S.n - 1, 0)
 
@@ -342,16 +344,16 @@ def test_torus_rank_larger_than_poset_rank():
     assert duality_check(S, cm, QQ).passed
     assert les_duality_check(S, cm, QQ).passed
     from torushom.specseq import e2_border_sheaf_crosscheck
-    with pytest.raises(PosetError):
+    with pytest.raises(InputError):
         e2_border_sheaf_crosscheck(S, cm, QQ)
     from torushom.facering import relation_system
-    with pytest.raises(PosetError):
+    with pytest.raises(InputError):
         relation_system(S, cm, QQ)
 
 
 def test_charmap_rank_below_poset_rank_rejected():
     S = preset("boundary_of_simplex(3)")
-    with pytest.raises(PosetError):
+    with pytest.raises(InputError):
         validate_charmap(S, CharacteristicMap(2, {1: (1, 0), 2: (0, 1),
                                                   3: (1, 1), 4: (1, 2)}), QQ)
 
@@ -388,7 +390,7 @@ def test_constant_terms_match_tensor_route(name, F):
     rep = les_duality_check(S, cm, F) if F in fields_for(name) else None
     for q in range(cm.n + 1):
         copies = binom(cm.n, q)
-        coh = sheaf_cohomology(_lambda_sheaf(S, F, copies), truncated=True).dims
+        coh = sheaf_cohomology(_lambda_sheaf(S, F, copies)).dims
         hom = sheaf_cohomology(_lambda_cosheaf(S, F, copies)).dims
         assert coh == {k: copies * d for k, d in job.structure_cohomology.items()}, q
         assert hom == {k: copies * d for k, d in job.betti.items()}, q
@@ -447,8 +449,8 @@ def _kit_digests(kit):
                 _hash_matrix(maps, cosheaf._cover_matrix(j, i))
         tensors = (structure_tensor_ideal(kit, q), _lambda_sheaf(S, field, kit.ext.dim(q)),
                    structure_tensor_quotient(kit, q))
-        complexes = [sheaf_cohomology(t, truncated).complex
-                     for t in tensors for truncated in (True, False)]
+        complexes = [sheaf_cohomology(u).complex
+                     for t in tensors for u in (without_empty_stalk(t), t)]
         complexes += [sheaf_cohomology(c).complex for c in cosheaves]
         for cx in complexes:
             diffs.update(repr(sorted(cx.labels.items())).encode())
@@ -552,8 +554,8 @@ def test_kit_matrices_store_no_zero_entry(name, F):
         sheaves = [ideal_sheaf(kit, q), quotient_sheaf(kit, q), pi_cosheaf(kit, q),
                    lambda_mod_pi_cosheaf(kit, q)]
         tensors = [tensor(S.job(F).structure_sheaf(), sheaf) for sheaf in sheaves[:2]]
-        complexes = [sheaf_cohomology(t, truncated).complex
-                     for t in tensors for truncated in (True, False)]
+        complexes = [sheaf_cohomology(u).complex
+                     for t in tensors for u in (without_empty_stalk(t), t)]
         complexes += [sheaf_cohomology(c).complex for c in sheaves[2:]]
         matrices += [m for sheaf in sheaves + tensors for m in sheaf.rest.values()]
         matrices += [m for cx in complexes for m in cx.diff.values()]
@@ -633,9 +635,9 @@ def test_projection_is_a_cochain_map(name, F):
     for q in range(kit.n + 1):
         quotient = kit._quotient_sheaf(q)
         projections = kit.projections(quotient)
-        src = sheaf_cohomology(tensor(structure, _lambda_with_empty_face(S, F, binom(kit.n, q))),
-                               truncated=False).complex
-        dst = sheaf_cohomology(tensor(structure, quotient), truncated=False).complex
+        src = sheaf_cohomology(tensor(structure,
+                                      _lambda_with_empty_face(S, F, binom(kit.n, q)))).complex
+        dst = sheaf_cohomology(tensor(structure, quotient)).complex
         f = {}
         for k in dst.degrees():
             rows = [[F.zero] * src.dim(k) for _ in range(dst.dim(k))]
