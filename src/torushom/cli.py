@@ -71,6 +71,8 @@ def _read(path):
         return Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise InputError(str(e)) from None
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path} is not UTF-8 text: {e.reason} at byte {e.start}") from None
 
 
 def load_profile(args, S, field):

@@ -172,7 +172,7 @@ def write_charmap(cmap: CharacteristicMap) -> str:
 def parse_profile(text: str) -> ManifoldProfile:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:         # JSONDecodeError, or an integer past int's digit limit
         raise InputError(f"profile is not valid JSON: {e}") from None
     if not isinstance(data, dict):
         raise InputError("profile must be a JSON object")
@@ -181,7 +181,7 @@ def parse_profile(text: str) -> ManifoldProfile:
             raise InputError(f"profile misses key {key!r}")
     try:
         return ManifoldProfile.from_dict(data)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise InputError(f"bad profile: {e}") from None
 
 

@@ -204,6 +204,7 @@ BAD_INPUT = {
     "unknown preset": (["validate", "--preset", "no_such_preset"], None),
     "missing file": (["validate", "--poset", "{file}.missing"], None),
     "malformed facet list": (["validate", "--facets", "{file}"], "facets v1\n1 x\n"),
+    "facet list not UTF-8": (["validate", "--facets", "{file}"], b"facets v1\n\xff\xfe\n"),
     "malformed cover table": (["validate", "--poset", "{file}"],
                               "simplicial-poset v1\n0 0 - -\n1 1 1\n"),
     "malformed charmap": (["charmap", "--preset", "torus_7", "--charmap", "{file}"],
@@ -213,6 +214,10 @@ BAD_INPUT = {
                      '["n", "bQ", "bQrel", "rank_delta"]'),
     "profile missing key": (["specseq", "--preset", "torus_7", "--profile", "{file}"],
                             '{"n": 3, "bQ": [1, 0, 0, 0]}'),
+    "profile integer past the digit limit": (
+        ["specseq", "--preset", "torus_7", "--profile", "{file}"], "1" * 5000),
+    "profile infinite": (["specseq", "--preset", "torus_7", "--profile", "{file}"],
+                         '{"n": Infinity, "bQ": [], "bQrel": [], "rank_delta": []}'),
     "field Z": (["validate", "--preset", "torus_7", "--field", "Z"], None),
     "field Fp:abc": (["validate", "--preset", "torus_7", "--field", "Fp:abc"], None),
     "field Fp:4": (["validate", "--preset", "torus_7", "--field", "Fp:4"], None),
@@ -226,7 +231,9 @@ BAD_INPUT = {
 def test_exit_2_on_bad_input(capsys, tmp_path):
     for case, (argv, text) in BAD_INPUT.items():
         path = tmp_path / "input"
-        if text is not None:
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        elif text is not None:
             path.write_text(text)
         assert main([a.format(file=path) for a in argv]) == 2, case
         captured = capsys.readouterr()
