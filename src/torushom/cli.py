@@ -75,11 +75,13 @@ def _read(path):
         raise InputError(f"{path} is not UTF-8 text: {e.reason} at byte {e.start}") from None
 
 
-def load_profile(args, S, field):
-    if args.profile:
-        from .formats import parse_profile
-        return parse_profile(_read(args.profile))     # validated where it is used
-    return S.job(field).cone_profile
+def load_profile(args):
+    """The profile of the --profile file, validated where it is used; None,
+    standing for the cone profile, without one."""
+    if not args.profile:
+        return None
+    from .formats import parse_profile
+    return parse_profile(_read(args.profile))
 
 
 def selected_checks(args) -> set:
@@ -114,6 +116,9 @@ def run(args) -> tuple[dict, int]:
     from .field import field_from_name, prime_fields
     checks = selected_checks(args)
     field = field_from_name(args.field)
+    # every option is parsed before any section runs, read or not
+    primes = prime_fields(args.primes)
+    profile = load_profile(args)
     S = load_poset(args)
     # the layers every command reads, loaded once the input is usable
     from .complexes import classify
@@ -154,7 +159,7 @@ def run(args) -> tuple[dict, int]:
         if diag.ok and diag.pure:
             cls = {field.name: classify(S, field).as_dict()}
             if field.name == "Q":
-                for F in prime_fields(args.primes):
+                for F in primes:
                     cls[F.name] = classify(S, F).as_dict()
             payload["classification"] = cls
             if cls[field.name]["buchsbaum"]:
@@ -210,7 +215,7 @@ def run(args) -> tuple[dict, int]:
             record("les_duality", rep.as_dict(), rep.passed)
 
     if want_specseq:
-        P = load_profile(args, S, field)
+        P = job.cone_profile if profile is None else profile
         blocker = _crosscheck_blocker(S, cmap, P)
         only_crosscheck = checks & set(COMMAND_CHECKS["specseq"]) == {"crosscheck"}
         if blocker and only_crosscheck and not is_all:
@@ -233,8 +238,7 @@ def run(args) -> tuple[dict, int]:
 
     if want_facering:
         from .facering import relation_system, graded_quotient_rank, kernel_generators
-        P = load_profile(args, S, field)
-        R = relation_system(S, cmap, field, profile=P)
+        R = relation_system(S, cmap, field, profile=profile)
         ranks1 = graded_quotient_rank(R, include_type2=False)
         payload = {"first_kind_quotient": {str(q): v for q, v in sorted(ranks1.items())}}
         ok = True

@@ -6,14 +6,15 @@ first kind pairs every face one rank down with a subset of torus
 coordinates through incidence signs and determinant coefficients; the
 second kind pairs cocycle representatives of the connecting images with
 the same coefficients.  The coefficients are the signed coordinates of
-each face's top form, read from the job's sheaf kit of the map
-(`TorusSheafKit.coefficient`), the same forms that generate the
-principal-ideal cosheaf.  All outputs are ranks and explicit kernel
-vectors, never ring elements: the ring structure itself is out of scope.
+each face's top form, one `{A: C_{A,I}}` table per face, read from the
+job's sheaf kit of the map (`TorusSheafKit.coefficients`), the same forms
+that generate the principal-ideal cosheaf.  A relation row is a sparse
+`{generator index: entry}` dict, built from those tables and ranked as it
+is.  All outputs are ranks and explicit kernel vectors, never ring
+elements: the ring structure itself is out of scope.
 """
 from __future__ import annotations
 
-from itertools import combinations
 from typing import NamedTuple
 
 from .exactlin import Matrix, IncrementalSpan
@@ -21,51 +22,35 @@ from .errors import InputError
 from .poset import SimplicialPoset, incidence_number
 from .sheaves import CellularSheaf, sheaf_cohomology
 from .specseq import ManifoldProfile, validate_profile
-from .torusalg import CharacteristicMap, TorusSheafKit
+from .torusalg import CharacteristicMap
 
 
-class RelationSystem:
-    """The generators of a face ring and its relation rows, filled in by
-    `relation_system`: first the first kind, then the second kind when the
-    profile determines it."""
+class RelationSystem(NamedTuple):
+    """The generators of a face ring and its relation rows per degree q, each
+    row a `{generator index: entry}` dict of nonzero entries: first the
+    first kind, then the second kind when the profile determines it."""
+    field: object
+    n: int
+    coefficients: dict          # face -> its determinant coefficients, from the kit
+    generators: dict            # q -> list of generator labels
+    type1: dict                 # q -> list of rows
+    type2: dict | None          # q -> list of (class_index, A, row); None if unavailable
+    type2_cocycles: dict        # q -> the representative cocycles of the second kind
+    trivialized: object         # cohomology of the trivialized structure sheaf
+                                # (constant values) with its cochain complex, or None
+    type2_reason: str           # why the second kind is unavailable
 
-    def __init__(self, field, n: int, kit: TorusSheafKit, generators: dict):
-        self.field = field
-        self.n = n
-        self.kit = kit                  # the map's sheaf kit: the determinant coefficients
-        self.generators = generators    # q -> list of generator labels
-        self._index = {q: {g: k for k, g in enumerate(gs)} for q, gs in generators.items()}
-        self.type1 = {}                 # q -> list of rows (vectors over the generators)
-        self.type2 = None               # q -> list of (class_index, A, row); None if unavailable
-        self.type2_cocycles = {}        # q -> representative cocycles
-        # cohomology of the trivialized structure sheaf (constant values),
-        # with its cochain complex; built with the second kind
-        self.trivialized = None
-        self.type2_reason = ""
 
-    def generator_count(self, q):
-        return len(self.generators.get(q, []))
-
-    def generator_index(self, q):
-        return self._index[q]
-
-    def type1_rows(self, q):
-        return self.type1.get(q, [])
-
-    def type2_rows(self, q):
-        if self.type2 is None:
-            raise InputError("second-kind relations unavailable: " + self.type2_reason)
-        return [row for (_, _, row) in self.type2.get(q, [])]
-
-    def row_from_cocycle(self, q, z, A, elems):
-        """Relation row attached to a degree-q cocycle and a subset A."""
-        field = self.field
-        gi = self.generator_index(q)
-        row = [field.zero] * self.generator_count(q)
-        for k, e in enumerate(elems):
-            if z[k]:
-                row[gi[("f", e)]] = field(z[k] * self.kit.coefficient(e, A))
-        return row
+def _row(coefficients, index, faces, values, A, p) -> dict:
+    """The relation row of sum c C_{A,I} e_I over the faces I with their values
+    c, as {generator index: entry}; `index` places each face."""
+    row = {}
+    for face, c in zip(faces, values):
+        if c:
+            x = coefficients[face].get(A)
+            if x:
+                row[index[face]] = c * x % p if p else c * x
+    return row
 
 
 def relation_system(S: SimplicialPoset, cmap: CharacteristicMap, field,
@@ -94,51 +79,38 @@ def relation_system(S: SimplicialPoset, cmap: CharacteristicMap, field,
     cons = job.constancy
     if not cons.is_constant:
         raise InputError("structure sheaf is not constant: " + (cons.witness or ""))
-    orientation = dict(cons.orientation)
+    orientation, p = cons.orientation, field.char
+    coefficients = {e: kit.coefficients(e) for e in range(1, S.size)}
 
-    subsets = {q: [tuple(c) for c in combinations(range(1, n + 1), q)]
-               for q in range(n + 1)}
-    generators = {}
-    for q in range(n + 1):
-        if q < n:
-            generators[q] = [("f", e) for e in S.elements_of_rank(n - q)]
-        else:
-            generators[q] = [("e", m) for m in range(structure.stalk_dims[0])]
+    subsets = {q: kit.ext.subsets(q) for q in range(n + 1)}
+    faces = {q: S.elements_of_rank(n - q) for q in range(n)}
+    index = {q: {e: k for k, e in enumerate(fs)} for q, fs in faces.items()}
+    generators = {q: [("f", e) for e in fs] for q, fs in faces.items()}
+    generators[n] = [("e", m) for m in range(structure.stalk_dims[0])]
 
-    system = RelationSystem(field, n, kit, generators)
-
-    type1 = {q: [] for q in range(n + 1)}
+    type1 = {n: []}                 # no face lies one rank below the empty face
     for q in range(n):
-        gi = system.generator_index(q)
-        width = len(generators[q])
-        for j in S.elements_of_rank(n - q - 1):
-            if j == 0:
-                for m in range(structure.stalk_dims[0]):
-                    for A in subsets[q]:
-                        row = [field.zero] * width
-                        for v in S.covered_by[0]:
-                            c = structure.rest[(0, v)].rows[0][m]
-                            cai = kit.coefficient(v, A)
-                            row[gi[("f", v)]] = field(c * field.inv(orientation[v]) * cai)
-                        type1[q].append(row)
-            else:
-                for A in subsets[q]:
-                    row = [field.zero] * width
-                    for i in S.covered_by[j]:
-                        sign = incidence_number(S, i, j)
-                        row[gi[("f", i)]] = field(sign * kit.coefficient(i, A))
-                    type1[q].append(row)
-    system.type1 = type1
+        # per face j one rank down, its cofaces with their values
+        if q == n - 1:
+            # the empty face, once per coordinate m of its stalk
+            vertices = S.covered_by[0]
+            rest = [structure.rest[(0, v)].nonzeros()[0] for v in vertices]
+            lower = [(vertices, [field(r.get(m, 0) * field.inv(orientation[v]))
+                                 for v, r in zip(vertices, rest)])
+                     for m in range(structure.stalk_dims[0])]
+        else:
+            lower = [(S.covered_by[j], [incidence_number(S, i, j) for i in S.covered_by[j]])
+                     for j in S.elements_of_rank(n - q - 1)]
+        type1[q] = [_row(coefficients, index[q], above, values, A, p)
+                    for above, values in lower for A in subsets[q]]
 
     if profile.source != "cone":
-        system.type2_reason = ("second-kind rows are determined by the cone "
-                               "profile only")
-        return system
+        return RelationSystem(field, n, coefficients, generators, type1, None, {}, None,
+                              "second-kind rows are determined by the cone profile only")
 
-    cohomology = system.trivialized = sheaf_cohomology(CellularSheaf.constant(S, field))
+    cohomology = sheaf_cohomology(CellularSheaf.constant(S, field))
     labels = cohomology.complex.labels
-    type2 = {}
-    cocycles_kept = {}
+    type2, cocycles = {}, {}
     for q in range(max(n - 1, 0)):
         degree = n - 1 - q
         if q == 0:
@@ -159,32 +131,28 @@ def relation_system(S: SimplicialPoset, cmap: CharacteristicMap, field,
         if len(reps) != expected:
             raise InputError(f"degree {q}: found {len(reps)} connecting classes, "
                              f"profile says {expected}")
-        if not reps:
-            continue
-        elems = labels[degree]
-        rows = []
-        for ci, z in enumerate(reps):
-            for A in subsets[q]:
-                rows.append((ci, A, system.row_from_cocycle(q, z, A, elems)))
-        type2[q] = rows
-        cocycles_kept[q] = reps
-    system.type2 = type2
-    system.type2_cocycles = cocycles_kept
-    return system
+        if reps:
+            type2[q] = [(ci, A, _row(coefficients, index[q], labels[degree], z, A, p))
+                        for ci, z in enumerate(reps) for A in subsets[q]]
+            cocycles[q] = reps
+    return RelationSystem(field, n, coefficients, generators, type1, type2, cocycles,
+                          cohomology, "")
+
+
+def _second_kind(R: RelationSystem) -> dict:
+    """The second-kind rows; refuses a system whose profile leaves them open."""
+    if R.type2 is None:
+        raise InputError("second-kind relations unavailable: " + R.type2_reason)
+    return R.type2
 
 
 def graded_quotient_rank(R: RelationSystem, include_type2: bool) -> dict:
     """Generator count modulo the relation rows, per degree."""
+    type2 = _second_kind(R) if include_type2 else {}
     out = {}
-    for q in range(R.n + 1):
-        rows = list(R.type1_rows(q))
-        if include_type2:
-            if R.type2 is None:
-                raise InputError("second-kind relations unavailable: " + R.type2_reason)
-            rows += R.type2_rows(q)
-        count = R.generator_count(q)
-        rank = Matrix(R.field, rows, count).rank() if rows else 0
-        out[q] = count - rank
+    for q, generators in R.generators.items():
+        rows = R.type1[q] + [row for _, _, row in type2.get(q, [])]
+        out[q] = len(generators) - Matrix.sparse(R.field, rows, len(generators)).rank()
     return out
 
 
@@ -213,40 +181,30 @@ def kernel_generators(R: RelationSystem) -> KernelGenerators:
     every coboundary generator leaves the reduced vectors exactly
     unchanged, and that the whole family is linearly independent.
     """
-    if R.type2 is None:
-        raise InputError("second-kind relations unavailable: " + R.type2_reason)
-    field = R.field
-    cohomology = R.trivialized
+    field, cohomology = R.field, R.trivialized
     per_degree = {}
-    independent = True
-    stable = True
-    all_residuals_rank = 0
-    total = 0
-    for q, rows in sorted(R.type2.items()):
-        width = R.generator_count(q)
+    independent = stable = True
+    for q, rows in sorted(_second_kind(R).items()):
+        width = len(R.generators[q])
+        index = {e: k for k, (_, e) in enumerate(R.generators[q])}
+
+        def dense(row):
+            return [row.get(j, field.zero) for j in range(width)]
+
         t1span = IncrementalSpan(field, width)
-        for r in R.type1_rows(q):
-            t1span.add(r)
-        reduced = [(ci, A, t1span.reduce(row)) for ci, A, row in rows]
-        per_degree[q] = reduced
-        stack = Matrix(field, [r for (_, _, r) in reduced], width)
-        rk = stack.rank()
-        all_residuals_rank += rk
-        total += len(reduced)
-        if rk != len(reduced):
+        for r in R.type1[q]:
+            t1span.add(dense(r))
+        reduced = per_degree[q] = [(ci, A, t1span.reduce(dense(row))) for ci, A, row in rows]
+        if Matrix(field, [r for _, _, r in reduced], width).rank() != len(reduced):
             independent = False
         degree = R.n - 1 - q
         elems = cohomology.complex.labels[degree]
         cbs = cohomology.boundaries(degree)
-        subsets = sorted({A for (_, A, _) in rows})
-        for ci, z in enumerate(R.type2_cocycles.get(q, [])):
+        for ci, A, base in reduced:
+            z = R.type2_cocycles[q][ci]
             for cb in cbs:
                 zp = [field(a + b) for a, b in zip(z, cb)]
-                for A in subsets:
-                    rowp = R.row_from_cocycle(q, zp, A, elems)
-                    base = next(r for (c2, A2, r) in reduced
-                                if c2 == ci and A2 == A)
-                    if t1span.reduce(rowp) != base:
-                        stable = False
-    return KernelGenerators(per_degree, independent and all_residuals_rank == total,
-                            stable)
+                row = _row(R.coefficients, index, elems, zp, A, field.char)
+                if t1span.reduce(dense(row)) != base:
+                    stable = False
+    return KernelGenerators(per_degree, independent, stable)

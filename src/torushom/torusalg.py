@@ -153,6 +153,7 @@ class TorusSheafKit:
         self.frows = cmap.field_rows(field)
         self._dims = {}         # exterior degree -> its tables
         self._forms = {}        # face -> its top form
+        self._coefficients = {}  # face -> its determinant coefficients
         self._frames, self._moves = None, {}     # see `frames`
 
     def pi_form(self, elem: int):
@@ -168,18 +169,22 @@ class TorusSheafKit:
             self._forms[elem] = vec
         return vec
 
-    def coefficient(self, elem: int, A):
-        """The determinant coefficient C_{A,I} of the face I = `elem` and
-        columns A, |A| + |I| = n: the top form's coordinate at the columns
-        outside A, signed by the parity of 1 + ... + (n - |A|) plus those
-        columns.  The sign depends only on A, so it moves no rank."""
-        n = self.n
-        cols = tuple(j for j in range(1, n + 1) if j not in A)
-        if len(cols) != len(self.S.vertex_sets[elem]):
-            raise InvariantViolation("need |A| + |I| = n")
-        det = self.pi_form(elem)[self.ext.index(cols)]
-        exp = sum(range(1, len(cols) + 1)) + sum(cols)
-        return self.field(-det if exp % 2 else det)
+    def coefficients(self, elem: int) -> dict:
+        """The determinant coefficients C_{A,I} of the face I = `elem`, as
+        {A: C_{A,I}} over the subsets A with |A| + |I| = n where they are
+        nonzero: the top form's coordinate at the columns outside A, signed
+        by the parity of 1 + ... + |I| plus those columns.  The sign depends
+        only on A, so it moves no rank.  Built once per face."""
+        table = self._coefficients.get(elem)
+        if table is None:
+            n, rank = self.n, len(self.S.vertex_sets[elem])
+            table = self._coefficients[elem] = {}
+            for cols, det in zip(self.ext.subsets(rank), self.pi_form(elem)):
+                if det:
+                    A = tuple(j for j in range(1, n + 1) if j not in cols)
+                    odd = (rank * (rank + 1) // 2 + sum(cols)) % 2
+                    table[A] = self.field(-det) if odd else det
+        return table
 
     # -- adapted bases -----------------------------------------------------
 

@@ -342,23 +342,24 @@ def sheaf_dump(sheaf: CellularSheaf) -> dict:
 
 
 def relation_dump(R) -> dict:
-    """A face ring's generators and relation rows as JSON-ready strings."""
-    def rows_out(rows):
-        return [[str(v) for v in r] for r in rows]
+    """A face ring's generators and relation rows, dense, as JSON-ready strings."""
+    def rows_out(q, rows):
+        return [[str(r.get(j, 0)) for j in range(len(R.generators[q]))] for r in rows]
     out = {"n": R.n,
            "generators": {str(q): [list(map(str, g)) for g in gs]
                           for q, gs in sorted(R.generators.items())},
-           "type1": {str(q): rows_out(rs) for q, rs in sorted(R.type1.items())}}
+           "type1": {str(q): rows_out(q, rs) for q, rs in sorted(R.type1.items())}}
     if R.type2 is not None:
-        out["type2"] = {str(q): rows_out([r for (_, _, r) in rs])
+        out["type2"] = {str(q): rows_out(q, [r for (_, _, r) in rs])
                         for q, rs in sorted(R.type2.items())}
     return out
 
 
 def coefficient_CAI(cmap, field, vertices, A):
     """The determinant coefficient attached to a face and a subset A, from
-    the integer minor (`TorusSheafKit.coefficient` reads the face's top
-    form instead).
+    the integer minor, zero where the minor vanishes
+    (`TorusSheafKit.coefficients` reads the face's top form instead, and
+    keeps the nonzero coefficients only).
 
     `vertices` are the labels of the face in ascending order; A is a
     subset of column indices 1..n with |A| = n - |vertices|.  The sign

@@ -222,25 +222,34 @@ BAD_INPUT = {
     "field Fp:abc": (["validate", "--preset", "torus_7", "--field", "Fp:abc"], None),
     "field Fp:4": (["validate", "--preset", "torus_7", "--field", "Fp:4"], None),
     "primes 2,x": (["validate", "--preset", "torus_7", "--primes", "2,x"], None),
+    # options are parsed before any section runs, also by a command that
+    # does not read them
+    "primes 2,x, unread": (["specseq", "--preset", "torus_7", "--primes", "2,x"], None),
+    "primes 4, unread": (["validate", "--preset", "torus_7", "--field", "Fp:3",
+                          "--primes", "4"], None),
+    "missing profile, unread": (["validate", "--preset", "torus_7",
+                                 "--profile", "/nonexistent.json"], None),
+    "profile 5, unread": (["verify", "--preset", "torus_7", "--charmap", "{t7}",
+                           "--profile", "{file}"], "5"),
     "verify without charmap": (["verify", "--preset", "torus_7"], None),
     "unknown check": (["sheaf", "--preset", "torus_7", "--checks", "constant,nope"], None),
     "not Buchsbaum": (["specseq", "--facets", "{file}"], "facets v1\n1 2 3\n1 4 5\n"),
 }
 
 
-def test_exit_2_on_bad_input(capsys, tmp_path):
+def test_exit_2_on_bad_input(capsys, tmp_path, files):
     for case, (argv, text) in BAD_INPUT.items():
         path = tmp_path / "input"
         if isinstance(text, bytes):
             path.write_bytes(text)
         elif text is not None:
             path.write_text(text)
-        assert main([a.format(file=path) for a in argv]) == 2, case
+        assert main([a.format(file=path, t7=files["t7"]) for a in argv]) == 2, case
         captured = capsys.readouterr()
         assert captured.out == "", case
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, \
             (case, captured.err)
-        if case in ("field Fp:abc", "primes 2,x"):
+        if case in ("field Fp:abc", "primes 2,x", "primes 2,x, unread"):
             assert argv[-2] in captured.err and "invalid literal" not in captured.err
 
 

@@ -254,8 +254,10 @@ def _cross4_coordinate_map():
 
 def test_kit_coefficient_matches_integer_minor():
     # the kit reads C_{A,I} off the face's top form; the oracle takes the
-    # Bareiss determinant of the integer minor.  Every map here is valid
-    # over its field (the kit refuses one that is not)
+    # Bareiss determinant of the integer minor.  A face's table holds the
+    # nonzero coefficients only, so every subset it leaves out has a zero
+    # minor.  Every map here is valid over its field (the kit refuses one
+    # that is not)
     cases = [(name, preset_charmap(name), F) for name in CHARMAPS
              for F in (QQ, PrimeField(3), PrimeField(5))]
     cases.append(("cross_polytope_boundary(4)", _cross4_coordinate_map(), PrimeField(1000003)))
@@ -263,11 +265,12 @@ def test_kit_coefficient_matches_integer_minor():
         S = preset(name)
         kit = TorusSheafKit(S, cm, F)
         for e in range(1, S.size):
-            for A in kit.ext.subsets(cm.n - len(S.vertex_sets[e])):
-                assert kit.coefficient(e, A) == \
+            table = kit.coefficients(e)
+            subsets = kit.ext.subsets(cm.n - len(S.vertex_sets[e]))
+            assert set(table) <= set(subsets) and all(table.values()), (name, F, e)
+            for A in subsets:
+                assert table.get(A, F.zero) == \
                     coefficient_CAI(cm, F, S.vertex_sets[e], A), (name, F, e, A)
-        with pytest.raises(InvariantViolation):
-            kit.coefficient(1, ())
 
 
 def test_cai_matches_quotient_class_up_to_unit():
