@@ -143,19 +143,24 @@ def field_from_name(name: str):
     if s == "Q":
         return QQ
     if s.startswith("Fp:"):
-        return PrimeField(_integer(s[3:], "--field"))
+        return _prime_field(s[3:], "--field")
     if s.startswith("F") and s[1:].isdigit():
-        return PrimeField(_integer(s[1:], "--field"))
+        return _prime_field(s[1:], "--field")
     raise InputError(f"unknown --field {name!r}; expected Q or Fp:<p>")
 
 
 def prime_fields(text: str) -> list:
     """The prime fields of a comma-separated list of primes, e.g. "2,3,5"."""
-    return [PrimeField(_integer(tok, "--primes")) for tok in text.split(",") if tok.strip()]
+    return [_prime_field(tok, "--primes") for tok in text.split(",") if tok.strip()]
 
 
-def _integer(text: str, option: str) -> int:
+def _prime_field(text: str, option: str) -> PrimeField:
+    """The prime field of an option's value, refused with a line naming the option."""
     try:
-        return int(text)
+        p = int(text)
     except ValueError:
         raise InputError(f"{option}: {text.strip()!r} is not an integer") from None
+    try:
+        return PrimeField(p)
+    except InputError as e:
+        raise InputError(f"{option}: {e}") from None

@@ -8,7 +8,9 @@ exterior ideal sheaf and the principal-ideal cosheaf in adapted bases and
 reads the ideal sheaf and the quotient cosheaf off two long exact
 sequences; the module runs the vanishing and duality checks that tie them
 together.  The top form of each face, which generates its principal
-ideal, also gives the face ring's determinant coefficients.
+ideal, also gives the face ring's determinant coefficients.  Every
+exterior form is a sparse {subset: coefficient} dict, and one wedge,
+term by term, makes all of them: no product tables are built.
 """
 from __future__ import annotations
 
@@ -28,28 +30,23 @@ from .formats import CharacteristicMap
 class ExteriorAlgebra:
     """Exterior algebra on n generators with subset-indexed basis.
 
-    Degree-q component has basis e_A over q-subsets A of {1..n}, listed in
-    lexicographic order; wedge uses the shuffle sign, read off a product
-    table per pair of degrees that is built on first use.
+    A form is a dict {A: coefficient} over sorted tuples A of {1..n} that
+    holds only its nonzero coordinates.  The degree-q basis e_A runs over
+    the q-subsets A in lexicographic order (`subsets`); one `wedge`
+    multiplies forms term by term with the shuffle sign, with no product
+    tables.
     """
 
     def __init__(self, n: int, field):
         self.n = n
         self.field = field
-        self._subsets = {q: [tuple(c) for c in combinations(range(1, n + 1), q)]
-                         for q in range(n + 1)}
-        self._index = {q: {s: k for k, s in enumerate(subs)}
-                       for q, subs in self._subsets.items()}
-        self._tables = {}
+        self._subsets = {q: list(combinations(range(1, n + 1), q)) for q in range(n + 1)}
 
     def subsets(self, q):
         return self._subsets.get(q, [])
 
     def dim(self, q):
         return len(self.subsets(q))
-
-    def index(self, subset):
-        return self._index[len(subset)][tuple(subset)]
 
     @staticmethod
     def shuffle_sign(A, B):
@@ -59,31 +56,18 @@ class ExteriorAlgebra:
         inversions = sum(1 for a in A for b in B if a > b)
         return -1 if inversions % 2 else 1
 
-    def _table(self, qa, qb):
-        """For each qb-subset B, in order, the triples (ia, k, s) with
-        e_A ^ e_B = s e_C, over the qa-subsets A (index ia) that miss B;
-        k is the index of C.  Distinct A give distinct C."""
-        table = self._tables.get((qa, qb))
-        if table is None:
-            table = self._tables[(qa, qb)] = [
-                [(ia, self.index(tuple(sorted(A + B))), s)
-                 for ia, A in enumerate(self.subsets(qa)) for s in [self.shuffle_sign(A, B)] if s]
-                for B in self.subsets(qb)]
-        return table
-
-    def wedge(self, qa, va, qb, vb):
-        """Wedge of coordinate vectors in degrees qa, qb."""
-        F = self.field
-        p = F.char
-        out = [F.zero] * self.dim(qa + qb)
-        for entries, b in zip(self._table(qa, qb), vb):
-            if not b:
-                continue
-            for ia, k, s in entries:
-                a = va[ia]
-                if a:
-                    out[k] += s * a * b
-        return [x % p for x in out] if p else out
+    def wedge(self, u: dict, v: dict) -> dict:
+        """u ^ v, leaving out the coordinates that cancel."""
+        p, out = self.field.char, {}
+        for A, a in u.items():
+            for B, b in v.items():
+                s = self.shuffle_sign(A, B)
+                if s:
+                    C = tuple(sorted(A + B))
+                    out[C] = out.get(C, 0) + s * a * b
+        if p:
+            out = {C: x % p for C, x in out.items()}
+        return {C: x for C, x in out.items() if x}
 
 
 class CharmapReport(NamedTuple):
@@ -156,18 +140,18 @@ class TorusSheafKit:
         self._coefficients = {}  # face -> its determinant coefficients
         self._frames, self._moves = None, {}     # see `frames`
 
-    def pi_form(self, elem: int):
+    def pi_form(self, elem: int) -> dict:
         """Top wedge of the face's direction vectors, in ascending vertex
         order; formed once per kit, nonzero by validity."""
-        vec = self._forms.get(elem)
-        if vec is None:
-            vec = [self.field.one]
-            for deg, lab in enumerate(self.S.vertex_sets[elem]):
-                vec = self.ext.wedge(deg, vec, 1, self.frows[lab])
-            if not any(vec):
+        form = self._forms.get(elem)
+        if form is None:
+            form = {(): self.field.one}
+            for lab in self.S.vertex_sets[elem]:
+                form = self.ext.wedge(form, _one_form(range(1, self.n + 1), self.frows[lab]))
+            if not form:
                 raise InvariantViolation(f"zero top form at face {elem}")
-            self._forms[elem] = vec
-        return vec
+            self._forms[elem] = form
+        return form
 
     def coefficients(self, elem: int) -> dict:
         """The determinant coefficients C_{A,I} of the face I = `elem`, as
@@ -179,11 +163,10 @@ class TorusSheafKit:
         if table is None:
             n, rank = self.n, len(self.S.vertex_sets[elem])
             table = self._coefficients[elem] = {}
-            for cols, det in zip(self.ext.subsets(rank), self.pi_form(elem)):
-                if det:
-                    A = tuple(j for j in range(1, n + 1) if j not in cols)
-                    odd = (rank * (rank + 1) // 2 + sum(cols)) % 2
-                    table[A] = self.field(-det) if odd else det
+            for cols, det in self.pi_form(elem).items():
+                A = tuple(j for j in range(1, n + 1) if j not in cols)
+                odd = (rank * (rank + 1) // 2 + sum(cols)) % 2
+                table[A] = self.field(-det) if odd else det
         return table
 
     # -- adapted bases -----------------------------------------------------
@@ -220,37 +203,38 @@ class TorusSheafKit:
     def _quotient_sheaf(self, q: int) -> CellularSheaf:
         """Λ^q / ideal^(q), the empty face's stalk all of Λ^q.  A cover I < J fixes
         e_A when j0 is not in A and sends e_j0 ^ e_B to P_J[j0 - 1] ^ e_B."""
-        S, F, frames = self.S, self.field, self.frames()
+        S, F, ext, frames = self.S, self.field, self.ext, self.frames()
         dims = [binom(self.n - rank, q) for rank in S.ranks]
         rest = {}
         for I, J in _covers(S, CellularSheaf):
             if dims[I] and dims[J]:
                 (CI, _), (C, P), (j0, _) = frames[I], frames[J], self._moves[(I, J)]
                 index = {A: k for k, A in enumerate(combinations(C, q))}
-                rows = [{} for _ in index]
+                rows, v = [{} for _ in index], _one_form(C, P[j0 - 1])
                 for a, A in enumerate(combinations(CI, q)):
                     if j0 not in A:
                         rows[index[A]][a] = F.one
                     else:
                         B = tuple(j for j in A if j != j0)
-                        _wedge_into(rows, a, index, C, P[j0 - 1], B, F.char,
-                                    ExteriorAlgebra.shuffle_sign((j0,), B))
+                        for D, x in ext.wedge(v, {B: ext.shuffle_sign((j0,), B)}).items():
+                            rows[index[D]][a] = x
                 rest[(I, J)] = Matrix.sparse(F, rows, dims[I])
         return CellularSheaf(S, F, dims, rest, include_empty=True, name=f"lambda/ideal^({q})")
 
     def _pi_cosheaf(self, q: int) -> CellularCosheaf:
         """π^(q), with no stalk at the empty face; along a cover I < J,
         omega_J ^ e_B = omega_I ^ (s lambda(w) ^ e_B), read modulo V_I."""
-        S, F, frames = self.S, self.field, self.frames()
+        S, F, ext, frames = self.S, self.field, self.ext, self.frames()
         dims = [binom(self.n - rank, q - rank) if 0 < rank <= q else 0 for rank in S.ranks]
         rest = {}
         for J, I in _covers(S, CellularCosheaf):
             if dims[I] and dims[J]:
                 C, qb = frames[I][0], q - S.ranks[J]
                 index = {A: k for k, A in enumerate(combinations(C, qb + 1))}
-                rows = [{} for _ in index]
+                rows, v = [{} for _ in index], _one_form(C, self._moves[(I, J)][1])
                 for a, B in enumerate(combinations(frames[J][0], qb)):
-                    _wedge_into(rows, a, index, C, self._moves[(I, J)][1], B, F.char)
+                    for D, x in ext.wedge(v, {B: F.one}).items():
+                        rows[index[D]][a] = x
                 rest[(J, I)] = Matrix.sparse(F, rows, dims[J])
         return CellularCosheaf(S, F, dims, rest, name=f"pi^({q})")
 
@@ -292,14 +276,13 @@ class TorusSheafKit:
         def rows(k, reps):
             position = {e: i for i, e in enumerate(chains.complex.labels[k])}
             for x in reps:
-                parts = [[F.zero] * len(position) for _ in range(ext.dim(q))]
+                parts = {A: [F.zero] * len(position) for A in ext.subsets(q)}
                 for I, o in _blocks(S, stalks, k, False)[1].items():
-                    y = [F.zero] * ext.dim(q - k - 1)
-                    for B, c in zip(combinations(self.frames()[I][0], q - k - 1), x[o:]):
-                        y[ext.index(B)] = c
-                    for A, v in enumerate(ext.wedge(k + 1, self.pi_form(I), q - k - 1, y)):
+                    y = {B: c for B, c in zip(combinations(self.frames()[I][0], q - k - 1),
+                                              x[o:]) if c}
+                    for A, v in ext.wedge(self.pi_form(I), y).items():
                         parts[A][position[I]] = v
-                yield [v for part in parts for v in chains.coords(k, part)]
+                yield [v for part in parts.values() for v in chains.coords(k, part)]
         return self._ranks(pi, chains, rows)
 
     # -- the degree passes -------------------------------------------------
@@ -344,12 +327,9 @@ def _reduced(F, vec):
     return [a % F.char for a in vec] if F.char else list(map(F, vec))
 
 
-def _wedge_into(rows, col, index, C, v, B, p, s=1):
-    """Writes s (v ^ e_B), v a 1-form over C, into column `col` of rows of C's monomials."""
-    for j, x in zip(C, v):
-        if x and j not in B:
-            y = s * ExteriorAlgebra.shuffle_sign((j,), B) * x
-            rows[index[tuple(sorted(B + (j,)))]][col] = y % p if p else y
+def _one_form(columns, v) -> dict:
+    """The 1-form with coordinate x at column j, over the pairs (j, x) of `columns` and v."""
+    return {(j,): x for j, x in zip(columns, v) if x}
 
 
 def _exact_term(name, n, copies, middle, ranks, other):

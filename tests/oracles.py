@@ -8,7 +8,8 @@ composed along a chain, the per-diamond functoriality check, induced maps
 in homology, the order-complex homology, integer determinants by Bareiss
 elimination, minors gcds for the Smith form, the determinant coefficients
 of the face ring from those determinants (the library reads them off the
-sheaf kit's top forms), and sheaf dumps for golden digests.
+sheaf kit's top forms), exterior forms read as dense vectors with a
+per-term wedge of its own, and sheaf dumps for golden digests.
 """
 from __future__ import annotations
 
@@ -375,6 +376,45 @@ def coefficient_CAI(cmap, field, vertices, A):
     return field(-det if exp % 2 else det)
 
 
+# ---------------------------------------------------------------------------
+# exterior forms as dense coordinate vectors over `ExteriorAlgebra.subsets`
+# (the library keeps them as sparse {subset: coefficient} dicts)
+
+def dense(ext, q: int, form: dict) -> list:
+    """The degree-q form's coordinates, one per q-subset in order."""
+    return [form.get(A, ext.field.zero) for A in ext.subsets(q)]
+
+
+def sparse(ext, q: int, vec) -> dict:
+    """The form with the nonzero coordinates of a degree-q vector."""
+    return {A: x for A, x in zip(ext.subsets(q), vec) if x}
+
+
+def _merge_sign(A, B) -> int:
+    """The sign of the permutation sorting A + B, by counting its
+    inversions; 0 when A and B meet."""
+    C = A + B
+    if len(set(C)) < len(C):
+        return 0
+    inversions = sum(1 for i, x in enumerate(C) for y in C[i + 1:] if x > y)
+    return (-1) ** inversions
+
+
+def ref_wedge(ext, qa: int, va, qb: int, vb) -> list:
+    """Wedge of dense vectors in degrees qa, qb, one term at a time, each
+    sum normalised by the field; independent of `ExteriorAlgebra.wedge`."""
+    F = ext.field
+    position = {C: k for k, C in enumerate(ext.subsets(qa + qb))}
+    out = [F.zero] * len(position)
+    for A, a in zip(ext.subsets(qa), va):
+        for B, b in zip(ext.subsets(qb), vb):
+            s = _merge_sign(A, B) if a and b else 0
+            if s:
+                k = position[tuple(sorted(A + B))]
+                out[k] = F(out[k] + F(s) * F(a) * F(b))
+    return out
+
+
 # The span route to the sheaf kit's (co)sheaves: each face's exterior ideal
 # and principal ideal as the echelonized span of its generators, with
 # inclusions read off the target's span and quotients in free-column
@@ -402,10 +442,10 @@ def quotient_coords(span, vec):
 
 
 def _times_basis(kit, qa: int, va, qb: int) -> list:
-    """va ^ e_B for every qb-subset B, in order."""
+    """va ^ e_B for every qb-subset B, in order, by the per-term `ref_wedge`."""
     F, ext = kit.field, kit.ext
     dim = ext.dim(qb)
-    return [ext.wedge(qa, va, qb, [F.one if i == k else F.zero for i in range(dim)])
+    return [ref_wedge(ext, qa, va, qb, [F.one if i == k else F.zero for i in range(dim)])
             for k in range(dim)]
 
 
@@ -440,7 +480,8 @@ def pi_spans(kit, q: int) -> list:
         if elem == 0 or not k <= q <= kit.n:
             spans.append(_span(kit, [], q))
             continue
-        basis, span = _span(kit, _times_basis(kit, k, kit.pi_form(elem), q - k), q)
+        top = dense(kit.ext, k, kit.pi_form(elem))
+        basis, span = _span(kit, _times_basis(kit, k, top, q - k), q)
         if len(basis) != binom(kit.n - k, q - k):
             raise InvariantViolation(f"principal ideal dimension off at face {elem}")
         spans.append((basis, span))
@@ -520,6 +561,15 @@ def structure_tensor_ideal(kit, q: int) -> CellularSheaf:
 
 def structure_tensor_quotient(kit, q: int) -> CellularSheaf:
     return tensor(kit.S.job(kit.field).structure_sheaf(), quotient_sheaf(kit, q))
+
+
+def kit_tables(kit, q: int) -> dict:
+    """Every table the kit keeps for degree q, keyed as in `span_tables`."""
+    tables = {key: kit.sheaf_dims(key[0], q, key[1])
+              for key in [("ideal", True), ("quotient", True), ("quotient", False)]}
+    tables.update({kind: kit.cosheaf_dims(kind, q) for kind in ("pi", "lambda/pi")})
+    tables["ranks"] = kit.projection_ranks(q)
+    return tables
 
 
 def span_tables(kit, q: int) -> dict:

@@ -249,7 +249,8 @@ def test_exit_2_on_bad_input(capsys, tmp_path, files):
         assert captured.out == "", case
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, \
             (case, captured.err)
-        if case in ("field Fp:abc", "primes 2,x", "primes 2,x, unread"):
+        if case in ("field Fp:abc", "field Fp:4", "primes 2,x", "primes 2,x, unread",
+                    "primes 4, unread"):
             assert argv[-2] in captured.err and "invalid literal" not in captured.err
 
 
@@ -275,7 +276,7 @@ def test_exit_2_on_a_prime_field_beyond_64_bits(capsys):
     assert main(["all", "--preset", "torus_7", "--field", f"Fp:{2**64 + 13}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"error: {2**64 + 13} is too large: prime fields need "
+    assert captured.err == (f"error: --field: {2**64 + 13} is too large: prime fields need "
                             "p < 2^64\n")
 
 

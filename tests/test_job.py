@@ -21,14 +21,14 @@ from torushom.fixtures import CHARMAPS, preset_charmap
 from torushom.formats import write_charmap
 from torushom.complexes import (GradedComplex, HomologyProfile, betti,
                                 cellular_chain_complex, classify, reduced_betti)
-from torushom.facevec import face_vectors, ft_consistency_check
+from torushom.facevec import binom, face_vectors, ft_consistency_check
 from torushom.poset import preset, validate
 from torushom.sheaves import CellularSheaf, LocalHomologyData, sheaf_cohomology
 from torushom.torusalg import CharacteristicMap
 
-from oracles import (ideal_sheaf, lambda_mod_pi_cosheaf, local_homology_sheaf, pi_cosheaf,
-                     quotient_sheaf, sheaf_dump, structure_tensor_ideal, structure_tensor_quotient,
-                     without_empty_stalk)
+from oracles import (ideal_sheaf, kit_tables, lambda_mod_pi_cosheaf, local_homology_sheaf,
+                     pi_cosheaf, quotient_sheaf, sheaf_dump, structure_tensor_ideal,
+                     structure_tensor_quotient, without_empty_stalk)
 
 # sha256 of the `all` report, recorded before the job cache existed
 GOLDEN = {
@@ -188,6 +188,25 @@ def test_verify_report_at_torus_rank_5_matches_golden(tmp_path):
     assert status == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == \
         "3029555f51baf79b15e90264b69f1ea0b694318164a44e12880b22115e7be88c"
+
+
+@pytest.mark.parametrize("pad", [1, 2])
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=str)
+def test_padded_kit_tables_are_binomial_convolutions(pad, field):
+    # the map's span U has rank 3; F^n / V_I = U / V_I (+) W with W of rank
+    # n - 3, so every stalk splits as (+)_a (stalk over U in degree a) (x)
+    # Λ^(q - a)(W), and each table of degree q is the sum over a of
+    # C(n - 3, q - a) times the unpadded table of degree a
+    job = preset("torus_7").job(field)
+    base = job.kit(preset_charmap("torus_7"))
+    padded = job.kit(_padded_torus_7_map(3 + pad))
+    below = [kit_tables(base, a) for a in range(4)]
+    for q in range(4 + pad):
+        for name, table in kit_tables(padded, q).items():
+            degrees = set(table).union(*(t[name] for t in below))
+            assert {k: table.get(k, 0) for k in degrees} == \
+                {k: sum(binom(pad, q - a) * t[name].get(k, 0) for a, t in enumerate(below))
+                 for k in degrees}, (q, name)
 
 
 def test_all_job_computes_each_invariant_once(all_job):

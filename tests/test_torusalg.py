@@ -26,10 +26,10 @@ from torushom.exactlin import Matrix, IncrementalSpan
 from torushom.cli import main
 from torushom.formats import write_charmap
 
-from oracles import (coefficient_CAI, ideal_sheaf, inclusions, is_chain_map,
-                     lambda_mod_pi_cosheaf, pi_cosheaf, quotient_class, quotient_sheaf,
-                     span_tables, structure_tensor_ideal, structure_tensor_quotient,
-                     without_empty_stalk)
+from oracles import (coefficient_CAI, dense, ideal_sheaf, inclusions, is_chain_map,
+                     kit_tables, lambda_mod_pi_cosheaf, pi_cosheaf, quotient_class, quotient_sheaf,
+                     ref_wedge, span_tables, sparse, structure_tensor_ideal,
+                     structure_tensor_quotient, without_empty_stalk)
 
 FIXTURES = ["boundary_of_simplex(2)", "boundary_of_simplex(3)",
             "cross_polytope_boundary(3)", "torus_7", "digon_cycle(2)"]
@@ -53,25 +53,15 @@ def test_exterior_dims_and_signs():
 
 def test_exterior_wedge_anticommutes():
     ext = ExteriorAlgebra(3, QQ)
-    e1 = [QQ(1), QQ(0), QQ(0)]
-    e2 = [QQ(0), QQ(1), QQ(0)]
-    w12 = ext.wedge(1, e1, 1, e2)
-    w21 = ext.wedge(1, e2, 1, e1)
-    assert w12 == [-v for v in w21]
-    assert all(v == 0 for v in ext.wedge(1, e1, 1, e1))
+    e1, e2 = {(1,): QQ.one}, {(2,): QQ.one}
+    assert ext.wedge(e1, e2) == {(1, 2): 1}
+    assert ext.wedge(e2, e1) == {(1, 2): -1}
+    assert ext.wedge(e1, e1) == {}
 
 
-def _ref_wedge(ext, qa, va, qb, vb):
-    """Wedge one term at a time, each sum normalised by the field."""
-    F = ext.field
-    out = [F.zero] * ext.dim(qa + qb)
-    for ia, A in enumerate(ext.subsets(qa)):
-        for ib, B in enumerate(ext.subsets(qb)):
-            s, C = ext.shuffle_sign(A, B), tuple(sorted(A + B))
-            if s:
-                k = ext.index(C)
-                out[k] = F(out[k] + F(s) * F(va[ia]) * F(vb[ib]))
-    return out
+def _wedge_of_vectors(ext, qa, va, qb, vb):
+    """The library's wedge of the forms of two dense vectors, read densely."""
+    return dense(ext, qa + qb, ext.wedge(sparse(ext, qa, va), sparse(ext, qb, vb)))
 
 
 @pytest.mark.parametrize("F", [QQ, PrimeField(2), PrimeField(3), PrimeField(1000003)], ids=str)
@@ -85,7 +75,7 @@ def test_wedge_matches_per_element_reference(F):
         qa, qb = rng.randint(0, 4), rng.randint(0, 4)
         va = [F(rng.choice(pool)) if not p else rng.choice(pool) for _ in range(ext.dim(qa))]
         vb = [F(rng.choice(pool)) if not p else rng.choice(pool) for _ in range(ext.dim(qb))]
-        assert ext.wedge(qa, va, qb, vb) == _ref_wedge(ext, qa, va, qb, vb)
+        assert _wedge_of_vectors(ext, qa, va, qb, vb) == ref_wedge(ext, qa, va, qb, vb)
     # the products the ideal and principal-ideal spans are built from:
     # va ^ e_B for every basis vector e_B
     for qa in range(5):
@@ -93,7 +83,54 @@ def test_wedge_matches_per_element_reference(F):
             va = [F(rng.randint(-2, 2)) for _ in range(ext.dim(qa))]
             for k in range(ext.dim(qb)):
                 unit = [F.one if i == k else F.zero for i in range(ext.dim(qb))]
-                assert ext.wedge(qa, va, qb, unit) == _ref_wedge(ext, qa, va, qb, unit)
+                assert _wedge_of_vectors(ext, qa, va, qb, unit) == \
+                    ref_wedge(ext, qa, va, qb, unit)
+
+
+WEDGE_FIELDS = [QQ, PrimeField(2), PrimeField(1000003)]
+
+
+@st.composite
+def _forms(draw, count):
+    """(ext, [(q, form)] * count): homogeneous forms of random degrees on
+    n <= 5 generators, with random nonzero coefficients."""
+    F = draw(st.sampled_from(WEDGE_FIELDS))
+    ext = ExteriorAlgebra(draw(st.integers(0, 5)), F)
+    values = (st.fractions(-3, 3, max_denominator=4) if F is QQ
+              else st.integers(-2 * F.char, 2 * F.char))
+    forms = []
+    for _ in range(count):
+        q = draw(st.integers(0, ext.n))
+        coords = draw(st.dictionaries(st.sampled_from(ext.subsets(q)), values))
+        forms.append((q, {A: F(x) for A, x in coords.items() if F(x)}))
+    return ext, forms
+
+
+def _assert_stored_coefficients_nonzero(F, form):
+    assert all(x and (not F.char or 0 < x < F.char) for x in form.values()), form
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_forms(2))
+def test_wedge_of_random_forms_matches_the_per_term_reference(case):
+    ext, [(qa, u), (qb, v)] = case
+    w = ext.wedge(u, v)
+    _assert_stored_coefficients_nonzero(ext.field, w)
+    assert set(w) <= set(ext.subsets(qa + qb))
+    assert dense(ext, qa + qb, w) == ref_wedge(ext, qa, dense(ext, qa, u), qb, dense(ext, qb, v))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_forms(3))
+def test_wedge_is_associative_and_graded_commutative(case):
+    ext, [(qa, u), (qb, v), (_, w)] = case
+    F = ext.field
+    left, right = ext.wedge(ext.wedge(u, v), w), ext.wedge(u, ext.wedge(v, w))
+    assert left == right
+    uv, vu = ext.wedge(u, v), ext.wedge(v, u)
+    assert uv == {C: F((-1) ** (qa * qb) * x) for C, x in vu.items()}
+    for form in (left, uv, vu):
+        _assert_stored_coefficients_nonzero(F, form)
 
 
 def test_validate_charmap_triangle():
@@ -230,8 +267,8 @@ def test_pi_form_nonzero_everywhere():
         S = preset(name)
         kit = TorusSheafKit(S, preset_charmap(name), QQ)
         for e in range(1, S.size):
-            vec = kit.pi_form(e)
-            assert any(v != 0 for v in vec)
+            form = kit.pi_form(e)
+            assert form and all(form.values())
 
 
 def test_coefficient_cai_examples():
@@ -285,9 +322,9 @@ def test_cai_matches_quotient_class_up_to_unit():
             if quotient_sheaf(kit, q).stalk_dims[e] != 1:
                 continue
             unit = None
-            for A in kit.ext.subsets(q):
+            for k, A in enumerate(kit.ext.subsets(q)):
                 vec = [QQ.zero] * kit.ext.dim(q)
-                vec[kit.ext.index(A)] = QQ.one
+                vec[k] = QQ.one
                 cls = quotient_class(kit, e, q, vec)[0]
                 cai = coefficient_CAI(kit.cmap, QQ, S.vertex_sets[e], A)
                 if cai == 0:
@@ -571,18 +608,10 @@ def test_kit_matrices_store_no_zero_entry(name, F):
 # ---------------------------------------------------------------------------
 # the kit's adapted-basis route against the span route
 
-def _kit_tables(kit, q):
-    tables = {key: kit.sheaf_dims(key[0], q, key[1])
-              for key in [("ideal", True), ("quotient", True), ("quotient", False)]}
-    tables.update({kind: kit.cosheaf_dims(kind, q) for kind in ("pi", "lambda/pi")})
-    tables["ranks"] = kit.projection_ranks(q)
-    return tables
-
-
 def _assert_kit_matches_span_route(S, cm, F):
     kit = TorusSheafKit(S, cm, F)
     for q in range(kit.n + 1):
-        assert _kit_tables(kit, q) == span_tables(kit, q), q
+        assert kit_tables(kit, q) == span_tables(kit, q), q
 
 
 @pytest.mark.parametrize("name", sorted(CHARMAPS))
