@@ -6,7 +6,8 @@ markdown report.  Exit status 0 means every selected check passed, 1 means
 some mathematical check failed, 2 means the input was unusable (an
 `InputError`, raised by whichever layer found it), and 3 means an internal
 failure: an invariant of the computation was violated
-(`InvariantViolation`) or any other exception was raised.  `main` alone
+(`InvariantViolation`), any other exception was raised, or stdout was
+closed before the report was written (`BrokenPipeError`).  `main` alone
 maps the exceptions to these statuses.  Failures print one line on stderr,
 `error: ...` or `internal error: ...`.
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -294,10 +296,18 @@ def main(argv=None) -> int:
     except Exception as e:
         print(f"internal error: {type(e).__name__}: {_one_line(e)}", file=sys.stderr)
         return 3
-    if args.out == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        print(render_markdown(report))
+    try:
+        print(json.dumps(report, sort_keys=True, indent=2) if args.out == "json"
+              else render_markdown(report))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; what is left of the report, and the flush at
+        # exit, go to the null device instead
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout closed before the report was written", file=sys.stderr)
+        return 3
     return status
 
 

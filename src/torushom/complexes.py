@@ -5,15 +5,17 @@ degree) and sheaf cochain complexes (raises degree).  Every builder checks
 d∘d = 0, so homology dimensions are read off one rank per differential.
 Deterministic representative cycles, and the lift data that expresses any
 cycle in the representative basis, are built per degree only when asked
-for; the restriction maps of the structure sheaf, the sheaf kit's induced
-maps and the face-ring relations are what ask.
+for, in one `Echelon` holding the boundaries and then the cycles that
+enlarge their span, each representative with a tag column of its own;
+the restriction maps of the structure sheaf, the sheaf kit's induced maps
+and the face-ring relations are what ask.
 """
 from __future__ import annotations
 
 from typing import NamedTuple
 
 from .errors import InputError, InvariantViolation
-from .exactlin import Matrix, IncrementalSpan, product_nonzeros
+from .exactlin import Echelon, Matrix, product_nonzeros, row_nonzeros
 from .field import QQ
 from .poset import SimplicialPoset, incidence_number
 
@@ -61,11 +63,9 @@ class HomologyProfile:
     dim H_k = n_k - rank d_k - rank d_{k-shift}, so the dimensions cost
     one rank per differential.  The boundaries and representative cycles
     of a degree are built the first time one of them or `coords(k, vec)`
-    asks for it: the pivot columns of d_{k-shift}, and the vectors of the
-    kernel basis of d_k, kept in order, that enlarge the span of the
-    boundaries.  That span also reads class coordinates.  A
-    caller that knows the dimensions already passes them (`dims`), and
-    then no differential is ranked.
+    asks for it, in one `Echelon` (`classes`).  A caller that knows
+    the dimensions already passes them (`dims`), and then no differential
+    is ranked.
     """
 
     def __init__(self, cx: GradedComplex, dims: dict | None = None):
@@ -80,27 +80,33 @@ class HomologyProfile:
     def _basis(self, k):
         if k not in self._bases:
             cx = self.complex
-            F = cx.field
-            nk = cx.dim(k)
-            dk = cx.d(k)
-            if dk is None:
-                cycles = (_unit(F, nk, i) for i in range(nk))
-            else:
-                cycles = dk.kernel_basis()
-            dprev = cx.d(k - cx.shift)
-            boundaries = []
-            if dprev is not None:
-                _, pivots = dprev.rref()
-                boundaries = [dprev.column(j) for j in pivots]
-            span = IncrementalSpan(F, nk)
-            for b in boundaries:
-                span.add(b)
-            reps = [z for z in cycles if span.add(z)]
-            self._bases[k] = boundaries, reps, span
+            F, nk, dk = cx.field, cx.dim(k), cx.d(k)
+            cycles = ([F.one if j == i else F.zero for j in range(nk)] for i in range(nk)) \
+                if dk is None else dk.kernel_basis()
+            self._bases[k] = self.classes(k, cycles)
         return self._bases[k]
 
+    def classes(self, k, cycles):
+        """(boundaries, representatives, span) of degree k: the columns of
+        d_{k-shift} that enlarge the span of the columns before them, then
+        the vectors of `cycles`, in order, that enlarge the span so far,
+        the i-th of them added with the tag column n_k + i."""
+        cx = self.complex
+        F, nk, dprev = cx.field, cx.dim(k), cx.d(k - cx.shift)
+        span = Echelon(F)
+        boundaries = [] if dprev is None else [b for b in _columns(dprev) if span.add(b)]
+        reps = []
+        for z in cycles:
+            r = span.reduce(row_nonzeros(z, F.char))
+            if min(r, default=nk) < nk:
+                r[nk + len(reps)] = F.one
+                span.add(r)
+                reps.append(z)
+        return boundaries, reps, span
+
     def boundaries(self, k):
-        """A basis of the boundaries in degree k: the pivot columns of d_{k-shift}."""
+        """A basis of the boundaries in degree k, as `{position: entry}`
+        rows: the pivot columns of d_{k-shift}."""
         return self._basis(k)[0]
 
     def representatives(self, k):
@@ -108,22 +114,32 @@ class HomologyProfile:
         return self._basis(k)[1]
 
     def coords(self, k, vec):
-        """Coordinates of a cycle's class in the representative basis.
+        """Coordinates of a cycle's class in the representative basis: minus
+        the tags of its residual.
 
         Raises InvariantViolation when `vec` is not a cycle (not in the
         span of boundaries and representatives).
         """
-        boundaries, _, span = self._basis(k)
-        x = span.coords(vec) if any(vec) else [span.field.zero] * span.dim
-        if x is None:
-            raise InvariantViolation("vector is not a cycle of this complex")
-        return x[len(boundaries):]
+        _, reps, span = self._basis(k)
+        F = span.field
+        r = span.reduce(row_nonzeros(vec, F.char))
+        x = [F.zero] * len(reps)
+        if r:
+            nk, p = self.complex.dim(k), F.char
+            if min(r) < nk:
+                raise InvariantViolation("vector is not a cycle of this complex")
+            for j, a in r.items():
+                x[j - nk] = -a % p if p else -a
+        return x
 
 
-def _unit(F, n, i):
-    v = [F.zero] * n
-    v[i] = F.one
-    return v
+def _columns(m: Matrix) -> list:
+    """The columns of a matrix as `{row: entry}` dicts."""
+    cols = [{} for _ in range(m.ncols)]
+    for i, row in enumerate(m.nonzeros()):
+        for j, a in row.items():
+            cols[j][i] = a
+    return cols
 
 
 def homology(cx: GradedComplex) -> HomologyProfile:

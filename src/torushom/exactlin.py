@@ -2,12 +2,14 @@
 
 Everything downstream (homology, sheaf cohomology, spectral pages, relation
 ranks) reduces to the operations here: row reduction with exact pivots,
-kernel/image bases, coordinates in an echelonized span, and integer Smith
-invariants.  A matrix is stored as sparse rows, one `{column: entry}` dict
-per row holding only its nonzero entries; `Matrix.rows` is a dense view
-for tests and small readers.  Elimination runs on the supports of the
-rows, and its results (the reduced row echelon form, its pivot columns and
-the kernel basis read off it) are unique, so all derived bases are
+kernel/image bases, residuals modulo a span, and integer Smith invariants.
+A matrix is stored as sparse rows, one `{column: entry}` dict per row
+holding only its nonzero entries; `Matrix.rows` is a dense view for tests
+and small readers.  Every elimination runs in one class, `Echelon`, a
+growing echelon form of such rows: `Matrix` fills one for its rank, rref
+and kernel basis, and the homology profiles and the face ring fill theirs
+row by row.  Its pivots and residuals, and so the reduced row echelon form
+and the kernel basis read off it, are unique, so all derived bases are
 deterministic functions of the input ordering.
 
 The kernels read the field once per call (`p = field.char`) and then run
@@ -15,23 +17,25 @@ plain operators: `% p` on ints over F_p, `int`/`Fraction` operators over Q
 (p = 0), where an integral element is an int (see `torushom.field`), so
 integral matrices stay in int arithmetic until a pivot other than ±1 is
 inverted.  Division goes only through `field.inv`: `/` on two ints is a
-float.  A matrix built from dense rows reads its entries into the field
-first (over F_p into [0, p)), so an entry is stored exactly when it is
-nonzero, even when given as p, -1 or 2p + 1.  `IncrementalSpan` stores
-the same sparse rows and reduces them with the same row subtraction and
-pivot normalisation as `Matrix`; only its inputs and outputs are dense.
+float.  A row built from a dense one (`row_nonzeros`) reads its entries
+into the field first (over F_p into [0, p)), so an entry is stored exactly
+when it is nonzero, even when given as p, -1 or 2p + 1.
 """
 from __future__ import annotations
+
+from bisect import bisect_left, insort
+from itertools import compress, count
 
 from .errors import InvariantViolation
 
 
-def _nonzeros(row, p):
+def row_nonzeros(row, p):
     """The nonzero entries of a dense row as `{column: entry}`, read into
     the field first over F_p."""
+    columns, entries = compress(count(), row), compress(row, row)
     if p:
-        return {j: r for j, a in enumerate(row) if (r := a % p)}
-    return {j: a for j, a in enumerate(row) if a}
+        return {j: r for j, a in zip(columns, entries) if (r := a % p)}
+    return dict(zip(columns, entries))
 
 
 def _subtract(v, c, w, p):
@@ -55,6 +59,67 @@ def _normalized(v, c, F):
     return {j: b * inv % p for j, b in v.items()} if p else {j: b * inv for j, b in v.items()}
 
 
+class Echelon:
+    """A growing echelon form of sparse rows, `{column: entry}` as in
+    `Matrix`: one stored row per pivot column, its smallest column, where
+    its entry is 1.
+
+    `add` subtracts stored rows from a row until its smallest column is no
+    pivot, and keeps what is left; `reduce` sweeps the pivots in ascending
+    order from the row's smallest column, so its residual is zero at every
+    pivot.  The pivots of
+    a span do not depend on the order its rows came in, and the residual
+    is the one vector congruent to the row that is zero at every pivot, so
+    neither depends on the stored rows.  A caller that wants coordinates
+    appends a tag column of its own, past the columns of its vectors, to
+    each row it adds; a residual's tags then read minus the combination of
+    the tagged rows that was subtracted (see `HomologyProfile.coords`).
+    """
+
+    __slots__ = ("field", "rows", "pivots")
+
+    def __init__(self, field, rows=()):
+        self.field = field
+        self.rows = {}          # pivot column -> stored row
+        self.pivots = []        # the pivot columns, ascending
+        for row in rows:
+            self.add(row)
+
+    def __len__(self):
+        return len(self.rows)
+
+    def add(self, row) -> bool:
+        """Insert a row; returns True when it enlarges the span."""
+        F, rows = self.field, self.rows
+        v = dict(row)
+        while v:
+            c = min(v)
+            w = rows.get(c)
+            if w is None:
+                rows[c] = _normalized(v, c, F)
+                insort(self.pivots, c)
+                return True
+            _subtract(v, v[c], w, F.char)
+        return False
+
+    def reduce(self, row):
+        """The residual of a row modulo the span, as a new row."""
+        rows, p = self.rows, self.field.char
+        v = dict(row)
+        if v:
+            pivots = self.pivots
+            for c in pivots[bisect_left(pivots, min(v)):]:
+                a = v.get(c)
+                if a:
+                    _subtract(v, a, rows[c], p)
+        return v
+
+
+# the name under which the benchmark's tracer (perfbench/spans.py) times
+# `reduce`; it goes when the tracer's list of spans drops it
+IncrementalSpan = Echelon
+
+
 class Matrix:
     """Sparse matrix over a field object (see torushom.field): one dict of
     nonzero entries per row.  Matrices are not changed once built, so two
@@ -74,7 +139,7 @@ class Matrix:
             ncols = width
         elif ncols is None:
             raise InvariantViolation("empty matrix needs explicit ncols")
-        rows = [_nonzeros(r, field.char) for r in rows]
+        rows = [row_nonzeros(r, field.char) for r in rows]
         self.field, self._rows, self.nrows, self.ncols = field, rows, len(rows), ncols
 
     @classmethod
@@ -155,32 +220,10 @@ class Matrix:
                 out.append(row)
         return Matrix.sparse(self.field, out, self.ncols * w)
 
-    def _echelon(self):
-        """Forward elimination, one row at a time, on working copies.
-
-        Returns {pivot column: row}: each row has entry 1 at its pivot
-        column and no entry to the left of it.  A row is reduced by the
-        stored row of its first column until that column has none.
-        """
-        F = self.field
-        p = F.char
-        table = {}
-        for r in self._rows:
-            v = dict(r)
-            while v:
-                c = min(v)
-                w = table.get(c)
-                if w is None:
-                    table[c] = _normalized(v, c, F)
-                    break
-                _subtract(v, v[c], w, p)
-        return table
-
     def rref(self):
         """Reduced row echelon form.  Returns (rref matrix, pivot column list)."""
-        table = self._echelon()
-        p = self.field.char
-        pivots = sorted(table)
+        span = Echelon(self.field, self._rows)
+        table, pivots, p = span.rows, span.pivots, self.field.char
         # back substitution: the rows of later pivots are already reduced,
         # and subtracting one brings in no other pivot column
         for c in reversed(pivots):
@@ -192,7 +235,7 @@ class Matrix:
 
     def rank(self):
         """Rank by forward elimination."""
-        return len(self._echelon())
+        return len(Echelon(self.field, self._rows))
 
     def kernel_basis(self):
         """Basis of the right kernel, one vector per free column."""
@@ -227,74 +270,6 @@ def product_nonzeros(left, right, p):
         out.append({j: r for j, v in acc.items() if (r := v % p)} if p else
                    {j: v for j, v in acc.items() if v})
     return out
-
-
-class IncrementalSpan:
-    """Growing echelonized span of column vectors, and the one reader of
-    coordinates over the vectors that enlarged it (`coords`).
-
-    Each stored vector is a sparse row, `{column: entry}` as in `Matrix`,
-    with entry 1 at its pivot and zero at the pivots stored before it.
-    Past the ambient dimension the row holds the combination of the
-    enlarging inputs that the vector equals, the k-th input at column
-    `ambient_dim + k`.  A reduction subtracts whole rows in the order they
-    were stored, so a vector extended past the ambient dimension carries
-    those combinations along; `add` and `coords` reduce such vectors.  The
-    vectors, and so every result, are unique for a given insertion order.
-    Vectors go in and come out dense.
-    """
-
-    def __init__(self, field, ambient_dim):
-        self.field = field
-        self.ambient_dim = ambient_dim
-        self.pivots = []       # pivot column per stored vector
-        self._rows = []        # stored vector and its combination, as {column: entry}
-
-    @property
-    def dim(self):
-        return len(self._rows)
-
-    def _reduce(self, v):
-        """Reduce the sparse row v in place by the stored rows; returns v."""
-        p = self.field.char
-        for piv, w in zip(self.pivots, self._rows):
-            c = v.get(piv)
-            if c:
-                _subtract(v, c, w, p)
-        return v
-
-    def reduce(self, vec):
-        """vec minus its components along the stored vectors: zero at every
-        pivot.  Entries past the ambient dimension follow the combinations."""
-        v = self._reduce(_nonzeros(vec, self.field.char))
-        z = self.field.zero
-        return [v.get(j, z) for j in range(len(vec))]
-
-    def add(self, vec) -> bool:
-        """Insert vec; returns True when it enlarges the span."""
-        F, amb = self.field, self.ambient_dim
-        v = _nonzeros(vec, F.char)
-        v[amb + self.dim] = F.one       # no stored row reaches this column
-        v = self._reduce(v)
-        piv = min(v)
-        if piv >= amb:
-            return False
-        self.pivots.append(piv)
-        self._rows.append(_normalized(v, piv, F))
-        return True
-
-    def coords(self, vec):
-        """Coefficients of vec over the vectors that enlarged the span, in
-        the order they were added, or None when vec lies outside the span."""
-        F, amb = self.field, self.ambient_dim
-        v = self._reduce(_nonzeros(vec, F.char))
-        if min(v, default=amb) < amb:
-            return None
-        p, z = F.char, F.zero
-        x = [z] * self.dim
-        for j, a in v.items():
-            x[j - amb] = -a % p if p else -a
-        return x
 
 
 def smith_invariants(rows) -> list:

@@ -9,15 +9,18 @@ the same coefficients.  The coefficients are the signed coordinates of
 each face's top form, one `{A: C_{A,I}}` table per face, read from the
 job's sheaf kit of the map (`TorusSheafKit.coefficients`), the same forms
 that generate the principal-ideal cosheaf.  A relation row is a sparse
-`{generator index: entry}` dict, built from those tables and ranked as it
-is.  All outputs are ranks and explicit kernel vectors, never ring
-elements: the ring structure itself is out of scope.
+`{generator index: entry}` dict, built from those tables.  The first-kind
+rows of each degree are eliminated once, into an `Echelon` kept in the
+`RelationSystem`, and the second-kind rows are reduced by it there; the
+quotient ranks and the kernel generators read those residuals.  All
+outputs are ranks and explicit kernel vectors, never ring elements: the
+ring structure itself is out of scope.
 """
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .exactlin import Matrix, IncrementalSpan
+from .exactlin import Echelon, Matrix
 from .errors import InputError
 from .poset import SimplicialPoset, incidence_number
 from .sheaves import CellularSheaf, sheaf_cohomology
@@ -34,8 +37,10 @@ class RelationSystem(NamedTuple):
     coefficients: dict          # face -> its determinant coefficients, from the kit
     generators: dict            # q -> list of generator labels
     type1: dict                 # q -> list of rows
+    first_kind: dict            # q -> the `Echelon` of its first-kind rows
     type2: dict | None          # q -> list of (class_index, A, row); None if unavailable
     type2_cocycles: dict        # q -> the representative cocycles of the second kind
+    type2_reduced: dict         # q -> its second-kind rows reduced by the first kind
     trivialized: object         # cohomology of the trivialized structure sheaf
                                 # (constant values) with its cochain complex, or None
     type2_reason: str           # why the second kind is unavailable
@@ -103,10 +108,11 @@ def relation_system(S: SimplicialPoset, cmap: CharacteristicMap, field,
                      for j in S.elements_of_rank(n - q - 1)]
         type1[q] = [_row(coefficients, index[q], above, values, A, p)
                     for above, values in lower for A in subsets[q]]
+    first_kind = {q: Echelon(field, rows) for q, rows in type1.items()}
 
     if profile.source != "cone":
-        return RelationSystem(field, n, coefficients, generators, type1, None, {}, None,
-                              "second-kind rows are determined by the cone profile only")
+        return RelationSystem(field, n, coefficients, generators, type1, first_kind, None, {}, {},
+                              None, "second-kind rows are determined by the cone profile only")
 
     cohomology = sheaf_cohomology(CellularSheaf.constant(S, field))
     labels = cohomology.complex.labels
@@ -120,11 +126,8 @@ def relation_system(S: SimplicialPoset, cmap: CharacteristicMap, field,
             # so its cocycles are the unit cochains, and those pairing to
             # zero are the kernel of the orientation row
             top = labels[degree]
-            span = IncrementalSpan(field, len(top))
-            for b in cohomology.boundaries(degree):
-                span.add(b)
             pairing = Matrix(field, [[field(orientation[e]) for e in top]], len(top))
-            reps = [z for z in pairing.kernel_basis() if span.add(z)]
+            reps = cohomology.classes(degree, pairing.kernel_basis())[1]
         else:
             reps = cohomology.representatives(degree)
         expected = profile.rank_delta[q]
@@ -135,25 +138,26 @@ def relation_system(S: SimplicialPoset, cmap: CharacteristicMap, field,
             type2[q] = [(ci, A, _row(coefficients, index[q], labels[degree], z, A, p))
                         for ci, z in enumerate(reps) for A in subsets[q]]
             cocycles[q] = reps
-    return RelationSystem(field, n, coefficients, generators, type1, type2, cocycles,
-                          cohomology, "")
+    reduced = {q: [first_kind[q].reduce(row) for _, _, row in rows] for q, rows in type2.items()}
+    return RelationSystem(field, n, coefficients, generators, type1, first_kind, type2,
+                          cocycles, reduced, cohomology, "")
 
 
 def _second_kind(R: RelationSystem) -> dict:
-    """The second-kind rows; refuses a system whose profile leaves them open."""
+    """The second-kind rows reduced by the first kind; refuses a system
+    whose profile leaves them open."""
     if R.type2 is None:
         raise InputError("second-kind relations unavailable: " + R.type2_reason)
-    return R.type2
+    return R.type2_reduced
 
 
 def graded_quotient_rank(R: RelationSystem, include_type2: bool) -> dict:
-    """Generator count modulo the relation rows, per degree."""
-    type2 = _second_kind(R) if include_type2 else {}
-    out = {}
-    for q, generators in R.generators.items():
-        rows = R.type1[q] + [row for _, _, row in type2.get(q, [])]
-        out[q] = len(generators) - Matrix.sparse(R.field, rows, len(generators)).rank()
-    return out
+    """Generator count modulo the relation rows, per degree: less the rank
+    of the first kind, and with the second kind less the rank of its rows
+    reduced by the first kind."""
+    reduced = _second_kind(R) if include_type2 else {}
+    return {q: len(generators) - len(R.first_kind[q]) - len(Echelon(R.field, reduced.get(q, ())))
+            for q, generators in R.generators.items()}
 
 
 class KernelGenerators(NamedTuple):
@@ -175,36 +179,29 @@ class KernelGenerators(NamedTuple):
 def kernel_generators(R: RelationSystem) -> KernelGenerators:
     """Second-kind rows expressed in the first-kind quotient.
 
-    Each row is reduced against the span of the first-kind rows; the
-    reduced vector is supported on the quotient basis (the non-pivot
-    generators).  Verifies that perturbing every representing cocycle by
-    every coboundary generator leaves the reduced vectors exactly
-    unchanged, and that the whole family is linearly independent.
+    Each row is reduced by the first-kind rows; the reduced vector is
+    supported on the quotient basis (the non-pivot generators).  Verifies
+    that perturbing every representing cocycle by every coboundary
+    generator leaves the reduced vectors exactly unchanged, and that the
+    whole family is linearly independent.
     """
-    field, cohomology = R.field, R.trivialized
+    field, cohomology, p = R.field, R.trivialized, R.field.char
     per_degree = {}
     independent = stable = True
-    for q, rows in sorted(_second_kind(R).items()):
-        width = len(R.generators[q])
-        index = {e: k for k, (_, e) in enumerate(R.generators[q])}
-
-        def dense(row):
-            return [row.get(j, field.zero) for j in range(width)]
-
-        t1span = IncrementalSpan(field, width)
-        for r in R.type1[q]:
-            t1span.add(dense(r))
-        reduced = per_degree[q] = [(ci, A, t1span.reduce(dense(row))) for ci, A, row in rows]
-        if Matrix(field, [r for _, _, r in reduced], width).rank() != len(reduced):
+    for q, reduced in sorted(_second_kind(R).items()):
+        span, rows, width = R.first_kind[q], R.type2[q], len(R.generators[q])
+        per_degree[q] = [(ci, A, [r.get(j, field.zero) for j in range(width)])
+                         for (ci, A, _), r in zip(rows, reduced)]
+        if len(Echelon(field, reduced)) != len(reduced):
             independent = False
+        index = {e: k for k, (_, e) in enumerate(R.generators[q])}
         degree = R.n - 1 - q
         elems = cohomology.complex.labels[degree]
         cbs = cohomology.boundaries(degree)
-        for ci, A, base in reduced:
+        for (ci, A, _), base in zip(rows, reduced):
             z = R.type2_cocycles[q][ci]
             for cb in cbs:
-                zp = [field(a + b) for a, b in zip(z, cb)]
-                row = _row(R.coefficients, index, elems, zp, A, field.char)
-                if t1span.reduce(dense(row)) != base:
+                zp = [field(a + cb.get(j, 0)) for j, a in enumerate(z)]
+                if span.reduce(_row(R.coefficients, index, elems, zp, A, p)) != base:
                     stable = False
     return KernelGenerators(per_degree, independent, stable)

@@ -9,7 +9,8 @@ in homology, the order-complex homology, integer determinants by Bareiss
 elimination, minors gcds for the Smith form, the determinant coefficients
 of the face ring from those determinants (the library reads them off the
 sheaf kit's top forms), exterior forms read as dense vectors with a
-per-term wedge of its own, and sheaf dumps for golden digests.
+per-term wedge of its own, a dense span with coordinates (the reference
+for the library's sparse `Echelon`), and sheaf dumps for golden digests.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from math import gcd
 
 from torushom.complexes import GradedComplex, HomologyProfile, homology, reduced_betti
 from torushom.errors import InputError, InvariantViolation
-from torushom.exactlin import IncrementalSpan, Matrix, product_nonzeros
+from torushom.exactlin import Matrix, product_nonzeros
 from torushom.facevec import binom, poly_add, poly_mul, poly_pow, poly_scale
 from torushom.poset import SimplicialPoset
 from torushom.sheaves import (CellularCosheaf, CellularSheaf, LocalHomologyData, _covers,
@@ -421,16 +422,58 @@ def ref_wedge(ext, qa: int, va, qb: int, vb) -> list:
 # coordinates.  The kit builds its two (co)sheaves in adapted bases instead
 # and reads the other two tables off the long exact sequences.
 
-def span_vectors(span):
-    """The echelonized vectors of an `IncrementalSpan`, dense, in the order
-    they were stored."""
-    z, amb = span.field.zero, span.ambient_dim
-    return [[row.get(j, z) for j in range(amb)] for row in span._rows]
+class RefSpan:
+    """A growing span of dense vectors, echelonized one entry at a time,
+    and the coordinates over the vectors that enlarged it.
+
+    Each stored vector is 1 at its pivot, its first nonzero entry, and
+    zero at the pivots stored before it; next to it is kept the
+    combination of the enlarging inputs that it equals.  The library's
+    `Echelon` stores sparse rows in another layout and reads coordinates
+    off tag columns; this is the reference both are checked against.
+    """
+
+    def __init__(self, F, ambient_dim):
+        self.F, self.ambient_dim = F, ambient_dim
+        self.pivots, self.vectors, self.combos = [], [], []
+
+    def _reduce(self, vec):
+        """(vec minus its components along the stored vectors, the
+        combination of the enlarging inputs that was subtracted)."""
+        F, x = self.F, [self.F.zero] * len(self.vectors)
+        v = [F(a) for a in vec]
+        for p, w, c in zip(self.pivots, self.vectors, self.combos):
+            a = v[p]
+            if F(a) != 0:
+                v = [F(b - a * e) for b, e in zip(v, w)]
+                x = [F(b + a * e) for b, e in zip(x, c + [F.zero] * (len(x) - len(c)))]
+        return v, x
+
+    def reduce(self, vec):
+        return self._reduce(vec)[0]
+
+    def add(self, vec) -> bool:
+        """Insert vec; returns True when it enlarges the span."""
+        F = self.F
+        v, x = self._reduce(vec)
+        p = next((i for i, a in enumerate(v) if F(a) != 0), None)
+        if p is None:
+            return False
+        inv = F.inv(v[p])
+        self.pivots.append(p)
+        self.vectors.append([F(inv * a) for a in v])
+        self.combos.append([F(-inv * a) for a in x] + [inv])
+        return True
+
+    def coords(self, vec):
+        """Coefficients of vec over the vectors that enlarged the span, in
+        the order they were added, or None when vec lies outside it."""
+        v, x = self._reduce(vec)
+        return None if any(v) else x
 
 
 def free_columns(span):
-    """The positions that are no pivot of an `IncrementalSpan`: a basis of
-    its quotient."""
+    """The positions that are no pivot of a `RefSpan`: a basis of its quotient."""
     pivots = set(span.pivots)
     return [c for c in range(span.ambient_dim) if c not in pivots]
 
@@ -452,7 +495,7 @@ def _times_basis(kit, qa: int, va, qb: int) -> list:
 def _span(kit, vecs, q: int):
     """(basis, span) of the degree-q vectors `vecs`, the basis being the
     vectors that enlarged the span."""
-    span = IncrementalSpan(kit.field, kit.ext.dim(q))
+    span = RefSpan(kit.field, kit.ext.dim(q))
     return [v for v in vecs if span.add(v)], span
 
 

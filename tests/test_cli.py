@@ -1,12 +1,17 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import torushom
 from torushom import complexes, job as job_module, poset as poset_module, sheaves, torusalg
 from torushom.cli import main, build_parser, run
 from torushom.errors import InputError
-from torushom.exactlin import IncrementalSpan, Matrix
+from torushom.exactlin import Echelon, Matrix
 from torushom.field import QQ
 from torushom.fixtures import preset_charmap, origami_annulus_profile
 from torushom.formats import (
@@ -450,10 +455,12 @@ def test_exit_3_when_a_kit_invariant_fails(monkeypatch, capsys, files):
 
 
 def test_exit_3_when_an_internal_value_check_fails(monkeypatch, capsys):
-    # a span that finds no coordinates makes a local homology restriction
-    # meet a vector that is no cycle: a fault of the computation, reported
-    # as an invariant violation, not as unusable input
-    monkeypatch.setattr(IncrementalSpan, "coords", lambda span, vec: None)
+    # a span whose residuals keep an entry at the first position makes a
+    # local homology restriction meet a vector that is no cycle: a fault of
+    # the computation, reported as an invariant violation, not as unusable
+    # input
+    reduce = Echelon.reduce
+    monkeypatch.setattr(Echelon, "reduce", lambda span, row: {**reduce(span, row), 0: 1})
     assert main(["sheaf", "--preset", "boundary_of_simplex(3)"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -472,6 +479,24 @@ def test_exit_3_on_an_unexpected_exception(monkeypatch, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"internal error: {error.__name__}: boom at the face vectors\n"
+
+
+@pytest.mark.parametrize("out", ["json", "md"])
+def test_exit_3_with_one_line_when_stdout_is_closed(out):
+    # the report goes into a pipe whose read end is already closed: one
+    # stderr line and status 3, not a traceback and the status of a failed
+    # check, and nothing more at exit, when stdout is flushed again
+    read, write = os.pipe()
+    os.close(read)
+    src = str(Path(torushom.__file__).resolve().parents[1])
+    try:
+        done = subprocess.run([sys.executable, "-m", "torushom.cli", "all", "--preset",
+                               "torus_7", "--out", out], stdout=write, stderr=subprocess.PIPE,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    finally:
+        os.close(write)
+    assert done.returncode == 3
+    assert done.stderr == b"error: stdout closed before the report was written\n"
 
 
 def _first_cover(sheaf, rank):

@@ -1,7 +1,7 @@
 import pytest
 
 from torushom.field import QQ, PrimeField
-from torushom.exactlin import Matrix, IncrementalSpan
+from torushom.exactlin import Matrix
 from torushom.fixtures import CHARMAPS
 from torushom.errors import InputError, InvariantViolation
 from torushom.poset import preset, build_from_facets
@@ -10,7 +10,7 @@ from torushom.complexes import (
     betti, classify,
 )
 
-from oracles import order_complex_homology, link_reduced_betti, induced_map, is_chain_map
+from oracles import RefSpan, order_complex_homology, link_reduced_betti, induced_map, is_chain_map
 
 from test_exactlin import ref_solve_matrix
 
@@ -248,7 +248,7 @@ class EagerProfile:
                 _, pivots = dprev.rref()
                 boundaries = [dprev.column(j) for j in pivots]
             reps = []
-            span = IncrementalSpan(F, nk)
+            span = RefSpan(F, nk)
             for b in boundaries:
                 span.add(b)
             for z in cycles:

@@ -10,13 +10,11 @@ from hypothesis import given, settings, strategies as st
 from torushom.cli import main
 from torushom.errors import InvariantViolation
 from torushom.field import QQ, PrimeField, field_from_name
-from torushom.exactlin import (Matrix, IncrementalSpan, product_nonzeros,
-                                smith_invariants)
+from torushom.exactlin import Echelon, Matrix, product_nonzeros, smith_invariants
 from torushom.fixtures import preset_charmap
 from torushom.formats import write_charmap
 
-from oracles import (apply, free_columns, int_det, minors_gcd, quotient_coords, span_vectors,
-                     transpose)
+from oracles import RefSpan, apply, int_det, minors_gcd, transpose
 
 
 def test_field_parsing():
@@ -169,29 +167,6 @@ def sum_(F, terms):
     return total
 
 
-class RefSpan:
-    def __init__(self, F):
-        self.F, self.pivots, self.vectors = F, [], []
-
-    def reduce(self, vec):
-        F, v = self.F, list(vec)
-        for p, w in zip(self.pivots, self.vectors):
-            if F(v[p]) != 0:
-                c = v[p]
-                v = [F(a - c * b) for a, b in zip(v, w)]
-        return v
-
-    def add(self, vec):
-        F, v = self.F, self.reduce(vec)
-        p = next((i for i, a in enumerate(v) if F(a) != 0), None)
-        if p is None:
-            return False
-        inv = F.inv(v[p])
-        self.pivots.append(p)
-        self.vectors.append([F(inv * a) for a in v])
-        return True
-
-
 def canon(F, rows):
     """Entries as canonical field elements: the kernels return these, while
     the reference keeps the representatives it was given where it does
@@ -257,42 +232,96 @@ def test_rref_and_kernel_match_reference(case):
     assert M.kernel_basis() == canon(F, ref_kernel(F, rows, n))
 
 
+def as_row(F, vec):
+    """A dense vector as the `{column: entry}` row of its nonzero field elements."""
+    return {j: F(a) for j, a in enumerate(vec) if F(a) != 0}
+
+
+def tagged(F, n, vecs):
+    """An `Echelon` of the vectors that enlarge the span of the ones before
+    them (the reference decides), the k-th of them tagged at column n + k."""
+    span, ref = Echelon(F), RefSpan(F, n)
+    for v in vecs:
+        if ref.add(v):
+            span.add({**as_row(F, v), n + len(span): F.one})
+    return span
+
+
+def tagged_coords(F, n, span, vec):
+    """Minus the tags of vec's residual, or None when it has an entry below n."""
+    r = span.reduce(as_row(F, vec))
+    if any(j < n for j in r):
+        return None
+    x = [F.zero] * len(span)
+    for j, a in r.items():
+        x[j - n] = F(-a)
+    return x
+
+
 @SPAN_ORACLE
 @given(st.data())
 def test_span_coords_match_reference(data):
     # probes: random vectors (mostly outside a small span), the inputs, and
-    # random combinations of the inputs; an empty span comes with no inputs
+    # random combinations of the inputs; an empty span comes with no inputs.
+    # The coordinates are read off tag columns appended by the test
     F, vecs, n, probes = span_inputs(data)
     weights = data.draw(st.lists(st.lists(_entry(F), min_size=len(vecs), max_size=len(vecs)),
                                  max_size=3))
     combos = [[sum_(F, [F(c * v[j]) for c, v in zip(w, vecs)]) for j in range(n)]
               for w in weights]
-    span = IncrementalSpan(F, n)
-    basis = [v for v in vecs if span.add(v)]
+    span, ref = tagged(F, n, vecs), RefSpan(F, n)
+    basis = [v for v in vecs if ref.add(v)]
     columns = [list(r) for r in zip(*basis)] if basis else [[] for _ in range(n)]
     for v in probes + vecs + combos:
-        x = span.coords(v)
-        ref = ref_solve_matrix(F, columns, [[a] for a in v], len(basis))
-        assert (x is None) == (ref is None)
+        x = tagged_coords(F, n, span, v)
+        assert x == ref.coords(v)
+        solved = ref_solve_matrix(F, columns, [[a] for a in v], len(basis))
+        assert (x is None) == (solved is None)
         if x is not None:
-            assert x == [F(r[0]) for r in ref]
+            assert x == [F(r[0]) for r in solved]
 
 
 @SPAN_ORACLE
 @given(st.data())
 def test_incremental_span_matches_reference(data):
+    # the add verdicts, the pivots, the rank and every residual; the stored
+    # rows are the echelon's own business
     F, vecs, n, probes = span_inputs(data)
-    span, ref = IncrementalSpan(F, n), RefSpan(F)
+    span, ref = Echelon(F), RefSpan(F, n)
     for v in vecs:
-        assert span.add(v) == ref.add(v)
-    assert span.pivots == ref.pivots
-    assert span_vectors(span) == canon(F, ref.vectors)
-    free = [c for c in range(n) if c not in ref.pivots]
-    assert free_columns(span) == free
+        assert span.add(as_row(F, v)) == ref.add(v)
+        assert span.pivots == sorted(ref.pivots) and len(span) == len(ref.pivots)
+    assert len(span) == Matrix(F, vecs, n).rank()
     for v in probes + vecs:
-        reduced = ref.reduce(v)
-        assert [span.reduce(v)] == canon(F, [reduced])
-        assert [quotient_coords(span, v)] == canon(F, [[reduced[c] for c in free]])
+        assert span.reduce(as_row(F, v)) == as_row(F, ref.reduce(v))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_echelon_pivots_and_residuals_ignore_the_row_order(data):
+    # the pivots of a span and the residuals modulo it are unique, so every
+    # insertion order gives the same ones, and tagged coordinates over the
+    # enlarging rows of that order agree with the reference's
+    F = data.draw(st.sampled_from([QQ, F2, F_BIG]), label="field")
+    _, vecs, n = data.draw(st.one_of(matrices(field=F), sparse_matrices(field=F)))
+    probes = data.draw(sparse_matrices(F, n) if n > 6 else matrices(field=F, ncols=n))[1]
+    order = data.draw(st.permutations(range(len(vecs))))
+    shuffled = [vecs[i] for i in order]
+    ref = RefSpan(F, n)
+    for v in vecs:
+        ref.add(v)
+    spans = [Echelon(F, [as_row(F, v) for v in rows]) for rows in (vecs, shuffled)]
+    for span in spans:
+        assert span.pivots == sorted(ref.pivots) and len(span) == len(ref.pivots)
+    tags = tagged(F, n, shuffled)
+    in_order = RefSpan(F, n)
+    for v in shuffled:
+        in_order.add(v)
+    for v in probes + vecs:
+        residual = as_row(F, ref.reduce(v))
+        assert all(span.reduce(as_row(F, v)) == residual for span in spans)
+        assert tagged_coords(F, n, tags, v) == in_order.coords(v)
+    assert not any(span.reduce(as_row(F, v)) for v in vecs for span in spans)
 
 
 @ORACLE

@@ -22,11 +22,11 @@ from torushom.sheaves import (
 )
 from torushom.facevec import binom
 from torushom.complexes import GradedComplex, HomologyProfile
-from torushom.exactlin import Matrix, IncrementalSpan
+from torushom.exactlin import Echelon, Matrix
 from torushom.cli import main
 from torushom.formats import write_charmap
 
-from oracles import (coefficient_CAI, dense, ideal_sheaf, inclusions, is_chain_map,
+from oracles import (RefSpan, coefficient_CAI, dense, ideal_sheaf, inclusions, is_chain_map,
                      kit_tables, lambda_mod_pi_cosheaf, pi_cosheaf, quotient_class, quotient_sheaf,
                      ref_wedge, span_tables, sparse, structure_tensor_ideal,
                      structure_tensor_quotient, without_empty_stalk)
@@ -240,7 +240,7 @@ def test_inclusions_refuse_spans_that_are_not_nested(cls):
     spans = {0: [], 1: [[QQ(1), QQ(0)]], 2: [[QQ(0), QQ(1)]]}
 
     def spanned(vecs):
-        span = IncrementalSpan(QQ, 2)
+        span = RefSpan(QQ, 2)
         return [v for v in vecs if span.add(v)], span
 
     with pytest.raises(InvariantViolation, match="not nested along a cover"):
@@ -529,7 +529,7 @@ def test_sheaves_asked_after_the_degree_passes_rebuild_to_golden(key):
     assert _kit_digests(kit) == KIT_GOLDEN[key]
 
 
-KEPT_TYPES = (IncrementalSpan, Matrix, CellularSheaf, GradedComplex, HomologyProfile)
+KEPT_TYPES = (Echelon, Matrix, CellularSheaf, GradedComplex, HomologyProfile)
 
 
 def _reachable(root, stop):
@@ -694,7 +694,7 @@ def test_adapted_bases_complete_each_face_greedily(name):
     kit = TorusSheafKit(S, preset_charmap(name), QQ)
     n = kit.n
     for elem, (C, P) in enumerate(kit.frames()):
-        span = IncrementalSpan(QQ, n)
+        span = RefSpan(QQ, n)
         for lab in S.vertex_sets[elem]:
             span.add(kit.frows[lab])
         units = [[QQ(int(i == j)) for i in range(n)] for j in range(n)]
